@@ -169,9 +169,9 @@ def _curve_meta(kind, method, grid_text, tol) -> str:
 
 
 def _curve_point_task(task):
-    alpha, kind, method, tol = task
+    alpha, kind, method, tol, config = task
     try:
-        result = threshold_bisect(alpha, kind, method, tol_beta=tol)
+        result = threshold_bisect(alpha, kind, method, tol_beta=tol, config=config)
         row = _result_row(result)
     except L1LabError as exc:
         sys.stderr.write(f"curve point alpha={alpha} failed: {exc}\n")
@@ -232,7 +232,7 @@ def cmd_curve(args, config: Config) -> int:
 
     missing = [a for a in grid if fmt(a) not in rows]
     results = _parallel_map(
-        _curve_point_task, [(a, kind, method, tol) for a in missing],
+        _curve_point_task, [(a, kind, method, tol, config) for a in missing],
         config.effective_jobs(),
     )
     failed = 0

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize as _opt
 
 from .config import DEFAULT, Config
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     L1LabError,
     NonMonotoneWarning,
 )
+from .numerics import nelder_mead
 
 KINDS = ("weak", "sectional", "strong", "weak_nonneg", "strong_nonneg")
 METHODS = ("direct", "lifted")
@@ -241,18 +242,20 @@ def c3_start_ladder(alpha: float, wide: bool) -> np.ndarray:
 
 
 def _total_objective(set_term, alpha, beta):
+    """The master-condition total at x = [log c3, b, extras...] (a list of
+    floats), with inf for points outside the convergent domain and for any
+    non-finite set term or total."""
     def objective(x):
         c3 = math.exp(x[0])
         b = x[1]
         if not 0.0 < b < 0.5:
-            return np.inf
+            return math.inf
         gamma = c3 / (4.0 * b)
-        with np.errstate(all="ignore"):
-            st = set_term(c3, gamma, x[2:], beta)
-            if not np.isfinite(st):
-                return np.inf
-            val = -0.5 * c3 + st + i_sph(c3, alpha)
-        return val if np.isfinite(val) else np.inf
+        st = set_term(c3, gamma, x[2:], beta)
+        if not math.isfinite(st):
+            return math.inf
+        val = -0.5 * c3 + st + i_sph(c3, alpha)
+        return val if math.isfinite(val) else math.inf
 
     return objective
 
@@ -272,49 +275,45 @@ def minimize_lifted_total(
     """Multi-start Nelder-Mead over x = [log c3, b, extras].
 
     set_term(c3, gamma, extras, beta) evaluates the kind's set term at fixed
-    parameters.  Seeds are tried in order; if stop_below is given the search
-    stops as soon as some start drives the total under it (a certified upper
-    bound on the minimum is enough to certify feasibility).  Returns the best
-    (total, x) found; a nested polish over the non-c3 coordinates is applied
-    to the winner since joint and nested searches can land in different
-    local optima.
+    parameters on Python floats.  Seeds are tried in order; if stop_below is
+    given the search stops as soon as some start drives the total under it
+    (a certified upper bound on the minimum is enough to certify
+    feasibility).  Returns the best (total, x) found; a nested polish over
+    the non-c3 coordinates is applied to the winner since joint and nested
+    searches can land in different local optima.
+
+    The simplex is numerics.nelder_mead, which takes the same steps as
+    scipy's bounded Nelder-Mead (ties in vertex order broken by np.argsort,
+    as scipy does) while keeping every iterate a list of floats, so the
+    solve returns the same bits at a fraction of the per-evaluation cost.
     """
     objective = _total_objective(set_term, alpha, beta)
     bounds = [(LOG_C3_MIN, LOG_C3_MAX), (1e-7, B_MAX), *extra_bounds]
     opts = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxiter}
 
-    best_f, best_x = np.inf, None
-    with np.errstate(invalid="ignore", over="ignore"):
-        for seed in seeds:
-            x0 = np.clip(
-                np.asarray(seed, dtype=float),
-                [b[0] for b in bounds],
-                [b[1] for b in bounds],
-            )
-            res = _opt.minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
-                                options=opts)
-            if res.fun < best_f:
-                best_f, best_x = float(res.fun), res.x
-            if stop_below is not None and best_f < stop_below:
-                return best_f, best_x
+    best_f, best_x = math.inf, None
+    for seed in seeds:
+        res = nelder_mead(objective, seed, bounds, **opts)
+        if res.fun < best_f:
+            best_f, best_x = res.fun, res.x
+        if stop_below is not None and best_f < stop_below:
+            return best_f, np.array(best_x)
 
-        if best_x is not None and np.isfinite(best_f):
-            # nested polish: inner parameters at fixed c3, then a joint restart
-            fixed = best_x[0]
+    if best_x is not None and math.isfinite(best_f):
+        # nested polish: inner parameters at fixed c3, then a joint restart
+        fixed = best_x[0]
 
-            def inner(y):
-                return objective(np.concatenate(([fixed], y)))
+        def inner(y):
+            return objective([fixed, *y])
 
-            res_in = _opt.minimize(inner, best_x[1:], method="Nelder-Mead",
-                                   bounds=bounds[1:], options=opts)
-            if res_in.fun < best_f:
-                best_f = float(res_in.fun)
-                best_x = np.concatenate(([fixed], res_in.x))
-            res = _opt.minimize(objective, best_x, method="Nelder-Mead", bounds=bounds,
-                                options=opts)
-            if res.fun < best_f:
-                best_f, best_x = float(res.fun), res.x
-    return best_f, best_x
+        res_in = nelder_mead(inner, best_x[1:], bounds[1:], **opts)
+        if res_in.fun < best_f:
+            best_f = res_in.fun
+            best_x = [fixed, *res_in.x]
+        res = nelder_mead(objective, best_x, bounds, **opts)
+        if res.fun < best_f:
+            best_f, best_x = res.fun, res.x
+    return best_f, None if best_x is None else np.array(best_x)
 
 
 def lifted_margin(
@@ -367,7 +366,7 @@ def lifted_margin(
 def x_to_params(x: np.ndarray) -> LiftParams:
     """Decode an optimizer vector [log c3, b, nu...] into LiftParams."""
     c3 = math.exp(x[0])
-    gamma = c3 / (4.0 * x[1])
+    gamma = c3 / (4.0 * float(x[1]))
     nu1 = float(x[2]) if len(x) > 2 else 0.0
     nu2 = float(x[3]) if len(x) > 3 else 0.0
     return LiftParams(c3=c3, gamma=gamma, nu1=nu1, nu2=nu2)
@@ -387,14 +386,15 @@ def params_to_x(params: LiftParams, n_extra: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _margin_provider(kind: str, method: str):
-    """Return fn(alpha, beta, warm, thorough) -> (margin, params or None)."""
+    """Return fn(alpha, beta, warm, thorough, config=...) -> (margin, params or None)."""
     from . import thresholds_general as tg
     from . import thresholds_nonneg as tn
 
     if kind == "weak":
-        return lambda a, b, warm, thorough: (tg.weak_alpha_of_beta(b) - a, None)
+        return lambda a, b, warm, thorough, config=DEFAULT: (tg.weak_alpha_of_beta(b) - a, None)
     if kind == "weak_nonneg":
-        return lambda a, b, warm, thorough: (tn.weak_nonneg_alpha_of_beta(b) - a, None)
+        return lambda a, b, warm, thorough, config=DEFAULT: (
+            tn.weak_nonneg_alpha_of_beta(b) - a, None)
     if kind == "sectional":
         return tg.sectional_margin_direct if method == "direct" else tg.sectional_margin_lifted
     if kind == "strong":
@@ -425,7 +425,9 @@ def threshold_bisect(
 
     Feasibility at a probe means the kind's minimized condition margin is
     strictly below -config.feasibility_margin; the strict cut keeps boundary
-    noise from being declared feasible.  Monotonicity of feasibility in beta
+    noise from being declared feasible.  config also reaches every margin
+    probe (the lifted searches read their stop margin and iteration budget
+    from it).  Monotonicity of feasibility in beta
     is checked rather than assumed: after the bracket closes, the smallest
     infeasible probe is re-tested with a thorough warm-started search, and
     if it now proves feasible a NonMonotoneWarning is issued and bisection
@@ -435,7 +437,7 @@ def threshold_bisect(
     tol_beta = config.tol_beta if tol_beta is None else tol_beta
     if tol_beta < 1e-5:
         raise DomainError("tol_beta must be >= 1e-5")
-    margin_fn = _margin_provider(kind, method)
+    margin_fn = partial(_margin_provider(kind, method), config=config)
     eps = config.feasibility_margin
 
     cap = _BETA_CAPS[kind]

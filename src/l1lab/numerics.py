@@ -5,8 +5,9 @@ concurrent use.  Special functions delegate to scipy.special (double
 precision, accepts scalars or arrays); the quadrature and the bounded
 simplex search are implemented here because they carry contracts the
 generic library routines do not (breakpoint-aligned panels with a
-doubling convergence certificate, jittered multi-start with box
-projection).
+doubling convergence certificate; a simplex search on Python floats whose
+iterates are bit-for-bit those of scipy's bounded Nelder-Mead, without its
+per-evaluation array bookkeeping).
 """
 
 from __future__ import annotations
@@ -113,6 +114,218 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
     return float(_opt.brentq(f, lo, hi, xtol=tol, maxiter=300))
 
 
+class SimplexResult(NamedTuple):
+    """Outcome of nelder_mead: best vertex, its value, evaluation and
+    iteration counts, and whether the simplex tolerances were met."""
+
+    x: list
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+class _Exhausted(Exception):
+    """The evaluation budget ran out part-way through an iteration."""
+
+
+# reflection, expansion, contraction and shrink coefficients (non-adaptive)
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+def _clip_point(x, lo, hi):
+    """Clip x into [lo, hi] coordinate-wise with numpy.clip's semantics:
+    NaN passes through and a tie returns the bound (so -0.0 against a 0.0
+    bound becomes 0.0)."""
+    out = []
+    for v, l, h in zip(x, lo, hi):
+        if not (v > l or v != v):
+            v = l
+        if not (v < h or v != v):
+            v = h
+        out.append(v)
+    return out
+
+
+def _trial(xbar, worst, a, b, lo, hi):
+    """The clipped trial point a*xbar - b*worst.
+
+    Reflection, expansion and both contractions are all of this form;
+    negating a coefficient is exact, so (1-psi)*xbar - (-psi)*worst has the
+    same bits as scipy's (1-psi)*xbar + psi*worst."""
+    out = []
+    for c, w, l, h in zip(xbar, worst, lo, hi):
+        v = a * c - b * w
+        if not (v > l or v != v):
+            v = l
+        if not (v < h or v != v):
+            v = h
+        out.append(v)
+    return out
+
+
+def _converged(sim, fsim, xatol, fatol):
+    """scipy's test: max |vertex - best| <= xatol and max |f0 - f| <= fatol
+    (a NaN difference fails it, as numpy's max propagates NaN)."""
+    best = sim[0]
+    for row in sim[1:]:
+        for v, b in zip(row, best):
+            if not abs(v - b) <= xatol:
+                return False
+    f0 = fsim[0]
+    for fj in fsim[1:]:
+        if not abs(f0 - fj) <= fatol:
+            return False
+    return True
+
+
+def _order(sim, fsim):
+    """Vertices and values sorted by value with np.argsort.
+
+    numpy's default argsort is not stable, and ties are common (vertices
+    clipped onto the same bound point, inf plateaus); only its own
+    tie-break keeps the search on the path scipy takes."""
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+
+def nelder_mead(
+    f: Callable[[list], float],
+    x0,
+    bounds: Sequence[tuple] | None = None,
+    *,
+    xatol: float = 1e-4,
+    fatol: float = 1e-4,
+    maxiter: float | None = None,
+    maxfev: float | None = None,
+) -> SimplexResult:
+    """Bounded Nelder-Mead on Python floats.
+
+    Replays scipy.optimize.minimize(method="Nelder-Mead", bounds=...,
+    adaptive=False) step for step, so for the same f it visits the same
+    points and returns the same x, fun, nfev and success flag: the same
+    initial simplex (x0 scaled by 1.05 per coordinate, 0.00025 for a zero
+    coordinate, reflected into the box and clipped), clipping of every trial
+    point, the same xatol/fatol test, the same vertex order (np.argsort,
+    ties included), and the same budgets (a maxfev stop can fall part-way
+    through an iteration, including during a shrink).  What it drops is
+    scipy's per-evaluation array bookkeeping, which costs more than a
+    closed-form lifted objective.
+
+    f receives a list of floats and must return a float; it must not
+    mutate its argument.  bounds is a sequence of (lo, hi) pairs, None
+    meaning unbounded on that side.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    if bounds is None:
+        lo, hi = [-math.inf] * n, [math.inf] * n
+    else:
+        lo = [-math.inf if b[0] is None else float(b[0]) for b in bounds]
+        hi = [math.inf if b[1] is None else float(b[1]) for b in bounds]
+        if any(l > h for l, h in zip(lo, hi)):
+            raise DomainError("nelder_mead: a lower bound exceeds its upper bound")
+    # with infinite bounds the clipping and reflection below are identities
+    x0 = _clip_point(x0, lo, hi)
+
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    # a vertex pushed past an upper bound is reflected into the box
+    sim = [_clip_point([2 * h - v if v > h else v for v, h in zip(row, hi)], lo, hi)
+           for row in sim]
+
+    if maxiter is None and maxfev is None:
+        maxiter = maxfev = n * 200
+    elif maxiter is None:
+        maxiter = n * 200 if maxfev == math.inf else math.inf
+    elif maxfev is None:
+        maxfev = n * 200 if maxiter == math.inf else math.inf
+
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return f(x)
+
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Exhausted:
+        pass
+    # scipy sorts once in a finally block and once more after it; with an
+    # unstable sort the second pass may permute tied vertices again
+    sim, fsim = _order(sim, fsim)
+    sim, fsim = _order(sim, fsim)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if _converged(sim, fsim, xatol, fatol):
+                break
+            # centroid of all but the worst vertex, summed in row order
+            acc = sim[0]
+            for row in sim[1:-1]:
+                acc = [s + v for s, v in zip(acc, row)]
+            xbar = [s / n for s in acc]
+            worst = sim[-1]
+
+            xr = _trial(xbar, worst, 1 + _RHO, _RHO, lo, hi)
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = _trial(xbar, worst, 1 + _RHO * _CHI, _RHO * _CHI, lo, hi)
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                doshrink = False
+                if fxr < fsim[-1]:
+                    xc = _trial(xbar, worst, 1 + _PSI * _RHO, _PSI * _RHO, lo, hi)
+                    fxc = call(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        doshrink = True
+                else:
+                    xcc = _trial(xbar, worst, 1 - _PSI, -_PSI, lo, hi)
+                    fxcc = call(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        doshrink = True
+                if doshrink:
+                    best = sim[0]
+                    for j in range(1, n + 1):
+                        # the vertex moves before its evaluation, so a budget
+                        # stop mid-shrink leaves it with its old value
+                        sim[j] = _clip_point(
+                            [b + _SIGMA * (v - b) for v, b in zip(sim[j], best)], lo, hi)
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        sim, fsim = _order(sim, fsim)
+
+    return SimplexResult(
+        x=sim[0],
+        fun=float(np.min(fsim)),
+        nfev=nfev,
+        nit=iterations,
+        success=not (nfev >= maxfev or iterations >= maxiter),
+    )
+
+
 def _jitter_seeds(x0, bounds, restarts, rng):
     """x0 plus `restarts` jittered copies, all projected into the box."""
     x0 = np.asarray(x0, dtype=float)
@@ -142,35 +355,35 @@ def minimize_local(
 ) -> tuple[np.ndarray, float]:
     """Derivative-free local minimization over a box.
 
-    Nelder-Mead simplex with box projection, restarted from `restarts`
-    jittered copies of x0; the best point across restarts is returned.
+    Nelder-Mead simplex (nelder_mead) with box projection, restarted from
+    `restarts` jittered copies of x0; the best point across restarts is
+    returned.
     Raises MaxIterationsError if every restart exhausted `max_iter`
     iterations without meeting the simplex tolerance.
     """
+    def objective(v):
+        fx = f(np.array(v))
+        return fx if np.isscalar(fx) else np.asarray(fx).item()
+
     rng = np.random.default_rng(seed)
     best_x, best_f = None, np.inf
     any_converged = False
     for start in _jitter_seeds(x0, bounds, restarts, rng):
-        res = _opt.minimize(
-            f,
-            start,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "xatol": tol,
-                "fatol": tol * 1e-2,
-                "maxiter": max_iter,
-                "maxfev": max_iter,
-            },
-        )
-        any_converged = any_converged or bool(res.success)
+        res = nelder_mead(objective, start, bounds, xatol=tol, fatol=tol * 1e-2,
+                          maxiter=max_iter, maxfev=max_iter)
+        any_converged = any_converged or res.success
         if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
+            best_x, best_f = res.x, res.fun
     if not any_converged:
         raise MaxIterationsError(
             f"no Nelder-Mead restart converged within {max_iter} iterations"
         )
     return np.asarray(best_x), best_f
+
+
+def _exp_sat(x: float) -> float:
+    """Saturating exp: overflow means the quantity itself is huge."""
+    return math.exp(x) if x < 709.0 else math.inf
 
 
 def gaussian_quadratic_integral(p: float, s: float, c: float, lo: float, hi: float) -> float:
@@ -180,7 +393,8 @@ def gaussian_quadratic_integral(p: float, s: float, c: float, lo: float, hi: flo
         e^E / (2*sqrt(1-2p)) * (erfc(z(lo)) - erfc(z(hi))),
         a = 1/2 - p,  mu = s/(2a),  z(x) = (x-mu)*sqrt(a),  E = a*mu**2 + c,
     evaluated through erfcx so that huge e^E against tiny erfc never overflows
-    when the true value is moderate.  lo/hi may be +-inf.
+    when the true value is moderate.  lo/hi may be +-inf.  Scalar floats only;
+    this sits in the innermost loop of every lifted solve.
     """
     a = 0.5 - p
     if a <= 0:
@@ -191,31 +405,25 @@ def gaussian_quadratic_integral(p: float, s: float, c: float, lo: float, hi: flo
     sqrt_a = math.sqrt(a)
     E = a * mu * mu + c
     norm = 2.0 * math.sqrt(1.0 - 2.0 * p)
-
-    def _exp(x):
-        # saturating exp: overflow means the integral itself is huge
-        return math.exp(x) if x < 709.0 else math.inf
-
-    def _exponent(x):
-        # log of the full integrand (up to the 1/sqrt(2pi)); equals E - z(x)^2
-        return (p - 0.5) * x * x + s * x + c
-
-    def _tail(x):
-        # e^E * erfc(z(x)) for z(x) >= 0, overflow-free
-        return float(_sp.erfcx((x - mu) * sqrt_a)) * _exp(_exponent(x))
-
-    z_lo = -np.inf if lo == -np.inf else (lo - mu) * sqrt_a
-    z_hi = np.inf if hi == np.inf else (hi - mu) * sqrt_a
+    # at a finite limit x the log of the integrand (up to the 1/sqrt(2pi)) is
+    # (p - 1/2) x^2 + s x + c = E - z(x)^2, and e^E * erfc(+-z(x)) is
+    # exp of that times erfcx(+-z(x)), overflow-free
+    z_lo = -math.inf if lo == -math.inf else (lo - mu) * sqrt_a
+    z_hi = math.inf if hi == math.inf else (hi - mu) * sqrt_a
     if z_lo >= 0:
-        upper = 0.0 if z_hi == np.inf else _tail(hi)
-        return (_tail(lo) - upper) / norm
+        upper = (0.0 if z_hi == math.inf else
+                 float(_sp.erfcx(z_hi)) * _exp_sat((p - 0.5) * hi * hi + s * hi + c))
+        return (float(_sp.erfcx(z_lo)) * _exp_sat((p - 0.5) * lo * lo + s * lo + c)
+                - upper) / norm
+    lower = (0.0 if z_lo == -math.inf else
+             _exp_sat((p - 0.5) * lo * lo + s * lo + c) * float(_sp.erfcx(-z_lo)))
     if z_hi <= 0:
-        lower = 0.0 if z_lo == -np.inf else _exp(_exponent(lo)) * float(_sp.erfcx(-z_lo))
-        return (_exp(_exponent(hi)) * float(_sp.erfcx(-z_hi)) - lower) / norm
+        return (_exp_sat((p - 0.5) * hi * hi + s * hi + c) * float(_sp.erfcx(-z_hi))
+                - lower) / norm
     # window straddles the peak: the e^E mass is genuinely present
-    lower = 0.0 if z_lo == -np.inf else _exp(_exponent(lo)) * float(_sp.erfcx(-z_lo))
-    upper = 0.0 if z_hi == np.inf else _tail(hi)
-    return (2.0 * _exp(E) - lower - upper) / norm
+    upper = (0.0 if z_hi == math.inf else
+             float(_sp.erfcx(z_hi)) * _exp_sat((p - 0.5) * hi * hi + s * hi + c))
+    return (2.0 * _exp_sat(E) - lower - upper) / norm
 
 
 _GL_ORDER = 16

@@ -162,8 +162,8 @@ def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
     minus = exp(b nu^2/(1-2b)) / sqrt(1-2b) * erfc(nu / sqrt(2(1-2b))) + erf(nu/sqrt(2))
     """
     gq = nm.gaussian_quadratic_integral
-    plus = 2.0 * gq(b, 2.0 * b * nu, b * nu * nu, 0.0, np.inf)
-    minus = float(nm.erf(nu / SQRT2)) + 2.0 * gq(b, -2.0 * b * nu, b * nu * nu, nu, np.inf)
+    plus = 2.0 * gq(b, 2.0 * b * nu, b * nu * nu, 0.0, math.inf)
+    minus = float(nm.erf(nu / SQRT2)) + 2.0 * gq(b, -2.0 * b * nu, b * nu * nu, nu, math.inf)
     return plus, minus
 
 
@@ -208,10 +208,10 @@ def _sectional_set_term_raw(c3, gamma, extra, beta):
     b = c3 / (4.0 * gamma)
     nu = extra[0]
     if nu < 0:
-        return np.inf
+        return math.inf
     plus, minus = sectional_exp_moments(b, nu)
-    if not (plus > 0 and minus > 0 and np.isfinite(plus) and np.isfinite(minus)):
-        return np.inf
+    if not (plus > 0 and minus > 0 and math.isfinite(plus) and math.isfinite(minus)):
+        return math.inf
     return gamma + beta / c3 * math.log(plus) + (1.0 - beta) / c3 * math.log(minus)
 
 
@@ -293,23 +293,23 @@ def strong_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
     """
     b = c3 / (4.0 * gamma)
     if b >= 0.5:
-        return np.inf
+        return math.inf
     gq = nm.gaussian_quadratic_integral
     s_grow, c_grow = 2.0 * b * nu1, b * nu1 * nu1 - c3 * nu2
     s_dec, c_dec = -2.0 * b * nu1, b * nu1 * nu1 + c3 * nu2
-    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else np.inf
+    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
 
     if nu1 * nu1 < 2.0 * gamma * nu2:
-        cross = 2.0 * gamma * nu2 / nu1 if nu1 > 0 else np.inf
+        cross = 2.0 * gamma * nu2 / nu1 if nu1 > 0 else math.inf
         val = (flat * 0.5 * float(nm.erf(nu1 / SQRT2))
                + gq(b, s_dec, c_dec, nu1, cross)
-               + gq(b, s_grow, c_grow, cross, np.inf))
+               + gq(b, s_grow, c_grow, cross, math.inf))
     elif nu1 * nu1 < 8.0 * gamma * nu2:
         start = math.sqrt(8.0 * gamma * nu2) - nu1
         val = (flat * 0.5 * float(nm.erf(start / SQRT2))
-               + gq(b, s_grow, c_grow, start, np.inf))
+               + gq(b, s_grow, c_grow, start, math.inf))
     else:
-        val = gq(b, s_grow, c_grow, 0.0, np.inf)
+        val = gq(b, s_grow, c_grow, 0.0, math.inf)
     return 2.0 * val
 
 
@@ -352,10 +352,10 @@ def strong_integrand(params: LiftParams, beta: float):
 def _strong_set_term_raw(c3, gamma, extra, beta):
     nu1, nu2 = extra
     if nu1 < 0 or nu2 < 0:
-        return np.inf
+        return math.inf
     moment = strong_exp_moment(c3, gamma, nu1, nu2)
-    if not (np.isfinite(moment) and moment > 0):
-        return np.inf
+    if not (math.isfinite(moment) and moment > 0):
+        return math.inf
     return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
 
 

@@ -45,8 +45,8 @@ def _phi(x):
     return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / SQRT2PI
 
 
-def _gauss_cdf(x):
-    return 0.5 * (1.0 + nm.erf(np.asarray(x, dtype=float) / SQRT2))
+def _gauss_cdf(x: float) -> float:
+    return 0.5 * (1.0 + float(nm.erf(x / SQRT2)))
 
 
 # --------------------------------------------------------------------------
@@ -269,16 +269,16 @@ def nonneg_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
     """E exp(c3 * t_plus(h)) assembled from the three branches."""
     p = c3 / (4.0 * gamma)
     if p >= 0.5:
-        return np.inf
+        return math.inf
     gq = nm.gaussian_quadratic_integral
     s_lin = -2.0 * p * nu1
     c_low = p * nu1 * nu1 - c3 * nu2
     c_high = p * nu1 * nu1 + c3 * nu2
     entry = nu1 - math.sqrt(8.0 * gamma * nu2)
-    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else np.inf
-    left = gq(p, s_lin, c_low, -np.inf, entry)
-    middle = flat * float(_gauss_cdf(nu1) - _gauss_cdf(entry))
-    right = gq(p, s_lin, c_high, nu1, np.inf)
+    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
+    left = gq(p, s_lin, c_low, -math.inf, entry)
+    middle = flat * (_gauss_cdf(nu1) - _gauss_cdf(entry))
+    right = gq(p, s_lin, c_high, nu1, math.inf)
     return left + middle + right
 
 
@@ -314,10 +314,10 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
 def _nonneg_set_term_raw(c3, gamma, extra, beta):
     nu1, nu2 = extra
     if nu1 < 0 or nu2 < 0:
-        return np.inf
+        return math.inf
     moment = nonneg_exp_moment(c3, gamma, nu1, nu2)
-    if not (np.isfinite(moment) and moment > 0):
-        return np.inf
+    if not (math.isfinite(moment) and moment > 0):
+        return math.inf
     return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
 
 

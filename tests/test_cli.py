@@ -246,3 +246,28 @@ def test_verify_sectional_reports_support(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(len(mat["support"]) == payload["k"] for mat in payload["per_matrix"])
+
+
+def test_curve_honours_the_config_file(tmp_path, capsys, monkeypatch):
+    # a wide feasibility margin lowers every direct threshold; it must reach
+    # points solved in-process and points solved in the worker pool
+    base = ["curve", "--kind", "sectional", "--method", "direct",
+            "--alpha-grid", "0.3:0.5:0.2"]
+    default = tmp_path / "default.csv"
+    assert cli.main(["--jobs", "1", *base, "--out-file", str(default)]) == 0
+    cfg = tmp_path / "l1lab.cfg"
+    cfg.write_text("feasibility_margin = 0.01\n")
+    monkeypatch.setenv("L1LAB_CONFIG", str(cfg))
+    outs = []
+    for jobs in (1, 2):
+        path = tmp_path / f"wide{jobs}.csv"
+        assert cli.main(["--jobs", str(jobs), *base, "--out-file", str(path)]) == 0
+        outs.append(path.read_bytes())
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+
+    def betas(raw):
+        return [float(line.split(",")[1]) for line in raw.decode().splitlines()[2:]]
+
+    for wide, normal in zip(betas(outs[0]), betas(default.read_bytes())):
+        assert wide < normal - 1e-3

@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
-from l1lab.errors import ConstraintViolatedError, DomainError
+from l1lab.config import DEFAULT, Config
+from l1lab.errors import ConstraintViolatedError, DomainError, NonMonotoneWarning
 
 
 def sphere_objective(gamma, c3, alpha):
@@ -167,3 +168,121 @@ def test_lifting_dominance_spot():
         direct = lc.threshold_bisect(alpha, "sectional", "direct")
         lifted = lc.threshold_bisect(alpha, "sectional", "lifted")
         assert lifted.beta >= direct.beta - 1e-5
+        p = lifted.params_at_optimum
+        assert all(type(v) is float for v in p.to_dict().values())
+
+
+# ---------------------------------------------------------------------------
+# the lifted objective on Python floats: overflow and domain edges give inf
+# ---------------------------------------------------------------------------
+
+LOG_400 = math.log(400.0)
+
+
+@pytest.mark.parametrize("kind, x", [
+    # c3 * nu2 >= 700: the flat branch exp(c3 nu2) saturates
+    ("strong", [LOG_400, 0.3, 1.0, 2.0]),
+    ("strong_nonneg", [LOG_400, 0.3, 1.0, 2.0]),
+    # b = B_MAX: the completed-square exponent saturates
+    ("sectional", [LOG_400, lc.B_MAX, 1.0]),
+    ("strong", [LOG_400, lc.B_MAX, 1.0, 1.0]),
+    ("strong_nonneg", [LOG_400, lc.B_MAX, 1.0, 1.0]),
+    # nu1 = 0 < nu2 (strong regime 1, crossing at infinity): inf * erf(0) is NaN
+    ("strong", [LOG_400, 0.3, 0.0, 2.0]),
+    # entry point nu1 - sqrt(8 gamma nu2) near -1.8e6
+    ("strong_nonneg", [LOG_400, 1e-7, 0.0, 400.0]),
+    # negative multipliers
+    ("sectional", [0.0, 0.3, -1e-3]),
+    ("strong", [0.0, 0.3, 1.0, -1e-3]),
+    ("strong_nonneg", [0.0, 0.3, -1e-3, 1.0]),
+])
+def test_lifted_objective_edges_return_inf(kind, x):
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+
+    set_term = {"sectional": tg._sectional_set_term_raw,
+                "strong": tg._strong_set_term_raw,
+                "strong_nonneg": tn._nonneg_set_term_raw}[kind]
+    for alpha, beta in [(0.5, 0.1), (0.999, 0.45)]:
+        val = lc._total_objective(set_term, alpha, beta)(x)
+        assert type(val) is float and val == math.inf
+
+
+def test_lifted_objective_finite_far_from_the_edges():
+    from l1lab import thresholds_nonneg as tn
+
+    # a very negative entry point (about -2.8e3) whose left tail underflows
+    objective = lc._total_objective(tn._nonneg_set_term_raw, 0.5, 0.1)
+    val = objective([math.log(1e-3), 1e-7, 0.0, 400.0])
+    assert type(val) is float and math.isfinite(val)
+
+
+def test_x_to_params_gives_plain_floats():
+    p = lc.x_to_params(np.array([0.3, 0.25, 1.5, 2.0]))
+    assert all(type(v) is float for v in p.to_dict().values())
+    assert p.b == pytest.approx(0.25, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# rarely taken branches of threshold_bisect, driven by stub margins
+# ---------------------------------------------------------------------------
+
+def stub_margins(monkeypatch, quick, thorough=None):
+    """Replace every kind's margin by feasible(beta) -> -1 / +1 stubs and
+    record each probe as (beta, thorough)."""
+    probes = []
+
+    def margin(alpha, beta, warm, is_thorough, config=DEFAULT):
+        probes.append((beta, is_thorough))
+        rule = thorough if (is_thorough and thorough is not None) else quick
+        return (-1.0 if rule(beta) else 1.0), None
+
+    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
+    return probes
+
+
+def test_bisect_restarts_when_a_thorough_reprobe_flips(monkeypatch):
+    # the quick search misjudges one probe (just above 0.25) as infeasible;
+    # the true threshold is 0.3
+    probes = stub_margins(monkeypatch,
+                          quick=lambda b: b < 0.3 and not 0.25 < b < 0.2501,
+                          thorough=lambda b: b < 0.3)
+    with pytest.warns(NonMonotoneWarning, match="restarting bisection"):
+        r = lc.threshold_bisect(0.5, "sectional", "lifted")
+    assert 0.3 - 2e-5 <= r.beta < 0.3
+    assert any(0.25 < b < 0.2501 and not t for b, t in probes)
+
+
+def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
+    probes = stub_margins(monkeypatch, quick=lambda b: False)
+    with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
+        lc.threshold_bisect(0.5, "strong", "lifted")
+    # the quick floor probe is confirmed by a thorough one before giving up
+    assert probes == [(lc.BETA_FLOOR, False), (lc.BETA_FLOOR, True)]
+
+
+def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
+    probes = stub_margins(monkeypatch, quick=lambda b: True)
+    r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
+    cap = lc._BETA_CAPS["strong_nonneg"]
+    assert r.beta == cap and r.condition_margin == -1.0
+    assert probes[-1] == (cap, True)
+
+
+def test_config_reaches_the_lifted_margin(monkeypatch):
+    from l1lab import thresholds_general as tg
+
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def recording_margin(*args, config=DEFAULT):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(tg, "lifted_margin", recording_margin)
+    custom = Config(feasibility_margin=1e-6, minimize_max_iter=777)
+    with pytest.raises(Stop):
+        lc.threshold_bisect(0.5, "sectional", "lifted", config=custom)
+    assert seen == [custom]
