@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, empirical
 from .config import Config, load_config
 from .errors import DimensionError, DomainError, L1LabError
-from .lift_core import threshold_bisect
+from .lift_core import KINDS, threshold_bisect
 from .parity import run_parity_audit
 from .reference_values import TABLES
 
@@ -33,13 +33,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_AUDIT = 4
 
-KIND_FLAGS = {
-    "weak": "weak",
-    "sectional": "sectional",
-    "strong": "strong",
-    "weak-nonneg": "weak_nonneg",
-    "strong-nonneg": "strong_nonneg",
-}
+KIND_FLAGS = {kind.replace("_", "-"): kind for kind in KINDS}
 
 
 def fmt(x) -> str:

@@ -17,11 +17,6 @@ class Config:
     # threshold bisection
     tol_beta: float = 1e-5
     feasibility_margin: float = 1e-9   # strict margin: feasible iff total < -margin
-    # quadrature
-    quad_rel_tol: float = 1e-9
-    # local minimization
-    minimize_max_iter: int = 4000
-    minimize_restarts: int = 3
     # empirical verification
     recovery_tol: float = 1e-5
     bp_max_iter: int = 30000
@@ -37,10 +32,8 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
 def _coerce(name, raw):
-    raw = raw.strip()
-    if name in ("minimize_max_iter", "minimize_restarts", "bp_max_iter", "jobs"):
-        return int(raw)
-    return float(raw)
+    """int or float by the field's declared type ("int", "int | None", ...)."""
+    return (int if _FIELD_TYPES[name].startswith("int") else float)(raw.strip())
 
 
 def load_config(overrides: dict | None = None) -> Config:

@@ -23,7 +23,6 @@ the caller's seed so results do not depend on execution order.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 

@@ -17,10 +17,6 @@ class NoSignChangeError(L1LabError):
     """A root-finding bracket does not straddle a sign change."""
 
 
-class MaxIterationsError(L1LabError):
-    """An iterative routine exhausted its iteration budget without converging."""
-
-
 class NonConvergentError(L1LabError):
     """Panel doubling failed to stabilize a quadrature estimate."""
 
@@ -47,8 +43,3 @@ class RankDeficientError(L1LabError):
 class NonMonotoneWarning(UserWarning):
     """Feasibility along a threshold bisection trace was not monotone in beta;
     the bisection was restarted on the largest feasible prefix."""
-
-
-class ParityWarning(UserWarning):
-    """A closed-form set-term evaluation deviated from the quadrature oracle
-    beyond the parity tolerance; the oracle value was preferred."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -41,8 +41,6 @@ from .numerics import nelder_mead
 
 KINDS = ("weak", "sectional", "strong", "weak_nonneg", "strong_nonneg")
 METHODS = ("direct", "lifted")
-STRONG_KINDS = ("strong", "strong_nonneg")
-WEAK_KINDS = ("weak", "weak_nonneg")
 
 BETA_FLOOR = 1e-4
 _BETA_CAPS = {
@@ -57,6 +55,12 @@ _BETA_CAPS = {
 LOG_C3_MIN = math.log(1e-4)
 LOG_C3_MAX = math.log(400.0)
 B_MAX = 0.4999995
+# search boxes of (nu1, nu2); a kind with one multiplier uses the first
+_NU_BOUNDS = ((0.0, 14.0), (0.0, 400.0))
+# Nelder-Mead evaluation budgets of a quick bisection probe and of a
+# thorough (or near-boundary) search
+QUICK_MAX_ITER = 1500
+THOROUGH_MAX_ITER = 5000
 
 
 class ThresholdRangeError(L1LabError):
@@ -223,20 +227,53 @@ def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float,
     return total
 
 
+@dataclass(frozen=True)
+class LiftedKind:
+    """What one lifted bound adds to the shared master condition.
+
+    set_term(c3, gamma, extras, beta) is the closed-form I_set on Python
+    floats, extras = (nu1,) or (nu1, nu2), returning inf outside its domain;
+    integrand(params, beta) is its description for exp_set_term_oracle;
+    direct(beta) -> (root, nu1) is the direct (c3 -> 0) optimum, root being
+    the value compared with sqrt(alpha); nu2(beta, nu1, gamma) is the second
+    multiplier the direct optimum implies, None for a kind with one.
+
+    No field may hold a function that tracers or tests rebind on its module
+    (the direct minima, the moments): a reference taken here would bypass
+    the rebinding, so each such call goes through a small module function.
+    """
+
+    set_term: Callable[[float, float, Sequence[float], float], float]
+    integrand: Callable
+    direct: Callable[[float], tuple[float, float]]
+    nu2: Callable[[float, float, float], float] | None = None
+
+    @property
+    def n_extra(self) -> int:
+        return 1 if self.nu2 is None else 2
+
+    def set_term_at(self, beta: float, params: LiftParams) -> float:
+        """The closed-form set term at explicit lift parameters; raises
+        ConstraintViolatedError unless c3/(4*gamma) < 1/2."""
+        params.require_convergent()
+        extras = (params.nu1, params.nu2)[:self.n_extra]
+        return self.set_term(params.c3, params.gamma, extras, beta)
+
+
 # --------------------------------------------------------------------------
 # inner minimization of the lifted total
 # --------------------------------------------------------------------------
 
-def c3_start_ladder(alpha: float, wide: bool) -> np.ndarray:
+def c3_start_ladder(alpha: float) -> np.ndarray:
     """Log-spaced c3 starting points.
 
     The optimum is O(1) over most of the phase plane but migrates to large
     c3 (with b -> 1/2) as alpha -> 1, so the ladder is extended there.
     """
     pts = list(np.geomspace(1e-3, 8.0, 8))
-    if wide or alpha > 0.9:
+    if alpha > 0.9:
         pts += [20.0, 60.0, 150.0]
-    if wide or alpha > 0.995:
+    if alpha > 0.995:
         pts += [300.0]
     return np.asarray(pts)
 
@@ -316,10 +353,45 @@ def minimize_lifted_total(
     return best_f, None if best_x is None else np.array(best_x)
 
 
+def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:
+    """The direct (c3 -> 0) condition margin root - sqrt(alpha), with the
+    direct optimum as c3 = 0 lift parameters (gamma = root/2)."""
+    root, nu1 = kind.direct(beta)
+    gamma = max(root, 1e-12) / 2.0
+    nu2 = 0.0 if kind.nu2 is None else kind.nu2(beta, nu1, gamma)
+    return root - math.sqrt(alpha), LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
+
+
+def lifted_seeds(kind: LiftedKind, alpha: float, beta: float,
+                 warm: LiftParams | None) -> list[np.ndarray]:
+    """Starting points x = [log c3, b, nu...] for the lifted search.
+
+    The warm start (if it is a lifted point) comes first, then the c3
+    ladder with gamma and the multipliers taken from the direct optimum,
+    which the lifted family contains as its c3 -> 0 member; a kind with a
+    large direct nu2 also gets a small-nu2 variant at three ladder rungs.
+    """
+    root, nu1 = kind.direct(beta)
+    g0 = max(root, 1e-6) / 2.0
+    nus = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), 400.0)]
+    seeds = []
+    if warm is not None and warm.c3 > 0:
+        seeds.append(params_to_x(warm, kind.n_extra))
+    ladder = c3_start_ladder(alpha)
+
+    def at(c3, multipliers):
+        b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
+        return np.array([math.log(c3), b, *multipliers])
+
+    seeds += [at(c3, nus) for c3 in ladder]
+    if kind.nu2 is not None and nus[1] > 0.5:
+        seeds += [at(c3, [nu1, 0.3])
+                  for c3 in (ladder[0], ladder[len(ladder) // 2], ladder[-1])]
+    return seeds
+
+
 def lifted_margin(
-    set_term: Callable,
-    seed_builder: Callable,
-    extra_bounds: Sequence[tuple],
+    kind: LiftedKind,
     alpha: float,
     beta: float,
     warm: LiftParams | None,
@@ -334,28 +406,26 @@ def lifted_margin(
     under-minimization would misclassify feasibility.
     """
     eps = config.feasibility_margin
-    seeds = seed_builder(alpha, beta, warm)
+    bounds = _NU_BOUNDS[:kind.n_extra]
+    seeds = lifted_seeds(kind, alpha, beta, warm)
     if thorough:
         f, x = minimize_lifted_total(
-            set_term, alpha, beta, seeds, extra_bounds,
-            stop_below=None, xatol=1e-11, fatol=1e-13,
-            maxiter=max(config.minimize_max_iter, 5000),
+            kind.set_term, alpha, beta, seeds, bounds,
+            stop_below=None, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER,
         )
     else:
         f, x = minimize_lifted_total(
-            set_term, alpha, beta, seeds, extra_bounds,
-            stop_below=-eps, xatol=1e-10, fatol=1e-12, maxiter=1500,
+            kind.set_term, alpha, beta, seeds, bounds,
+            stop_below=-eps, xatol=1e-10, fatol=1e-12, maxiter=QUICK_MAX_ITER,
         )
         if -eps <= f < 1e-3:
             # near the boundary: re-search tightly, warm-started from the
             # quick winner, with a thinned ladder as basin insurance
-            refreshed = seed_builder(alpha, beta,
+            refreshed = lifted_seeds(kind, alpha, beta,
                                      x_to_params(x) if x is not None else warm)
-            seeds2 = refreshed[:1] + refreshed[1::2]
             f2, x2 = minimize_lifted_total(
-                set_term, alpha, beta, seeds2, extra_bounds,
-                stop_below=-eps, xatol=1e-11, fatol=1e-13,
-                maxiter=max(config.minimize_max_iter, 5000),
+                kind.set_term, alpha, beta, refreshed[:1] + refreshed[1::2], bounds,
+                stop_below=-eps, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER,
             )
             if f2 < f:
                 f, x = f2, x2
@@ -426,8 +496,8 @@ def threshold_bisect(
     Feasibility at a probe means the kind's minimized condition margin is
     strictly below -config.feasibility_margin; the strict cut keeps boundary
     noise from being declared feasible.  config also reaches every margin
-    probe (the lifted searches read their stop margin and iteration budget
-    from it).  Monotonicity of feasibility in beta
+    probe (the lifted searches read their stop margin from it).
+    Monotonicity of feasibility in beta
     is checked rather than assumed: after the bracket closes, the smallest
     infeasible probe is re-tested with a thorough warm-started search, and
     if it now proves feasible a NonMonotoneWarning is issued and bisection

@@ -20,12 +20,7 @@ import numpy as np
 import scipy.optimize as _opt
 import scipy.special as _sp
 
-from .errors import (
-    DomainError,
-    MaxIterationsError,
-    NonConvergentError,
-    NoSignChangeError,
-)
+from .errors import DomainError, NonConvergentError, NoSignChangeError
 
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -324,61 +319,6 @@ def nelder_mead(
         nit=iterations,
         success=not (nfev >= maxfev or iterations >= maxiter),
     )
-
-
-def _jitter_seeds(x0, bounds, restarts, rng):
-    """x0 plus `restarts` jittered copies, all projected into the box."""
-    x0 = np.asarray(x0, dtype=float)
-    seeds = [x0]
-    if bounds is None:
-        scale = 0.1 * (np.abs(x0) + 1.0)
-        lo = np.full_like(x0, -np.inf)
-        hi = np.full_like(x0, np.inf)
-    else:
-        lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
-        hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
-        width = np.where(np.isfinite(hi - lo), hi - lo, 2.0 * (np.abs(x0) + 1.0))
-        scale = 0.05 * width
-    for _ in range(restarts):
-        seeds.append(np.clip(x0 + scale * rng.standard_normal(x0.size), lo, hi))
-    return seeds
-
-
-def minimize_local(
-    f: Callable[[np.ndarray], float],
-    x0,
-    bounds: Sequence[tuple] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 4000,
-    restarts: int = 3,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Derivative-free local minimization over a box.
-
-    Nelder-Mead simplex (nelder_mead) with box projection, restarted from
-    `restarts` jittered copies of x0; the best point across restarts is
-    returned.
-    Raises MaxIterationsError if every restart exhausted `max_iter`
-    iterations without meeting the simplex tolerance.
-    """
-    def objective(v):
-        fx = f(np.array(v))
-        return fx if np.isscalar(fx) else np.asarray(fx).item()
-
-    rng = np.random.default_rng(seed)
-    best_x, best_f = None, np.inf
-    any_converged = False
-    for start in _jitter_seeds(x0, bounds, restarts, rng):
-        res = nelder_mead(objective, start, bounds, xatol=tol, fatol=tol * 1e-2,
-                          maxiter=max_iter, maxfev=max_iter)
-        any_converged = any_converged or res.success
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    if not any_converged:
-        raise MaxIterationsError(
-            f"no Nelder-Mead restart converged within {max_iter} iterations"
-        )
-    return np.asarray(best_x), best_f
 
 
 def _exp_sat(x: float) -> float:

@@ -4,47 +4,22 @@ Every lifted set term has two evaluation routes: the analytic closed form
 (fast, used by the optimizers) and the quadrature oracle that integrates
 the exponent definition directly (slow, authoritative).  The audit samples
 random valid parameter tuples per threshold kind and reports the worst
-relative deviation between the two routes.
-
-Pieces whose published one-line coefficients were found inconsistent with
-the exponent definition are implemented here in re-derived form; had any
-shipped form failed parity it would be registered in KNOWN_DEVIATIONS and
-reported as a ParityWarning instead of silently passing.  The registry is
-empty because every shipped closed form passes against the oracle.
+relative deviation between the two routes.  A deviation beyond the
+tolerance is a failure; there is no registry of tolerated deviations.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParityWarning
 from .lift_core import LiftParams, exp_set_term_oracle
-from .thresholds_general import (
-    sectional_integrand,
-    sectional_set_term_lifted,
-    strong_integrand,
-    strong_set_term_lifted,
-)
-from .thresholds_nonneg import (
-    nonneg_strong_integrand,
-    strong_nonneg_set_term_lifted,
-)
+from .thresholds_general import SECTIONAL, STRONG
+from .thresholds_nonneg import STRONG_NONNEG
 
-AUDIT_KINDS = ("sectional", "strong", "strong_nonneg")
-
-# piece name -> short reason; consulted by the audit to downgrade a failure
-# to a ParityWarning.  Empty: all shipped closed forms pass the oracle.
-KNOWN_DEVIATIONS: dict[str, str] = {}
-
-_EVALUATORS = {
-    "sectional": (sectional_set_term_lifted, sectional_integrand),
-    "strong": (strong_set_term_lifted, strong_integrand),
-    "strong_nonneg": (strong_nonneg_set_term_lifted, nonneg_strong_integrand),
-}
+AUDITED = {"sectional": SECTIONAL, "strong": STRONG, "strong_nonneg": STRONG_NONNEG}
 
 
 @dataclass(frozen=True)
@@ -66,7 +41,6 @@ class ParityReport:
     samples_per_kind: int
     tolerance: float
     records: tuple[ParityRecord, ...]
-    warned: tuple[str, ...] = field(default_factory=tuple)
 
     def max_dev(self, kind: str | None = None) -> float:
         recs = [r for r in self.records if kind is None or r.kind == kind]
@@ -84,9 +58,8 @@ class ParityReport:
             "seed": self.seed,
             "samples_per_kind": self.samples_per_kind,
             "tolerance": self.tolerance,
-            "max_rel_dev": {k: self.max_dev(k) for k in AUDIT_KINDS},
+            "max_rel_dev": {k: self.max_dev(k) for k in AUDITED},
             "n_failures": len(self.failures()),
-            "parity_warnings": list(self.warned),
             "passed": self.passed,
         }
 
@@ -114,24 +87,12 @@ def run_parity_audit(samples: int = 100, seed: int = 0,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     records = []
-    warned = []
-    for kind in AUDIT_KINDS:
-        closed_fn, integrand = _EVALUATORS[kind]
+    for kind, spec in AUDITED.items():
         for _ in range(samples):
             beta, params = sample_params(kind, rng)
-            closed = closed_fn(beta, params)
-            oracle = exp_set_term_oracle(integrand, params, beta)
-            rec = ParityRecord(kind=kind, beta=beta, params=params,
-                               closed=closed, oracle=oracle)
-            records.append(rec)
-            if rec.rel_dev > tolerance and kind in KNOWN_DEVIATIONS:
-                warned.append(f"{kind}: {KNOWN_DEVIATIONS[kind]}")
-                warnings.warn(
-                    f"{kind} closed form deviates ({rec.rel_dev:.2e}); "
-                    f"registered: {KNOWN_DEVIATIONS[kind]}",
-                    ParityWarning,
-                )
-    report = ParityReport(seed=seed, samples_per_kind=samples,
-                          tolerance=tolerance, records=tuple(records),
-                          warned=tuple(warned))
-    return report
+            records.append(ParityRecord(
+                kind=kind, beta=beta, params=params,
+                closed=spec.set_term_at(beta, params),
+                oracle=exp_set_term_oracle(spec.integrand, params, beta)))
+    return ParityReport(seed=seed, samples_per_kind=samples,
+                        tolerance=tolerance, records=tuple(records))

@@ -29,13 +29,7 @@ import numpy as np
 from . import numerics as nm
 from .config import DEFAULT, Config
 from .errors import DomainError, NegativeRadicandError
-from .lift_core import (
-    ExpPiece,
-    LiftParams,
-    c3_start_ladder,
-    lifted_margin,
-    params_to_x,
-)
+from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -125,31 +119,6 @@ def sectional_direct_minimum(beta: float) -> tuple[float, float]:
     return _scalar_minimum(lambda v: sectional_set_term_direct(beta, v), 0.0, 12.0)
 
 
-def sectional_margin_direct(alpha, beta, warm=None, thorough=False,
-                            config: Config = DEFAULT):
-    val, nu = sectional_direct_minimum(beta)
-    params = LiftParams(c3=0.0, gamma=max(val, 1e-12) / 2.0, nu1=nu, nu2=0.0)
-    return val - math.sqrt(alpha), params
-
-
-@dataclass(frozen=True)
-class SectionalIntegrals:
-    """The two sectional per-coordinate exponential moments at one point:
-    i1 = E exp(b (|h| + nu)^2) over the support block and
-    i2 = E exp(b max(|h| - nu, 0)^2) over the complement, b = c3/(4*gamma)."""
-
-    b: float
-    nu: float
-    i1: float
-    i2: float
-
-    def __post_init__(self):
-        if not 0.0 < self.b < 0.5:
-            raise DomainError(f"need 0 < b < 1/2, got {self.b}")
-        if not (self.i1 > 0 and self.i2 > 0):
-            raise DomainError("sectional moments must be positive")
-
-
 def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
     """The two sectional per-coordinate moments at exponent scale b = c3/(4*gamma):
 
@@ -165,22 +134,6 @@ def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
     plus = 2.0 * gq(b, 2.0 * b * nu, b * nu * nu, 0.0, math.inf)
     minus = float(nm.erf(nu / SQRT2)) + 2.0 * gq(b, -2.0 * b * nu, b * nu * nu, nu, math.inf)
     return plus, minus
-
-
-def sectional_integrals(params: LiftParams) -> SectionalIntegrals:
-    """Validated moment pair for explicit lift parameters."""
-    params.require_convergent()
-    i1, i2 = sectional_exp_moments(params.b, params.nu1)
-    return SectionalIntegrals(b=params.b, nu=params.nu1, i1=i1, i2=i2)
-
-
-def sectional_set_term_lifted(beta: float, params: LiftParams) -> float:
-    """gamma + (beta/c3) log(plus) + ((1-beta)/c3) log(minus) at fixed params."""
-    params.require_convergent()
-    plus, minus = sectional_exp_moments(params.b, params.nu1)
-    return (params.gamma
-            + beta / params.c3 * math.log(plus)
-            + (1.0 - beta) / params.c3 * math.log(minus))
 
 
 def sectional_integrand(params: LiftParams, beta: float):
@@ -205,6 +158,7 @@ def sectional_integrand(params: LiftParams, beta: float):
 
 
 def _sectional_set_term_raw(c3, gamma, extra, beta):
+    """gamma + (beta/c3) log(plus) + ((1-beta)/c3) log(minus); inf for nu < 0."""
     b = c3 / (4.0 * gamma)
     nu = extra[0]
     if nu < 0:
@@ -215,27 +169,28 @@ def _sectional_set_term_raw(c3, gamma, extra, beta):
     return gamma + beta / c3 * math.log(plus) + (1.0 - beta) / c3 * math.log(minus)
 
 
-def _sectional_seeds(alpha, beta, warm):
-    val, nu0 = sectional_direct_minimum(beta)
-    g0 = max(val, 1e-6) / 2.0
-    seeds = []
-    if warm is not None and warm.c3 > 0:
-        seeds.append(params_to_x(warm, 1))
-    for c3 in c3_start_ladder(alpha, wide=False):
-        b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-        seeds.append(np.array([math.log(c3), b, nu0]))
-    return seeds
+def _sectional_direct(beta):
+    # a call, not the minimum itself, so that a rebinding of that name is seen
+    return sectional_direct_minimum(beta)
 
 
-_SECTIONAL_NU_BOUNDS = [(0.0, 14.0)]
+SECTIONAL = LiftedKind(set_term=_sectional_set_term_raw, integrand=sectional_integrand,
+                       direct=_sectional_direct)
+
+
+def sectional_set_term_lifted(beta: float, params: LiftParams) -> float:
+    """The lifted sectional set term at explicit LiftParams."""
+    return SECTIONAL.set_term_at(beta, params)
+
+
+def sectional_margin_direct(alpha, beta, warm=None, thorough=False,
+                            config: Config = DEFAULT):
+    return direct_margin(SECTIONAL, alpha, beta)
 
 
 def sectional_margin_lifted(alpha, beta, warm=None, thorough=False,
                             config: Config = DEFAULT):
-    return lifted_margin(
-        _sectional_set_term_raw, _sectional_seeds, _SECTIONAL_NU_BOUNDS,
-        alpha, beta, warm, thorough, config=config,
-    )
+    return lifted_margin(SECTIONAL, alpha, beta, warm, thorough, config=config)
 
 
 # --------------------------------------------------------------------------
@@ -313,16 +268,6 @@ def strong_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
     return 2.0 * val
 
 
-def strong_set_term_lifted(beta: float, params: LiftParams) -> float:
-    """nu2*(2*beta - 1) + gamma + log(E exp(c3 t)) / c3 at fixed params."""
-    params.require_convergent()
-    moment = strong_exp_moment(params.c3, params.gamma, params.nu1, params.nu2)
-    if not (np.isfinite(moment) and moment > 0):
-        return np.inf
-    return (params.nu2 * (2.0 * beta - 1.0) + params.gamma
-            + math.log(moment) / params.c3)
-
-
 def strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the strong set term."""
     gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
@@ -350,6 +295,7 @@ def strong_integrand(params: LiftParams, beta: float):
 
 
 def _strong_set_term_raw(c3, gamma, extra, beta):
+    """nu2*(2*beta - 1) + gamma + log(E exp(c3 t)) / c3; inf for negative nus."""
     nu1, nu2 = extra
     if nu1 < 0 or nu2 < 0:
         return math.inf
@@ -409,40 +355,29 @@ def strong_condition_direct(beta: float, alpha: float) -> bool:
     return strong_direct_minimum(beta)[0] < alpha
 
 
+def _strong_direct(beta):
+    w, nu = strong_direct_minimum(beta)
+    return math.sqrt(max(w, 0.0)), nu
+
+
+def _strong_nu2(beta, nu1, gamma):
+    return strong_crossover(beta) * nu1 / (2.0 * gamma)
+
+
+STRONG = LiftedKind(set_term=_strong_set_term_raw, integrand=strong_integrand,
+                    direct=_strong_direct, nu2=_strong_nu2)
+
+
+def strong_set_term_lifted(beta: float, params: LiftParams) -> float:
+    """The lifted strong set term at explicit LiftParams."""
+    return STRONG.set_term_at(beta, params)
+
+
 def strong_margin_direct(alpha, beta, warm=None, thorough=False,
                          config: Config = DEFAULT):
-    w, nu = strong_direct_minimum(beta)
-    root = math.sqrt(max(w, 0.0))
-    gamma = max(root, 1e-12) / 2.0
-    nu2 = strong_crossover(beta) * nu / (2.0 * gamma)
-    params = LiftParams(c3=0.0, gamma=gamma, nu1=nu, nu2=nu2)
-    return root - math.sqrt(alpha), params
-
-
-def _strong_seeds(alpha, beta, warm):
-    w0, nu0 = strong_direct_minimum(beta)
-    g0 = max(math.sqrt(max(w0, 0.0)), 1e-6) / 2.0
-    nu2_0 = min(strong_crossover(beta) * nu0 / (2.0 * g0), 400.0)
-    seeds = []
-    if warm is not None and warm.c3 > 0:
-        seeds.append(params_to_x(warm, 2))
-    ladder = c3_start_ladder(alpha, wide=False)
-    for c3 in ladder:
-        b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-        seeds.append(np.array([math.log(c3), b, nu0, nu2_0]))
-    if nu2_0 > 0.5:  # a small-nu2 variant at representative ladder rungs
-        for c3 in (ladder[0], ladder[len(ladder) // 2], ladder[-1]):
-            b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-            seeds.append(np.array([math.log(c3), b, nu0, 0.3]))
-    return seeds
-
-
-_STRONG_NU_BOUNDS = [(0.0, 14.0), (0.0, 400.0)]
+    return direct_margin(STRONG, alpha, beta)
 
 
 def strong_margin_lifted(alpha, beta, warm=None, thorough=False,
                          config: Config = DEFAULT):
-    return lifted_margin(
-        _strong_set_term_raw, _strong_seeds, _STRONG_NU_BOUNDS,
-        alpha, beta, warm, thorough, config=config,
-    )
+    return lifted_margin(STRONG, alpha, beta, warm, thorough, config=config)

@@ -28,14 +28,8 @@ import numpy as np
 
 from . import numerics as nm
 from .config import DEFAULT, Config
-from .errors import ConstraintViolatedError, DomainError
-from .lift_core import (
-    ExpPiece,
-    LiftParams,
-    c3_start_ladder,
-    lifted_margin,
-    params_to_x,
-)
+from .errors import DomainError
+from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -137,16 +131,6 @@ def strong_nonneg_direct_minimum(beta: float) -> tuple[float, float]:
     return _scalar_minimum(lambda v: strong_nonneg_direct_value(beta, v), 0.0, 10.0)
 
 
-def strong_nonneg_margin_direct(alpha, beta, warm=None, thorough=False,
-                                config: Config = DEFAULT):
-    v, nu = strong_nonneg_direct_minimum(beta)
-    root = math.sqrt(max(v, 0.0))
-    gamma = max(root, 1e-12) / 2.0
-    nu2 = (nonneg_crossover(beta) - nu) ** 2 / (8.0 * gamma)
-    params = LiftParams(c3=0.0, gamma=gamma, nu1=nu, nu2=nu2)
-    return root - math.sqrt(alpha), params
-
-
 def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
     """Alternate direct evaluator: the older fixed-point form.
 
@@ -183,13 +167,10 @@ def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
 
 @dataclass(frozen=True)
 class NonnegStrongParams:
-    """Lift parameters for the nonnegative strong bound with the derived
-    quantities of its closed-form pieces.
+    """Lift parameters of the nonnegative strong exponent.
 
     p_plus = c3/(4 gamma) must stay below 1/2 for the moments to converge;
-    q_plus/r_plus/r1_plus are the linear/constant exponent coefficients of
-    the two quadratic branches; d_plus, b_plus, a_plus are the erfc argument
-    offsets after completing the square.
+    entry_point is where the decaying branch meets the plateau.
     """
 
     c3: float
@@ -206,42 +187,9 @@ class NonnegStrongParams:
         return self.c3 / (4.0 * self.gamma)
 
     @property
-    def q_plus(self):
-        return -self.c3 * self.nu1 / (2.0 * self.gamma)
-
-    @property
-    def r_plus(self):
-        return self.c3 * (self.nu1 ** 2 / (4.0 * self.gamma) - self.nu2s)
-
-    @property
-    def r1_plus(self):
-        return self.c3 * (self.nu1 ** 2 / (4.0 * self.gamma) + self.nu2s)
-
-    @property
-    def d_plus(self):
-        return self.q_plus / math.sqrt(2.0 * (1.0 - 2.0 * self.p_plus))
-
-    @property
     def entry_point(self):
         """Left edge of the constant plateau: nu1 - sqrt(8 gamma nu2s)."""
         return self.nu1 - math.sqrt(8.0 * self.gamma * self.nu2s)
-
-    @property
-    def b_plus(self):
-        return self.entry_point * math.sqrt(0.5 - self.p_plus)
-
-    @property
-    def a_plus(self):
-        return self.nu1 * math.sqrt(0.5 - self.p_plus)
-
-    def require_convergent(self):
-        if not self.p_plus < 0.5:
-            raise ConstraintViolatedError(
-                f"need c3/(4*gamma) < 1/2, got {self.p_plus}"
-            )
-
-    def as_lift_params(self) -> LiftParams:
-        return LiftParams(c3=self.c3, gamma=self.gamma, nu1=self.nu1, nu2=self.nu2s)
 
     @classmethod
     def from_lift_params(cls, params: LiftParams) -> "NonnegStrongParams":
@@ -282,18 +230,6 @@ def nonneg_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
     return left + middle + right
 
 
-def strong_nonneg_set_term_lifted(beta: float, params) -> float:
-    """nu2s*(2*beta - 1) + gamma + log(E exp(c3 t_plus)) / c3 at fixed params."""
-    if isinstance(params, LiftParams):
-        params = NonnegStrongParams.from_lift_params(params)
-    params.require_convergent()
-    moment = nonneg_exp_moment(params.c3, params.gamma, params.nu1, params.nu2s)
-    if not (np.isfinite(moment) and moment > 0):
-        return np.inf
-    return (params.nu2s * (2.0 * beta - 1.0) + params.gamma
-            + math.log(moment) / params.c3)
-
-
 def nonneg_strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the nonnegative strong set term."""
     npar = NonnegStrongParams.from_lift_params(params)
@@ -312,6 +248,7 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
 
 
 def _nonneg_set_term_raw(c3, gamma, extra, beta):
+    """nu2*(2*beta - 1) + gamma + log(E exp(c3 t_plus)) / c3; inf for negative nus."""
     nu1, nu2 = extra
     if nu1 < 0 or nu2 < 0:
         return math.inf
@@ -321,30 +258,29 @@ def _nonneg_set_term_raw(c3, gamma, extra, beta):
     return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
 
 
-def _nonneg_seeds(alpha, beta, warm):
-    v0, nu0 = strong_nonneg_direct_minimum(beta)
-    g0 = max(math.sqrt(max(v0, 0.0)), 1e-6) / 2.0
-    nu2_0 = min((nonneg_crossover(beta) - nu0) ** 2 / (8.0 * g0), 400.0)
-    seeds = []
-    if warm is not None and warm.c3 > 0:
-        seeds.append(params_to_x(warm, 2))
-    ladder = c3_start_ladder(alpha, wide=False)
-    for c3 in ladder:
-        b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-        seeds.append(np.array([math.log(c3), b, nu0, nu2_0]))
-    if nu2_0 > 0.5:
-        for c3 in (ladder[0], ladder[len(ladder) // 2], ladder[-1]):
-            b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-            seeds.append(np.array([math.log(c3), b, nu0, 0.3]))
-    return seeds
+def _nonneg_direct(beta):
+    v, nu = strong_nonneg_direct_minimum(beta)
+    return math.sqrt(max(v, 0.0)), nu
 
 
-_NONNEG_NU_BOUNDS = [(0.0, 14.0), (0.0, 400.0)]
+def _nonneg_nu2(beta, nu1, gamma):
+    return (nonneg_crossover(beta) - nu1) ** 2 / (8.0 * gamma)
+
+
+STRONG_NONNEG = LiftedKind(set_term=_nonneg_set_term_raw, integrand=nonneg_strong_integrand,
+                           direct=_nonneg_direct, nu2=_nonneg_nu2)
+
+
+def strong_nonneg_set_term_lifted(beta: float, params: LiftParams) -> float:
+    """The lifted nonnegative strong set term at explicit LiftParams."""
+    return STRONG_NONNEG.set_term_at(beta, params)
+
+
+def strong_nonneg_margin_direct(alpha, beta, warm=None, thorough=False,
+                                config: Config = DEFAULT):
+    return direct_margin(STRONG_NONNEG, alpha, beta)
 
 
 def strong_nonneg_margin_lifted(alpha, beta, warm=None, thorough=False,
                                 config: Config = DEFAULT):
-    return lifted_margin(
-        _nonneg_set_term_raw, _nonneg_seeds, _NONNEG_NU_BOUNDS,
-        alpha, beta, warm, thorough, config=config,
-    )
+    return lifted_margin(STRONG_NONNEG, alpha, beta, warm, thorough, config=config)

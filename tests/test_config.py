@@ -27,11 +27,13 @@ def test_env_file_and_override_precedence(tmp_path, monkeypatch):
 
 
 def test_unknown_key_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "bad.cfg"
-    path.write_text("nonsense=1\n")
-    monkeypatch.setenv(ENV_VAR, str(path))
-    with pytest.raises(KeyError):
-        load_config()
+    # minimize_max_iter is a removed key: it must fail loudly, not be ignored
+    for line in ("nonsense=1\n", "minimize_max_iter=4000\n"):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line)
+        monkeypatch.setenv(ENV_VAR, str(path))
+        with pytest.raises(KeyError):
+            load_config()
     monkeypatch.delenv(ENV_VAR)
     with pytest.raises(KeyError):
         load_config({"nonsense": 3})

@@ -243,3 +243,24 @@ def test_strong_monotone_in_k():
         holds2 += int(h2)
         assert h1 or not h2  # k-monotone per matrix as well
     assert holds1 > holds2
+
+
+def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
+    from l1lab.errors import RankDeficientError, SolverStalledError
+
+    failing = {0: SolverStalledError, 3: RankDeficientError, 5: SolverStalledError}
+    trial = iter(range(100))
+
+    def fake_solve(inst, **kwargs):
+        i = next(trial)
+        if i in failing:
+            raise failing[i]("forced")
+        return emp.RecoveryReport(recovered=True, rel_error=0.0,
+                                  solver_iterations=1, residual=0.0)
+
+    monkeypatch.setattr(emp, "solve_basis_pursuit", fake_solve)
+    with pytest.warns(UserWarning) as record:
+        rate = emp.weak_recovery_rate(0.5, 0.1, 40, 8, seed=0)
+    assert rate == 5 / 8
+    assert len(record) == 1
+    assert str(record[0].message).startswith("3/8 trials hit the solver budget")

@@ -282,7 +282,81 @@ def test_config_reaches_the_lifted_margin(monkeypatch):
         raise Stop
 
     monkeypatch.setattr(tg, "lifted_margin", recording_margin)
-    custom = Config(feasibility_margin=1e-6, minimize_max_iter=777)
+    custom = Config(feasibility_margin=1e-6)
     with pytest.raises(Stop):
         lc.threshold_bisect(0.5, "sectional", "lifted", config=custom)
     assert seen == [custom]
+
+
+# ---------------------------------------------------------------------------
+# the shared lifted route (one LiftedKind per kind)
+# ---------------------------------------------------------------------------
+
+def _lifted_kinds():
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+
+    return {"sectional": tg.SECTIONAL, "strong": tg.STRONG,
+            "strong_nonneg": tn.STRONG_NONNEG}
+
+
+@pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
+def test_first_ladder_seed_carries_the_direct_optimum(name):
+    kind = _lifted_kinds()[name]
+    alpha, beta = 0.5, 0.05
+    _, direct = lc.direct_margin(kind, alpha, beta)
+    assert direct.c3 == 0.0 and direct.gamma > 1e-6
+    c3 = lc.c3_start_ladder(alpha)[0]
+    seed = lc.lifted_seeds(kind, alpha, beta, None)[0]
+    assert len(seed) == 2 + kind.n_extra
+    assert seed[0] == math.log(c3)
+    assert seed[1] == min(max(c3 / (4.0 * direct.gamma), 1e-6), 0.49)
+    assert seed[2] == direct.nu1
+    if kind.nu2 is None:
+        assert direct.nu2 == 0.0
+    else:
+        assert seed[3] == min(direct.nu2, 400.0)
+
+
+@pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
+def test_set_term_at_checks_the_convergence_constraint(name):
+    kind = _lifted_kinds()[name]
+    ok = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
+    assert math.isfinite(kind.set_term_at(0.1, ok))
+    for gamma in (1.0, 0.8):  # b = 1/2 and b > 1/2
+        with pytest.raises(ConstraintViolatedError):
+            kind.set_term_at(0.1, lc.LiftParams(c3=2.0, gamma=gamma, nu1=0.4, nu2=0.2))
+    assert kind.set_term_at(0.1, lc.LiftParams(c3=0.5, gamma=1.0, nu1=-0.1, nu2=0.2)) == math.inf
+
+
+def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
+    # profilers and tracers rebind these module attributes; a LiftedKind
+    # holding a reference taken at import time would bypass the rebinding
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("sectional_margin_direct", "sectional_margin_lifted",
+                 "strong_margin_direct", "strong_margin_lifted",
+                 "sectional_direct_minimum", "strong_direct_minimum"):
+        count(tg, name)
+    for name in ("strong_nonneg_margin_direct", "strong_nonneg_margin_lifted",
+                 "strong_nonneg_direct_minimum"):
+        count(tn, name)
+
+    for kind in ("sectional", "strong", "strong_nonneg"):
+        lc.threshold_bisect(0.5, kind, "direct")
+        margin, _ = lc._margin_provider(kind, "lifted")(0.5, 0.02, None, False)
+        assert margin < 0
+    assert all(calls.values()), calls

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from l1lab import numerics as nm
 from l1lab.errors import (
     DomainError,
-    MaxIterationsError,
     NonConvergentError,
     NoSignChangeError,
 )
@@ -122,19 +121,21 @@ def test_find_root_stays_inside_bracket(root, width, tol):
 
 
 # ---------------------------------------------------------------------------
-# minimize_local
+# nelder_mead (its step-for-step scipy replay is in test_nelder_mead.py)
 # ---------------------------------------------------------------------------
 
 def test_minimize_quadratic_bowl():
-    x, fx = nm.minimize_local(lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2, [0.0, 0.0])
-    assert abs(x[0] - 1.0) <= 1e-6 and abs(x[1] - 2.0) <= 1e-6
+    res = nm.nelder_mead(lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2, [0.0, 0.0],
+                         xatol=1e-8, fatol=1e-10)
+    assert res.success
+    assert abs(res.x[0] - 1.0) <= 1e-6 and abs(res.x[1] - 2.0) <= 1e-6
 
 
 def test_minimize_respects_active_bound():
-    x, fx = nm.minimize_local(lambda v: (v[0] - 1.0) ** 2, [4.0],
-                              bounds=[(3.0, 10.0)])
-    assert abs(x[0] - 3.0) <= 1e-6
-    assert abs(fx - 4.0) <= 1e-5
+    res = nm.nelder_mead(lambda v: (v[0] - 1.0) ** 2, [4.0], bounds=[(3.0, 10.0)],
+                         xatol=1e-8, fatol=1e-10)
+    assert abs(res.x[0] - 3.0) <= 1e-6
+    assert abs(res.fun - 4.0) <= 1e-5
 
 
 def test_minimize_never_worse_than_start():
@@ -142,13 +143,8 @@ def test_minimize_never_worse_than_start():
         return (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
 
     for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0]):
-        _, fx = nm.minimize_local(rosen, x0, max_iter=300)
-        assert fx <= rosen(np.asarray(x0)) + 1e-12
-
-
-def test_minimize_budget_exhaustion_raises():
-    with pytest.raises(MaxIterationsError):
-        nm.minimize_local(lambda v: np.sum(v ** 2), np.ones(6), tol=1e-14, max_iter=3)
+        res = nm.nelder_mead(rosen, x0, xatol=1e-8, fatol=1e-10, maxiter=300)
+        assert res.fun <= rosen(x0) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -72,18 +72,6 @@ def test_sectional_moments_match_displayed_forms():
         assert abs(minus - minus_disp) <= 1e-12 * minus_disp
 
 
-def test_sectional_integrals_type():
-    from l1lab.errors import ConstraintViolatedError, DomainError
-
-    ints = tg.sectional_integrals(LiftParams(c3=0.6, gamma=0.5, nu1=1.0))
-    assert 0 < ints.b < 0.5 and ints.i1 > 0 and ints.i2 > 0
-    assert ints.i1 >= ints.i2  # the support moment dominates
-    with pytest.raises(ConstraintViolatedError):
-        tg.sectional_integrals(LiftParams(c3=2.0, gamma=0.5, nu1=1.0))
-    with pytest.raises(DomainError):
-        tg.SectionalIntegrals(b=0.6, nu=1.0, i1=1.0, i2=1.0)
-
-
 def test_sectional_lifted_nu_zero_closed_form():
     params = LiftParams(c3=0.6, gamma=0.5, nu1=0.0)
     b = params.b
@@ -116,8 +104,8 @@ def test_sectional_inner_minimization_vs_grid_scan():
         plus, minus = tg.sectional_exp_moments(c3 / (4 * g), nu)
         return g + beta / c3 * math.log(plus) + (1 - beta) / c3 * math.log(minus)
 
-    x, fx = nm.minimize_local(objective, [1.0, 1.0],
-                              bounds=[(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)])
+    fx = nm.nelder_mead(objective, [1.0, 1.0], bounds=[(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)],
+                        xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=4000).fun
     assert fx <= best + 1e-4
     assert abs(fx - best) <= 1e-4
 
@@ -134,8 +122,9 @@ def test_sectional_lifted_reduces_to_direct_at_tiny_c3():
             plus, minus = tg.sectional_exp_moments(1e-6 / (4 * g), nu)
             return g + beta / 1e-6 * math.log(plus) + (1 - beta) / 1e-6 * math.log(minus)
 
-        _, fx = nm.minimize_local(objective, [max(direct, 0.05) / 2, nu_d],
-                                  bounds=[(1e-4, 5.0), (0.0, 8.0)])
+        fx = nm.nelder_mead(objective, [max(direct, 0.05) / 2, nu_d],
+                            bounds=[(1e-4, 5.0), (0.0, 8.0)],
+                            xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=4000).fun
         assert abs(fx - direct) <= 1e-3
 
 

@@ -121,12 +121,7 @@ def test_nonneg_degenerate_parameters():
 def test_nonneg_derived_coefficient_fields():
     p = tn.NonnegStrongParams(c3=0.8, gamma=1.1, nu1=1.2, nu2s=0.7)
     assert p.p_plus == pytest.approx(0.8 / 4.4)
-    assert p.q_plus == pytest.approx(-0.8 * 1.2 / 2.2)
-    assert p.r_plus == pytest.approx(0.8 * (1.44 / 4.4 - 0.7))
-    assert p.r1_plus == pytest.approx(0.8 * (1.44 / 4.4 + 0.7))
-    assert p.d_plus == pytest.approx(p.q_plus / math.sqrt(2 * (1 - 2 * p.p_plus)))
-    assert p.b_plus == pytest.approx(p.entry_point * math.sqrt(0.5 - p.p_plus))
-    assert p.a_plus == pytest.approx(1.2 * math.sqrt(0.5 - p.p_plus))
+    assert p.entry_point == pytest.approx(1.2 - math.sqrt(8 * 1.1 * 0.7))
 
 
 def test_nonneg_moment_matches_oracle_spot():
