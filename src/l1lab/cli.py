@@ -299,18 +299,8 @@ def _verify_nullspace(args, config: Config) -> dict:
     n, trials = args.n, args.trials
     m = int(round(args.alpha * n))
     k = int(round(args.beta * n))
-    if args.mode == "sectional":
-        if n > empirical.SECTIONAL_CAP_N or k > empirical.SECTIONAL_CAP_K:
-            raise DimensionError(
-                f"sectional mode capped at n <= {empirical.SECTIONAL_CAP_N}, "
-                f"k <= {empirical.SECTIONAL_CAP_K}"
-            )
-    else:
-        if n > empirical.STRONG_CAP_N or k > empirical.STRONG_CAP_K:
-            raise DimensionError(
-                f"strong mode capped at n <= {empirical.STRONG_CAP_N}, "
-                f"k <= {empirical.STRONG_CAP_K}"
-            )
+    # before the m x n matrices are drawn, so an oversized n exits cleanly
+    empirical.check_nullspace_size(args.mode, n, k)
     seeds = empirical.trial_seeds(args.seed, trials)
     matrices = []
     holds_count = 0

@@ -288,16 +288,26 @@ def _sectional_holds_basis(N: np.ndarray, n: int, support) -> bool:
     return True
 
 
+def check_nullspace_size(mode: str, n: int, k: int) -> None:
+    """Raise DimensionError unless the exact oracle of `mode` ("sectional"
+    or "strong") accepts n columns and supports of size k. Cheap, so
+    callers can check before they build an n-column matrix."""
+    cap_n, cap_k = ((SECTIONAL_CAP_N, SECTIONAL_CAP_K) if mode == "sectional"
+                    else (STRONG_CAP_N, STRONG_CAP_K))
+    if not 0 <= k <= n:
+        raise DimensionError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if n > cap_n or k > cap_k:
+        raise DimensionError(
+            f"{mode} oracle capped at n <= {cap_n}, k <= {cap_k}; got n={n}, k={k}"
+        )
+
+
 def sectional_nullspace_holds(A: np.ndarray, support) -> bool:
     """True iff every nonzero null-space direction w satisfies
     ||w_support||_1 < ||w_complement||_1 (decided exactly by LPs)."""
     m, n = A.shape
     support = np.asarray(sorted(support), dtype=int)
-    if n > SECTIONAL_CAP_N or len(support) > SECTIONAL_CAP_K:
-        raise DimensionError(
-            f"sectional oracle capped at n <= {SECTIONAL_CAP_N}, k <= {SECTIONAL_CAP_K}; "
-            f"got n={n}, k={len(support)}"
-        )
+    check_nullspace_size("sectional", n, len(support))
     if np.linalg.matrix_rank(A) < m:
         raise RankDeficientError("A must have full row rank")
     return _sectional_holds_basis(nullspace_basis(A), n, support)
@@ -323,13 +333,7 @@ def strong_nullspace_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
     (sign patterns enumerated inside; for the nonnegative variant the
     feasible cone per support is one-sided, so one LP per support)."""
     m, n = A.shape
-    if n > STRONG_CAP_N or k > STRONG_CAP_K:
-        raise DimensionError(
-            f"strong oracle capped at n <= {STRONG_CAP_N}, k <= {STRONG_CAP_K}; "
-            f"got n={n}, k={k}"
-        )
-    if k < 0:
-        raise DimensionError("k must be nonnegative")
+    check_nullspace_size("strong", n, k)
     if k == 0:
         return True
     if np.linalg.matrix_rank(A) < m:

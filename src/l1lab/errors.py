@@ -39,7 +39,3 @@ class SolverStalledError(L1LabError):
 class RankDeficientError(L1LabError):
     """The measurement matrix is (numerically) row-rank deficient."""
 
-
-class NonMonotoneWarning(UserWarning):
-    """Feasibility along a threshold bisection trace was not monotone in beta;
-    the bisection was restarted on the largest feasible prefix."""

@@ -14,16 +14,19 @@ directly from its exponent definition, which is the authoritative value the
 kind modules' closed forms are validated against.
 
 The direct (c3 -> 0) bounds arise as the limit of the same family, so the
-lifted threshold can never fall below the direct one beyond bisection noise.
+lifted threshold can never fall below the direct one beyond search noise.
 
 threshold_bisect turns a feasibility condition into the threshold curve
-beta(alpha) by bisection on beta, with warm-started inner minimizations.
+beta(alpha).  At fixed lift parameters every lifted set term is affine in
+beta, so each lifted probe's optimum certifies a whole interval of beta in
+closed form; the lifted search steps along these certificates (one
+warm-started minimization per step) and the direct and weak kinds are
+bisected.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -31,12 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import (
-    ConstraintViolatedError,
-    DomainError,
-    L1LabError,
-    NonMonotoneWarning,
-)
+from .errors import ConstraintViolatedError, DomainError, L1LabError
 from .numerics import nelder_mead
 
 KINDS = ("weak", "sectional", "strong", "weak_nonneg", "strong_nonneg")
@@ -57,8 +55,7 @@ LOG_C3_MAX = math.log(400.0)
 B_MAX = 0.4999995
 # search boxes of (nu1, nu2); a kind with one multiplier uses the first
 _NU_BOUNDS = ((0.0, 14.0), (0.0, 400.0))
-# Nelder-Mead evaluation budgets of a quick bisection probe and of a
-# thorough (or near-boundary) search
+# Nelder-Mead evaluation budgets of a quick and of a thorough margin probe
 QUICK_MAX_ITER = 1500
 THOROUGH_MAX_ITER = 5000
 
@@ -400,37 +397,22 @@ def lifted_margin(
 ) -> tuple[float, LiftParams | None]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
-    Quick mode (bisection probes) stops as soon as any start certifies
-    feasibility and escalates to the thorough search automatically whenever
-    the quick result lands in the ambiguous band around zero, where
-    under-minimization would misclassify feasibility.
+    A quick probe stops at the first start that drives the total below
+    -config.feasibility_margin; threshold_bisect warm-starts it at lift
+    parameters that already certify beta, so it decides feasibility
+    correctly and only sharpens the margin.  A thorough probe runs every
+    start and the nested polish, with tighter tolerances and a larger
+    budget.
     """
-    eps = config.feasibility_margin
-    bounds = _NU_BOUNDS[:kind.n_extra]
-    seeds = lifted_seeds(kind, alpha, beta, warm)
     if thorough:
-        f, x = minimize_lifted_total(
-            kind.set_term, alpha, beta, seeds, bounds,
-            stop_below=None, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER,
-        )
+        opts = dict(stop_below=None, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER)
     else:
-        f, x = minimize_lifted_total(
-            kind.set_term, alpha, beta, seeds, bounds,
-            stop_below=-eps, xatol=1e-10, fatol=1e-12, maxiter=QUICK_MAX_ITER,
-        )
-        if -eps <= f < 1e-3:
-            # near the boundary: re-search tightly, warm-started from the
-            # quick winner, with a thinned ladder as basin insurance
-            refreshed = lifted_seeds(kind, alpha, beta,
-                                     x_to_params(x) if x is not None else warm)
-            f2, x2 = minimize_lifted_total(
-                kind.set_term, alpha, beta, refreshed[:1] + refreshed[1::2], bounds,
-                stop_below=-eps, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER,
-            )
-            if f2 < f:
-                f, x = f2, x2
-    params = x_to_params(x) if x is not None else None
-    return f, params
+        opts = dict(stop_below=-config.feasibility_margin, xatol=1e-10, fatol=1e-12,
+                    maxiter=QUICK_MAX_ITER)
+    f, x = minimize_lifted_total(kind.set_term, alpha, beta,
+                                 lifted_seeds(kind, alpha, beta, warm),
+                                 _NU_BOUNDS[:kind.n_extra], **opts)
+    return f, x_to_params(x) if x is not None else None
 
 
 def x_to_params(x: np.ndarray) -> LiftParams:
@@ -452,8 +434,17 @@ def params_to_x(params: LiftParams, n_extra: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# threshold bisection
+# threshold search
 # --------------------------------------------------------------------------
+
+def lifted_kinds() -> dict[str, LiftedKind]:
+    """name -> LiftedKind of the three lifted kinds, looked up on each call
+    because the kind modules import this one."""
+    from .thresholds_general import SECTIONAL, STRONG
+    from .thresholds_nonneg import STRONG_NONNEG
+
+    return {"sectional": SECTIONAL, "strong": STRONG, "strong_nonneg": STRONG_NONNEG}
+
 
 def _margin_provider(kind: str, method: str):
     """Return fn(alpha, beta, warm, thorough, config=...) -> (margin, params or None)."""
@@ -494,14 +485,21 @@ def threshold_bisect(
     """Largest beta (to tol_beta) whose condition is feasible at this alpha.
 
     Feasibility at a probe means the kind's minimized condition margin is
-    strictly below -config.feasibility_margin; the strict cut keeps boundary
-    noise from being declared feasible.  config also reaches every margin
-    probe (the lifted searches read their stop margin from it).
-    Monotonicity of feasibility in beta
-    is checked rather than assumed: after the bracket closes, the smallest
-    infeasible probe is re-tested with a thorough warm-started search, and
-    if it now proves feasible a NonMonotoneWarning is issued and bisection
-    restarts above it.
+    strictly below -config.feasibility_margin (eps); the strict cut keeps
+    boundary noise from being declared feasible.  config also reaches every
+    margin probe.  The search starts from a feasible probe at BETA_FLOOR
+    (a lifted floor probe that fails is retried thoroughly before
+    ThresholdRangeError) and reports the cap when the whole range is
+    feasible.
+
+    A lifted kind's total is affine in beta at fixed lift parameters p, so
+    each accepted probe certifies every beta up to where total(p, .)
+    reaches -2*eps.  The lifted search steps there and re-minimizes with a
+    quick probe warm-started at p; once the step falls below tol_beta, one
+    thorough probe at lo + tol_beta either ends the search (infeasible) or
+    is accepted and the steps go on.  The direct and weak margins have no
+    such certificate and are bisected; they are deterministic, so no probe
+    is repeated thoroughly.
     """
     validate_query(alpha, kind, method)
     tol_beta = config.tol_beta if tol_beta is None else tol_beta
@@ -509,56 +507,42 @@ def threshold_bisect(
         raise DomainError("tol_beta must be >= 1e-5")
     margin_fn = partial(_margin_provider(kind, method), config=config)
     eps = config.feasibility_margin
-
+    spec = lifted_kinds().get(kind) if method == "lifted" else None
     cap = _BETA_CAPS[kind]
-    lo, hi = BETA_FLOOR, cap
-    warm = None
+    lo = BETA_FLOOR
 
-    m_lo, p_lo = margin_fn(alpha, lo, warm, False)
-    if not m_lo < -eps:
-        m_lo, p_lo = margin_fn(alpha, lo, warm, True)
+    m_lo, p_lo = margin_fn(alpha, lo, None, False)
+    if not m_lo < -eps and spec is not None:
+        m_lo, p_lo = margin_fn(alpha, lo, None, True)
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "
             f"({kind}/{method}); threshold below the bisection floor"
         )
-    warm = p_lo
-    m_hi, p_hi = margin_fn(alpha, hi, warm, False)
-    if m_hi < -eps:
-        # the whole range is feasible; report the cap
-        m_cap, p_cap = margin_fn(alpha, hi, warm, True)
-        return ThresholdResult(alpha=alpha, beta=hi, method=method, kind=kind,
-                               params_at_optimum=p_cap, condition_margin=m_cap)
 
-    for _round in range(3):
-        trace = []
+    if spec is not None:
+        while lo < cap:
+            slope = spec.set_term_at(1.0, p_lo) - spec.set_term_at(0.0, p_lo)
+            step = (-2.0 * eps - m_lo) / slope if slope > 0 else math.inf
+            thorough = step < tol_beta
+            beta = min(lo + max(step, tol_beta), cap)
+            # a quick probe starts at p_lo, whose total at beta is already
+            # below -eps (up to rounding), so only a thorough one can fail
+            m, p = margin_fn(alpha, beta, p_lo, thorough)
+            if not m < -eps:
+                break
+            lo, m_lo, p_lo = beta, m, p
+    else:
+        hi = cap
+        m_hi, p_hi = margin_fn(alpha, hi, p_lo, False)
+        if m_hi < -eps:
+            lo, m_lo, p_lo = hi, m_hi, p_hi
         while hi - lo > tol_beta:
             mid = 0.5 * (lo + hi)
-            m, p = margin_fn(alpha, mid, warm, False)
-            trace.append((mid, m))
-            if p is not None:
-                warm = p
+            m, p = margin_fn(alpha, mid, p_lo, False)
             if m < -eps:
                 lo, m_lo, p_lo = mid, m, p
             else:
                 hi = mid
-        # guard against a spuriously infeasible upper end (under-minimization)
-        m_re, p_re = margin_fn(alpha, hi, warm, True)
-        if m_re < -eps and hi < cap - tol_beta:
-            warnings.warn(
-                f"feasibility at beta={hi:.6g} flipped on thorough re-probe; "
-                f"restarting bisection above it",
-                NonMonotoneWarning,
-            )
-            above = sorted(b for b, m in trace if b > hi and not m < -eps)
-            lo, m_lo, p_lo = hi, m_re, p_re
-            warm = p_re
-            hi = above[0] if above else cap
-            continue
-        break
-
-    m_fin, p_fin = margin_fn(alpha, lo, warm, True)
-    if not m_fin < -eps:  # keep the certified probe if the re-solve regressed
-        m_fin, p_fin = m_lo, p_lo
     return ThresholdResult(alpha=alpha, beta=lo, method=method, kind=kind,
-                           params_at_optimum=p_fin, condition_margin=m_fin)
+                           params_at_optimum=p_lo, condition_margin=m_lo)

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift_core import LiftParams, exp_set_term_oracle
-from .thresholds_general import SECTIONAL, STRONG
-from .thresholds_nonneg import STRONG_NONNEG
+from .lift_core import LiftParams, exp_set_term_oracle, lifted_kinds
 
-AUDITED = {"sectional": SECTIONAL, "strong": STRONG, "strong_nonneg": STRONG_NONNEG}
+AUDITED = lifted_kinds()
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,25 @@ def test_audit_zero_samples_exits_2():
     assert exc.value.code == 2
 
 
-def test_verify_over_cap_exits_2(capsys):
+@pytest.mark.parametrize("mode, n, beta, message", [
+    ("strong", 40, 0.0625, "capped at n <= 18"),
+    ("sectional", 30, 0.1, "capped at n <= 24"),
+    ("strong", 16, 0.3125, "k <= 4; got n=16, k=5"),   # k = 5 over the cap
+    ("sectional", 5, 2.0, "need 0 <= k <= n"),
+    ("strong", 10**6, 0.0, "capped at n <= 18"),       # a 750000 x 10**6 matrix
+    ("sectional", 10**6, 0.0, "capped at n <= 24"),
+], ids=["strong-n", "sectional-n", "strong-k", "k-over-n", "strong-huge-n",
+        "sectional-huge-n"])
+def test_verify_over_cap_exits_2(capsys, monkeypatch, mode, n, beta, message):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was drawn before the size check")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_matrix)
     code, _, err = run_cli(
-        ["verify", "--mode", "strong", "--n", "40", "--alpha", "0.75",
-         "--beta", "0.0625"], capsys)
+        ["verify", "--mode", mode, "--n", str(n), "--alpha", "0.75",
+         "--beta", str(beta)], capsys)
     assert code == 2
-    assert "capped at n <= 18" in err
+    assert message in err
 
 
 def test_curve_empty_grid_exits_2(capsys):

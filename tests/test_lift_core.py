@@ -1,4 +1,4 @@
-"""Sphere term, master condition, set-term oracle, threshold bisection."""
+"""Sphere term, master condition, set-term oracle, threshold search."""
 
 import math
 
@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
 from l1lab.config import DEFAULT, Config
-from l1lab.errors import ConstraintViolatedError, DomainError, NonMonotoneWarning
+from l1lab.errors import ConstraintViolatedError, DomainError
 
 
 def sphere_objective(gamma, c3, alpha):
@@ -227,34 +227,63 @@ def test_x_to_params_gives_plain_floats():
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
 
-def stub_margins(monkeypatch, quick, thorough=None):
+def stub_margins(monkeypatch, feasible):
     """Replace every kind's margin by feasible(beta) -> -1 / +1 stubs and
     record each probe as (beta, thorough)."""
     probes = []
 
     def margin(alpha, beta, warm, is_thorough, config=DEFAULT):
         probes.append((beta, is_thorough))
-        rule = thorough if (is_thorough and thorough is not None) else quick
-        return (-1.0 if rule(beta) else 1.0), None
+        return (-1.0 if feasible(beta) else 1.0), None
 
     monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
     return probes
 
 
-def test_bisect_restarts_when_a_thorough_reprobe_flips(monkeypatch):
-    # the quick search misjudges one probe (just above 0.25) as infeasible;
-    # the true threshold is 0.3
-    probes = stub_margins(monkeypatch,
-                          quick=lambda b: b < 0.3 and not 0.25 < b < 0.2501,
-                          thorough=lambda b: b < 0.3)
-    with pytest.warns(NonMonotoneWarning, match="restarting bisection"):
-        r = lc.threshold_bisect(0.5, "sectional", "lifted")
+def stub_lifted(monkeypatch, quick_root, thorough_root, slope=1.0):
+    """Replace every lifted kind by a stub whose set term at params p is
+    slope * beta - p.nu1, and every margin by slope * (beta - root) with the
+    root by probe mode; a warm start at p caps the margin at the total p
+    certifies, as a minimization started there would.  Records each probe
+    as (beta, thorough)."""
+    probes = []
+    spec = lc.LiftedKind(set_term=lambda c3, gamma, extras, beta: slope * beta - extras[0],
+                         integrand=None, direct=None)
+
+    def margin(alpha, beta, warm, is_thorough, config=DEFAULT):
+        probes.append((beta, is_thorough))
+        m = slope * beta - (thorough_root if is_thorough else quick_root)
+        if warm is not None:
+            m = min(m, spec.set_term_at(beta, warm))
+        return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
+
+    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
+    monkeypatch.setattr(lc, "lifted_kinds", lambda: dict.fromkeys(lc.KINDS, spec))
+    return probes
+
+
+def test_lifted_search_goes_on_after_a_feasible_thorough_confirm(monkeypatch):
+    # quick probes alone would stop at 0.25; the thorough search finds the
+    # true threshold 0.3, and the steps continue from its certificate
+    probes = stub_lifted(monkeypatch, quick_root=0.25, thorough_root=0.3)
+    r = lc.threshold_bisect(0.5, "sectional", "lifted")
     assert 0.3 - 2e-5 <= r.beta < 0.3
-    assert any(0.25 < b < 0.2501 and not t for b, t in probes)
+    assert r.condition_margin < -DEFAULT.feasibility_margin
+    assert [round(b, 4) for b, t in probes if t] == [0.25, 0.3]
+    assert probes[1] == (pytest.approx(0.25, abs=1e-8), False)
+
+
+@pytest.mark.parametrize("slope", [1.0, 0.0])
+def test_lifted_certificate_reaching_the_cap_returns_the_cap(monkeypatch, slope):
+    probes = stub_lifted(monkeypatch, quick_root=0.7, thorough_root=0.7, slope=slope)
+    r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
+    cap = lc._BETA_CAPS["strong_nonneg"]
+    assert r.beta == cap and r.condition_margin == slope * cap - 0.7
+    assert probes == [(lc.BETA_FLOOR, False), (cap, False)]
 
 
 def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
-    probes = stub_margins(monkeypatch, quick=lambda b: False)
+    probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
         lc.threshold_bisect(0.5, "strong", "lifted")
     # the quick floor probe is confirmed by a thorough one before giving up
@@ -262,11 +291,11 @@ def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
-    probes = stub_margins(monkeypatch, quick=lambda b: True)
-    r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
+    probes = stub_margins(monkeypatch, feasible=lambda b: True)
+    r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
     cap = lc._BETA_CAPS["strong_nonneg"]
     assert r.beta == cap and r.condition_margin == -1.0
-    assert probes[-1] == (cap, True)
+    assert probes == [(lc.BETA_FLOOR, False), (cap, False)]
 
 
 def test_config_reaches_the_lifted_margin(monkeypatch):
@@ -292,17 +321,9 @@ def test_config_reaches_the_lifted_margin(monkeypatch):
 # the shared lifted route (one LiftedKind per kind)
 # ---------------------------------------------------------------------------
 
-def _lifted_kinds():
-    from l1lab import thresholds_general as tg
-    from l1lab import thresholds_nonneg as tn
-
-    return {"sectional": tg.SECTIONAL, "strong": tg.STRONG,
-            "strong_nonneg": tn.STRONG_NONNEG}
-
-
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
 def test_first_ladder_seed_carries_the_direct_optimum(name):
-    kind = _lifted_kinds()[name]
+    kind = lc.lifted_kinds()[name]
     alpha, beta = 0.5, 0.05
     _, direct = lc.direct_margin(kind, alpha, beta)
     assert direct.c3 == 0.0 and direct.gamma > 1e-6
@@ -320,7 +341,7 @@ def test_first_ladder_seed_carries_the_direct_optimum(name):
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
 def test_set_term_at_checks_the_convergence_constraint(name):
-    kind = _lifted_kinds()[name]
+    kind = lc.lifted_kinds()[name]
     ok = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
     assert math.isfinite(kind.set_term_at(0.1, ok))
     for gamma in (1.0, 0.8):  # b = 1/2 and b > 1/2
@@ -360,3 +381,69 @@ def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
         margin, _ = lc._margin_provider(kind, "lifted")(0.5, 0.02, None, False)
         assert margin < 0
     assert all(calls.values()), calls
+
+
+# ---------------------------------------------------------------------------
+# the lifted search on the real kinds: every step is a closed-form certificate
+# ---------------------------------------------------------------------------
+
+LIFTED_MARGINS = (("thresholds_general", "sectional_margin_lifted"),
+                  ("thresholds_general", "strong_margin_lifted"),
+                  ("thresholds_nonneg", "strong_nonneg_margin_lifted"))
+
+
+def closed_total(spec, params, alpha, beta):
+    """The master-condition total at explicit lift parameters, in the
+    optimizer's order of operations."""
+    return -0.5 * params.c3 + spec.set_term_at(beta, params) + lc.i_sph(params.c3, alpha)
+
+
+@pytest.fixture(scope="module")
+def lifted_solves():
+    """(kind, alpha) -> (result, [(beta, warm, thorough), ...]) for the three
+    lifted kinds at alpha 0.1 and 0.5."""
+    import importlib
+
+    probes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module_name, attr in LIFTED_MARGINS:
+            module = importlib.import_module(f"l1lab.{module_name}")
+
+            def recording(alpha, beta, warm, thorough, config=DEFAULT, _fn=getattr(module, attr)):
+                probes.append((beta, warm, thorough))
+                return _fn(alpha, beta, warm, thorough, config=config)
+
+            mp.setattr(module, attr, recording)
+        solves = {}
+        for kind in lc.lifted_kinds():
+            for alpha in (0.1, 0.5):
+                probes.clear()
+                solves[kind, alpha] = lc.threshold_bisect(alpha, kind, "lifted"), list(probes)
+    return solves
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
+    spec = lc.lifted_kinds()[kind]
+    target = -2.0 * DEFAULT.feasibility_margin
+    _, probes = lifted_solves[kind, 0.5]
+    assert [t for _, _, t in probes].count(True) == 1
+    assert probes[0][1] is None and not probes[0][2]
+    quick = [(beta, warm) for beta, warm, t in probes[1:] if not t]
+    assert quick
+    # the totals are differences of terms up to ~150 (nu2 (2 beta - 1) at
+    # small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
+    for beta, warm in quick:
+        assert closed_total(spec, warm, 0.5, beta) <= target + 1e-13
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
+    spec = lc.lifted_kinds()[kind]
+    r, _ = lifted_solves[kind, alpha]
+    p = r.params_at_optimum
+    assert closed_total(spec, p, alpha, r.beta) == r.condition_margin
+    oracle = (lc.exp_set_term_oracle(spec.integrand, p, r.beta)
+              + lc.i_sph(p.c3, alpha) - 0.5 * p.c3)
+    assert oracle < -DEFAULT.feasibility_margin
