@@ -24,12 +24,12 @@ def main():
     print(f"{'beta':>6s} {'min total':>12s} {'c3*':>8s} {'gamma*':>8s} "
           f"{'nu*':>7s} feasible")
     for beta in (0.09, 0.1, 0.1045, 0.105, 0.11):
-        margin, params = sectional_margin_lifted(ALPHA, beta, None, True)
+        margin, params = sectional_margin_lifted(ALPHA, beta)
         print(f"{beta:6.4f} {margin:12.3e} {params.c3:8.4f} "
               f"{params.gamma:8.4f} {params.nu1:7.4f} {margin < 0}")
 
     print("\nclosed form vs quadrature oracle at the optimum of beta=0.1045:")
-    _, params = sectional_margin_lifted(ALPHA, 0.1045, None, True)
+    _, params = sectional_margin_lifted(ALPHA, 0.1045)
     closed = sectional_set_term_lifted(0.1045, params)
     oracle = exp_set_term_oracle(sectional_integrand, params, 0.1045)
     print(f"  closed   {closed:.12f}")

@@ -414,8 +414,9 @@ def main(argv=None) -> int:
     if getattr(args, "trials", None) is not None and args.command == "verify":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
-    if getattr(args, "tol", None) is not None and args.tol < 1e-5:
-        parser.error("--tol must be >= 1e-5")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 1e-5):
+        parser.error("--tol must be finite and >= 1e-5")
 
     try:
         return args.handler(args, config)

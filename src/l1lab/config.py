@@ -7,7 +7,10 @@ Precedence: explicit overrides (CLI flags) > the key=value file named by the
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+
+from .errors import DomainError
 
 ENV_VAR = "L1LAB_CONFIG"
 
@@ -23,6 +26,13 @@ class Config:
     bp_tol: float = 1e-7
     # parallelism (None -> os.cpu_count())
     jobs: int | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_beta) and self.tol_beta >= 1e-5):
+            raise DomainError(f"tol_beta must be finite and >= 1e-5, got {self.tol_beta}")
+        if not (math.isfinite(self.feasibility_margin) and self.feasibility_margin >= 0):
+            raise DomainError("feasibility_margin must be finite and >= 0, "
+                              f"got {self.feasibility_margin}")
 
     def effective_jobs(self) -> int:
         return self.jobs if self.jobs else (os.cpu_count() or 1)

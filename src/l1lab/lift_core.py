@@ -20,15 +20,14 @@ threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
 closed form; the lifted search steps along these certificates (one
-warm-started minimization per step) and the direct and weak kinds are
-bisected.
+Nelder-Mead run per step, warm-started at the previous optimum) and the
+direct and weak kinds are bisected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,9 +54,8 @@ LOG_C3_MAX = math.log(400.0)
 B_MAX = 0.4999995
 # search boxes of (nu1, nu2); a kind with one multiplier uses the first
 _NU_BOUNDS = ((0.0, 14.0), (0.0, 400.0))
-# Nelder-Mead evaluation budgets of a quick and of a thorough margin probe
-QUICK_MAX_ITER = 1500
-THOROUGH_MAX_ITER = 5000
+# every Nelder-Mead run of a lifted margin: tolerances and evaluation budget
+_NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 5000, "maxfev": 5000}
 
 
 class ThresholdRangeError(L1LabError):
@@ -300,21 +298,14 @@ def minimize_lifted_total(
     beta: float,
     seeds: Sequence[np.ndarray],
     extra_bounds: Sequence[tuple],
-    *,
-    stop_below: float | None = None,
-    xatol: float = 1e-10,
-    fatol: float = 1e-12,
-    maxiter: int = 3000,
 ) -> tuple[float, np.ndarray]:
-    """Multi-start Nelder-Mead over x = [log c3, b, extras].
+    """One bounded Nelder-Mead run over x = [log c3, b, extras] from each
+    seed; returns the best (total, x) found.
 
     set_term(c3, gamma, extras, beta) evaluates the kind's set term at fixed
-    parameters on Python floats.  Seeds are tried in order; if stop_below is
-    given the search stops as soon as some start drives the total under it
-    (a certified upper bound on the minimum is enough to certify
-    feasibility).  Returns the best (total, x) found; a nested polish over
-    the non-c3 coordinates is applied to the winner since joint and nested
-    searches can land in different local optima.
+    parameters on Python floats.  Every run has the same tolerances and
+    budget (_NM_OPTS).  A run never ends above its (clipped) start, so a
+    seed that certifies beta yields a certificate.
 
     The simplex is numerics.nelder_mead, which takes the same steps as
     scipy's bounded Nelder-Mead (ties in vertex order broken by np.argsort,
@@ -323,28 +314,9 @@ def minimize_lifted_total(
     """
     objective = _total_objective(set_term, alpha, beta)
     bounds = [(LOG_C3_MIN, LOG_C3_MAX), (1e-7, B_MAX), *extra_bounds]
-    opts = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxiter}
-
     best_f, best_x = math.inf, None
     for seed in seeds:
-        res = nelder_mead(objective, seed, bounds, **opts)
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
-        if stop_below is not None and best_f < stop_below:
-            return best_f, np.array(best_x)
-
-    if best_x is not None and math.isfinite(best_f):
-        # nested polish: inner parameters at fixed c3, then a joint restart
-        fixed = best_x[0]
-
-        def inner(y):
-            return objective([fixed, *y])
-
-        res_in = nelder_mead(inner, best_x[1:], bounds[1:], **opts)
-        if res_in.fun < best_f:
-            best_f = res_in.fun
-            best_x = [fixed, *res_in.x]
-        res = nelder_mead(objective, best_x, bounds, **opts)
+        res = nelder_mead(objective, seed, bounds, **_NM_OPTS)
         if res.fun < best_f:
             best_f, best_x = res.fun, res.x
     return best_f, None if best_x is None else np.array(best_x)
@@ -359,28 +331,24 @@ def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, L
     return root - math.sqrt(alpha), LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
 
 
-def lifted_seeds(kind: LiftedKind, alpha: float, beta: float,
-                 warm: LiftParams | None) -> list[np.ndarray]:
-    """Starting points x = [log c3, b, nu...] for the lifted search.
+def lifted_seeds(kind: LiftedKind, alpha: float, beta: float) -> list[np.ndarray]:
+    """Cold starting points x = [log c3, b, nu...] for the lifted search.
 
-    The warm start (if it is a lifted point) comes first, then the c3
-    ladder with gamma and the multipliers taken from the direct optimum,
-    which the lifted family contains as its c3 -> 0 member; a kind with a
-    large direct nu2 also gets a small-nu2 variant at three ladder rungs.
+    The c3 ladder, with gamma and the multipliers taken from the direct
+    optimum, which the lifted family contains as its c3 -> 0 member; a kind
+    with a large direct nu2 also gets a small-nu2 variant at three ladder
+    rungs.
     """
     root, nu1 = kind.direct(beta)
     g0 = max(root, 1e-6) / 2.0
     nus = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), 400.0)]
-    seeds = []
-    if warm is not None and warm.c3 > 0:
-        seeds.append(params_to_x(warm, kind.n_extra))
     ladder = c3_start_ladder(alpha)
 
     def at(c3, multipliers):
         b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
         return np.array([math.log(c3), b, *multipliers])
 
-    seeds += [at(c3, nus) for c3 in ladder]
+    seeds = [at(c3, nus) for c3 in ladder]
     if kind.nu2 is not None and nus[1] > 0.5:
         seeds += [at(c3, [nu1, 0.3])
                   for c3 in (ladder[0], ladder[len(ladder) // 2], ladder[-1])]
@@ -391,27 +359,20 @@ def lifted_margin(
     kind: LiftedKind,
     alpha: float,
     beta: float,
-    warm: LiftParams | None,
-    thorough: bool,
-    config: Config = DEFAULT,
+    warm: LiftParams | None = None,
 ) -> tuple[float, LiftParams | None]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
-    A quick probe stops at the first start that drives the total below
-    -config.feasibility_margin; threshold_bisect warm-starts it at lift
-    parameters that already certify beta, so it decides feasibility
-    correctly and only sharpens the margin.  A thorough probe runs every
-    start and the nested polish, with tighter tolerances and a larger
-    budget.
+    With a warm start this is one Nelder-Mead run from it, which never ends
+    above the total at the start; threshold_bisect warm-starts each probe at
+    the previous optimum, which certifies beta unless the step was raised
+    to tol_beta.  Without one it runs from every seed of the c3 ladder and
+    keeps the best, since a single cold start can stall at small c3.
     """
-    if thorough:
-        opts = dict(stop_below=None, xatol=1e-11, fatol=1e-13, maxiter=THOROUGH_MAX_ITER)
-    else:
-        opts = dict(stop_below=-config.feasibility_margin, xatol=1e-10, fatol=1e-12,
-                    maxiter=QUICK_MAX_ITER)
-    f, x = minimize_lifted_total(kind.set_term, alpha, beta,
-                                 lifted_seeds(kind, alpha, beta, warm),
-                                 _NU_BOUNDS[:kind.n_extra], **opts)
+    seeds = (lifted_seeds(kind, alpha, beta) if warm is None
+             else [params_to_x(warm, kind.n_extra)])
+    f, x = minimize_lifted_total(kind.set_term, alpha, beta, seeds,
+                                 _NU_BOUNDS[:kind.n_extra])
     return f, x_to_params(x) if x is not None else None
 
 
@@ -447,15 +408,14 @@ def lifted_kinds() -> dict[str, LiftedKind]:
 
 
 def _margin_provider(kind: str, method: str):
-    """Return fn(alpha, beta, warm, thorough, config=...) -> (margin, params or None)."""
+    """Return fn(alpha, beta, warm=None) -> (margin, params or None)."""
     from . import thresholds_general as tg
     from . import thresholds_nonneg as tn
 
     if kind == "weak":
-        return lambda a, b, warm, thorough, config=DEFAULT: (tg.weak_alpha_of_beta(b) - a, None)
+        return lambda a, b, warm=None: (tg.weak_alpha_of_beta(b) - a, None)
     if kind == "weak_nonneg":
-        return lambda a, b, warm, thorough, config=DEFAULT: (
-            tn.weak_nonneg_alpha_of_beta(b) - a, None)
+        return lambda a, b, warm=None: (tn.weak_nonneg_alpha_of_beta(b) - a, None)
     if kind == "sectional":
         return tg.sectional_margin_direct if method == "direct" else tg.sectional_margin_lifted
     if kind == "strong":
@@ -486,34 +446,32 @@ def threshold_bisect(
 
     Feasibility at a probe means the kind's minimized condition margin is
     strictly below -config.feasibility_margin (eps); the strict cut keeps
-    boundary noise from being declared feasible.  config also reaches every
-    margin probe.  The search starts from a feasible probe at BETA_FLOOR
-    (a lifted floor probe that fails is retried thoroughly before
-    ThresholdRangeError) and reports the cap when the whole range is
-    feasible.
+    boundary noise from being declared feasible.  The search starts from a
+    feasible probe at BETA_FLOOR (ThresholdRangeError otherwise) and
+    reports the cap when the whole range is feasible.
 
     A lifted kind's total is affine in beta at fixed lift parameters p, so
     each accepted probe certifies every beta up to where total(p, .)
-    reaches -2*eps.  The lifted search steps there and re-minimizes with a
-    quick probe warm-started at p; once the step falls below tol_beta, one
-    thorough probe at lo + tol_beta either ends the search (infeasible) or
-    is accepted and the steps go on.  The direct and weak margins have no
-    such certificate and are bisected; they are deterministic, so no probe
-    is repeated thoroughly.
+    reaches -2*eps.  The lifted search steps there, or tol_beta above lo if
+    that is further, and re-minimizes with one Nelder-Mead run
+    warm-started at p; the first infeasible probe (necessarily one at
+    lo + tol_beta) ends the search.  The direct and weak margins have no
+    such certificate and are bisected.
     """
     validate_query(alpha, kind, method)
     tol_beta = config.tol_beta if tol_beta is None else tol_beta
-    if tol_beta < 1e-5:
-        raise DomainError("tol_beta must be >= 1e-5")
-    margin_fn = partial(_margin_provider(kind, method), config=config)
+    if not (math.isfinite(tol_beta) and tol_beta >= 1e-5):
+        raise DomainError(f"tol_beta must be finite and >= 1e-5, got {tol_beta}")
+    margin_fn = _margin_provider(kind, method)
     eps = config.feasibility_margin
     spec = lifted_kinds().get(kind) if method == "lifted" else None
     cap = _BETA_CAPS[kind]
     lo = BETA_FLOOR
 
-    m_lo, p_lo = margin_fn(alpha, lo, None, False)
-    if not m_lo < -eps and spec is not None:
-        m_lo, p_lo = margin_fn(alpha, lo, None, True)
+    # a lifted search starts from the first cold seed: the direct optimum
+    # lifted to c3 = 1e-3
+    warm = None if spec is None else x_to_params(lifted_seeds(spec, alpha, lo)[0])
+    m_lo, p_lo = margin_fn(alpha, lo, warm)
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "
@@ -524,22 +482,21 @@ def threshold_bisect(
         while lo < cap:
             slope = spec.set_term_at(1.0, p_lo) - spec.set_term_at(0.0, p_lo)
             step = (-2.0 * eps - m_lo) / slope if slope > 0 else math.inf
-            thorough = step < tol_beta
             beta = min(lo + max(step, tol_beta), cap)
-            # a quick probe starts at p_lo, whose total at beta is already
-            # below -eps (up to rounding), so only a thorough one can fail
-            m, p = margin_fn(alpha, beta, p_lo, thorough)
+            # p_lo's total at beta is below -eps (up to rounding) unless the
+            # step was raised to tol_beta, so only such a probe can fail
+            m, p = margin_fn(alpha, beta, p_lo)
             if not m < -eps:
                 break
             lo, m_lo, p_lo = beta, m, p
     else:
         hi = cap
-        m_hi, p_hi = margin_fn(alpha, hi, p_lo, False)
+        m_hi, p_hi = margin_fn(alpha, hi, p_lo)
         if m_hi < -eps:
             lo, m_lo, p_lo = hi, m_hi, p_hi
         while hi - lo > tol_beta:
             mid = 0.5 * (lo + hi)
-            m, p = margin_fn(alpha, mid, p_lo, False)
+            m, p = margin_fn(alpha, mid, p_lo)
             if m < -eps:
                 lo, m_lo, p_lo = mid, m, p
             else:

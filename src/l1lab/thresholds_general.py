@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .config import DEFAULT, Config
 from .errors import DomainError, NegativeRadicandError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 
@@ -183,14 +182,12 @@ def sectional_set_term_lifted(beta: float, params: LiftParams) -> float:
     return SECTIONAL.set_term_at(beta, params)
 
 
-def sectional_margin_direct(alpha, beta, warm=None, thorough=False,
-                            config: Config = DEFAULT):
+def sectional_margin_direct(alpha, beta, warm=None):
     return direct_margin(SECTIONAL, alpha, beta)
 
 
-def sectional_margin_lifted(alpha, beta, warm=None, thorough=False,
-                            config: Config = DEFAULT):
-    return lifted_margin(SECTIONAL, alpha, beta, warm, thorough, config=config)
+def sectional_margin_lifted(alpha, beta, warm=None):
+    return lifted_margin(SECTIONAL, alpha, beta, warm)
 
 
 # --------------------------------------------------------------------------
@@ -373,11 +370,9 @@ def strong_set_term_lifted(beta: float, params: LiftParams) -> float:
     return STRONG.set_term_at(beta, params)
 
 
-def strong_margin_direct(alpha, beta, warm=None, thorough=False,
-                         config: Config = DEFAULT):
+def strong_margin_direct(alpha, beta, warm=None):
     return direct_margin(STRONG, alpha, beta)
 
 
-def strong_margin_lifted(alpha, beta, warm=None, thorough=False,
-                         config: Config = DEFAULT):
-    return lifted_margin(STRONG, alpha, beta, warm, thorough, config=config)
+def strong_margin_lifted(alpha, beta, warm=None):
+    return lifted_margin(STRONG, alpha, beta, warm)

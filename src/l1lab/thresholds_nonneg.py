@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .config import DEFAULT, Config
 from .errors import DomainError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 
@@ -276,11 +275,9 @@ def strong_nonneg_set_term_lifted(beta: float, params: LiftParams) -> float:
     return STRONG_NONNEG.set_term_at(beta, params)
 
 
-def strong_nonneg_margin_direct(alpha, beta, warm=None, thorough=False,
-                                config: Config = DEFAULT):
+def strong_nonneg_margin_direct(alpha, beta, warm=None):
     return direct_margin(STRONG_NONNEG, alpha, beta)
 
 
-def strong_nonneg_margin_lifted(alpha, beta, warm=None, thorough=False,
-                                config: Config = DEFAULT):
-    return lifted_margin(STRONG_NONNEG, alpha, beta, warm, thorough, config=config)
+def strong_nonneg_margin_lifted(alpha, beta, warm=None):
+    return lifted_margin(STRONG_NONNEG, alpha, beta, warm)

@@ -37,6 +37,36 @@ def test_tol_below_floor_exits_2():
     assert exc.value.code == 2
 
 
+def no_solve(*args, **kwargs):
+    pytest.fail("a threshold solve started despite a bad setting")
+
+
+@pytest.mark.parametrize("command", ["threshold", "curve"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_tol_not_finite_exits_2(tmp_path, monkeypatch, capsys, command, tol):
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    where = (["--alpha", "0.5"] if command == "threshold"
+             else ["--alpha-grid", "0.5:0.5:0.1", "--out-file", str(tmp_path / "c.csv")])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *where, "--kind", "sectional", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["feasibility_margin = -0.05", "feasibility_margin = nan",
+                                  "tol_beta = nan", "tol_beta = inf"])
+@pytest.mark.parametrize("method", ["direct", "lifted"])
+def test_bad_config_file_exits_2(tmp_path, monkeypatch, capsys, line, method):
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    cfg = tmp_path / "l1lab.cfg"
+    cfg.write_text(line + "\n")
+    monkeypatch.setenv("L1LAB_CONFIG", str(cfg))
+    code, out, err = run_cli(["threshold", "--alpha", "0.5", "--kind", "sectional",
+                              "--method", method], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and line.split()[0] in err
+
+
 def test_audit_zero_samples_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", "--samples", "0"])

@@ -3,6 +3,7 @@
 import pytest
 
 from l1lab.config import ENV_VAR, Config, load_config
+from l1lab.errors import DomainError
 
 
 def test_defaults():
@@ -42,3 +43,23 @@ def test_unknown_key_rejected(tmp_path, monkeypatch):
 def test_effective_jobs(monkeypatch):
     assert Config(jobs=3).effective_jobs() == 3
     assert Config(jobs=None).effective_jobs() >= 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol_beta", float("nan")), ("tol_beta", float("inf")), ("tol_beta", 1e-6),
+    ("tol_beta", -1.0), ("feasibility_margin", float("nan")),
+    ("feasibility_margin", float("inf")), ("feasibility_margin", -0.05),
+])
+def test_bad_search_settings_rejected(tmp_path, monkeypatch, field, value):
+    with pytest.raises(DomainError, match=field):
+        Config(**{field: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {value}\n")
+    monkeypatch.setenv(ENV_VAR, str(path))
+    with pytest.raises(ValueError, match=field):
+        load_config()
+
+
+def test_search_settings_at_their_limits_accepted():
+    cfg = Config(tol_beta=1e-5, feasibility_margin=0.0)
+    assert (cfg.tol_beta, cfg.feasibility_margin) == (1e-5, 0.0)

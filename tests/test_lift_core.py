@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
-from l1lab.config import DEFAULT, Config
+from l1lab.config import DEFAULT
 from l1lab.errors import ConstraintViolatedError, DomainError
 
 
@@ -132,6 +132,10 @@ def test_threshold_validation():
         lc.threshold_bisect(0.5, "sectional", "fancy")
     with pytest.raises(DomainError):
         lc.threshold_bisect(0.5, "sectional", "lifted", tol_beta=1e-6)
+    # direct, so that a missing check returns instead of stepping forever
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite"):
+            lc.threshold_bisect(0.5, "sectional", "direct", tol_beta=tol)
 
 
 def test_threshold_sectional_direct_table_point():
@@ -229,30 +233,29 @@ def test_x_to_params_gives_plain_floats():
 
 def stub_margins(monkeypatch, feasible):
     """Replace every kind's margin by feasible(beta) -> -1 / +1 stubs and
-    record each probe as (beta, thorough)."""
+    record each probe as (beta, warm)."""
     probes = []
 
-    def margin(alpha, beta, warm, is_thorough, config=DEFAULT):
-        probes.append((beta, is_thorough))
+    def margin(alpha, beta, warm=None):
+        probes.append((beta, warm))
         return (-1.0 if feasible(beta) else 1.0), None
 
     monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
     return probes
 
 
-def stub_lifted(monkeypatch, quick_root, thorough_root, slope=1.0):
+def stub_lifted(monkeypatch, root, slope=1.0):
     """Replace every lifted kind by a stub whose set term at params p is
-    slope * beta - p.nu1, and every margin by slope * (beta - root) with the
-    root by probe mode; a warm start at p caps the margin at the total p
-    certifies, as a minimization started there would.  Records each probe
-    as (beta, thorough)."""
+    slope * beta - p.nu1, and every margin by slope * beta - root(beta);
+    a warm start at p caps the margin at the total p certifies, as a
+    minimization started there would.  Records each probe as (beta, warm)."""
     probes = []
     spec = lc.LiftedKind(set_term=lambda c3, gamma, extras, beta: slope * beta - extras[0],
-                         integrand=None, direct=None)
+                         integrand=None, direct=lambda beta: (1.0, 0.0))
 
-    def margin(alpha, beta, warm, is_thorough, config=DEFAULT):
-        probes.append((beta, is_thorough))
-        m = slope * beta - (thorough_root if is_thorough else quick_root)
+    def margin(alpha, beta, warm=None):
+        probes.append((beta, warm))
+        m = slope * beta - root(beta)
         if warm is not None:
             m = min(m, spec.set_term_at(beta, warm))
         return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
@@ -263,31 +266,34 @@ def stub_lifted(monkeypatch, quick_root, thorough_root, slope=1.0):
 
 
 def test_lifted_search_goes_on_after_a_feasible_thorough_confirm(monkeypatch):
-    # quick probes alone would stop at 0.25; the thorough search finds the
-    # true threshold 0.3, and the steps continue from its certificate
-    probes = stub_lifted(monkeypatch, quick_root=0.25, thorough_root=0.3)
+    # the certificates of the optimum with root 0.25 run out there; the
+    # probe tol_beta above it finds the better optimum with root 0.3, and
+    # the steps continue from its certificate
+    probes = stub_lifted(monkeypatch, root=lambda beta: 0.25 if beta < 0.25 else 0.3)
     r = lc.threshold_bisect(0.5, "sectional", "lifted")
     assert 0.3 - 2e-5 <= r.beta < 0.3
     assert r.condition_margin < -DEFAULT.feasibility_margin
-    assert [round(b, 4) for b, t in probes if t] == [0.25, 0.3]
-    assert probes[1] == (pytest.approx(0.25, abs=1e-8), False)
+    betas = [b for b, _ in probes]
+    assert [round(b, 4) for b in betas] == [lc.BETA_FLOOR, 0.25, 0.25, 0.3, 0.3]
+    assert betas[2] - betas[1] == pytest.approx(DEFAULT.tol_beta, rel=1e-6)
+    assert betas[4] - betas[3] == pytest.approx(DEFAULT.tol_beta, rel=1e-6)
+    assert all(warm is not None for _, warm in probes)
 
 
 @pytest.mark.parametrize("slope", [1.0, 0.0])
 def test_lifted_certificate_reaching_the_cap_returns_the_cap(monkeypatch, slope):
-    probes = stub_lifted(monkeypatch, quick_root=0.7, thorough_root=0.7, slope=slope)
+    probes = stub_lifted(monkeypatch, root=lambda beta: 0.7, slope=slope)
     r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
     cap = lc._BETA_CAPS["strong_nonneg"]
     assert r.beta == cap and r.condition_margin == slope * cap - 0.7
-    assert probes == [(lc.BETA_FLOOR, False), (cap, False)]
+    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
 
 
 def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
     probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
         lc.threshold_bisect(0.5, "strong", "lifted")
-    # the quick floor probe is confirmed by a thorough one before giving up
-    assert probes == [(lc.BETA_FLOOR, False), (lc.BETA_FLOOR, True)]
+    assert [b for b, _ in probes] == [lc.BETA_FLOOR]
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
@@ -295,26 +301,7 @@ def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
     r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
     cap = lc._BETA_CAPS["strong_nonneg"]
     assert r.beta == cap and r.condition_margin == -1.0
-    assert probes == [(lc.BETA_FLOOR, False), (cap, False)]
-
-
-def test_config_reaches_the_lifted_margin(monkeypatch):
-    from l1lab import thresholds_general as tg
-
-    seen = []
-
-    class Stop(Exception):
-        pass
-
-    def recording_margin(*args, config=DEFAULT):
-        seen.append(config)
-        raise Stop
-
-    monkeypatch.setattr(tg, "lifted_margin", recording_margin)
-    custom = Config(feasibility_margin=1e-6)
-    with pytest.raises(Stop):
-        lc.threshold_bisect(0.5, "sectional", "lifted", config=custom)
-    assert seen == [custom]
+    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +309,13 @@ def test_config_reaches_the_lifted_margin(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
-def test_first_ladder_seed_carries_the_direct_optimum(name):
+def test_first_ladder_seed_carries_the_direct_optimum(name, monkeypatch):
     kind = lc.lifted_kinds()[name]
-    alpha, beta = 0.5, 0.05
+    alpha, beta = 0.5, lc.BETA_FLOOR
     _, direct = lc.direct_margin(kind, alpha, beta)
     assert direct.c3 == 0.0 and direct.gamma > 1e-6
     c3 = lc.c3_start_ladder(alpha)[0]
-    seed = lc.lifted_seeds(kind, alpha, beta, None)[0]
+    seed = lc.lifted_seeds(kind, alpha, beta)[0]
     assert len(seed) == 2 + kind.n_extra
     assert seed[0] == math.log(c3)
     assert seed[1] == min(max(c3 / (4.0 * direct.gamma), 1e-6), 0.49)
@@ -337,6 +324,12 @@ def test_first_ladder_seed_carries_the_direct_optimum(name):
         assert direct.nu2 == 0.0
     else:
         assert seed[3] == min(direct.nu2, 400.0)
+    # the lifted search's floor probe is warm-started there
+    probes = stub_margins(monkeypatch, feasible=lambda b: False)
+    with pytest.raises(lc.ThresholdRangeError):
+        lc.threshold_bisect(alpha, name, "lifted")
+    [(floor, warm)] = probes
+    assert floor == beta and list(lc.params_to_x(warm, kind.n_extra)) == list(seed)
 
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
@@ -378,7 +371,7 @@ def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
 
     for kind in ("sectional", "strong", "strong_nonneg"):
         lc.threshold_bisect(0.5, kind, "direct")
-        margin, _ = lc._margin_provider(kind, "lifted")(0.5, 0.02, None, False)
+        margin, _ = lc._margin_provider(kind, "lifted")(0.5, 0.02)
         assert margin < 0
     assert all(calls.values()), calls
 
@@ -400,8 +393,8 @@ def closed_total(spec, params, alpha, beta):
 
 @pytest.fixture(scope="module")
 def lifted_solves():
-    """(kind, alpha) -> (result, [(beta, warm, thorough), ...]) for the three
-    lifted kinds at alpha 0.1 and 0.5."""
+    """(kind, alpha) -> (result, [(beta, warm, margin), ...]) for the three
+    lifted kinds at alpha 0.1, 0.5 and 0.999."""
     import importlib
 
     probes = []
@@ -409,14 +402,15 @@ def lifted_solves():
         for module_name, attr in LIFTED_MARGINS:
             module = importlib.import_module(f"l1lab.{module_name}")
 
-            def recording(alpha, beta, warm, thorough, config=DEFAULT, _fn=getattr(module, attr)):
-                probes.append((beta, warm, thorough))
-                return _fn(alpha, beta, warm, thorough, config=config)
+            def recording(alpha, beta, warm=None, _fn=getattr(module, attr)):
+                margin, params = _fn(alpha, beta, warm)
+                probes.append((beta, warm, margin))
+                return margin, params
 
             mp.setattr(module, attr, recording)
         solves = {}
         for kind in lc.lifted_kinds():
-            for alpha in (0.1, 0.5):
+            for alpha in (0.1, 0.5, 0.999):
                 probes.clear()
                 solves[kind, alpha] = lc.threshold_bisect(alpha, kind, "lifted"), list(probes)
     return solves
@@ -424,21 +418,28 @@ def lifted_solves():
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
+    # every probe after the floor except the last lands where the previous
+    # optimum certifies it; the last, tol_beta above the result, ends the
+    # search as the one infeasible probe
     spec = lc.lifted_kinds()[kind]
-    target = -2.0 * DEFAULT.feasibility_margin
-    _, probes = lifted_solves[kind, 0.5]
-    assert [t for _, _, t in probes].count(True) == 1
-    assert probes[0][1] is None and not probes[0][2]
-    quick = [(beta, warm) for beta, warm, t in probes[1:] if not t]
-    assert quick
-    # the totals are differences of terms up to ~150 (nu2 (2 beta - 1) at
-    # small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
-    for beta, warm in quick:
-        assert closed_total(spec, warm, 0.5, beta) <= target + 1e-13
+    eps = DEFAULT.feasibility_margin
+    for alpha in (0.1, 0.5, 0.999):
+        r, probes = lifted_solves[kind, alpha]
+        floor_start = lc.x_to_params(lc.lifted_seeds(spec, alpha, lc.BETA_FLOOR)[0])
+        assert probes[0][:2] == (lc.BETA_FLOOR, floor_start)
+        assert len(probes) >= 3
+        # the totals are differences of terms up to ~150 (nu2 (2 beta - 1)
+        # at small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
+        for beta, warm, margin in probes[1:-1]:
+            assert closed_total(spec, warm, alpha, beta) <= -2.0 * eps + 1e-13
+            assert margin < -eps
+        beta, warm, margin = probes[-1]
+        assert beta == r.beta + DEFAULT.tol_beta and warm == r.params_at_optimum
+        assert not margin < -eps
 
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
-@pytest.mark.parametrize("alpha", [0.1, 0.5])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
 def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     spec = lc.lifted_kinds()[kind]
     r, _ = lifted_solves[kind, alpha]
@@ -447,3 +448,27 @@ def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     oracle = (lc.exp_set_term_oracle(spec.integrand, p, r.beta)
               + lc.i_sph(p.c3, alpha) - 0.5 * p.c3)
     assert oracle < -DEFAULT.feasibility_margin
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
+    # one Nelder-Mead run from p returns at most the closed-form total at p,
+    # which is what lets a warm probe carry the certificate of p
+    spec = lc.lifted_kinds()[kind]
+    margin_fn = lc._margin_provider(kind, "lifted")
+    r, _ = lifted_solves[kind, 0.5]
+    starts = [(r.params_at_optimum, beta) for beta in (r.beta - 0.01, r.beta + 0.001)]
+    starts.append((lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2), 0.05))
+    for p, beta in starts:
+        margin, _ = margin_fn(0.5, beta, p)
+        assert margin <= closed_total(spec, p, 0.5, beta) + 1e-13
+
+
+def test_cold_lifted_probe_runs_the_ladder():
+    # a single start at the first ladder rung stalls at small c3 here with a
+    # margin near +4.7e-4; the ladder finds the optimum at c3 ~ 52
+    from l1lab.thresholds_nonneg import strong_nonneg_margin_lifted
+
+    margin, params = strong_nonneg_margin_lifted(0.999, 0.4694)
+    assert margin < -DEFAULT.feasibility_margin
+    assert params.c3 > 1.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
-from l1lab.lift_core import LiftParams, exp_set_term_oracle, minimize_lifted_total
+from l1lab.lift_core import LiftParams, exp_set_term_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -159,7 +159,7 @@ def test_oracle_small_c3_limit_matches_direct():
 
 
 def test_sectional_boundary_margin_at_paper_point():
-    margin, params = tg.sectional_margin_lifted(0.5, 0.1045, None, True)
+    margin, params = tg.sectional_margin_lifted(0.5, 0.1045)
     assert abs(margin) <= 5e-3
 
 
@@ -294,5 +294,5 @@ def test_strong_direct_below_donoho_at_half():
 
 def test_strong_boundary_margin_at_paper_points():
     for alpha, beta in [(0.5, 0.04645), (0.9, 0.1443)]:
-        margin, _ = tg.strong_margin_lifted(alpha, beta, None, True)
+        margin, _ = tg.strong_margin_lifted(alpha, beta)
         assert abs(margin) <= 5e-3, (alpha, beta, margin)

@@ -154,7 +154,7 @@ def test_mirror_invariance_of_expectation():
 
 def test_nonneg_boundary_margin_at_paper_points():
     for alpha, beta in [(0.5, 0.0680), (0.9, 0.2577)]:
-        margin, _ = tn.strong_nonneg_margin_lifted(alpha, beta, None, True)
+        margin, _ = tn.strong_nonneg_margin_lifted(alpha, beta)
         assert abs(margin) <= 5e-3, (alpha, beta, margin)
 
 
