@@ -5,8 +5,8 @@ curves are lower bounds, each in two flavors: the direct bound and its
 lifted refinement (the direct bound is the c3 -> 0 member of the lifted
 family, so the lifted curve always sits at or above it).
 
-Writes threshold_curves.csv next to this script and prints a small table.
-Expect a few minutes for the lifted strong curves.
+Writes threshold_curves.csv to the current directory and prints a small
+table.  Takes a few seconds.
 """
 
 import csv
@@ -38,14 +38,14 @@ def main():
         for alpha in GRID:
             rows[alpha][label] = threshold_bisect(float(alpha), kind, method).beta
 
-    out = pathlib.Path(__file__).with_name("threshold_curves.csv")
+    out = pathlib.Path("threshold_curves.csv")
     labels = [f"{k}:{m}" for k, m in CURVES]
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha"] + labels)
         for alpha in GRID:
             writer.writerow([alpha] + [f"{rows[alpha][l]:.6f}" for l in labels])
-    print(f"\nwrote {out}\n")
+    print(f"\nwrote {out.resolve()}\n")
 
     print("alpha  " + "  ".join(f"{l:>18s}" for l in labels))
     for alpha in GRID:

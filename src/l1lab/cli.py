@@ -139,6 +139,8 @@ def parse_alpha_grid(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise DomainError(f"--alpha-grid must be start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(f"--alpha-grid parts must be finite, got {text!r}")
     if step <= 0:
         raise DomainError("--alpha-grid step must be positive")
     grid = []
@@ -414,6 +416,9 @@ def main(argv=None) -> int:
     if getattr(args, "trials", None) is not None and args.command == "verify":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
+    if args.command == "verify" and not (math.isfinite(args.alpha)
+                                         and math.isfinite(args.beta)):
+        parser.error("--alpha and --beta must be finite")
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 1e-5):
         parser.error("--tol must be finite and >= 1e-5")

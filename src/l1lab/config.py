@@ -33,9 +33,11 @@ class Config:
         if not (math.isfinite(self.feasibility_margin) and self.feasibility_margin >= 0):
             raise DomainError("feasibility_margin must be finite and >= 0, "
                               f"got {self.feasibility_margin}")
+        if self.jobs is not None and self.jobs < 1:
+            raise DomainError(f"jobs must be >= 1 (or unset for all cores), got {self.jobs}")
 
     def effective_jobs(self) -> int:
-        return self.jobs if self.jobs else (os.cpu_count() or 1)
+        return self.jobs or os.cpu_count() or 1
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}

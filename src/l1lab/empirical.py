@@ -95,7 +95,6 @@ def _soft_threshold(v, thresh):
 
 
 def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
-                        tol: float | None = None,
                         config: Config = DEFAULT,
                         max_iter: int | None = None,
                         fail_below_l1: float | None = None) -> RecoveryReport:
@@ -117,7 +116,7 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     """
     A, y = inst.A, inst.y
     m, n = A.shape
-    tol = config.bp_tol if tol is None else tol
+    tol = config.bp_tol
     cap = config.bp_max_iter if max_iter is None else max_iter
     try:
         cho = sla.cho_factor(A @ A.T, check_finite=False)

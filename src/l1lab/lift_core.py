@@ -19,13 +19,15 @@ lifted threshold can never fall below the direct one beyond search noise.
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
-closed form; the lifted search steps along these certificates (one
-Nelder-Mead run per step, warm-started at the previous optimum) and the
-direct and weak kinds are bisected.
+closed form.  walk steps along these certificates from the direct optimum
+at small beta, one Nelder-Mead run per step warm-started at the previous
+optimum; the lifted search walks up to the cap and a cold lifted margin
+walks up to its beta.  The direct and weak kinds are bisected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -259,20 +261,6 @@ class LiftedKind:
 # inner minimization of the lifted total
 # --------------------------------------------------------------------------
 
-def c3_start_ladder(alpha: float) -> np.ndarray:
-    """Log-spaced c3 starting points.
-
-    The optimum is O(1) over most of the phase plane but migrates to large
-    c3 (with b -> 1/2) as alpha -> 1, so the ladder is extended there.
-    """
-    pts = list(np.geomspace(1e-3, 8.0, 8))
-    if alpha > 0.9:
-        pts += [20.0, 60.0, 150.0]
-    if alpha > 0.995:
-        pts += [300.0]
-    return np.asarray(pts)
-
-
 def _total_objective(set_term, alpha, beta):
     """The master-condition total at x = [log c3, b, extras...] (a list of
     floats), with inf for points outside the convergent domain and for any
@@ -296,16 +284,16 @@ def minimize_lifted_total(
     set_term: Callable,
     alpha: float,
     beta: float,
-    seeds: Sequence[np.ndarray],
+    start: Sequence[float],
     extra_bounds: Sequence[tuple],
-) -> tuple[float, np.ndarray]:
-    """One bounded Nelder-Mead run over x = [log c3, b, extras] from each
-    seed; returns the best (total, x) found.
+) -> tuple[float, list[float]]:
+    """One bounded Nelder-Mead run over x = [log c3, b, extras] from start;
+    returns (total, x) at its end.
 
     set_term(c3, gamma, extras, beta) evaluates the kind's set term at fixed
-    parameters on Python floats.  Every run has the same tolerances and
-    budget (_NM_OPTS).  A run never ends above its (clipped) start, so a
-    seed that certifies beta yields a certificate.
+    parameters on Python floats.  The run has the tolerances and budget of
+    _NM_OPTS and never ends above its (clipped) start, so a start that
+    certifies beta yields a certificate.
 
     The simplex is numerics.nelder_mead, which takes the same steps as
     scipy's bounded Nelder-Mead (ties in vertex order broken by np.argsort,
@@ -314,12 +302,8 @@ def minimize_lifted_total(
     """
     objective = _total_objective(set_term, alpha, beta)
     bounds = [(LOG_C3_MIN, LOG_C3_MAX), (1e-7, B_MAX), *extra_bounds]
-    best_f, best_x = math.inf, None
-    for seed in seeds:
-        res = nelder_mead(objective, seed, bounds, **_NM_OPTS)
-        if res.fun < best_f:
-            best_f, best_x = res.fun, res.x
-    return best_f, None if best_x is None else np.array(best_x)
+    res = nelder_mead(objective, start, bounds, **_NM_OPTS)
+    return res.fun, res.x
 
 
 def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:
@@ -331,28 +315,44 @@ def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, L
     return root - math.sqrt(alpha), LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
 
 
-def lifted_seeds(kind: LiftedKind, alpha: float, beta: float) -> list[np.ndarray]:
-    """Cold starting points x = [log c3, b, nu...] for the lifted search.
-
-    The c3 ladder, with gamma and the multipliers taken from the direct
-    optimum, which the lifted family contains as its c3 -> 0 member; a kind
-    with a large direct nu2 also gets a small-nu2 variant at three ladder
-    rungs.
-    """
+def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
+    """Where a lifted walk starts: the direct optimum at beta, which the
+    lifted family contains as its c3 -> 0 member, lifted to c3 = 1e-3."""
     root, nu1 = kind.direct(beta)
     g0 = max(root, 1e-6) / 2.0
-    nus = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), 400.0)]
-    ladder = c3_start_ladder(alpha)
+    extras = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), 400.0)]
+    b = min(max(1e-3 / (4.0 * g0), 1e-6), 0.49)
+    return x_to_params([math.log(1e-3), b, *extras])
 
-    def at(c3, multipliers):
-        b = min(max(c3 / (4.0 * g0), 1e-6), 0.49)
-        return np.array([math.log(c3), b, *multipliers])
 
-    seeds = [at(c3, nus) for c3 in ladder]
-    if kind.nu2 is not None and nus[1] > 0.5:
-        seeds += [at(c3, [nu1, 0.3])
-                  for c3 in (ladder[0], ladder[len(ladder) // 2], ladder[-1])]
-    return seeds
+def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
+         eps: float, tol_beta: float) -> tuple[float, float, LiftParams]:
+    """Certificate steps on beta from min(BETA_FLOOR, stop) towards stop.
+
+    margin_fn(alpha, beta, warm) is the kind's lifted margin.  The first
+    probe starts at floor_start; each later one is warm-started at the
+    previous optimum p.  The total is affine in beta at fixed p, so p
+    certifies every beta up to where its total reaches -2*eps; the walk
+    steps there, or tol_beta further if that is further, never past stop.
+    It ends at the first probe whose margin is not below -eps or on
+    reaching stop, and returns (beta, margin, params) of the last feasible
+    probe, or of the first probe when even that one is infeasible.
+    """
+    lo = min(BETA_FLOOR, stop)
+    m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
+    if not m_lo < -eps:
+        return lo, m_lo, p_lo
+    while lo < stop:
+        slope = kind.set_term_at(1.0, p_lo) - kind.set_term_at(0.0, p_lo)
+        step = (-2.0 * eps - m_lo) / slope if slope > 0 else math.inf
+        beta = min(lo + max(step, tol_beta), stop)
+        # p_lo's total at beta is below -eps (up to rounding) unless the
+        # step was raised to tol_beta, so only such a probe can fail
+        m, p = margin_fn(alpha, beta, p_lo)
+        if not m < -eps:
+            break
+        lo, m_lo, p_lo = beta, m, p
+    return lo, m_lo, p_lo
 
 
 def lifted_margin(
@@ -360,23 +360,32 @@ def lifted_margin(
     alpha: float,
     beta: float,
     warm: LiftParams | None = None,
-) -> tuple[float, LiftParams | None]:
+) -> tuple[float, LiftParams]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
     With a warm start this is one Nelder-Mead run from it, which never ends
     above the total at the start; threshold_bisect warm-starts each probe at
-    the previous optimum, which certifies beta unless the step was raised
-    to tol_beta.  Without one it runs from every seed of the c3 ladder and
-    keeps the best, since a single cold start can stall at small c3.
+    the previous optimum.  Without one it walks the threshold search's
+    certificate steps up to beta (default eps and tol_beta), since a single
+    cold start can stall at small c3, and, if the walk stops short of beta,
+    makes one warm run at beta from the last feasible point.  Such a margin
+    (beta past the threshold) is the minimum of the basin the walk ended
+    in, so only its sign is meaningful.
     """
-    seeds = (lifted_seeds(kind, alpha, beta) if warm is None
-             else [params_to_x(warm, kind.n_extra)])
-    f, x = minimize_lifted_total(kind.set_term, alpha, beta, seeds,
+    if warm is None:
+        kind.direct(beta)  # DomainError outside the kind's beta range
+        lo, m, p = walk(functools.partial(lifted_margin, kind), kind, alpha, beta,
+                        DEFAULT.feasibility_margin, DEFAULT.tol_beta)
+        if lo == beta:
+            return m, p
+        warm = p
+    f, x = minimize_lifted_total(kind.set_term, alpha, beta,
+                                 params_to_x(warm, kind.n_extra),
                                  _NU_BOUNDS[:kind.n_extra])
-    return f, x_to_params(x) if x is not None else None
+    return f, x_to_params(x)
 
 
-def x_to_params(x: np.ndarray) -> LiftParams:
+def x_to_params(x: Sequence[float]) -> LiftParams:
     """Decode an optimizer vector [log c3, b, nu...] into LiftParams."""
     c3 = math.exp(x[0])
     gamma = c3 / (4.0 * float(x[1]))
@@ -385,13 +394,9 @@ def x_to_params(x: np.ndarray) -> LiftParams:
     return LiftParams(c3=c3, gamma=gamma, nu1=nu1, nu2=nu2)
 
 
-def params_to_x(params: LiftParams, n_extra: int) -> np.ndarray:
-    x = [math.log(max(params.c3, 1e-4)), min(max(params.b, 1e-7), B_MAX)]
-    if n_extra >= 1:
-        x.append(params.nu1)
-    if n_extra >= 2:
-        x.append(params.nu2)
-    return np.asarray(x)
+def params_to_x(params: LiftParams, n_extra: int) -> list[float]:
+    return [math.log(max(params.c3, 1e-4)), min(max(params.b, 1e-7), B_MAX),
+            *(params.nu1, params.nu2)[:n_extra]]
 
 
 # --------------------------------------------------------------------------
@@ -450,13 +455,11 @@ def threshold_bisect(
     feasible probe at BETA_FLOOR (ThresholdRangeError otherwise) and
     reports the cap when the whole range is feasible.
 
-    A lifted kind's total is affine in beta at fixed lift parameters p, so
-    each accepted probe certifies every beta up to where total(p, .)
-    reaches -2*eps.  The lifted search steps there, or tol_beta above lo if
-    that is further, and re-minimizes with one Nelder-Mead run
-    warm-started at p; the first infeasible probe (necessarily one at
-    lo + tol_beta) ends the search.  The direct and weak margins have no
-    such certificate and are bisected.
+    A lifted kind is searched by walk up to the cap: certificate steps on
+    beta, each re-minimized with one Nelder-Mead run warm-started at the
+    previous optimum, until the first infeasible probe (necessarily one
+    tol_beta above the last feasible one).  The direct and weak margins have
+    no such certificate and are bisected.
     """
     validate_query(alpha, kind, method)
     tol_beta = config.tol_beta if tol_beta is None else tol_beta
@@ -466,30 +469,18 @@ def threshold_bisect(
     eps = config.feasibility_margin
     spec = lifted_kinds().get(kind) if method == "lifted" else None
     cap = _BETA_CAPS[kind]
-    lo = BETA_FLOOR
-
-    # a lifted search starts from the first cold seed: the direct optimum
-    # lifted to c3 = 1e-3
-    warm = None if spec is None else x_to_params(lifted_seeds(spec, alpha, lo)[0])
-    m_lo, p_lo = margin_fn(alpha, lo, warm)
+    if spec is not None:
+        lo, m_lo, p_lo = walk(margin_fn, spec, alpha, cap, eps, tol_beta)
+    else:
+        lo = BETA_FLOOR
+        m_lo, p_lo = margin_fn(alpha, lo, None)
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "
             f"({kind}/{method}); threshold below the bisection floor"
         )
 
-    if spec is not None:
-        while lo < cap:
-            slope = spec.set_term_at(1.0, p_lo) - spec.set_term_at(0.0, p_lo)
-            step = (-2.0 * eps - m_lo) / slope if slope > 0 else math.inf
-            beta = min(lo + max(step, tol_beta), cap)
-            # p_lo's total at beta is below -eps (up to rounding) unless the
-            # step was raised to tol_beta, so only such a probe can fail
-            m, p = margin_fn(alpha, beta, p_lo)
-            if not m < -eps:
-                break
-            lo, m_lo, p_lo = beta, m, p
-    else:
+    if spec is None:
         hi = cap
         m_hi, p_hi = margin_fn(alpha, hi, p_lo)
         if m_hi < -eps:

@@ -2,6 +2,10 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,15 @@ def test_bad_config_file_exits_2(tmp_path, monkeypatch, capsys, line, method):
     assert err.startswith("config error:") and line.split()[0] in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    code, out, err = run_cli(["--jobs", jobs, "threshold", "--alpha", "0.5",
+                              "--kind", "sectional"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "jobs" in err
+
+
 def test_audit_zero_samples_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", "--samples", "0"])
@@ -92,6 +105,43 @@ def test_verify_over_cap_exits_2(capsys, monkeypatch, mode, n, beta, message):
          "--beta", str(beta)], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_verify_not_finite_exits_2(capsys, monkeypatch, mode, value, flag):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was drawn despite a bad setting")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_instance)
+    monkeypatch.setattr(cli.empirical, "generate_instance", no_instance)
+    args = {"--alpha": "0.5", "--beta": "0.1", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--mode", mode, "--n", "12",
+                  *(item for pair in args.items() for item in pair)])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _limit_memory():
+    # a grid that never ends grows its list until this limit stops it
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("grid", ["nan:0.9:0.1", "0.1:nan:0.1", "0.1:inf:0.1",
+                                  "0.1:0.9:nan", "-inf:0.9:0.1", "0.1:0.9:inf"])
+def test_curve_grid_not_finite_exits_2(tmp_path, grid):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "l1lab.cli", "curve", "--kind", "weak",
+         f"--alpha-grid={grid}", "--out-file", str(tmp_path / "c.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "--alpha-grid parts must be finite" in proc.stderr
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_curve_empty_grid_exits_2(capsys):

@@ -42,6 +42,7 @@ def test_unknown_key_rejected(tmp_path, monkeypatch):
 
 def test_effective_jobs(monkeypatch):
     assert Config(jobs=3).effective_jobs() == 3
+    assert Config(jobs=1).effective_jobs() == 1
     assert Config(jobs=None).effective_jobs() >= 1
 
 
@@ -49,6 +50,7 @@ def test_effective_jobs(monkeypatch):
     ("tol_beta", float("nan")), ("tol_beta", float("inf")), ("tol_beta", 1e-6),
     ("tol_beta", -1.0), ("feasibility_margin", float("nan")),
     ("feasibility_margin", float("inf")), ("feasibility_margin", -0.05),
+    ("jobs", 0), ("jobs", -3),
 ])
 def test_bad_search_settings_rejected(tmp_path, monkeypatch, field, value):
     with pytest.raises(DomainError, match=field):

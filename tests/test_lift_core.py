@@ -1,5 +1,6 @@
 """Sphere term, master condition, set-term oracle, threshold search."""
 
+import functools
 import math
 
 import numpy as np
@@ -309,27 +310,25 @@ def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
-def test_first_ladder_seed_carries_the_direct_optimum(name, monkeypatch):
+def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
     kind = lc.lifted_kinds()[name]
     alpha, beta = 0.5, lc.BETA_FLOOR
     _, direct = lc.direct_margin(kind, alpha, beta)
     assert direct.c3 == 0.0 and direct.gamma > 1e-6
-    c3 = lc.c3_start_ladder(alpha)[0]
-    seed = lc.lifted_seeds(kind, alpha, beta)[0]
-    assert len(seed) == 2 + kind.n_extra
-    assert seed[0] == math.log(c3)
-    assert seed[1] == min(max(c3 / (4.0 * direct.gamma), 1e-6), 0.49)
-    assert seed[2] == direct.nu1
+    start = lc.params_to_x(lc.floor_start(kind, beta), kind.n_extra)
+    expected = [math.log(1e-3), min(max(1e-3 / (4.0 * direct.gamma), 1e-6), 0.49),
+                direct.nu1]
     if kind.nu2 is None:
         assert direct.nu2 == 0.0
     else:
-        assert seed[3] == min(direct.nu2, 400.0)
+        expected.append(min(direct.nu2, 400.0))
+    assert start == expected
     # the lifted search's floor probe is warm-started there
     probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError):
         lc.threshold_bisect(alpha, name, "lifted")
     [(floor, warm)] = probes
-    assert floor == beta and list(lc.params_to_x(warm, kind.n_extra)) == list(seed)
+    assert floor == beta and warm == lc.floor_start(kind, beta)
 
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
@@ -425,8 +424,7 @@ def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
     eps = DEFAULT.feasibility_margin
     for alpha in (0.1, 0.5, 0.999):
         r, probes = lifted_solves[kind, alpha]
-        floor_start = lc.x_to_params(lc.lifted_seeds(spec, alpha, lc.BETA_FLOOR)[0])
-        assert probes[0][:2] == (lc.BETA_FLOOR, floor_start)
+        assert probes[0][:2] == (lc.BETA_FLOOR, lc.floor_start(spec, lc.BETA_FLOOR))
         assert len(probes) >= 3
         # the totals are differences of terms up to ~150 (nu2 (2 beta - 1)
         # at small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
@@ -464,11 +462,47 @@ def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
         assert margin <= closed_total(spec, p, 0.5, beta) + 1e-13
 
 
-def test_cold_lifted_probe_runs_the_ladder():
-    # a single start at the first ladder rung stalls at small c3 here with a
-    # margin near +4.7e-4; the ladder finds the optimum at c3 ~ 52
+def test_cold_lifted_probe_walks_past_the_small_c3_stall():
+    # a single start at c3 = 1e-3 stalls at small c3 here with a margin near
+    # +4.7e-4; walking the certificate steps up to beta reaches the optimum
+    # at c3 ~ 52
     from l1lab.thresholds_nonneg import strong_nonneg_margin_lifted
 
     margin, params = strong_nonneg_margin_lifted(0.999, 0.4694)
     assert margin < -DEFAULT.feasibility_margin
     assert params.c3 > 1.0
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+def test_cold_margin_at_the_reported_beta_is_the_search_result(lifted_solves, kind, alpha):
+    # a cold margin walks the search's own steps, so at the reported beta it
+    # ends on the same probe
+    r, _ = lifted_solves[kind, alpha]
+    margin, params = lc.lifted_margin(lc.lifted_kinds()[kind], alpha, r.beta)
+    assert margin == r.condition_margin and params == r.params_at_optimum
+
+
+def test_cold_margin_below_the_floor_is_one_probe_at_beta():
+    # the search raises ThresholdRangeError at this alpha: its floor probe
+    # has a margin near +6.7e-3, so a walk must not start there
+    spec = lc.lifted_kinds()["strong"]
+    cold = lc.lifted_margin(spec, 0.003, 5e-5)
+    assert cold[0] < -DEFAULT.feasibility_margin
+    assert cold == lc.lifted_margin(spec, 0.003, 5e-5, lc.floor_start(spec, 5e-5))
+
+
+def test_cold_margin_outside_the_kind_range_raises():
+    # nonnegative strong sets need beta < 1/2; the walk alone would stop
+    # short and return the margin of a warm run at this beta
+    with pytest.raises(DomainError):
+        lc.lifted_margin(lc.lifted_kinds()["strong_nonneg"], 0.999, 0.55)
+
+
+def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
+    spec = lc.lifted_kinds()["sectional"]
+    eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
+    lo, _, p = lc.walk(functools.partial(lc.lifted_margin, spec), spec, 0.5, 0.11, eps, tol)
+    assert lo < 0.11
+    cold = lc.lifted_margin(spec, 0.5, 0.11)
+    assert cold == lc.lifted_margin(spec, 0.5, 0.11, p) and cold[0] > 0
