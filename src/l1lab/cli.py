@@ -133,6 +133,9 @@ def cmd_table(args, config: Config) -> int:
 # curve
 # --------------------------------------------------------------------------
 
+MAX_GRID_POINTS = 100_000
+
+
 def parse_alpha_grid(text: str) -> list[float]:
     try:
         start_s, stop_s, step_s = text.split(":")
@@ -143,6 +146,12 @@ def parse_alpha_grid(text: str) -> list[float]:
         raise DomainError(f"--alpha-grid parts must be finite, got {text!r}")
     if step <= 0:
         raise DomainError("--alpha-grid step must be positive")
+    # the loop rounds each point to 12 digits and stops 1e-12 past stop, so
+    # it makes at most floor((stop - start + 2e-12) / step) + 1 points; a
+    # step too small to move the rounded grid would otherwise never stop
+    if (stop - start + 2e-12) / step >= MAX_GRID_POINTS:
+        raise DomainError(f"--alpha-grid must have at most {MAX_GRID_POINTS} points, "
+                          f"got {text!r}")
     grid = []
     i = 0
     while True:

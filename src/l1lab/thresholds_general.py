@@ -35,13 +35,14 @@ SQRT2PI = nm.SQRT2PI
 SQRT_2_OVER_PI = nm.SQRT_2_OVER_PI
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / SQRT2PI
+def _phi(x: float) -> float:
+    """Standard normal density at a scalar (x * x: x ** 2 rounds differently)."""
+    return float(np.exp(-0.5 * (x * x))) / SQRT2PI
 
 
-def _gauss_upper_prob(x):
+def _gauss_upper_prob(x: float) -> float:
     """P(N(0,1) >= x) without cancellation."""
-    return 0.5 * nm.erfc(np.asarray(x, dtype=float) / SQRT2)
+    return 0.5 * float(nm.erfc(x / SQRT2))
 
 
 # --------------------------------------------------------------------------
@@ -95,27 +96,9 @@ def sectional_set_term_direct(beta: float, nu: float) -> float:
     return math.sqrt(max(rad, 0.0))
 
 
-def _scalar_minimum(f, lo, hi, coarse=33):
-    """Coarse grid then Brent refinement; robust for the 1-d nu searches."""
-    grid = np.linspace(lo, hi, coarse)
-    vals = [f(g) for g in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, coarse - 1)]
-    if a == b:
-        return float(vals[i]), float(grid[i])
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(f, bounds=(a, b), method="bounded",
-                          options={"xatol": 1e-12})
-    if res.fun <= vals[i]:
-        return float(res.fun), float(res.x)
-    return float(vals[i]), float(grid[i])
-
-
 def sectional_direct_minimum(beta: float) -> tuple[float, float]:
     """(min over nu of the direct sectional set term, minimizing nu)."""
-    return _scalar_minimum(lambda v: sectional_set_term_direct(beta, v), 0.0, 12.0)
+    return nm.scalar_minimum(lambda v: sectional_set_term_direct(beta, v), 0.0, 12.0)
 
 
 def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
@@ -310,6 +293,24 @@ def strong_crossover(beta: float) -> float:
     return SQRT2 * float(nm.erfinv(1.0 - beta))
 
 
+def _strong_direct_profile(beta: float):
+    """(c_nu, nu -> W(beta, nu)): the beta-only terms (c_nu, Q(c_nu),
+    phi(c_nu)) are computed once, so each nu costs one erfc and one exp."""
+    c = strong_crossover(beta)
+    q_c = _gauss_upper_prob(c)
+    phi_c = _phi(c)
+
+    def value(nu):
+        nu = min(nu, c)
+        q_nu = _gauss_upper_prob(nu)
+        phi_nu = _phi(nu)
+        upper = 2.0 * ((1.0 + nu * nu) * q_c + (c + 2.0 * nu) * phi_c)
+        mid = 2.0 * ((1.0 + nu * nu) * (q_nu - q_c) + (2.0 * nu - c) * phi_c - nu * phi_nu)
+        return upper + mid
+
+    return c, value
+
+
 def strong_direct_value(beta: float, nu: float) -> float:
     """The direct strong comparison quantity
 
@@ -319,15 +320,7 @@ def strong_direct_value(beta: float, nu: float) -> float:
     form; the published single-line closed form is cross-checked in tests,
     with its exponent read as exp(-nu^2/2)).
     """
-    c = strong_crossover(beta)
-    nu = min(nu, c)
-    q_c = float(_gauss_upper_prob(c))
-    q_nu = float(_gauss_upper_prob(nu))
-    phi_c = float(_phi(c))
-    phi_nu = float(_phi(nu))
-    upper = 2.0 * ((1.0 + nu * nu) * q_c + (c + 2.0 * nu) * phi_c)
-    mid = 2.0 * ((1.0 + nu * nu) * (q_nu - q_c) + (2.0 * nu - c) * phi_c - nu * phi_nu)
-    return upper + mid
+    return _strong_direct_profile(beta)[1](nu)
 
 
 def strong_direct_value_closed(beta: float, nu: float) -> float:
@@ -341,8 +334,8 @@ def strong_direct_value_closed(beta: float, nu: float) -> float:
 
 def strong_direct_minimum(beta: float) -> tuple[float, float]:
     """(min over nu in [0, c_nu] of W, minimizing nu)."""
-    c = strong_crossover(beta)
-    return _scalar_minimum(lambda v: strong_direct_value(beta, v), 0.0, c)
+    c, value = _strong_direct_profile(beta)
+    return nm.scalar_minimum(value, 0.0, c)
 
 
 def strong_condition_direct(beta: float, alpha: float) -> bool:

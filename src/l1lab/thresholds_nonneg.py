@@ -34,8 +34,9 @@ SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / SQRT2PI
+def _phi(x: float) -> float:
+    """Standard normal density at a scalar (x * x: x ** 2 rounds differently)."""
+    return float(np.exp(-0.5 * (x * x))) / SQRT2PI
 
 
 def _gauss_cdf(x: float) -> float:
@@ -85,6 +86,24 @@ def nonneg_crossover(beta: float) -> float:
     return -SQRT2 * float(nm.erfinv(1.0 - 2.0 * beta))
 
 
+def _nonneg_direct_profile(beta: float):
+    """nu1 -> V(beta, nu1) for nu1 >= 0: the beta-only terms (c_nu_plus,
+    Phi(c_nu_plus), phi(c_nu_plus)) are computed once, so each nu1 costs one
+    erf and one exp."""
+    c = nonneg_crossover(beta)
+    phi_c = _phi(c)
+    cdf_c = _gauss_cdf(c)  # equals beta by construction
+
+    def value(nu1):
+        phi_nu = _phi(nu1)
+        upper_prob = 1.0 - _gauss_cdf(nu1)
+        lower = (1.0 + nu1 * nu1) * cdf_c + (2.0 * nu1 - c) * phi_c
+        upper = (1.0 + nu1 * nu1) * upper_prob - nu1 * phi_nu
+        return lower + upper
+
+    return value
+
+
 def strong_nonneg_direct_value(beta: float, nu1: float) -> float:
     """The direct comparison quantity (already squared; compare with alpha):
 
@@ -96,14 +115,7 @@ def strong_nonneg_direct_value(beta: float, nu1: float) -> float:
     """
     if nu1 < 0:
         raise DomainError("nu1 must be nonnegative")
-    c = nonneg_crossover(beta)
-    phi_c = float(_phi(c))
-    phi_nu = float(_phi(nu1))
-    cdf_c = float(_gauss_cdf(c))           # equals beta by construction
-    upper_prob = 1.0 - float(_gauss_cdf(nu1))
-    lower = (1.0 + nu1 * nu1) * cdf_c + (2.0 * nu1 - c) * phi_c
-    upper = (1.0 + nu1 * nu1) * upper_prob - nu1 * phi_nu
-    return lower + upper
+    return _nonneg_direct_profile(beta)(nu1)
 
 
 def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
@@ -125,9 +137,8 @@ def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
 
 
 def strong_nonneg_direct_minimum(beta: float) -> tuple[float, float]:
-    from .thresholds_general import _scalar_minimum
-
-    return _scalar_minimum(lambda v: strong_nonneg_direct_value(beta, v), 0.0, 10.0)
+    """(min over nu1 in [0, 10] of V, minimizing nu1)."""
+    return nm.scalar_minimum(_nonneg_direct_profile(beta), 0.0, 10.0)
 
 
 def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from l1lab import cli
+from l1lab.errors import DomainError
 
 
 def run_cli(argv, capsys):
@@ -142,6 +143,32 @@ def test_curve_grid_not_finite_exits_2(tmp_path, grid):
     assert proc.returncode == 2, proc.stderr
     assert "--alpha-grid parts must be finite" in proc.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+def _no_grid_point(*args):
+    pytest.fail("a grid point was built")
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.9:1e-300", f"0.1:0.9:{0.8 / 100_000!r}"],
+                         ids=["step-1e-300", "just-over-cap"])
+def test_curve_grid_over_the_point_cap_exits_2(tmp_path, monkeypatch, capsys, grid):
+    # the grid loop rounds every point, so a module-level round that fails
+    # the test shows that the check comes before the first point is made
+    monkeypatch.setattr(cli, "round", _no_grid_point, raising=False)
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    with pytest.raises(DomainError, match="at most 100000 points"):
+        cli.parse_alpha_grid(grid)
+    code, out, err = run_cli(["curve", "--kind", "weak", f"--alpha-grid={grid}",
+                              "--out-file", str(tmp_path / "c.csv")], capsys)
+    assert code == 2 and out == ""
+    assert "at most 100000 points" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_curve_grid_at_the_point_cap_is_accepted():
+    grid = cli.parse_alpha_grid(f"0.1:0.9:{0.8 / 99_999!r}")
+    assert len(grid) == cli.MAX_GRID_POINTS
+    assert grid[0] == 0.1 and grid[-1] == 0.9
 
 
 def test_curve_empty_grid_exits_2(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from l1lab import numerics as nm
 from l1lab.errors import (
@@ -93,6 +94,38 @@ def test_erfinv_domain_error():
             nm.erfinv(p)
 
 
+def _erfinv_sweep():
+    inner = np.linspace(-1.0, 1.0, 4001)[1:-1]
+    edges = [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1e-300, -1e-300, 5e-324,
+             0.0, -0.0, 1e-8, 0.5 - 1e-17, 0.9999999999]
+    return np.concatenate([inner, edges])
+
+
+def test_erfinv_scalar_path_matches_array_path():
+    sweep = _erfinv_sweep()
+    by_array = nm.erfinv(sweep)
+    for p, want in zip(sweep.tolist(), by_array.tolist()):
+        for scalar in (p, np.float64(p)):
+            got = nm.erfinv(scalar)
+            assert type(got) is float
+            assert got.hex() == want.hex(), p
+
+
+@pytest.mark.parametrize("p", [1.0, -1.0, 1.0 + 2e-16, -1.5, math.inf, -math.inf])
+def test_erfinv_domain_error_on_every_path(p):
+    for value in (p, np.float64(p), np.array(p), np.array([0.0, p])):
+        with pytest.raises(DomainError):
+            nm.erfinv(value)
+
+
+def test_erfinv_nan_passes_through():
+    for value in (math.nan, np.float64(math.nan), np.array(math.nan)):
+        got = nm.erfinv(value)
+        assert type(got) is float and math.isnan(got)
+    out = nm.erfinv(np.array([math.nan, 0.0]))
+    assert math.isnan(out[0]) and out[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # find_root
 # ---------------------------------------------------------------------------
@@ -145,6 +178,100 @@ def test_minimize_never_worse_than_start():
     for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0]):
         res = nm.nelder_mead(rosen, x0, xatol=1e-8, fatol=1e-10, maxiter=300)
         assert res.fun <= rosen(x0) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# minimize_bounded: a step-for-step replay of scipy's bounded Brent
+# ---------------------------------------------------------------------------
+
+def _logged(f, log):
+    def g(x):
+        log.append(float(x).hex())
+        return f(x)
+    return g
+
+
+def _assert_replays_scipy(f, lo, hi, xatol=1e-12, maxiter=500):
+    seen_scipy, seen_ours = [], []
+    want = minimize_scalar(_logged(f, seen_scipy), bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol, "maxiter": maxiter})
+    got = nm.minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol, maxiter=maxiter)
+    assert seen_ours == seen_scipy
+    assert float(got.x).hex() == float(want.x).hex()
+    assert float(got.fun).hex() == float(want.fun).hex()
+    assert got.nfev == want.nfev == len(seen_ours)
+    return got
+
+
+def _plateau(x):
+    # flat at 0 on [-1, 1]: most comparisons there are ties
+    return max(abs(x) - 1.0, 0.0) ** 2
+
+
+REPLAY_CASES = {
+    "smooth": (lambda x: math.cos(3.0 * x) + 0.1 * x * x, -2.0, 3.0),
+    "kink": (lambda x: abs(x - 0.3), -1.0, 2.0),
+    "kink-at-golden-point": (lambda x: abs(x - (0.5 * (3.0 - math.sqrt(5.0)))), 0.0, 1.0),
+    "plateau": (_plateau, -3.0, 2.0),
+    "staircase": (lambda x: math.floor(4.0 * x) / 4.0, -1.0, 1.0),
+    "min-on-lower-bound": (lambda x: x, 0.0, 1.0),
+    "min-on-upper-bound": (lambda x: -x * x * x, -1.0, 2.0),
+    "constant": (lambda x: 1.0, 0.0, 5.0),
+    "zero-width": (lambda x: x * x, 0.7, 0.7),
+    "nan-above-1": (lambda x: math.nan if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
+    "nan-below-1": (lambda x: math.nan if x < 1.0 else (x - 2.5) * (x - 2.5), 0.0, 3.0),
+    "inf-above-1": (lambda x: math.inf if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+@pytest.mark.parametrize("xatol", [1e-12, 1e-5, 0.3])
+def test_minimize_bounded_replays_scipy(case, xatol):
+    f, lo, hi = REPLAY_CASES[case]
+    _assert_replays_scipy(f, lo, hi, xatol=xatol)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 5, 9])
+def test_minimize_bounded_replays_scipy_maxiter_stop(maxiter):
+    f, lo, hi = REPLAY_CASES["smooth"]
+    got = _assert_replays_scipy(f, lo, hi, maxiter=maxiter)
+    assert got.nfev == max(maxiter, 2)  # the first step always runs
+
+
+def test_minimize_bounded_replays_scipy_on_seeded_functions():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lo = float(rng.uniform(-5.0, 1.0))
+        hi = lo + float(rng.uniform(1e-6, 6.0))
+        c, w, k = (float(v) for v in rng.uniform([-5.0, 0.1, 0.0], [5.0, 3.0, 4.0]))
+        _assert_replays_scipy(lambda x: w * abs(x - c) + math.sin(k * x) + 0.01 * x * x,
+                              lo, hi, xatol=float(10.0 ** rng.uniform(-12, -2)))
+
+
+def test_minimize_bounded_replays_scipy_on_the_direct_objectives():
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+
+    for beta in (1e-4, 0.01, 0.2, 0.4999):
+        c, strong = tg._strong_direct_profile(beta)
+        _assert_replays_scipy(strong, 0.0, c)
+        _assert_replays_scipy(tn._nonneg_direct_profile(beta), 0.0, 10.0)
+        _assert_replays_scipy(lambda v: tg.sectional_set_term_direct(beta, v), 0.0, 12.0)
+
+
+def test_minimize_bounded_rejects_bad_bounds():
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            nm.minimize_bounded(lambda x: x, lo, hi)
+
+
+def test_scalar_minimum_grid_then_brent():
+    # a dip only at the grid point 0.5: Brent never lands on it and ends
+    # above it, so the grid point is kept
+    val, x = nm.scalar_minimum(lambda v: 0.0 if v == 0.5 else 1.0, 0.0, 1.0)
+    assert val == 0.0 and x == 0.5
+    val, x = nm.scalar_minimum(lambda v: (v - 0.3) * (v - 0.3), 0.0, 1.0)
+    assert abs(x - 0.3) <= 1e-9 and val <= 1e-18
 
 
 # ---------------------------------------------------------------------------
