@@ -162,6 +162,12 @@ def parse_alpha_grid(text: str) -> list[float]:
         i += 1
     if not grid or grid[0] <= 0 or grid[-1] >= 1:
         raise DomainError("--alpha-grid must produce a nonempty grid inside (0, 1)")
+    # curve rows and resume are keyed by fmt(alpha), which is monotone, so
+    # points sharing a key are neighbours
+    for a, b in zip(grid, grid[1:]):
+        if fmt(a) == fmt(b):
+            raise DomainError(f"--alpha-grid points {a!r} and {b!r} both print as "
+                              f"alpha={fmt(a)}; use a coarser step")
     return grid
 
 
@@ -425,9 +431,11 @@ def main(argv=None) -> int:
     if getattr(args, "trials", None) is not None and args.command == "verify":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
-    if args.command == "verify" and not (math.isfinite(args.alpha)
-                                         and math.isfinite(args.beta)):
-        parser.error("--alpha and --beta must be finite")
+    if args.command == "verify":
+        if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+            parser.error("--alpha and --beta must be finite")
+        if not 0.0 < args.alpha < 1.0:
+            parser.error("--alpha must lie in (0, 1)")
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 1e-5):
         parser.error("--tol must be finite and >= 1e-5")

@@ -57,7 +57,7 @@ B_MAX = 0.4999995
 # search boxes of (nu1, nu2); a kind with one multiplier uses the first
 _NU_BOUNDS = ((0.0, 14.0), (0.0, 400.0))
 # every Nelder-Mead run of a lifted margin: tolerances and evaluation budget
-_NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 5000, "maxfev": 5000}
+_NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxfev": 5000}
 
 
 class ThresholdRangeError(L1LabError):
@@ -295,15 +295,13 @@ def minimize_lifted_total(
     _NM_OPTS and never ends above its (clipped) start, so a start that
     certifies beta yields a certificate.
 
-    The simplex is numerics.nelder_mead, which takes the same steps as
-    scipy's bounded Nelder-Mead (ties in vertex order broken by np.argsort,
-    as scipy does) while keeping every iterate a list of floats, so the
-    solve returns the same bits at a fraction of the per-evaluation cost.
+    The simplex is numerics.nelder_mead on lists of floats: numpy's
+    per-call overhead would cost more than the closed-form total.
     """
     objective = _total_objective(set_term, alpha, beta)
     bounds = [(LOG_C3_MIN, LOG_C3_MAX), (1e-7, B_MAX), *extra_bounds]
-    res = nelder_mead(objective, start, bounds, **_NM_OPTS)
-    return res.fun, res.x
+    x, total = nelder_mead(objective, start, bounds, **_NM_OPTS)
+    return total, x
 
 
 def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:

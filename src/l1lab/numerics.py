@@ -2,20 +2,20 @@
 
 Everything here is pure and reentrant: no shared mutable state, safe for
 concurrent use.  Special functions delegate to scipy.special (double
-precision, accepts scalars or arrays).  The quadrature and two scipy
-replays are implemented here because they carry contracts the generic
+precision, accepts scalars or arrays).  The quadrature and the two
+minimizers are implemented here because they carry contracts the generic
 library routines do not:
 
 * breakpoint-aligned quadrature panels with a doubling convergence
   certificate;
-* a simplex search on Python floats whose iterates are bit-for-bit those
-  of scipy's bounded Nelder-Mead (the lifted solves);
+* a plain bounded Nelder-Mead simplex on Python floats (the lifted
+  solves);
 * a bounded Brent search on Python floats whose iterates are bit-for-bit
   those of scipy's minimize_scalar(method="bounded") (the direct 1-D
   minima, through scalar_minimum).
 
-Both replays drop scipy's per-call bookkeeping, which costs more than the
-closed-form objectives they minimize.
+Both minimizers skip scipy's per-call bookkeeping, which costs more than
+the closed-form objectives they minimize.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ class QuadratureSpec:
             raise DomainError("panels must be >= 64")
         if self.rel_tol <= 0:
             raise DomainError("rel_tol must be positive")
+
+
+def phi(x: float) -> float:
+    """Standard normal density at a scalar (x * x: x ** 2 rounds differently)."""
+    return float(np.exp(-0.5 * (x * x))) / SQRT2PI
 
 
 def erf(x):
@@ -121,216 +126,84 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
     return float(_opt.brentq(f, lo, hi, xtol=tol, maxiter=300))
 
 
-class SimplexResult(NamedTuple):
-    """Outcome of nelder_mead: best vertex, its value, evaluation and
-    iteration counts, and whether the simplex tolerances were met."""
-
-    x: list
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
-
-
-class _Exhausted(Exception):
-    """The evaluation budget ran out part-way through an iteration."""
-
-
-# reflection, expansion, contraction and shrink coefficients (non-adaptive)
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-
-
-def _clip_point(x, lo, hi):
-    """Clip x into [lo, hi] coordinate-wise with numpy.clip's semantics:
-    NaN passes through and a tie returns the bound (so -0.0 against a 0.0
-    bound becomes 0.0)."""
-    out = []
-    for v, l, h in zip(x, lo, hi):
-        if not (v > l or v != v):
-            v = l
-        if not (v < h or v != v):
-            v = h
-        out.append(v)
-    return out
-
-
-def _trial(xbar, worst, a, b, lo, hi):
-    """The clipped trial point a*xbar - b*worst.
-
-    Reflection, expansion and both contractions are all of this form;
-    negating a coefficient is exact, so (1-psi)*xbar - (-psi)*worst has the
-    same bits as scipy's (1-psi)*xbar + psi*worst."""
-    out = []
-    for c, w, l, h in zip(xbar, worst, lo, hi):
-        v = a * c - b * w
-        if not (v > l or v != v):
-            v = l
-        if not (v < h or v != v):
-            v = h
-        out.append(v)
-    return out
-
-
-def _converged(sim, fsim, xatol, fatol):
-    """scipy's test: max |vertex - best| <= xatol and max |f0 - f| <= fatol
-    (a NaN difference fails it, as numpy's max propagates NaN)."""
-    best = sim[0]
-    for row in sim[1:]:
-        for v, b in zip(row, best):
-            if not abs(v - b) <= xatol:
-                return False
-    f0 = fsim[0]
-    for fj in fsim[1:]:
-        if not abs(f0 - fj) <= fatol:
-            return False
-    return True
-
-
-def _order(sim, fsim):
-    """Vertices and values sorted by value with np.argsort.
-
-    numpy's default argsort is not stable, and ties are common (vertices
-    clipped onto the same bound point, inf plateaus); only its own
-    tie-break keeps the search on the path scipy takes."""
-    ind = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-
 def nelder_mead(
     f: Callable[[list], float],
-    x0,
-    bounds: Sequence[tuple] | None = None,
+    x0: Sequence[float],
+    bounds: Sequence[tuple[float, float]],
     *,
-    xatol: float = 1e-4,
-    fatol: float = 1e-4,
-    maxiter: float | None = None,
-    maxfev: float | None = None,
-) -> SimplexResult:
-    """Bounded Nelder-Mead on Python floats.
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> tuple[list, float]:
+    """Minimize f over a box by the Nelder-Mead simplex method; returns the
+    best vertex and its value, never above f at the clipped start.
 
-    Replays scipy.optimize.minimize(method="Nelder-Mead", bounds=...,
-    adaptive=False) step for step, so for the same f it visits the same
-    points and returns the same x, fun, nfev and success flag: the same
-    initial simplex (x0 scaled by 1.05 per coordinate, 0.00025 for a zero
-    coordinate, reflected into the box and clipped), clipping of every trial
-    point, the same xatol/fatol test, the same vertex order (np.argsort,
-    ties included), and the same budgets (a maxfev stop can fall part-way
-    through an iteration, including during a shrink).  What it drops is
-    scipy's per-evaluation array bookkeeping, which costs more than a
-    closed-form lifted objective.
-
-    f receives a list of floats and must return a float; it must not
-    mutate its argument.  bounds is a sequence of (lo, hi) pairs, None
-    meaning unbounded on that side.
+    Standard coefficients: reflection 1, expansion 2, contraction 1/2,
+    shrink 1/2 (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 1998).
+    The initial simplex is scipy's: the clipped x0, and per coordinate a
+    vertex with that coordinate scaled by 1.05 (0.00025 where it is zero),
+    reflected back into the box past an upper bound.  Every trial point is
+    clipped into the box.  The run stops when the values span at most fatol
+    and every vertex lies within xatol of the best, or when an iteration
+    would start with maxfev evaluations spent; so the last iteration may
+    overrun maxfev by up to n + 1 evaluations (a reflection, a contraction
+    and a shrink of n vertices).  f takes a list of floats, which it must
+    not mutate, and returns a float (inf outside its domain).
     """
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    if bounds is None:
-        lo, hi = [-math.inf] * n, [math.inf] * n
-    else:
-        lo = [-math.inf if b[0] is None else float(b[0]) for b in bounds]
-        hi = [math.inf if b[1] is None else float(b[1]) for b in bounds]
-        if any(l > h for l, h in zip(lo, hi)):
-            raise DomainError("nelder_mead: a lower bound exceeds its upper bound")
-    # with infinite bounds the clipping and reflection below are identities
-    x0 = _clip_point(x0, lo, hi)
+    lo = [float(b[0]) for b in bounds]
+    hi = [float(b[1]) for b in bounds]
+    if any(l > h for l, h in zip(lo, hi)):
+        raise DomainError("nelder_mead: a lower bound exceeds its upper bound")
 
+    def clip(x):
+        return [v if l <= v <= h else (l if v < l else h) for v, l, h in zip(x, lo, hi)]
+
+    def towards(x, y, t):
+        """x + t * (y - x), clipped into the box."""
+        return clip([a + t * (b - a) for a, b in zip(x, y)])
+
+    x0 = clip([float(v) for v in x0])
+    n = len(x0)
     sim = [x0]
     for k in range(n):
         y = list(x0)
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
-    # a vertex pushed past an upper bound is reflected into the box
-    sim = [_clip_point([2 * h - v if v > h else v for v, h in zip(row, hi)], lo, hi)
-           for row in sim]
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        if y[k] > hi[k]:
+            y[k] = 2.0 * hi[k] - y[k]
+        sim.append(clip(y))
+    fsim = [f(x) for x in sim]
+    nfev = n + 1
 
-    if maxiter is None and maxfev is None:
-        maxiter = maxfev = n * 200
-    elif maxiter is None:
-        maxiter = n * 200 if maxfev == math.inf else math.inf
-    elif maxfev is None:
-        maxfev = n * 200 if maxiter == math.inf else math.inf
-
-    nfev = 0
-
-    def call(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Exhausted
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        best = sim[0]
+        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and all(
+                b - xatol <= v <= b + xatol for x in sim[1:] for v, b in zip(x, best))):
+            return best, fsim[0]
+        xbar = [sum(col) / n for col in zip(*sim[:-1])]
+        xr = towards(xbar, sim[-1], -1.0)
+        fr = f(xr)
         nfev += 1
-        return f(x)
-
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _Exhausted:
-        pass
-    # scipy sorts once in a finally block and once more after it; with an
-    # unstable sort the second pass may permute tied vertices again
-    sim, fsim = _order(sim, fsim)
-    sim, fsim = _order(sim, fsim)
-
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if _converged(sim, fsim, xatol, fatol):
-                break
-            # centroid of all but the worst vertex, summed in row order
-            acc = sim[0]
-            for row in sim[1:-1]:
-                acc = [s + v for s, v in zip(acc, row)]
-            xbar = [s / n for s in acc]
-            worst = sim[-1]
-
-            xr = _trial(xbar, worst, 1 + _RHO, _RHO, lo, hi)
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = _trial(xbar, worst, 1 + _RHO * _CHI, _RHO * _CHI, lo, hi)
-                fxe = call(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                doshrink = False
-                if fxr < fsim[-1]:
-                    xc = _trial(xbar, worst, 1 + _PSI * _RHO, _PSI * _RHO, lo, hi)
-                    fxc = call(xc)
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        doshrink = True
-                else:
-                    xcc = _trial(xbar, worst, 1 - _PSI, -_PSI, lo, hi)
-                    fxcc = call(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        doshrink = True
-                if doshrink:
-                    best = sim[0]
-                    for j in range(1, n + 1):
-                        # the vertex moves before its evaluation, so a budget
-                        # stop mid-shrink leaves it with its old value
-                        sim[j] = _clip_point(
-                            [b + _SIGMA * (v - b) for v, b in zip(sim[j], best)], lo, hi)
-                        fsim[j] = call(sim[j])
-            iterations += 1
-        except _Exhausted:
-            pass
-        sim, fsim = _order(sim, fsim)
-
-    return SimplexResult(
-        x=sim[0],
-        fun=float(np.min(fsim)),
-        nfev=nfev,
-        nit=iterations,
-        success=not (nfev >= maxfev or iterations >= maxiter),
-    )
+        if fr < fsim[0]:
+            xe = towards(xbar, sim[-1], -2.0)
+            fe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            outside = fr < fsim[-1]
+            xc = towards(xbar, sim[-1], -0.5 if outside else 0.5)
+            fc = f(xc)
+            nfev += 1
+            if (fc <= fr) if outside else (fc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
+            else:  # shrink towards the best vertex
+                sim = [best] + [towards(best, x, 0.5) for x in sim[1:]]
+                fsim = [fsim[0]] + [f(x) for x in sim[1:]]
+                nfev += n
 
 
 class ScalarResult(NamedTuple):

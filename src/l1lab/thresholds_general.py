@@ -29,15 +29,11 @@ import numpy as np
 from . import numerics as nm
 from .errors import DomainError, NegativeRadicandError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .numerics import phi
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
 SQRT_2_OVER_PI = nm.SQRT_2_OVER_PI
-
-
-def _phi(x: float) -> float:
-    """Standard normal density at a scalar (x * x: x ** 2 rounds differently)."""
-    return float(np.exp(-0.5 * (x * x))) / SQRT2PI
 
 
 def _gauss_upper_prob(x: float) -> float:
@@ -298,12 +294,12 @@ def _strong_direct_profile(beta: float):
     phi(c_nu)) are computed once, so each nu costs one erfc and one exp."""
     c = strong_crossover(beta)
     q_c = _gauss_upper_prob(c)
-    phi_c = _phi(c)
+    phi_c = phi(c)
 
     def value(nu):
         nu = min(nu, c)
         q_nu = _gauss_upper_prob(nu)
-        phi_nu = _phi(nu)
+        phi_nu = phi(nu)
         upper = 2.0 * ((1.0 + nu * nu) * q_c + (c + 2.0 * nu) * phi_c)
         mid = 2.0 * ((1.0 + nu * nu) * (q_nu - q_c) + (2.0 * nu - c) * phi_c - nu * phi_nu)
         return upper + mid

@@ -29,14 +29,10 @@ import numpy as np
 from . import numerics as nm
 from .errors import DomainError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .numerics import phi
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
-
-
-def _phi(x: float) -> float:
-    """Standard normal density at a scalar (x * x: x ** 2 rounds differently)."""
-    return float(np.exp(-0.5 * (x * x))) / SQRT2PI
 
 
 def _gauss_cdf(x: float) -> float:
@@ -91,11 +87,11 @@ def _nonneg_direct_profile(beta: float):
     Phi(c_nu_plus), phi(c_nu_plus)) are computed once, so each nu1 costs one
     erf and one exp."""
     c = nonneg_crossover(beta)
-    phi_c = _phi(c)
+    phi_c = phi(c)
     cdf_c = _gauss_cdf(c)  # equals beta by construction
 
     def value(nu1):
-        phi_nu = _phi(nu1)
+        phi_nu = phi(nu1)
         upper_prob = 1.0 - _gauss_cdf(nu1)
         lower = (1.0 + nu1 * nu1) * cdf_c + (2.0 * nu1 - c) * phi_c
         upper = (1.0 + nu1 * nu1) * upper_prob - nu1 * phi_nu

@@ -108,6 +108,21 @@ def test_verify_over_cap_exits_2(capsys, monkeypatch, mode, n, beta, message):
     assert message in err
 
 
+@pytest.mark.parametrize("mode", ["weak", "sectional", "strong"])
+@pytest.mark.parametrize("alpha", ["-0.5", "0", "1", "2.0"])
+def test_verify_alpha_outside_unit_interval_exits_2(capsys, monkeypatch, mode, alpha):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was drawn despite a bad --alpha")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_instance)
+    monkeypatch.setattr(cli.empirical, "generate_instance", no_instance)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--mode", mode, "--alpha", alpha, "--beta", "0.1",
+                  "--n", "10", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["weak", "strong"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
@@ -169,6 +184,20 @@ def test_curve_grid_at_the_point_cap_is_accepted():
     grid = cli.parse_alpha_grid(f"0.1:0.9:{0.8 / 99_999!r}")
     assert len(grid) == cli.MAX_GRID_POINTS
     assert grid[0] == 0.1 and grid[-1] == 0.9
+
+
+@pytest.mark.parametrize("grid", ["0.5:0.5000000004:1e-10", "0.1:0.10000000001:4e-13"])
+def test_curve_grid_points_sharing_a_row_key_exit_2(tmp_path, monkeypatch, capsys, grid):
+    # rows and resume are keyed by the 9-digit alpha text; two points with
+    # one key would be solved twice and written as duplicate rows
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    with pytest.raises(DomainError, match="both print as alpha="):
+        cli.parse_alpha_grid(grid)
+    code, out, err = run_cli(["curve", "--kind", "weak", f"--alpha-grid={grid}",
+                              "--out-file", str(tmp_path / "c.csv")], capsys)
+    assert code == 2 and out == ""
+    assert "both print as alpha=" in err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_curve_empty_grid_exits_2(capsys):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
+from l1lab import lift_core as lc
 from l1lab import numerics as nm
+from l1lab import thresholds_general as tg
+from l1lab import thresholds_nonneg as tn
 from l1lab.errors import (
     DomainError,
     NonConvergentError,
@@ -154,21 +157,21 @@ def test_find_root_stays_inside_bracket(root, width, tol):
 
 
 # ---------------------------------------------------------------------------
-# nelder_mead (its step-for-step scipy replay is in test_nelder_mead.py)
+# nelder_mead: a plain bounded simplex
 # ---------------------------------------------------------------------------
 
 def test_minimize_quadratic_bowl():
-    res = nm.nelder_mead(lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2, [0.0, 0.0],
-                         xatol=1e-8, fatol=1e-10)
-    assert res.success
-    assert abs(res.x[0] - 1.0) <= 1e-6 and abs(res.x[1] - 2.0) <= 1e-6
+    x, fun = nm.nelder_mead(lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2, [0.0, 0.0],
+                            [(-5.0, 5.0), (-5.0, 5.0)], xatol=1e-8, fatol=1e-10, maxfev=2000)
+    assert abs(x[0] - 1.0) <= 1e-6 and abs(x[1] - 2.0) <= 1e-6
+    assert fun <= 1e-12
 
 
 def test_minimize_respects_active_bound():
-    res = nm.nelder_mead(lambda v: (v[0] - 1.0) ** 2, [4.0], bounds=[(3.0, 10.0)],
-                         xatol=1e-8, fatol=1e-10)
-    assert abs(res.x[0] - 3.0) <= 1e-6
-    assert abs(res.fun - 4.0) <= 1e-5
+    x, fun = nm.nelder_mead(lambda v: (v[0] - 1.0) ** 2, [4.0], [(3.0, 10.0)],
+                            xatol=1e-8, fatol=1e-10, maxfev=2000)
+    assert abs(x[0] - 3.0) <= 1e-6
+    assert abs(fun - 4.0) <= 1e-5
 
 
 def test_minimize_never_worse_than_start():
@@ -176,8 +179,133 @@ def test_minimize_never_worse_than_start():
         return (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
 
     for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0]):
-        res = nm.nelder_mead(rosen, x0, xatol=1e-8, fatol=1e-10, maxiter=300)
-        assert res.fun <= rosen(x0) + 1e-12
+        _, fun = nm.nelder_mead(rosen, x0, [(-4.0, 4.0), (-4.0, 4.0)],
+                                xatol=1e-8, fatol=1e-10, maxfev=300)
+        assert fun <= rosen(x0) + 1e-12
+
+
+LIFTED_NU_BOUNDS = {
+    "sectional": [(0.0, 14.0)],
+    "strong": [(0.0, 14.0), (0.0, 400.0)],
+    "strong_nonneg": [(0.0, 14.0), (0.0, 400.0)],
+}
+LIFTED_SET_TERMS = {
+    "sectional": tg._sectional_set_term_raw,
+    "strong": tg._strong_set_term_raw,
+    "strong_nonneg": tn._nonneg_set_term_raw,
+}
+
+
+def lifted_problem(kind, alpha, beta, b_max=lc.B_MAX):
+    """The lifted total of one kind over [log c3, b, nu...] and its box."""
+    bounds = [(lc.LOG_C3_MIN, lc.LOG_C3_MAX), (1e-7, b_max), *LIFTED_NU_BOUNDS[kind]]
+    return lc._total_objective(LIFTED_SET_TERMS[kind], alpha, beta), bounds
+
+
+def run_contract(f, x0, bounds, maxfev=1500):
+    """One run that checks the contract: every point evaluated lies in the
+    box, the run stops within maxfev + n + 1 calls and never ends above f
+    at the clipped start.  Returns (x, fun, number of calls)."""
+    seen = []
+
+    def logged(v):
+        seen.append(list(v))
+        return f(v)
+
+    x, fun = nm.nelder_mead(logged, x0, bounds, xatol=1e-10, fatol=1e-12, maxfev=maxfev)
+    for v in seen:
+        assert all(lo <= vi <= hi for vi, (lo, hi) in zip(v, bounds)), v
+    assert len(seen) <= maxfev + len(x0) + 1
+    start = [min(max(v, lo), hi) for v, (lo, hi) in zip(x0, bounds)]
+    assert seen[0] == start
+    assert fun == f(x) <= f(start)
+    return x, fun, len(seen)
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_nelder_mead_never_above_start_on_lifted_objectives(kind):
+    rng = np.random.default_rng({"sectional": 3, "strong": 4, "strong_nonneg": 5}[kind])
+    for _ in range(4):
+        alpha, beta = rng.uniform(0.05, 0.999), rng.uniform(1e-3, 0.45)
+        f, bounds = lifted_problem(kind, alpha, beta)
+        # starts inside the box and, for the clip, past its edges
+        x0 = [rng.uniform(-12.0, 9.0), rng.uniform(0.05, 0.6)]
+        x0 += [rng.uniform(-1.0, 3.0) for _ in LIFTED_NU_BOUNDS[kind]]
+        run_contract(f, x0, bounds)
+
+
+def test_nelder_mead_never_above_start_on_the_c3_and_b_corner():
+    # the lifted walks start on LOG_C3_MAX and B_MAX, where the initial
+    # simplex reflects its scaled vertices back into the box
+    cases = [
+        ("sectional", 0.999, 0.48, [lc.LOG_C3_MAX, 0.49, 0.03]),
+        ("strong", 0.999, 0.23, [lc.LOG_C3_MAX, 0.49, 0.03, 0.04]),
+        ("strong_nonneg", 0.999, 0.47, [lc.LOG_C3_MAX, lc.B_MAX, 0.002, 0.0026]),
+    ]
+    for kind, alpha, beta, x0 in cases:
+        f, bounds = lifted_problem(kind, alpha, beta)
+        x, fun, _ = run_contract(f, x0, bounds)
+        assert fun < f(x0)
+
+
+def test_nelder_mead_never_above_start_on_the_inf_plateau_past_b_half():
+    # with the b box opened past 1/2 the objective is +inf on a plateau:
+    # starts straddling it and starts on it (every initial vertex at inf)
+    cases = [("sectional", [0.5, 0.48, 1.0]), ("sectional", [0.5, 0.6, 1.0]),
+             ("strong_nonneg", [1.0, 0.47, 0.5, 2.0]), ("strong_nonneg", [1.0, 0.7, 0.5, 2.0])]
+    for kind, x0 in cases:
+        f, bounds = lifted_problem(kind, 0.7, 0.1, b_max=0.9)
+        assert f([0.5, 0.6] + x0[2:]) == math.inf
+        _, fun, _ = run_contract(f, x0, bounds, maxfev=600)
+        if x0[1] < 0.5:
+            assert math.isfinite(fun)
+
+
+def test_nelder_mead_stops_within_the_budget_plus_one_iteration():
+    # a seeded strong problem that shrinks its 4-D simplex early on; the
+    # budget is checked once per iteration, so a shrink may overrun it
+    f, bounds = lifted_problem("strong", 0.8209062928075801, 0.3008823431015367)
+    x0 = [2.7504817906677115, 0.4202858308857675, 2.244745509905262, 2.582104228643033]
+    overruns = set()
+    for maxfev in range(20, 120):
+        _, _, calls = run_contract(f, x0, bounds, maxfev=maxfev)
+        assert calls >= maxfev  # no tolerance is met this early
+        overruns.add(calls - maxfev)
+    # a reflection, a contraction and a shrink of all 4 moving vertices
+    assert max(overruns) == len(x0) + 1
+
+
+BOUNDED_QUADRATICS = {
+    # (Hessian diagonal and coupling, centre, box, start)
+    "interior": ((1.0, 2.0, 0.5), 0.1, [0.3, -0.2, 1.0], [(-1.0, 1.0)] * 3, [0.9, 0.9, 0.1]),
+    "start-on-upper-bounds": ((1.0, 3.0), 0.2, [0.3, 0.2], [(-1.0, 1.0), (0.0, 0.5)], [1.0, 0.5]),
+    "active-bound": ((1.0, 2.0, 0.5), 0.1, [0.3, -0.5, 1.0],
+                     [(-1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)], [0.8, 0.8, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDED_QUADRATICS))
+def test_nelder_mead_matches_scipy_on_bounded_quadratics(case):
+    diag, coupling, centre, bounds, x0 = BOUNDED_QUADRATICS[case]
+
+    def f(v):
+        d = [vi - ci for vi, ci in zip(v, centre)]
+        return (sum(h * di * di for h, di in zip(diag, d))
+                + coupling * sum(a * b for a, b in zip(d, d[1:])))
+
+    x, fun, _ = run_contract(f, x0, bounds, maxfev=20_000)
+    ref = minimize(lambda v: f(list(v)), np.asarray(x0), method="Nelder-Mead", bounds=bounds,
+                   options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 20_000})
+    assert ref.success
+    assert abs(fun - ref.fun) <= 1e-8
+    if case == "active-bound":
+        assert x[1] == 0.0 and ref.x[1] == 0.0
+
+
+def test_nelder_mead_rejects_inverted_bounds():
+    with pytest.raises(DomainError):
+        nm.nelder_mead(lambda v: v[0] ** 2, [0.0], [(1.0, -1.0)],
+                       xatol=1e-8, fatol=1e-8, maxfev=100)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def test_sectional_inner_minimization_vs_grid_scan():
         plus, minus = tg.sectional_exp_moments(c3 / (4 * g), nu)
         return g + beta / c3 * math.log(plus) + (1 - beta) / c3 * math.log(minus)
 
-    fx = nm.nelder_mead(objective, [1.0, 1.0], bounds=[(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)],
-                        xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=4000).fun
+    _, fx = nm.nelder_mead(objective, [1.0, 1.0], [(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)],
+                           xatol=1e-8, fatol=1e-10, maxfev=4000)
     assert fx <= best + 1e-4
     assert abs(fx - best) <= 1e-4
 
@@ -122,9 +122,9 @@ def test_sectional_lifted_reduces_to_direct_at_tiny_c3():
             plus, minus = tg.sectional_exp_moments(1e-6 / (4 * g), nu)
             return g + beta / 1e-6 * math.log(plus) + (1 - beta) / 1e-6 * math.log(minus)
 
-        fx = nm.nelder_mead(objective, [max(direct, 0.05) / 2, nu_d],
-                            bounds=[(1e-4, 5.0), (0.0, 8.0)],
-                            xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=4000).fun
+        _, fx = nm.nelder_mead(objective, [max(direct, 0.05) / 2, nu_d],
+                               [(1e-4, 5.0), (0.0, 8.0)],
+                               xatol=1e-8, fatol=1e-10, maxfev=4000)
         assert abs(fx - direct) <= 1e-3
 
 
