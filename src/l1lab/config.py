@@ -17,7 +17,7 @@ ENV_VAR = "L1LAB_CONFIG"
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    # threshold bisection
+    # threshold search
     tol_beta: float = 1e-5
     feasibility_margin: float = 1e-9   # strict margin: feasible iff total < -margin
     # empirical verification

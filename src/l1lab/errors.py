@@ -18,7 +18,9 @@ class NoSignChangeError(L1LabError):
 
 
 class NonConvergentError(L1LabError):
-    """Panel doubling failed to stabilize a quadrature estimate."""
+    """An iteration ended without its guarantee: panel doubling did not
+    stabilize a quadrature estimate, or a threshold root solve ended on no
+    feasible beta."""
 
 
 class ConstraintViolatedError(L1LabError, ValueError):

@@ -22,7 +22,8 @@ beta, so each lifted probe's optimum certifies a whole interval of beta in
 closed form.  walk steps along these certificates from the direct optimum
 at small beta, one Nelder-Mead run per step warm-started at the previous
 optimum; the lifted search walks up to the cap and a cold lifted margin
-walks up to its beta.  The direct and weak kinds are bisected.
+walks up to its beta.  The direct and weak margins are increasing in beta,
+so their threshold is one bracketed root solve on beta.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import ConstraintViolatedError, DomainError, L1LabError
-from .numerics import nelder_mead
+from .errors import (ConstraintViolatedError, DomainError, L1LabError, NonConvergentError,
+                     NoSignChangeError)
+from .numerics import Bracket, find_root, nelder_mead
 
 KINDS = ("weak", "sectional", "strong", "weak_nonneg", "strong_nonneg")
 METHODS = ("direct", "lifted")
@@ -61,7 +63,7 @@ _NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxfev": 5000}
 
 
 class ThresholdRangeError(L1LabError):
-    """The threshold lies outside the bisection range [BETA_FLOOR, cap]."""
+    """The threshold lies outside the search range [BETA_FLOOR, cap]."""
 
 
 @dataclass(frozen=True)
@@ -438,6 +440,26 @@ def validate_query(alpha: float, kind: str, method: str):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _direct_residual(kind: str, alpha: float, eps: float, margin_fn: Callable):
+    """(F, hi): an F(beta) increasing through 0 where the direct or weak
+    margin crosses -2*eps, and the upper end of the beta range to search.
+
+    A direct F is the margin plus 2*eps.  A weak F is the weak
+    characterization at alpha - 2*eps, negated: its root is the beta whose
+    weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is solved
+    per probe, and the range stops at alpha - 2*eps, where alpha_w >= beta
+    makes the characterization -inf.
+    """
+    if kind in ("weak", "weak_nonneg"):
+        from .thresholds_general import weak_characterization
+        from .thresholds_nonneg import weak_nonneg_characterization
+
+        wc = weak_characterization if kind == "weak" else weak_nonneg_characterization
+        a = alpha - 2.0 * eps
+        return (lambda beta: -wc(a, beta)), min(_BETA_CAPS[kind], a)
+    return (lambda beta: margin_fn(alpha, beta)[0] + 2.0 * eps), _BETA_CAPS[kind]
+
+
 def threshold_bisect(
     alpha: float,
     kind: str,
@@ -456,8 +478,12 @@ def threshold_bisect(
     A lifted kind is searched by walk up to the cap: certificate steps on
     beta, each re-minimized with one Nelder-Mead run warm-started at the
     previous optimum, until the first infeasible probe (necessarily one
-    tol_beta above the last feasible one).  The direct and weak margins have
-    no such certificate and are bisected.
+    tol_beta above the last feasible one).  The direct and weak margins are
+    increasing in beta, so their threshold is one bracketed root solve
+    (xtol tol_beta/4) of the residual of _direct_residual, which crosses 0
+    where the margin is -2*eps.  The margin is then evaluated at the root
+    r; if it is not below -eps, r - tol_beta/2 is reported instead, which
+    lies below the exact crossing and is checked to be feasible.
     """
     validate_query(alpha, kind, method)
     tol_beta = config.tol_beta if tol_beta is None else tol_beta
@@ -471,7 +497,7 @@ def threshold_bisect(
         lo, m_lo, p_lo = walk(margin_fn, spec, alpha, cap, eps, tol_beta)
     else:
         lo = BETA_FLOOR
-        m_lo, p_lo = margin_fn(alpha, lo, None)
+        m_lo, p_lo = margin_fn(alpha, lo)
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "
@@ -479,16 +505,24 @@ def threshold_bisect(
         )
 
     if spec is None:
-        hi = cap
-        m_hi, p_hi = margin_fn(alpha, hi, p_lo)
+        m_hi, p_hi = margin_fn(alpha, cap)
         if m_hi < -eps:
-            lo, m_lo, p_lo = hi, m_hi, p_hi
-        while hi - lo > tol_beta:
-            mid = 0.5 * (lo + hi)
-            m, p = margin_fn(alpha, mid, p_lo)
-            if m < -eps:
-                lo, m_lo, p_lo = mid, m, p
+            lo, m_lo, p_lo = cap, m_hi, p_hi
+        else:
+            residual, hi = _direct_residual(kind, alpha, eps, margin_fn)
+            try:
+                root = find_root(residual, Bracket(lo, hi), tol=tol_beta / 4.0)
+            except NoSignChangeError:  # the floor margin lies in [-2 eps, -eps)
+                root = lo
+            for beta in (root, max(root - tol_beta / 2.0, lo)):
+                m, p = margin_fn(alpha, beta)
+                if m < -eps:
+                    break
             else:
-                hi = mid
+                raise NonConvergentError(
+                    f"no feasible beta at the root {root!r} of the {kind}/{method} "
+                    f"margin or tol_beta/2 below it (margin {m:.3e}) for alpha={alpha}"
+                )
+            lo, m_lo, p_lo = beta, m, p
     return ThresholdResult(alpha=alpha, beta=lo, method=method, kind=kind,
                            params_at_optimum=p_lo, condition_margin=m_lo)

@@ -73,12 +73,29 @@ def weak_alpha_of_beta(beta_w: float) -> float:
 # sectional bounds
 # --------------------------------------------------------------------------
 
+def _sectional_direct_profile(beta: float):
+    """nu -> (radicand, g, g') at this beta, where g is half the radicand's
+    nu-derivative:
+
+        g  = beta * (nu + sqrt(2/pi)) - 2 (1 - beta) (phi(nu) - nu Q(nu)),
+        g' = beta + 2 (1 - beta) Q(nu),
+
+    increasing and concave in nu; each nu costs one erfc and one exp."""
+    def at(nu):
+        tail = float(nm.erfc(nu / SQRT2))  # 2 Q(nu)
+        e = math.exp(-0.5 * nu * nu)  # sqrt(2 pi) phi(nu)
+        on_support = nu * nu + 1.0 + 2.0 * SQRT_2_OVER_PI * nu
+        off_support = tail * (1.0 + nu * nu) - 2.0 * nu * e / SQRT2PI
+        g = beta * (nu + SQRT_2_OVER_PI) - (1.0 - beta) * (2.0 * e / SQRT2PI - nu * tail)
+        return (beta * on_support + (1.0 - beta) * off_support, g,
+                beta + (1.0 - beta) * tail)
+
+    return at
+
+
 def sectional_radicand(beta: float, nu: float) -> float:
     """beta * E(|h|+nu)^2 + (1-beta) * E max(|h|-nu, 0)^2 in closed form."""
-    on_support = nu * nu + 1.0 + 2.0 * SQRT_2_OVER_PI * nu
-    off_support = (float(nm.erfc(nu / SQRT2)) * (1.0 + nu * nu)
-                   - 2.0 * nu * math.exp(-0.5 * nu * nu) / SQRT2PI)
-    return beta * on_support + (1.0 - beta) * off_support
+    return _sectional_direct_profile(beta)(nu)[0]
 
 
 def sectional_set_term_direct(beta: float, nu: float) -> float:
@@ -93,8 +110,10 @@ def sectional_set_term_direct(beta: float, nu: float) -> float:
 
 
 def sectional_direct_minimum(beta: float) -> tuple[float, float]:
-    """(min over nu of the direct sectional set term, minimizing nu)."""
-    return nm.scalar_minimum(lambda v: sectional_set_term_direct(beta, v), 0.0, 12.0)
+    """(min over nu in [0, 12] of the direct sectional set term, minimizing
+    nu): the square root of the radicand's Newton minimum."""
+    rad, nu = nm.newton_minimum(_sectional_direct_profile(beta), 12.0)
+    return math.sqrt(rad), nu
 
 
 def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
@@ -290,21 +309,25 @@ def strong_crossover(beta: float) -> float:
 
 
 def _strong_direct_profile(beta: float):
-    """(c_nu, nu -> W(beta, nu)): the beta-only terms (c_nu, Q(c_nu),
+    """(c_nu, nu -> (W, g, g')) at this beta, where g = W'/4:
+
+        g = nu Q(nu) - phi(nu) + 2 phi(c_nu),   g' = Q(nu),
+
+    increasing and concave in nu.  The beta-only terms (c_nu, Q(c_nu),
     phi(c_nu)) are computed once, so each nu costs one erfc and one exp."""
     c = strong_crossover(beta)
     q_c = _gauss_upper_prob(c)
     phi_c = phi(c)
 
-    def value(nu):
+    def at(nu):
         nu = min(nu, c)
         q_nu = _gauss_upper_prob(nu)
         phi_nu = phi(nu)
         upper = 2.0 * ((1.0 + nu * nu) * q_c + (c + 2.0 * nu) * phi_c)
         mid = 2.0 * ((1.0 + nu * nu) * (q_nu - q_c) + (2.0 * nu - c) * phi_c - nu * phi_nu)
-        return upper + mid
+        return upper + mid, nu * q_nu - phi_nu + 2.0 * phi_c, q_nu
 
-    return c, value
+    return c, at
 
 
 def strong_direct_value(beta: float, nu: float) -> float:
@@ -316,7 +339,7 @@ def strong_direct_value(beta: float, nu: float) -> float:
     form; the published single-line closed form is cross-checked in tests,
     with its exponent read as exp(-nu^2/2)).
     """
-    return _strong_direct_profile(beta)[1](nu)
+    return _strong_direct_profile(beta)[1](nu)[0]
 
 
 def strong_direct_value_closed(beta: float, nu: float) -> float:
@@ -329,9 +352,9 @@ def strong_direct_value_closed(beta: float, nu: float) -> float:
 
 
 def strong_direct_minimum(beta: float) -> tuple[float, float]:
-    """(min over nu in [0, c_nu] of W, minimizing nu)."""
-    c, value = _strong_direct_profile(beta)
-    return nm.scalar_minimum(value, 0.0, c)
+    """(min over nu in [0, c_nu] of W, minimizing nu), by Newton on W'."""
+    c, at = _strong_direct_profile(beta)
+    return nm.newton_minimum(at, c)
 
 
 def strong_condition_direct(beta: float, alpha: float) -> bool:

@@ -83,21 +83,26 @@ def nonneg_crossover(beta: float) -> float:
 
 
 def _nonneg_direct_profile(beta: float):
-    """nu1 -> V(beta, nu1) for nu1 >= 0: the beta-only terms (c_nu_plus,
+    """nu1 -> (V, g, g') at this beta for nu1 >= 0, where g = V'/2:
+
+        g = nu1 (beta + Q(nu1)) + phi(c_nu_plus) - phi(nu1),   g' = beta + Q(nu1),
+
+    increasing and concave in nu1.  The beta-only terms (c_nu_plus,
     Phi(c_nu_plus), phi(c_nu_plus)) are computed once, so each nu1 costs one
     erf and one exp."""
     c = nonneg_crossover(beta)
     phi_c = phi(c)
     cdf_c = _gauss_cdf(c)  # equals beta by construction
 
-    def value(nu1):
+    def at(nu1):
         phi_nu = phi(nu1)
         upper_prob = 1.0 - _gauss_cdf(nu1)
         lower = (1.0 + nu1 * nu1) * cdf_c + (2.0 * nu1 - c) * phi_c
         upper = (1.0 + nu1 * nu1) * upper_prob - nu1 * phi_nu
-        return lower + upper
+        slope = beta + upper_prob
+        return lower + upper, nu1 * slope + phi_c - phi_nu, slope
 
-    return value
+    return at
 
 
 def strong_nonneg_direct_value(beta: float, nu1: float) -> float:
@@ -111,7 +116,7 @@ def strong_nonneg_direct_value(beta: float, nu1: float) -> float:
     """
     if nu1 < 0:
         raise DomainError("nu1 must be nonnegative")
-    return _nonneg_direct_profile(beta)(nu1)
+    return _nonneg_direct_profile(beta)(nu1)[0]
 
 
 def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
@@ -133,8 +138,8 @@ def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
 
 
 def strong_nonneg_direct_minimum(beta: float) -> tuple[float, float]:
-    """(min over nu1 in [0, 10] of V, minimizing nu1)."""
-    return nm.scalar_minimum(_nonneg_direct_profile(beta), 0.0, 10.0)
+    """(min over nu1 in [0, 10] of V, minimizing nu1), by Newton on V'."""
+    return nm.newton_minimum(_nonneg_direct_profile(beta), 10.0)
 
 
 def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:

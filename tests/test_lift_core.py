@@ -1,6 +1,7 @@
 """Sphere term, master condition, set-term oracle, threshold search."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
 from l1lab.config import DEFAULT
-from l1lab.errors import ConstraintViolatedError, DomainError
+from l1lab.errors import ConstraintViolatedError, DomainError, NonConvergentError
 
 
 def sphere_objective(gamma, c3, alpha):
@@ -143,7 +144,7 @@ def test_threshold_sectional_direct_table_point():
     r = lc.threshold_bisect(0.3, "sectional", "direct")
     assert abs(r.beta - 0.0481) <= 5e-4
     assert r.condition_margin < 0
-    # the next bisection step up must be infeasible
+    # two tol_beta steps up must be infeasible
     from l1lab.thresholds_general import sectional_margin_direct
 
     m_up, _ = sectional_margin_direct(0.3, r.beta + 2e-5)
@@ -232,14 +233,14 @@ def test_x_to_params_gives_plain_floats():
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
 
-def stub_margins(monkeypatch, feasible):
-    """Replace every kind's margin by feasible(beta) -> -1 / +1 stubs and
-    record each probe as (beta, warm)."""
+def stub_margins(monkeypatch, feasible, above=1.0):
+    """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs
+    and record each probe as (beta, warm)."""
     probes = []
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
-        return (-1.0 if feasible(beta) else 1.0), None
+        return (-1.0 if feasible(beta) else above), None
 
     monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
     return probes
@@ -303,6 +304,118 @@ def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
     cap = lc._BETA_CAPS["strong_nonneg"]
     assert r.beta == cap and r.condition_margin == -1.0
     assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
+
+
+def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
+    # with the infeasible margin the smaller in size, the root solve ends on
+    # the infeasible side of the jump at 0.3; the probe tol_beta/2 below it
+    # is reported
+    tol = DEFAULT.tol_beta
+    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3)
+    r = lc.threshold_bisect(0.5, "sectional", "direct")
+    betas = [b for b, _ in probes]
+    assert betas[:2] == [lc.BETA_FLOOR, lc._BETA_CAPS["sectional"]]
+    root = betas[-2]
+    assert 0.3 <= root <= 0.3 + tol / 4
+    assert r.beta == betas[-1] == root - tol / 2 and r.condition_margin == -1.0
+
+
+def test_direct_root_route_raises_when_the_step_down_is_infeasible(monkeypatch):
+    # the same solve with an infeasible point only where the step down lands
+    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3)
+    lc.threshold_bisect(0.5, "sectional", "direct")
+    step = probes[-1][0]
+    assert all(abs(b - step) > 1e-9 for b, _ in probes[:-1])
+    stub_margins(monkeypatch, feasible=lambda b: b < 0.3 and abs(b - step) > 1e-9, above=1e-3)
+    with pytest.raises(NonConvergentError, match="no feasible beta"):
+        lc.threshold_bisect(0.5, "sectional", "direct")
+
+
+def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
+    # the margin is -1.5 eps at the floor, so the residual (margin + 2 eps)
+    # has no sign change; the floor itself is the threshold to tol_beta
+    eps = DEFAULT.feasibility_margin
+    probes = []
+
+    def margin(alpha, beta, warm=None):
+        probes.append(beta)
+        return beta - lc.BETA_FLOOR - 1.5 * eps, None
+
+    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
+    r = lc.threshold_bisect(0.5, "strong", "direct")
+    assert r.beta == lc.BETA_FLOOR and r.condition_margin == -1.5 * eps
+    assert probes[-1] == lc.BETA_FLOOR
+
+
+CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+                   0.999, 0.9999)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3], ids=["default-tol", "tol-1e-3"])
+@pytest.mark.parametrize("kind", lc.KINDS)
+def test_direct_root_route_reports_beta_to_tol_beta(kind, tol):
+    # the reported beta is feasible and beta + tol_beta is not (or is past
+    # the cap), so tol_beta binds the direct and weak kinds
+    eps = DEFAULT.feasibility_margin
+    step = DEFAULT.tol_beta if tol is None else tol
+    margin_fn = lc._margin_provider(kind, "direct")
+    cap = lc._BETA_CAPS[kind]
+    for alpha in CONTRACT_ALPHAS:
+        r = lc.threshold_bisect(alpha, kind, "direct", tol_beta=tol)
+        assert r.condition_margin < -eps
+        assert margin_fn(alpha, r.beta)[0] == r.condition_margin
+        assert r.beta < cap
+        up = min(r.beta + step, cap)
+        assert not margin_fn(alpha, up)[0] < -eps, (alpha, r.beta)
+
+
+def test_threshold_cli_tol_reaches_the_root_route(capsys, monkeypatch):
+    from l1lab import cli
+
+    eps = DEFAULT.feasibility_margin
+    seen = []
+
+    def recording(alpha, kind, method, tol_beta=None, config=DEFAULT):
+        seen.append(tol_beta)
+        return lc.threshold_bisect(alpha, kind, method, tol_beta=tol_beta, config=config)
+
+    monkeypatch.setattr(cli, "threshold_bisect", recording)
+    for flag in ("sectional", "weak-nonneg"):
+        kind = flag.replace("-", "_")
+        assert cli.main(["threshold", "--alpha", "0.5", "--kind", flag, "--method", "direct",
+                         "--tol", "1e-3", "--out", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        r = lc.threshold_bisect(0.5, kind, "direct", tol_beta=1e-3)
+        assert row["beta"] == float(cli.fmt(r.beta))
+        margin_fn = lc._margin_provider(kind, "direct")
+        assert margin_fn(0.5, r.beta)[0] < -eps <= margin_fn(0.5, r.beta + 1e-3)[0]
+    assert seen == [1e-3, 1e-3]
+
+
+@pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
+def test_weak_residual_changes_sign_once_below_alpha(kind):
+    # the weak root solve needs the characterization at alpha - 2 eps to be
+    # positive, then negative, on [BETA_FLOOR, alpha - 2 eps]; it is
+    # negative from the floor on exactly where the floor probe is infeasible
+    from l1lab.thresholds_general import weak_characterization
+    from l1lab.thresholds_nonneg import weak_nonneg_characterization
+
+    wc = weak_characterization if kind == "weak" else weak_nonneg_characterization
+    eps = DEFAULT.feasibility_margin
+    below_floor = 0
+    for alpha in np.arange(1, 1000).tolist():
+        alpha /= 1000.0
+        a = alpha - 2.0 * eps
+        grid = sorted({*np.geomspace(lc.BETA_FLOOR, a, 120).tolist(),
+                       *np.linspace(lc.BETA_FLOOR, a, 120).tolist()})
+        signs = [wc(a, b) > 0 for b in grid]
+        changes = sum(x != y for x, y in zip(signs, signs[1:]))
+        assert not signs[-1] and changes == signs[0], (alpha, changes)
+        if not signs[0]:
+            below_floor += 1
+            with pytest.raises(lc.ThresholdRangeError):
+                lc.threshold_bisect(alpha, kind, "direct")
+    assert below_floor >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -309,97 +309,139 @@ def test_nelder_mead_rejects_inverted_bounds():
 
 
 # ---------------------------------------------------------------------------
-# minimize_bounded: a step-for-step replay of scipy's bounded Brent
+# newton_minimum: the direct 1-D minima by Newton on a closed-form slope
 # ---------------------------------------------------------------------------
 
-def _logged(f, log):
-    def g(x):
-        log.append(float(x).hex())
-        return f(x)
-    return g
+def direct_objectives(beta):
+    """name -> (public minimum, value on the public scale, profile, upper
+    end, factor k with f' = k * g for the profile's (f, g, g')) of the
+    three direct minima; the sectional profile's f is the radicand."""
+    c, strong = tg._strong_direct_profile(beta)
+    return {
+        "sectional": (tg.sectional_direct_minimum,
+                      lambda v: tg.sectional_set_term_direct(beta, v),
+                      tg._sectional_direct_profile(beta), 12.0, 2.0),
+        "strong": (tg.strong_direct_minimum, lambda v: tg.strong_direct_value(beta, v),
+                   strong, c, 4.0),
+        "strong_nonneg": (tn.strong_nonneg_direct_minimum,
+                          lambda v: tn.strong_nonneg_direct_value(beta, v),
+                          tn._nonneg_direct_profile(beta), 10.0, 2.0),
+    }
 
 
-def _assert_replays_scipy(f, lo, hi, xatol=1e-12, maxiter=500):
-    seen_scipy, seen_ours = [], []
-    want = minimize_scalar(_logged(f, seen_scipy), bounds=(lo, hi), method="bounded",
-                           options={"xatol": xatol, "maxiter": maxiter})
-    got = nm.minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol, maxiter=maxiter)
-    assert seen_ours == seen_scipy
-    assert float(got.x).hex() == float(want.x).hex()
-    assert float(got.fun).hex() == float(want.fun).hex()
-    assert got.nfev == want.nfev == len(seen_ours)
-    return got
+DIRECT_BETAS = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.239, 0.24, 0.3, 0.4, 0.45, 0.4999]
 
 
-def _plateau(x):
-    # flat at 0 on [-1, 1]: most comparisons there are ties
-    return max(abs(x) - 1.0, 0.0) ** 2
+def exact_direct_value(kind, beta, nu):
+    """The direct objective at (beta, nu) in 40-digit arithmetic, with the
+    crossover level the float profile uses; an independent route that is
+    free of the float formulas' rounding noise."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    b, v = mp.mpf(beta), mp.mpf(nu)
+
+    def dens(x):
+        return mp.npdf(x)
+
+    def upper(x):
+        return mp.ncdf(-x)
+
+    if kind == "sectional":
+        on = v * v + 1 + 2 * mp.sqrt(2 / mp.pi) * v
+        off = 2 * upper(v) * (1 + v * v) - 2 * v * dens(v)
+        return mp.sqrt(b * on + (1 - b) * off)
+    if kind == "strong":
+        c = mp.mpf(tg.strong_crossover(beta))
+        v = min(v, c)
+        return 2 * ((1 + v * v) * upper(v) + 4 * v * dens(c) - v * dens(v))
+    c = mp.mpf(tn.nonneg_crossover(beta))
+    return ((1 + v * v) * mp.ncdf(c) + (2 * v - c) * dens(c)
+            + (1 + v * v) * upper(v) - v * dens(v))
 
 
-REPLAY_CASES = {
-    "smooth": (lambda x: math.cos(3.0 * x) + 0.1 * x * x, -2.0, 3.0),
-    "kink": (lambda x: abs(x - 0.3), -1.0, 2.0),
-    "kink-at-golden-point": (lambda x: abs(x - (0.5 * (3.0 - math.sqrt(5.0)))), 0.0, 1.0),
-    "plateau": (_plateau, -3.0, 2.0),
-    "staircase": (lambda x: math.floor(4.0 * x) / 4.0, -1.0, 1.0),
-    "min-on-lower-bound": (lambda x: x, 0.0, 1.0),
-    "min-on-upper-bound": (lambda x: -x * x * x, -1.0, 2.0),
-    "constant": (lambda x: 1.0, 0.0, 5.0),
-    "zero-width": (lambda x: x * x, 0.7, 0.7),
-    "nan-above-1": (lambda x: math.nan if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
-    "nan-below-1": (lambda x: math.nan if x < 1.0 else (x - 2.5) * (x - 2.5), 0.0, 3.0),
-    "inf-above-1": (lambda x: math.inf if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
-}
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_newton_minimum_not_above_scipy_bounded(kind):
+    # the float values carry rounding noise up to ~2e-13 relative (nonneg
+    # strong at beta = 1e-4, whose upper tail is 1 - Phi(nu)), in which a
+    # bounded Brent can find a dip; compared exactly, Newton's point is at
+    # least as good
+    for beta in DIRECT_BETAS:
+        minimum, value, _, hi, _ = direct_objectives(beta)[kind]
+        got, nu = minimum(beta)
+        assert got == value(nu) and 0.0 <= nu <= hi
+        ref = minimize_scalar(value, bounds=(0.0, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        assert abs(nu - ref.x) <= 1e-6, (beta, nu, ref.x)
+        assert got <= ref.fun * (1.0 + 1e-12), (beta, got, ref.fun)
+        ours, theirs = (exact_direct_value(kind, beta, x) for x in (nu, float(ref.x)))
+        assert ours <= theirs * (1 + 1e-14), (beta, ours, theirs)
+        assert abs(ours - got) <= 1e-12 * got
 
 
-@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-@pytest.mark.parametrize("xatol", [1e-12, 1e-5, 0.3])
-def test_minimize_bounded_replays_scipy(case, xatol):
-    f, lo, hi = REPLAY_CASES[case]
-    _assert_replays_scipy(f, lo, hi, xatol=xatol)
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_direct_slopes_match_central_differences(kind):
+    # g is the objective's nu-derivative over k (sectional: of the radicand)
+    h = 1e-6
+    for beta in DIRECT_BETAS:
+        _, _, profile, hi, k = direct_objectives(beta)[kind]
+        for nu in np.linspace(h, min(hi, 6.0) - h, 25).tolist():
+            value_slope = (profile(nu + h)[0] - profile(nu - h)[0]) / (2.0 * h)
+            g_slope = (profile(nu + h)[1] - profile(nu - h)[1]) / (2.0 * h)
+            _, g, dg = profile(nu)
+            assert abs(k * g - value_slope) <= 1e-7 * max(1.0, abs(value_slope)), (beta, nu)
+            assert abs(dg - g_slope) <= 1e-7, (beta, nu)
+            assert dg > 0.0
 
 
-@pytest.mark.parametrize("maxiter", [1, 2, 5, 9])
-def test_minimize_bounded_replays_scipy_maxiter_stop(maxiter):
-    f, lo, hi = REPLAY_CASES["smooth"]
-    got = _assert_replays_scipy(f, lo, hi, maxiter=maxiter)
-    assert got.nfev == max(maxiter, 2)  # the first step always runs
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_newton_iterates_rise_from_zero(kind):
+    for beta in DIRECT_BETAS:
+        _, _, profile, hi, _ = direct_objectives(beta)[kind]
+        seen = []
+
+        def logged(nu):
+            seen.append(nu)
+            return profile(nu)
+
+        value, nu = nm.newton_minimum(logged, hi)
+        assert seen[0] == 0.0 and seen[-1] == nu and value == profile(nu)[0]
+        assert all(a < b for a, b in zip(seen, seen[1:])), (beta, seen)
+        assert len(seen) <= 20
 
 
-def test_minimize_bounded_replays_scipy_on_seeded_functions():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        lo = float(rng.uniform(-5.0, 1.0))
-        hi = lo + float(rng.uniform(1e-6, 6.0))
-        c, w, k = (float(v) for v in rng.uniform([-5.0, 0.1, 0.0], [5.0, 3.0, 4.0]))
-        _assert_replays_scipy(lambda x: w * abs(x - c) + math.sin(k * x) + 0.01 * x * x,
-                              lo, hi, xatol=float(10.0 ** rng.uniform(-12, -2)))
+def test_strong_minimum_at_zero_where_the_slope_starts_nonnegative():
+    # g(0) = 2 phi(c_nu) - phi(0) >= 0 once c_nu <= sqrt(2 log 2), i.e. beta >= ~0.2386
+    for beta in (0.24, 0.3, 0.4, 0.5 - 1e-9):
+        _, profile = tg._strong_direct_profile(beta)
+        assert profile(0.0)[1] >= 0.0
+        assert tg.strong_direct_minimum(beta) == (profile(0.0)[0], 0.0)
+    _, profile = tg._strong_direct_profile(0.2)
+    assert profile(0.0)[1] < 0.0 and tg.strong_direct_minimum(0.2)[1] > 0.0
 
 
-def test_minimize_bounded_replays_scipy_on_the_direct_objectives():
-    from l1lab import thresholds_general as tg
-    from l1lab import thresholds_nonneg as tn
-
-    for beta in (1e-4, 0.01, 0.2, 0.4999):
-        c, strong = tg._strong_direct_profile(beta)
-        _assert_replays_scipy(strong, 0.0, c)
-        _assert_replays_scipy(tn._nonneg_direct_profile(beta), 0.0, 10.0)
-        _assert_replays_scipy(lambda v: tg.sectional_set_term_direct(beta, v), 0.0, 12.0)
-
-
-def test_minimize_bounded_rejects_bad_bounds():
-    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
-        with pytest.raises(DomainError):
-            nm.minimize_bounded(lambda x: x, lo, hi)
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_newton_minimum_clips_at_the_upper_end(kind):
+    # on [0, nu*/2] the slope is still negative at the end: the minimum is there
+    for beta in (1e-3, 0.05, 0.2):
+        minimum, value, profile, _, _ = direct_objectives(beta)[kind]
+        hi = 0.5 * minimum(beta)[1]
+        assert profile(hi)[1] < 0.0
+        got = nm.newton_minimum(profile, hi)
+        assert got == (profile(hi)[0], hi)
+        ref = minimize_scalar(value, bounds=(0.0, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        assert value(hi) <= ref.fun * (1.0 + 1e-14)
 
 
-def test_scalar_minimum_grid_then_brent():
-    # a dip only at the grid point 0.5: Brent never lands on it and ends
-    # above it, so the grid point is kept
-    val, x = nm.scalar_minimum(lambda v: 0.0 if v == 0.5 else 1.0, 0.0, 1.0)
-    assert val == 0.0 and x == 0.5
-    val, x = nm.scalar_minimum(lambda v: (v - 0.3) * (v - 0.3), 0.0, 1.0)
-    assert abs(x - 0.3) <= 1e-9 and val <= 1e-18
+def test_newton_minimum_on_a_quadratic():
+    # f = (x - 3)^2 / 2 with g = f': one Newton step from 0 lands on the root,
+    # and a root past the end or at 0 gives the end or 0
+    def profile(x):
+        return 0.5 * (x - 3.0) ** 2, x - 3.0, 1.0
+
+    assert nm.newton_minimum(profile, 10.0) == (0.0, 3.0)
+    assert nm.newton_minimum(profile, 2.0) == (0.5, 2.0)
+    assert nm.newton_minimum(lambda x: (x * x, x, 1.0), 5.0) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
