@@ -445,6 +445,86 @@ def test_newton_minimum_on_a_quadratic():
 
 
 # ---------------------------------------------------------------------------
+# minimize_bounded: a step-for-step replay of scipy's bounded Brent
+# ---------------------------------------------------------------------------
+
+def _logged(f, log):
+    def g(x):
+        log.append(float(x).hex())
+        return f(x)
+    return g
+
+
+def _assert_replays_scipy(f, lo, hi, xatol=1e-12, maxiter=500):
+    seen_scipy, seen_ours = [], []
+    want = minimize_scalar(_logged(f, seen_scipy), bounds=(lo, hi), method="bounded",
+                           options={"xatol": xatol, "maxiter": maxiter})
+    got = nm.minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol, maxiter=maxiter)
+    assert seen_ours == seen_scipy
+    assert float(got.x).hex() == float(want.x).hex()
+    assert float(got.fun).hex() == float(want.fun).hex()
+    assert got.nfev == want.nfev == len(seen_ours)
+    return got
+
+
+def _plateau(x):
+    # flat at 0 on [-1, 1]: most comparisons there are ties
+    return max(abs(x) - 1.0, 0.0) ** 2
+
+
+REPLAY_CASES = {
+    "smooth": (lambda x: math.cos(3.0 * x) + 0.1 * x * x, -2.0, 3.0),
+    "kink": (lambda x: abs(x - 0.3), -1.0, 2.0),
+    "kink-at-golden-point": (lambda x: abs(x - (0.5 * (3.0 - math.sqrt(5.0)))), 0.0, 1.0),
+    "plateau": (_plateau, -3.0, 2.0),
+    "staircase": (lambda x: math.floor(4.0 * x) / 4.0, -1.0, 1.0),
+    "min-on-lower-bound": (lambda x: x, 0.0, 1.0),
+    "min-on-upper-bound": (lambda x: -x * x * x, -1.0, 2.0),
+    "constant": (lambda x: 1.0, 0.0, 5.0),
+    "zero-width": (lambda x: x * x, 0.7, 0.7),
+    "nan-above-1": (lambda x: math.nan if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
+    "nan-below-1": (lambda x: math.nan if x < 1.0 else (x - 2.5) * (x - 2.5), 0.0, 3.0),
+    "inf-above-1": (lambda x: math.inf if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+@pytest.mark.parametrize("xatol", [1e-12, 1e-5, 0.3])
+def test_minimize_bounded_replays_scipy(case, xatol):
+    f, lo, hi = REPLAY_CASES[case]
+    _assert_replays_scipy(f, lo, hi, xatol=xatol)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 5, 9])
+def test_minimize_bounded_replays_scipy_maxiter_stop(maxiter):
+    f, lo, hi = REPLAY_CASES["smooth"]
+    got = _assert_replays_scipy(f, lo, hi, maxiter=maxiter)
+    assert got.nfev == max(maxiter, 2)  # the first step always runs
+
+
+def test_minimize_bounded_replays_scipy_on_seeded_functions():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        lo = float(rng.uniform(-5.0, 1.0))
+        hi = lo + float(rng.uniform(1e-6, 6.0))
+        c, w, k = (float(v) for v in rng.uniform([-5.0, 0.1, 0.0], [5.0, 3.0, 4.0]))
+        _assert_replays_scipy(lambda x: w * abs(x - c) + math.sin(k * x) + 0.01 * x * x,
+                              lo, hi, xatol=float(10.0 ** rng.uniform(-12, -2)))
+
+
+def test_minimize_bounded_replays_scipy_on_the_direct_objectives():
+    for beta in (1e-4, 0.01, 0.2, 0.4999):
+        for _, value, _, hi, _ in direct_objectives(beta).values():
+            _assert_replays_scipy(value, 0.0, hi)
+
+
+def test_minimize_bounded_rejects_bad_bounds():
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            nm.minimize_bounded(lambda x: x, lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # gauss_expectation
 # ---------------------------------------------------------------------------
 
