@@ -13,8 +13,8 @@ and the closed-form set term agreeing with the quadrature oracle.
 
 import numpy as np
 
-from l1lab import exp_set_term_oracle, master_condition, sectional_set_term_lifted
-from l1lab.thresholds_general import sectional_integrand, sectional_margin_lifted
+from l1lab import exp_set_term_oracle, master_condition
+from l1lab.thresholds_general import SECTIONAL, sectional_margin_lifted
 
 ALPHA = 0.5
 
@@ -30,8 +30,8 @@ def main():
 
     print("\nclosed form vs quadrature oracle at the optimum of beta=0.1045:")
     _, params = sectional_margin_lifted(ALPHA, 0.1045)
-    closed = sectional_set_term_lifted(0.1045, params)
-    oracle = exp_set_term_oracle(sectional_integrand, params, 0.1045)
+    closed = SECTIONAL.set_term_at(0.1045, params)
+    oracle = exp_set_term_oracle(SECTIONAL.integrand, params, 0.1045)
     print(f"  closed   {closed:.12f}")
     print(f"  oracle   {oracle:.12f}")
     print(f"  rel dev  {abs(closed - oracle)/abs(oracle):.2e}")

@@ -23,17 +23,13 @@ from .lift_core import (
 )
 from .thresholds_general import (
     sectional_set_term_direct,
-    sectional_set_term_lifted,
     strong_condition_direct,
-    strong_set_term_lifted,
     strong_t_integrand,
     weak_alpha_of_beta,
 )
 from .thresholds_nonneg import (
-    NonnegStrongParams,
     nonneg_t_integrand,
     strong_nonneg_direct_value,
-    strong_nonneg_set_term_lifted,
     weak_nonneg_alpha_of_beta,
 )
 
@@ -43,7 +39,6 @@ __all__ = [
     "BoundEvaluation",
     "Config",
     "LiftParams",
-    "NonnegStrongParams",
     "SphereTerm",
     "ThresholdResult",
     "exp_set_term_oracle",
@@ -52,13 +47,10 @@ __all__ = [
     "master_condition",
     "nonneg_t_integrand",
     "sectional_set_term_direct",
-    "sectional_set_term_lifted",
     "sphere_gamma_hat",
     "sphere_term",
     "strong_condition_direct",
     "strong_nonneg_direct_value",
-    "strong_nonneg_set_term_lifted",
-    "strong_set_term_lifted",
     "strong_t_integrand",
     "threshold_bisect",
     "weak_alpha_of_beta",

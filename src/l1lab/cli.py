@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, empirical
 from .config import Config, load_config
 from .errors import DimensionError, DomainError, L1LabError
-from .lift_core import KINDS, threshold_bisect
+from .lift_core import kind_table, threshold_bisect
 from .parity import run_parity_audit
 from .reference_values import TABLES
 
@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_AUDIT = 4
 
-KIND_FLAGS = {kind.replace("_", "-"): kind for kind in KINDS}
+KIND_FLAGS = {kind.replace("_", "-"): kind for kind in kind_table()}
 
 
 def fmt(x) -> str:
@@ -74,10 +74,7 @@ def _print_json(payload):
 # --------------------------------------------------------------------------
 
 def cmd_threshold(args, config: Config) -> int:
-    kind = KIND_FLAGS[args.kind]
-    method = "direct" if kind in ("weak", "weak_nonneg") else args.method
-    result = threshold_bisect(args.alpha, kind, method, tol_beta=args.tol,
-                              config=config)
+    result = threshold_bisect(args.alpha, KIND_FLAGS[args.kind], args.method, config)
     row = _result_row(result)
     if args.out == "json":
         _print_json(row)
@@ -87,7 +84,7 @@ def cmd_threshold(args, config: Config) -> int:
         print(",".join(keys))
         print(",".join("" if row[k] is None else str(row[k]) for k in keys))
     else:
-        print(f"{kind} threshold ({method}) at alpha={fmt(result.alpha)}: "
+        print(f"{result.kind} threshold ({result.method}) at alpha={fmt(result.alpha)}: "
               f"beta={fmt(result.beta)}")
         print(f"  condition margin: {fmt(result.condition_margin)}")
         if result.params_at_optimum:
@@ -174,20 +171,22 @@ def parse_alpha_grid(text: str) -> list[float]:
 _CURVE_COLUMNS = ("alpha", "beta", "condition_margin", "c3", "gamma", "nu1", "nu2")
 
 
-def _curve_meta(kind, method, grid_text, tol) -> str:
-    return (f"# l1lab-curve version={__version__} kind={kind} method={method} "
+def _curve_headers(kind, method, grid_text, tol) -> tuple[str, dict]:
+    """The first line of a CSV curve file and the header of a JSON one."""
+    meta = (f"# l1lab-curve version={__version__} kind={kind} method={method} "
             f"grid={grid_text} tol_beta={fmt(tol)}")
+    return meta, {"tool": "l1lab-curve", "version": __version__, "kind": kind,
+                  "method": method, "grid": grid_text, "tol_beta": fnum(tol)}
 
 
 def _curve_point_task(task):
-    alpha, kind, method, tol, config = task
+    alpha, kind, method, config = task
     try:
-        result = threshold_bisect(alpha, kind, method, tol_beta=tol, config=config)
+        result = threshold_bisect(alpha, kind, method, config)
         row = _result_row(result)
     except L1LabError as exc:
         sys.stderr.write(f"curve point alpha={alpha} failed: {exc}\n")
-        row = {"alpha": fnum(alpha), "beta": None, "condition_margin": None,
-               "c3": None, "gamma": None, "nu1": None, "nu2": None}
+        row = {**dict.fromkeys(_CURVE_COLUMNS), "alpha": fnum(alpha)}
     return alpha, row
 
 
@@ -197,33 +196,45 @@ def _row_to_csv(row) -> str:
     )
 
 
-def _read_existing_curve(path, meta_line):
-    """Rows of a partial curve file, keyed by the canonical alpha text."""
-    rows = {}
+def _csv_point(line):
+    """The point of one CSV curve row; None for a partial row left by an
+    interrupted run."""
+    try:
+        vals = [float(v) for v in line.split(",")]
+    except ValueError:
+        return None
+    if len(vals) != len(_CURVE_COLUMNS):
+        return None
+    return {col: None if math.isnan(v) else fnum(v) for col, v in zip(_CURVE_COLUMNS, vals)}
+
+
+def _read_existing_curve(path, file_format, meta, header):
+    """Points of a partial curve file, keyed by the canonical alpha text.
+
+    The file must start with this run's meta line (CSV) or carry its header
+    (JSON).  Failed points are left out, so that a resumed run retries them.
+    """
     if not os.path.exists(path):
-        return rows
+        return {}
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != meta_line:
+        text = fh.read()
+    points = None
+    if file_format == "csv":
+        lines = text.split("\n")
+        if lines[0] == meta:
+            points = [_csv_point(line) for line in lines[2:]]
+    else:
+        try:
+            payload = json.loads(text)
+            points = payload["points"] if payload["header"] == header else None
+        except (ValueError, KeyError, TypeError):
+            pass
+    if points is None:
         raise DomainError(
             f"existing file {path} was produced with different flags; "
             f"remove it or change --out-file"
         )
-    for line in lines[2:]:
-        parts = line.split(",")
-        if len(parts) != len(_CURVE_COLUMNS):
-            continue  # partial trailing line from an interrupted run
-        try:
-            vals = {col: float(v) for col, v in zip(_CURVE_COLUMNS, parts)}
-        except ValueError:
-            continue
-        if math.isnan(vals["beta"]):
-            continue  # retry failed points on resume
-        rows[fmt(vals["alpha"])] = {
-            col: (None if math.isnan(vals[col]) else fnum(vals[col]))
-            for col in _CURVE_COLUMNS
-        }
-    return rows
+    return {fmt(p["alpha"]): p for p in points if p is not None and p["beta"] is not None}
 
 
 def _parallel_map(task_fn, tasks, jobs):
@@ -235,15 +246,14 @@ def _parallel_map(task_fn, tasks, jobs):
 
 def cmd_curve(args, config: Config) -> int:
     kind = KIND_FLAGS[args.kind]
-    method = "direct" if kind in ("weak", "weak_nonneg") else args.method
+    method = kind_table()[kind].method_for(args.method)
     grid = parse_alpha_grid(args.alpha_grid)
-    tol = args.tol if args.tol is not None else config.tol_beta
-    meta = _curve_meta(kind, method, args.alpha_grid, tol)
-    rows = _read_existing_curve(args.out_file, meta)
+    meta, header = _curve_headers(kind, method, args.alpha_grid, config.tol_beta)
+    rows = _read_existing_curve(args.out_file, args.format, meta, header)
 
     missing = [a for a in grid if fmt(a) not in rows]
     results = _parallel_map(
-        _curve_point_task, [(a, kind, method, tol, config) for a in missing],
+        _curve_point_task, [(a, kind, method, config) for a in missing],
         config.effective_jobs(),
     )
     failed = 0
@@ -259,13 +269,8 @@ def cmd_curve(args, config: Config) -> int:
         body = "\n".join([meta, ",".join(_CURVE_COLUMNS)]
                          + [_row_to_csv(r) for r in ordered]) + "\n"
     else:
-        payload = {
-            "header": {"tool": "l1lab-curve", "version": __version__,
-                       "kind": kind, "method": method, "grid": args.alpha_grid,
-                       "tol_beta": fnum(tol)},
-            "points": ordered,
-        }
-        body = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        body = json.dumps({"header": header, "points": ordered}, sort_keys=True,
+                          indent=1) + "\n"
     with open(args.out_file, "w") as fh:
         fh.write(body)
     print(f"wrote {len(ordered)} curve points to {args.out_file}"
@@ -326,7 +331,7 @@ def _verify_nullspace(args, config: Config) -> dict:
         A = rng.standard_normal((m, n))
         if args.mode == "sectional":
             support = np.sort(rng.choice(n, size=k, replace=False))
-            holds = empirical.sectional_nullspace_holds(A, support)
+            holds = empirical.sectional_nullspace_holds(A, support, nonneg=args.nonneg)
             matrices.append({"seed": int(s), "holds": holds,
                              "support": [int(i) for i in support]})
         else:
@@ -419,8 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 1e-5):
+        parser.error("--tol must be finite and >= 1e-5")
     try:
-        config = load_config({"jobs": args.jobs})
+        config = load_config({"jobs": args.jobs, "tol_beta": tol})
     except (KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE
@@ -436,9 +444,6 @@ def main(argv=None) -> int:
             parser.error("--alpha and --beta must be finite")
         if not 0.0 < args.alpha < 1.0:
             parser.error("--alpha must lie in (0, 1)")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol >= 1e-5):
-        parser.error("--tol must be finite and >= 1e-5")
 
     try:
         return args.handler(args, config)

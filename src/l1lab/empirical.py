@@ -301,15 +301,18 @@ def check_nullspace_size(mode: str, n: int, k: int) -> None:
         )
 
 
-def sectional_nullspace_holds(A: np.ndarray, support) -> bool:
+def sectional_nullspace_holds(A: np.ndarray, support, nonneg: bool = False) -> bool:
     """True iff every nonzero null-space direction w satisfies
-    ||w_support||_1 < ||w_complement||_1 (decided exactly by LPs)."""
+    ||w_support||_1 < ||w_complement||_1 (decided exactly by LPs).  With
+    nonneg, the property for nonnegative unknowns instead: every null-space
+    w that is nonnegative off the support has sum(w) >= 0."""
     m, n = A.shape
     support = np.asarray(sorted(support), dtype=int)
     check_nullspace_size("sectional", n, len(support))
     if np.linalg.matrix_rank(A) < m:
         raise RankDeficientError("A must have full row rank")
-    return _sectional_holds_basis(nullspace_basis(A), n, support)
+    holds = _nonneg_support_holds if nonneg else _sectional_holds_basis
+    return holds(nullspace_basis(A), n, support)
 
 
 def _nonneg_support_holds(N: np.ndarray, n: int, support) -> bool:
@@ -338,10 +341,5 @@ def strong_nullspace_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
     if np.linalg.matrix_rank(A) < m:
         raise RankDeficientError("A must have full row rank")
     N = nullspace_basis(A)
-    for support in itertools.combinations(range(n), k):
-        if nonneg:
-            if not _nonneg_support_holds(N, n, support):
-                return False
-        elif not _sectional_holds_basis(N, n, support):
-            return False
-    return True
+    holds = _nonneg_support_holds if nonneg else _sectional_holds_basis
+    return all(holds(N, n, support) for support in itertools.combinations(range(n), k))

@@ -40,18 +40,9 @@ from .errors import (ConstraintViolatedError, DomainError, L1LabError, NonConver
                      NoSignChangeError)
 from .numerics import Bracket, find_root, nelder_mead
 
-KINDS = ("weak", "sectional", "strong", "weak_nonneg", "strong_nonneg")
 METHODS = ("direct", "lifted")
 
 BETA_FLOOR = 1e-4
-_BETA_CAPS = {
-    "weak": 1.0 - 1e-6,
-    "weak_nonneg": 1.0 - 1e-6,
-    "sectional": 0.9999,
-    # strong set definitions need k <= n/2
-    "strong": 0.5 - 1e-9,
-    "strong_nonneg": 0.5 - 1e-9,
-}
 
 LOG_C3_MIN = math.log(1e-4)
 LOG_C3_MAX = math.log(400.0)
@@ -90,9 +81,6 @@ class LiftParams:
                 f"need c3/(4*gamma) < 1/2, got b={self.b!r} (c3={self.c3}, gamma={self.gamma})"
             )
 
-    def to_dict(self) -> dict:
-        return {"c3": self.c3, "gamma": self.gamma, "nu1": self.nu1, "nu2": self.nu2}
-
 
 @dataclass(frozen=True)
 class SphereTerm:
@@ -126,18 +114,6 @@ class ThresholdResult:
     kind: str
     params_at_optimum: LiftParams | None
     condition_margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "kind": self.kind,
-            "method": self.method,
-            "condition_margin": self.condition_margin,
-            "params_at_optimum": (
-                self.params_at_optimum.to_dict() if self.params_at_optimum else None
-            ),
-        }
 
 
 def sphere_gamma_hat(c3: float, alpha: float) -> float:
@@ -197,6 +173,21 @@ class ExpPiece:
     t: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...]
     half_width: float
+
+
+def window_half_width(params: LiftParams) -> float:
+    """ExpPiece.half_width of an exponent growing as (|h| + nu1)^2/(4*gamma)
+    beyond its plateau, which reaches |h| = nu1 + sqrt(8*gamma*nu2) (nu1 for
+    the sectional kind, where nu2 is 0): exp(c3*t(h)) tilts the Gaussian to
+    scale sigma = 1/sqrt(1 - 2b) and drifts it by 2*b*nu1/(1 - 2b), and the
+    window reaches 13 sigma past both."""
+    if params.nu1 < 0 or params.nu2 < 0:
+        raise DomainError("need nu1, nu2 >= 0")
+    b = params.b
+    sig = 1.0 / math.sqrt(1.0 - 2.0 * b)
+    drift = 2.0 * b * params.nu1 / (1.0 - 2.0 * b)
+    reach = params.nu1 + math.sqrt(8.0 * params.gamma * params.nu2)
+    return reach + drift + 13.0 * sig + 2.0
 
 
 def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float,
@@ -403,98 +394,119 @@ def params_to_x(params: LiftParams, n_extra: int) -> list[float]:
 # threshold search
 # --------------------------------------------------------------------------
 
-def lifted_kinds() -> dict[str, LiftedKind]:
-    """name -> LiftedKind of the three lifted kinds, looked up on each call
-    because the kind modules import this one."""
-    from .thresholds_general import SECTIONAL, STRONG
-    from .thresholds_nonneg import STRONG_NONNEG
+@dataclass(frozen=True)
+class Kind:
+    """One row of the kind table: what threshold_bisect needs of a kind.
 
-    return {"sectional": SECTIONAL, "strong": STRONG, "strong_nonneg": STRONG_NONNEG}
+    cap is the largest beta searched.  lifted is the kind's LiftedKind, or
+    None for a weak kind, whose one route is its exact weak boundary,
+    reported as method "direct".  margins maps each method the kind has to
+    fn(alpha, beta, warm=None) -> (margin, params or None).
+    characterization(alpha, beta) is a weak kind's weak characterization.
+    """
+
+    cap: float
+    lifted: LiftedKind | None
+    margins: dict[str, Callable]
+    characterization: Callable[[float, float], float] | None = None
+
+    def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
+        """(F, hi): an F(beta) increasing through 0 where the direct or weak
+        margin crosses -2*eps, and the upper end of the beta range to search.
+
+        A direct F is the margin plus 2*eps.  A weak F is the weak
+        characterization at alpha - 2*eps, negated: its root is the beta
+        whose weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is
+        solved per probe, and the range stops at alpha - 2*eps, where
+        alpha_w >= beta makes the characterization -inf.
+        """
+        if self.characterization is None:
+            margin = self.margins["direct"]
+            return (lambda beta: margin(alpha, beta)[0] + 2.0 * eps), self.cap
+        a = alpha - 2.0 * eps
+        return (lambda beta: -self.characterization(a, beta)), min(self.cap, a)
+
+    def method_for(self, method: str) -> str:
+        """The method a search of this kind runs when asked for `method`."""
+        return "direct" if self.lifted is None else method
 
 
-def _margin_provider(kind: str, method: str):
-    """Return fn(alpha, beta, warm=None) -> (margin, params or None)."""
+def _late(module, name: str) -> Callable:
+    """fn(*args) calling module.<name> as bound at call time, so that a
+    tracer's or a test's rebinding of the attribute is seen."""
+    return lambda *args: getattr(module, name)(*args)
+
+
+@functools.cache
+def kind_table() -> dict[str, Kind]:
+    """name -> Kind of every threshold kind, built on first use because the
+    kind modules import this one.
+
+    A weak kind <name> is searched through <name>_alpha_of_beta and
+    <name>_characterization of its module; a lifted kind <name> through the
+    module's LiftedKind <NAME> and its margins <name>_margin_direct and
+    <name>_margin_lifted.
+    """
     from . import thresholds_general as tg
     from . import thresholds_nonneg as tn
 
-    if kind == "weak":
-        return lambda a, b, warm=None: (tg.weak_alpha_of_beta(b) - a, None)
-    if kind == "weak_nonneg":
-        return lambda a, b, warm=None: (tn.weak_nonneg_alpha_of_beta(b) - a, None)
-    if kind == "sectional":
-        return tg.sectional_margin_direct if method == "direct" else tg.sectional_margin_lifted
-    if kind == "strong":
-        return tg.strong_margin_direct if method == "direct" else tg.strong_margin_lifted
-    if kind == "strong_nonneg":
-        return (tn.strong_nonneg_margin_direct if method == "direct"
-                else tn.strong_nonneg_margin_lifted)
-    raise DomainError(f"unknown kind {kind!r}")
+    def weak(module, name):
+        alpha_w = _late(module, f"{name}_alpha_of_beta")
+        return Kind(cap=1.0 - 1e-6, lifted=None,
+                    margins={"direct": lambda a, b, warm=None: (alpha_w(b) - a, None)},
+                    characterization=getattr(module, f"{name}_characterization"))
 
+    def lifted(module, name, cap):
+        return Kind(cap=cap, lifted=getattr(module, name.upper()),
+                    margins={m: _late(module, f"{name}_margin_{m}") for m in METHODS})
 
-def validate_query(alpha: float, kind: str, method: str):
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
-    if method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _direct_residual(kind: str, alpha: float, eps: float, margin_fn: Callable):
-    """(F, hi): an F(beta) increasing through 0 where the direct or weak
-    margin crosses -2*eps, and the upper end of the beta range to search.
-
-    A direct F is the margin plus 2*eps.  A weak F is the weak
-    characterization at alpha - 2*eps, negated: its root is the beta whose
-    weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is solved
-    per probe, and the range stops at alpha - 2*eps, where alpha_w >= beta
-    makes the characterization -inf.
-    """
-    if kind in ("weak", "weak_nonneg"):
-        from .thresholds_general import weak_characterization
-        from .thresholds_nonneg import weak_nonneg_characterization
-
-        wc = weak_characterization if kind == "weak" else weak_nonneg_characterization
-        a = alpha - 2.0 * eps
-        return (lambda beta: -wc(a, beta)), min(_BETA_CAPS[kind], a)
-    return (lambda beta: margin_fn(alpha, beta)[0] + 2.0 * eps), _BETA_CAPS[kind]
+    # strong set definitions need k <= n/2
+    return {"weak": weak(tg, "weak"),
+            "sectional": lifted(tg, "sectional", 0.9999),
+            "strong": lifted(tg, "strong", 0.5 - 1e-9),
+            "weak_nonneg": weak(tn, "weak_nonneg"),
+            "strong_nonneg": lifted(tn, "strong_nonneg", 0.5 - 1e-9)}
 
 
 def threshold_bisect(
     alpha: float,
     kind: str,
     method: str = "lifted",
-    tol_beta: float | None = None,
     config: Config = DEFAULT,
 ) -> ThresholdResult:
-    """Largest beta (to tol_beta) whose condition is feasible at this alpha.
+    """Largest beta (to config.tol_beta) whose condition is feasible at alpha.
 
     Feasibility at a probe means the kind's minimized condition margin is
     strictly below -config.feasibility_margin (eps); the strict cut keeps
     boundary noise from being declared feasible.  The search starts from a
     feasible probe at BETA_FLOOR (ThresholdRangeError otherwise) and
-    reports the cap when the whole range is feasible.
+    reports the cap when the whole range is feasible.  A weak kind has one
+    route, its weak boundary, and reports it as "direct" whatever method
+    is asked for.
 
     A lifted kind is searched by walk up to the cap: certificate steps on
     beta, each re-minimized with one Nelder-Mead run warm-started at the
     previous optimum, until the first infeasible probe (necessarily one
     tol_beta above the last feasible one).  The direct and weak margins are
     increasing in beta, so their threshold is one bracketed root solve
-    (xtol tol_beta/4) of the residual of _direct_residual, which crosses 0
-    where the margin is -2*eps.  The margin is then evaluated at the root
-    r; if it is not below -eps, r - tol_beta/2 is reported instead, which
-    lies below the exact crossing and is checked to be feasible.
+    (xtol tol_beta/4) of the kind's residual, which crosses 0 where the
+    margin is -2*eps.  The margin is then evaluated at the root r; if it is
+    not below -eps, r - tol_beta/2 is reported instead, which lies below
+    the exact crossing and is checked to be feasible.
     """
-    validate_query(alpha, kind, method)
-    tol_beta = config.tol_beta if tol_beta is None else tol_beta
-    if not (math.isfinite(tol_beta) and tol_beta >= 1e-5):
-        raise DomainError(f"tol_beta must be finite and >= 1e-5, got {tol_beta}")
-    margin_fn = _margin_provider(kind, method)
-    eps = config.feasibility_margin
-    spec = lifted_kinds().get(kind) if method == "lifted" else None
-    cap = _BETA_CAPS[kind]
-    if spec is not None:
-        lo, m_lo, p_lo = walk(margin_fn, spec, alpha, cap, eps, tol_beta)
+    table = kind_table()
+    if kind not in table:
+        raise DomainError(f"kind must be one of {tuple(table)}, got {kind!r}")
+    if method not in METHODS:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    row = table[kind]
+    method = row.method_for(method)
+    margin_fn = row.margins[method]
+    eps, tol_beta = config.feasibility_margin, config.tol_beta
+    if method == "lifted":
+        lo, m_lo, p_lo = walk(margin_fn, row.lifted, alpha, row.cap, eps, tol_beta)
     else:
         lo = BETA_FLOOR
         m_lo, p_lo = margin_fn(alpha, lo)
@@ -504,12 +516,12 @@ def threshold_bisect(
             f"({kind}/{method}); threshold below the bisection floor"
         )
 
-    if spec is None:
-        m_hi, p_hi = margin_fn(alpha, cap)
+    if method == "direct":
+        m_hi, p_hi = margin_fn(alpha, row.cap)
         if m_hi < -eps:
-            lo, m_lo, p_lo = cap, m_hi, p_hi
+            lo, m_lo, p_lo = row.cap, m_hi, p_hi
         else:
-            residual, hi = _direct_residual(kind, alpha, eps, margin_fn)
+            residual, hi = row.residual(alpha, eps)
             try:
                 root = find_root(residual, Bracket(lo, hi), tol=tol_beta / 4.0)
             except NoSignChangeError:  # the floor margin lies in [-2 eps, -eps)

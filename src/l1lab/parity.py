@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift_core import LiftParams, exp_set_term_oracle, lifted_kinds
+from .lift_core import LiftParams, exp_set_term_oracle, kind_table
 
-AUDITED = lifted_kinds()
+AUDITED = {name: kind.lifted for name, kind in kind_table().items() if kind.lifted}
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,15 @@ two disagree.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError, NegativeRadicandError
-from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .lift_core import (ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin,
+                        window_half_width)
 from .numerics import phi
 
 SQRT2 = nm.SQRT2
@@ -59,14 +60,20 @@ def weak_characterization(alpha: float, beta_w: float) -> float:
     return (1.0 - beta_w) * SQRT_2_OVER_PI * math.exp(-e * e) / alpha - SQRT2 * e
 
 
+def weak_boundary(characterization, beta: float) -> float:
+    """The root in alpha on (beta, 1) of a weak characterization, solved to
+    residual <= 1e-10: the exact weak threshold alpha_w(beta)."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0,1), got {beta}")
+    lo = max(beta + 1e-12 * (1.0 - beta), float(np.nextafter(beta, 1.0)))
+    hi = 1.0 - 1e-13
+    f = lambda a: characterization(a, beta)
+    return nm.find_root(f, nm.Bracket(lo, hi), tol=1e-13)
+
+
 def weak_alpha_of_beta(beta_w: float) -> float:
     """Exact weak threshold alpha_w(beta_w), solved to residual <= 1e-10."""
-    if not 0.0 < beta_w < 1.0:
-        raise DomainError(f"beta_w must lie in (0,1), got {beta_w}")
-    lo = max(beta_w + 1e-12 * (1.0 - beta_w), float(np.nextafter(beta_w, 1.0)))
-    hi = 1.0 - 1e-13
-    f = lambda a: weak_characterization(a, beta_w)
-    return nm.find_root(f, nm.Bracket(lo, hi), tol=1e-13)
+    return weak_boundary(weak_characterization, beta_w)
 
 
 # --------------------------------------------------------------------------
@@ -93,15 +100,11 @@ def _sectional_direct_profile(beta: float):
     return at
 
 
-def sectional_radicand(beta: float, nu: float) -> float:
-    """beta * E(|h|+nu)^2 + (1-beta) * E max(|h|-nu, 0)^2 in closed form."""
-    return _sectional_direct_profile(beta)(nu)[0]
-
-
 def sectional_set_term_direct(beta: float, nu: float) -> float:
-    """sqrt of the sectional radicand; the direct condition compares its
+    """sqrt of the sectional radicand beta * E(|h|+nu)^2
+    + (1-beta) * E max(|h|-nu, 0)^2; the direct condition compares its
     minimum over nu >= 0 against sqrt(alpha)."""
-    rad = sectional_radicand(beta, nu)
+    rad = _sectional_direct_profile(beta)(nu)[0]
     if rad < -1e-12:
         raise NegativeRadicandError(
             f"sectional radicand negative ({rad:.3e}) at beta={beta}, nu={nu}"
@@ -136,10 +139,7 @@ def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
 def sectional_integrand(params: LiftParams, beta: float):
     """Oracle description of the sectional set term (linear part + pieces)."""
     gamma, nu = params.gamma, params.nu1
-    b = params.b
-    sig = 1.0 / math.sqrt(1.0 - 2.0 * b)
-    drift = 2.0 * b * nu / (1.0 - 2.0 * b)
-    hw = nu + drift + 13.0 * sig + 2.0
+    hw = window_half_width(params)
 
     def t_plus(h):
         return (np.abs(h) + nu) ** 2 / (4.0 * gamma)
@@ -175,11 +175,6 @@ SECTIONAL = LiftedKind(set_term=_sectional_set_term_raw, integrand=sectional_int
                        direct=_sectional_direct)
 
 
-def sectional_set_term_lifted(beta: float, params: LiftParams) -> float:
-    """The lifted sectional set term at explicit LiftParams."""
-    return SECTIONAL.set_term_at(beta, params)
-
-
 def sectional_margin_direct(alpha, beta, warm=None):
     return direct_margin(SECTIONAL, alpha, beta)
 
@@ -192,44 +187,20 @@ def sectional_margin_lifted(alpha, beta, warm=None):
 # strong bounds
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrongIntegrand:
-    """Parameters of the strong exponent t(h) and its closed-form regime.
-
-    t(h) is the larger of the two quadratic branches
-        (|h| + nu1)^2 / (4 gamma) - nu2s   and
-        max(|h| - nu1, 0)^2 / (4 gamma) + nu2s,
-    whose crossing pattern is decided by nu1^2 against 2*gamma*nu2s and
-    8*gamma*nu2s; the regime index records which pattern applies.
-    """
-
-    nu1: float
-    nu2s: float
-    gamma_s: float
-    regime: int = field(init=False)
-
-    def __post_init__(self):
-        if self.nu1 < 0 or self.nu2s < 0 or self.gamma_s <= 0:
-            raise DomainError("need nu1, nu2s >= 0 and gamma_s > 0")
-        if self.nu1 ** 2 < 2.0 * self.gamma_s * self.nu2s:
-            regime = 1
-        elif self.nu1 ** 2 < 8.0 * self.gamma_s * self.nu2s:
-            regime = 2
-        else:
-            regime = 3
-        object.__setattr__(self, "regime", regime)
-
-
-def strong_t_integrand(h, s: StrongIntegrand):
-    """Exact piecewise exponent: for |h| >= nu1,
-    (h^2 + nu1^2)/(4 gamma) + | |h| nu1 / (2 gamma) - nu2s |; otherwise
-    max((|h| + nu1)^2/(4 gamma) - nu2s, nu2s).  Continuous at |h| = nu1."""
+def strong_t_integrand(h, params: LiftParams):
+    """The strong exponent t(h) = max((|h| + nu1)^2/(4 gamma) - nu2,
+    max(|h| - nu1, 0)^2/(4 gamma) + nu2), evaluated piecewise: for |h| >= nu1,
+    (h^2 + nu1^2)/(4 gamma) + | |h| nu1 / (2 gamma) - nu2 |; otherwise
+    max((|h| + nu1)^2/(4 gamma) - nu2, nu2).  Continuous at |h| = nu1."""
+    nu1, nu2, gamma = params.nu1, params.nu2, params.gamma
+    if nu1 < 0 or nu2 < 0:
+        raise DomainError("need nu1, nu2 >= 0")
     h = np.asarray(h, dtype=float)
     ah = np.abs(h)
-    g4 = 4.0 * s.gamma_s
-    outer = (h * h + s.nu1 ** 2) / g4 + np.abs(ah * s.nu1 / (2.0 * s.gamma_s) - s.nu2s)
-    inner = np.maximum((ah + s.nu1) ** 2 / g4 - s.nu2s, s.nu2s)
-    out = np.where(ah >= s.nu1, outer, inner)
+    g4 = 4.0 * gamma
+    outer = (h * h + nu1 ** 2) / g4 + np.abs(ah * nu1 / (2.0 * gamma) - nu2)
+    inner = np.maximum((ah + nu1) ** 2 / g4 - nu2, nu2)
+    out = np.where(ah >= nu1, outer, inner)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,12 +237,7 @@ def strong_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
 def strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the strong set term."""
     gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
-    b = params.b
-    spec = StrongIntegrand(nu1=nu1, nu2s=nu2, gamma_s=gamma)
-    sig = 1.0 / math.sqrt(1.0 - 2.0 * b)
-    drift = 2.0 * b * nu1 / (1.0 - 2.0 * b)
-    reach = nu1 + math.sqrt(8.0 * gamma * nu2)
-    hw = reach + drift + 13.0 * sig + 2.0
+    hw = window_half_width(params)
 
     breaks = {0.0, nu1, -nu1}
     if nu1 > 0:
@@ -281,9 +247,7 @@ def strong_integrand(params: LiftParams, beta: float):
     if start > 0:
         breaks.update((start, -start))
 
-    def t(h):
-        return strong_t_integrand(h, spec)
-
+    t = functools.partial(strong_t_integrand, params=params)
     linear = nu2 * (2.0 * beta - 1.0) + gamma
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks)),
                              half_width=hw),)
@@ -375,11 +339,6 @@ def _strong_nu2(beta, nu1, gamma):
 
 STRONG = LiftedKind(set_term=_strong_set_term_raw, integrand=strong_integrand,
                     direct=_strong_direct, nu2=_strong_nu2)
-
-
-def strong_set_term_lifted(beta: float, params: LiftParams) -> float:
-    """The lifted strong set term at explicit LiftParams."""
-    return STRONG.set_term_at(beta, params)
 
 
 def strong_margin_direct(alpha, beta, warm=None):

@@ -21,15 +21,17 @@ validated against the quadrature oracle, which is authoritative.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError
-from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .lift_core import (ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin,
+                        window_half_width)
 from .numerics import phi
+from .thresholds_general import weak_boundary
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -62,12 +64,7 @@ def weak_nonneg_alpha_of_beta(beta: float) -> float:
     The erfinv argument stays inside (-1, 1) exactly for alpha in (beta, 1),
     which is the scanned bracket.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0,1), got {beta}")
-    lo = max(beta + 1e-12 * (1.0 - beta), float(np.nextafter(beta, 1.0)))
-    hi = 1.0 - 1e-13
-    f = lambda a: weak_nonneg_characterization(a, beta)
-    return nm.find_root(f, nm.Bracket(lo, hi), tol=1e-13)
+    return weak_boundary(weak_nonneg_characterization, beta)
 
 
 # --------------------------------------------------------------------------
@@ -176,51 +173,19 @@ def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
 # lifted strong bound (nonnegative)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonnegStrongParams:
-    """Lift parameters of the nonnegative strong exponent.
-
-    p_plus = c3/(4 gamma) must stay below 1/2 for the moments to converge;
-    entry_point is where the decaying branch meets the plateau.
-    """
-
-    c3: float
-    gamma: float
-    nu1: float
-    nu2s: float
-
-    def __post_init__(self):
-        if self.c3 < 0 or self.gamma <= 0 or self.nu1 < 0 or self.nu2s < 0:
-            raise DomainError("need c3, nu1, nu2s >= 0 and gamma > 0")
-
-    @property
-    def p_plus(self):
-        return self.c3 / (4.0 * self.gamma)
-
-    @property
-    def entry_point(self):
-        """Left edge of the constant plateau: nu1 - sqrt(8 gamma nu2s)."""
-        return self.nu1 - math.sqrt(8.0 * self.gamma * self.nu2s)
-
-    @classmethod
-    def from_lift_params(cls, params: LiftParams) -> "NonnegStrongParams":
-        return cls(c3=params.c3, gamma=params.gamma, nu1=params.nu1, nu2s=params.nu2)
-
-
-def nonneg_t_integrand(h, params: NonnegStrongParams):
+def nonneg_t_integrand(h, params: LiftParams):
     """Asymmetric three-branch exponent:
-        (h - nu1)^2/(4 gamma) - nu2s   for h <= nu1 - sqrt(8 gamma nu2s)
-        nu2s                           on the middle interval
-        (h - nu1)^2/(4 gamma) + nu2s   for h >= nu1.
+        (h - nu1)^2/(4 gamma) - nu2    for h <= nu1 - sqrt(8 gamma nu2)
+        nu2                            on the middle interval
+        (h - nu1)^2/(4 gamma) + nu2    for h >= nu1.
     Both crossings are continuous."""
+    nu1, nu2 = params.nu1, params.nu2
+    if nu1 < 0 or nu2 < 0:
+        raise DomainError("need nu1, nu2 >= 0")
     h = np.asarray(h, dtype=float)
-    g4 = 4.0 * params.gamma
-    quad = (h - params.nu1) ** 2 / g4
-    out = np.where(
-        h >= params.nu1,
-        quad + params.nu2s,
-        np.where(h <= params.entry_point, quad - params.nu2s, params.nu2s),
-    )
+    quad = (h - nu1) ** 2 / (4.0 * params.gamma)
+    entry = nu1 - math.sqrt(8.0 * params.gamma * nu2)  # left edge of the plateau
+    out = np.where(h >= nu1, quad + nu2, np.where(h <= entry, quad - nu2, nu2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -243,18 +208,12 @@ def nonneg_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
 
 def nonneg_strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the nonnegative strong set term."""
-    npar = NonnegStrongParams.from_lift_params(params)
-    p = npar.p_plus
-    sig = 1.0 / math.sqrt(1.0 - 2.0 * p)
-    drift = 2.0 * p * npar.nu1 / (1.0 - 2.0 * p)
-    reach = npar.nu1 + math.sqrt(8.0 * npar.gamma * npar.nu2s)
-    hw = reach + drift + 13.0 * sig + 2.0
+    gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
+    hw = window_half_width(params)
 
-    def t(h):
-        return nonneg_t_integrand(h, npar)
-
-    linear = npar.nu2s * (2.0 * beta - 1.0) + npar.gamma
-    breaks = (npar.entry_point, npar.nu1)
+    linear = nu2 * (2.0 * beta - 1.0) + gamma
+    breaks = (nu1 - math.sqrt(8.0 * gamma * nu2), nu1)
+    t = functools.partial(nonneg_t_integrand, params=params)
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks, half_width=hw),)
 
 
@@ -280,11 +239,6 @@ def _nonneg_nu2(beta, nu1, gamma):
 
 STRONG_NONNEG = LiftedKind(set_term=_nonneg_set_term_raw, integrand=nonneg_strong_integrand,
                            direct=_nonneg_direct, nu2=_nonneg_nu2)
-
-
-def strong_nonneg_set_term_lifted(beta: float, params: LiftParams) -> float:
-    """The lifted nonnegative strong set term at explicit LiftParams."""
-    return STRONG_NONNEG.set_term_at(beta, params)
 
 
 def strong_nonneg_margin_direct(alpha, beta, warm=None):

@@ -1,0 +1,23 @@
+"""The benchmark reaches l1lab's layers through module attributes: the
+tracer rebinds each (module, attribute) of its TARGETS, and the lifted-table
+workload rebinds the lifted margins to run its probes inside lifted solves.
+A renamed or deleted attribute would silently drop a traced layer or the
+probes, so each must name a callable in l1lab."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from l1bench import tracer, workloads  # noqa: E402
+
+HOOKS = sorted({(module, attr) for _layer, module, attr, _how in tracer.TARGETS}
+               | set(workloads.LiftedTable.margins))
+
+
+@pytest.mark.parametrize("module, attr", HOOKS, ids=[f"{m}.{a}" for m, a in HOOKS])
+def test_bench_hook_names_a_callable(module, attr):
+    assert callable(getattr(importlib.import_module(f"l1lab.{module}"), attr, None))

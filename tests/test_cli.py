@@ -281,27 +281,46 @@ def test_audit_deterministic_and_passing(capsys):
 # curve files
 # ---------------------------------------------------------------------------
 
-def test_curve_byte_identical_rerun_and_resume(tmp_path, capsys):
-    out = tmp_path / "weak.csv"
-    args = ["curve", "--kind", "weak", "--alpha-grid", "0.2:0.6:0.2",
-            "--out-file", str(out)]
-    assert cli.main(args) == 0
-    capsys.readouterr()
-    first = out.read_bytes()
+def drop_middle_point(text, file_format):
+    """A curve file's text without the middle one of its three points."""
+    if file_format == "json":
+        payload = json.loads(text)
+        del payload["points"][1]
+        return json.dumps(payload)
+    lines = text.splitlines()
+    return "\n".join(lines[:3] + lines[4:]) + "\n"
 
-    # rerun: byte identical
-    assert cli.main(args) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == first
 
-    # drop the middle row: resume recomputes only that point and the bytes
-    # still come out identical
-    lines = first.decode().splitlines()
-    partial = "\n".join(lines[:3] + lines[4:]) + "\n"
-    out.write_text(partial)
-    assert cli.main(args) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == first
+def test_curve_byte_identical_rerun_and_resume(tmp_path, monkeypatch, capsys):
+    for file_format in ("csv", "json"):
+        out = tmp_path / f"weak.{file_format}"
+        args = ["curve", "--kind", "weak", "--alpha-grid", "0.2:0.6:0.2",
+                "--out-file", str(out), "--format", file_format]
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        first = out.read_bytes()
+
+        # rerun: byte identical, with nothing solved again
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "threshold_bisect", no_solve)
+            assert cli.main(args) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == first
+
+        # drop the middle point: resume recomputes only that point and the
+        # bytes still come out identical
+        out.write_text(drop_middle_point(first.decode(), file_format))
+        solved = []
+
+        def recording(alpha, *rest, _solve=cli.threshold_bisect):
+            solved.append(alpha)
+            return _solve(alpha, *rest)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "threshold_bisect", recording)
+            assert cli.main(args) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == first and solved == [0.4], file_format
 
 
 def test_curve_failed_point_nan_sentinel_and_exit_3(tmp_path, capsys):
@@ -395,6 +414,27 @@ def test_verify_sectional_reports_support(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(len(mat["support"]) == payload["k"] for mat in payload["per_matrix"])
+
+
+def test_verify_sectional_nonneg_runs_the_nonnegative_oracle(capsys):
+    import numpy as np
+
+    from l1lab import empirical
+
+    args = ["verify", "--mode", "sectional", "--alpha", "0.5", "--beta", "0.25",
+            "--n", "12", "--trials", "6", "--seed", "0"]
+    holds = {}
+    for nonneg in (False, True):
+        code, out, _ = run_cli(args + ["--nonneg"] * nonneg, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["nonneg"] is nonneg
+        holds[nonneg] = [mat["holds"] for mat in payload["per_matrix"]]
+        for mat in payload["per_matrix"]:
+            A = np.random.default_rng(mat["seed"]).standard_normal((6, 12))
+            assert mat["holds"] == empirical.sectional_nullspace_holds(
+                A, mat["support"], nonneg=nonneg)
+    assert holds[False] != holds[True]
 
 
 def test_curve_honours_the_config_file(tmp_path, capsys, monkeypatch):

@@ -178,6 +178,21 @@ def test_sectional_one_dimensional_nullspace():
         assert emp.sectional_nullspace_holds(A, support) == direct
 
 
+def test_sectional_nonneg_differs_from_the_general_property():
+    # on this seeded matrix some null-space direction carries at least half
+    # its l1 norm on the support, but none that is nonnegative off the
+    # support has a negative sum
+    A = np.random.default_rng(0).standard_normal((6, 12))
+    support = [0, 1, 2]
+    assert not emp.sectional_nullspace_holds(A, support)
+    assert emp.sectional_nullspace_holds(A, support, nonneg=True)
+    for seed in range(1, 6):
+        A = np.random.default_rng(seed).standard_normal((6, 12))
+        N = emp.nullspace_basis(A)
+        assert (emp.sectional_nullspace_holds(A, support, nonneg=True)
+                == emp._nonneg_support_holds(N, 12, support))
+
+
 def test_sectional_k_zero_vacuous():
     A = emp.generate_instance(12, 6, 1, seed=0).A
     assert emp.sectional_nullspace_holds(A, [])

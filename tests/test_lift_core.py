@@ -1,5 +1,6 @@
 """Sphere term, master condition, set-term oracle, threshold search."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -9,8 +10,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
-from l1lab.config import DEFAULT
+from l1lab.config import DEFAULT, Config
 from l1lab.errors import ConstraintViolatedError, DomainError, NonConvergentError
+
+KINDS = tuple(lc.kind_table())
+LIFTED_KINDS = tuple(name for name, kind in lc.kind_table().items() if kind.lifted)
+
+
+def lifted_spec(name):
+    """The LiftedKind of a lifted kind."""
+    return lc.kind_table()[name].lifted
 
 
 def sphere_objective(gamma, c3, alpha):
@@ -77,14 +86,12 @@ def test_master_condition_trivials():
 
 
 def test_master_condition_continuity_in_c3():
-    from l1lab.thresholds_general import sectional_set_term_lifted
-
     grid = np.linspace(1e-3, 2.0, 400)
     prev = None
     for c3 in grid:
         params = lc.LiftParams(c3=c3, gamma=max(c3 / (4 * 0.3), 0.5), nu1=1.0)
         total = lc.master_condition(
-            sectional_set_term_lifted(0.1, params), c3, 0.5
+            lifted_spec("sectional").set_term_at(0.1, params), c3, 0.5
         ).total
         assert np.isfinite(total)
         if prev is not None:
@@ -132,12 +139,6 @@ def test_threshold_validation():
         lc.threshold_bisect(0.5, "nope", "lifted")
     with pytest.raises(DomainError):
         lc.threshold_bisect(0.5, "sectional", "fancy")
-    with pytest.raises(DomainError):
-        lc.threshold_bisect(0.5, "sectional", "lifted", tol_beta=1e-6)
-    # direct, so that a missing check returns instead of stepping forever
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="finite"):
-            lc.threshold_bisect(0.5, "sectional", "direct", tol_beta=tol)
 
 
 def test_threshold_sectional_direct_table_point():
@@ -168,6 +169,14 @@ def test_threshold_weak_inverts_characterization():
     assert r.params_at_optimum is None
 
 
+@pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
+def test_weak_kind_asked_for_lifted_runs_and_reports_direct(kind):
+    # a weak kind has one route, its exact boundary
+    direct = lc.threshold_bisect(0.5, kind, "direct")
+    assert direct.method == "direct"
+    assert lc.threshold_bisect(0.5, kind, "lifted") == direct
+
+
 def test_lifting_dominance_spot():
     # the direct bound is the c3 -> 0 member of the lifted family
     for alpha in (0.25, 0.6):
@@ -175,7 +184,7 @@ def test_lifting_dominance_spot():
         lifted = lc.threshold_bisect(alpha, "sectional", "lifted")
         assert lifted.beta >= direct.beta - 1e-5
         p = lifted.params_at_optimum
-        assert all(type(v) is float for v in p.to_dict().values())
+        assert all(type(v) is float for v in dataclasses.astuple(p))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +234,23 @@ def test_lifted_objective_finite_far_from_the_edges():
 
 def test_x_to_params_gives_plain_floats():
     p = lc.x_to_params(np.array([0.3, 0.25, 1.5, 2.0]))
-    assert all(type(v) is float for v in p.to_dict().values())
+    assert all(type(v) is float for v in dataclasses.astuple(p))
     assert p.b == pytest.approx(0.25, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
+
+def stub_table(monkeypatch, margin, spec=None):
+    """Give every kind of the kind table `margin` for both methods, and
+    every lifted kind the LiftedKind `spec` when one is given."""
+    table = lc.kind_table()
+    for name, kind in table.items():
+        lifted = kind.lifted if spec is None or kind.lifted is None else spec
+        monkeypatch.setitem(table, name, dataclasses.replace(
+            kind, lifted=lifted, margins=dict.fromkeys(lc.METHODS, margin)))
+
 
 def stub_margins(monkeypatch, feasible, above=1.0):
     """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs
@@ -242,7 +261,7 @@ def stub_margins(monkeypatch, feasible, above=1.0):
         probes.append((beta, warm))
         return (-1.0 if feasible(beta) else above), None
 
-    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
+    stub_table(monkeypatch, margin)
     return probes
 
 
@@ -262,8 +281,7 @@ def stub_lifted(monkeypatch, root, slope=1.0):
             m = min(m, spec.set_term_at(beta, warm))
         return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
 
-    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
-    monkeypatch.setattr(lc, "lifted_kinds", lambda: dict.fromkeys(lc.KINDS, spec))
+    stub_table(monkeypatch, margin, spec)
     return probes
 
 
@@ -286,7 +304,7 @@ def test_lifted_search_goes_on_after_a_feasible_thorough_confirm(monkeypatch):
 def test_lifted_certificate_reaching_the_cap_returns_the_cap(monkeypatch, slope):
     probes = stub_lifted(monkeypatch, root=lambda beta: 0.7, slope=slope)
     r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
-    cap = lc._BETA_CAPS["strong_nonneg"]
+    cap = lc.kind_table()["strong_nonneg"].cap
     assert r.beta == cap and r.condition_margin == slope * cap - 0.7
     assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
 
@@ -301,7 +319,7 @@ def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
     probes = stub_margins(monkeypatch, feasible=lambda b: True)
     r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
-    cap = lc._BETA_CAPS["strong_nonneg"]
+    cap = lc.kind_table()["strong_nonneg"].cap
     assert r.beta == cap and r.condition_margin == -1.0
     assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
 
@@ -314,7 +332,7 @@ def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
     probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3)
     r = lc.threshold_bisect(0.5, "sectional", "direct")
     betas = [b for b, _ in probes]
-    assert betas[:2] == [lc.BETA_FLOOR, lc._BETA_CAPS["sectional"]]
+    assert betas[:2] == [lc.BETA_FLOOR, lc.kind_table()["sectional"].cap]
     root = betas[-2]
     assert 0.3 <= root <= 0.3 + tol / 4
     assert r.beta == betas[-1] == root - tol / 2 and r.condition_margin == -1.0
@@ -341,7 +359,7 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
         probes.append(beta)
         return beta - lc.BETA_FLOOR - 1.5 * eps, None
 
-    monkeypatch.setattr(lc, "_margin_provider", lambda kind, method: margin)
+    stub_table(monkeypatch, margin)
     r = lc.threshold_bisect(0.5, "strong", "direct")
     assert r.beta == lc.BETA_FLOOR and r.condition_margin == -1.5 * eps
     assert probes[-1] == lc.BETA_FLOOR
@@ -352,16 +370,17 @@ CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95
 
 
 @pytest.mark.parametrize("tol", [None, 1e-3], ids=["default-tol", "tol-1e-3"])
-@pytest.mark.parametrize("kind", lc.KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_direct_root_route_reports_beta_to_tol_beta(kind, tol):
     # the reported beta is feasible and beta + tol_beta is not (or is past
     # the cap), so tol_beta binds the direct and weak kinds
     eps = DEFAULT.feasibility_margin
-    step = DEFAULT.tol_beta if tol is None else tol
-    margin_fn = lc._margin_provider(kind, "direct")
-    cap = lc._BETA_CAPS[kind]
+    config = DEFAULT if tol is None else Config(tol_beta=tol)
+    step = config.tol_beta
+    margin_fn = lc.kind_table()[kind].margins["direct"]
+    cap = lc.kind_table()[kind].cap
     for alpha in CONTRACT_ALPHAS:
-        r = lc.threshold_bisect(alpha, kind, "direct", tol_beta=tol)
+        r = lc.threshold_bisect(alpha, kind, "direct", config=config)
         assert r.condition_margin < -eps
         assert margin_fn(alpha, r.beta)[0] == r.condition_margin
         assert r.beta < cap
@@ -375,9 +394,9 @@ def test_threshold_cli_tol_reaches_the_root_route(capsys, monkeypatch):
     eps = DEFAULT.feasibility_margin
     seen = []
 
-    def recording(alpha, kind, method, tol_beta=None, config=DEFAULT):
-        seen.append(tol_beta)
-        return lc.threshold_bisect(alpha, kind, method, tol_beta=tol_beta, config=config)
+    def recording(alpha, kind, method="lifted", config=DEFAULT):
+        seen.append(config.tol_beta)
+        return lc.threshold_bisect(alpha, kind, method, config)
 
     monkeypatch.setattr(cli, "threshold_bisect", recording)
     for flag in ("sectional", "weak-nonneg"):
@@ -385,9 +404,9 @@ def test_threshold_cli_tol_reaches_the_root_route(capsys, monkeypatch):
         assert cli.main(["threshold", "--alpha", "0.5", "--kind", flag, "--method", "direct",
                          "--tol", "1e-3", "--out", "json"]) == 0
         row = json.loads(capsys.readouterr().out)
-        r = lc.threshold_bisect(0.5, kind, "direct", tol_beta=1e-3)
+        r = lc.threshold_bisect(0.5, kind, "direct", config=Config(tol_beta=1e-3))
         assert row["beta"] == float(cli.fmt(r.beta))
-        margin_fn = lc._margin_provider(kind, "direct")
+        margin_fn = lc.kind_table()[kind].margins["direct"]
         assert margin_fn(0.5, r.beta)[0] < -eps <= margin_fn(0.5, r.beta + 1e-3)[0]
     assert seen == [1e-3, 1e-3]
 
@@ -424,7 +443,7 @@ def test_weak_residual_changes_sign_once_below_alpha(kind):
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
 def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
-    kind = lc.lifted_kinds()[name]
+    kind = lifted_spec(name)
     alpha, beta = 0.5, lc.BETA_FLOOR
     _, direct = lc.direct_margin(kind, alpha, beta)
     assert direct.c3 == 0.0 and direct.gamma > 1e-6
@@ -446,7 +465,7 @@ def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
 def test_set_term_at_checks_the_convergence_constraint(name):
-    kind = lc.lifted_kinds()[name]
+    kind = lifted_spec(name)
     ok = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
     assert math.isfinite(kind.set_term_at(0.1, ok))
     for gamma in (1.0, 0.8):  # b = 1/2 and b > 1/2
@@ -456,8 +475,9 @@ def test_set_term_at_checks_the_convergence_constraint(name):
 
 
 def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
-    # profilers and tracers rebind these module attributes; a LiftedKind
-    # holding a reference taken at import time would bypass the rebinding
+    # profilers and tracers rebind these module attributes; a kind table or
+    # a LiftedKind holding a reference taken at import time would bypass the
+    # rebinding
     from l1lab import thresholds_general as tg
     from l1lab import thresholds_nonneg as tn
 
@@ -475,15 +495,19 @@ def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
 
     for name in ("sectional_margin_direct", "sectional_margin_lifted",
                  "strong_margin_direct", "strong_margin_lifted",
-                 "sectional_direct_minimum", "strong_direct_minimum"):
+                 "sectional_direct_minimum", "strong_direct_minimum",
+                 "sectional_exp_moments", "strong_exp_moment", "weak_alpha_of_beta"):
         count(tg, name)
     for name in ("strong_nonneg_margin_direct", "strong_nonneg_margin_lifted",
-                 "strong_nonneg_direct_minimum"):
+                 "strong_nonneg_direct_minimum", "nonneg_exp_moment",
+                 "weak_nonneg_alpha_of_beta"):
         count(tn, name)
 
-    for kind in ("sectional", "strong", "strong_nonneg"):
+    for kind in ("weak", "weak_nonneg"):
         lc.threshold_bisect(0.5, kind, "direct")
-        margin, _ = lc._margin_provider(kind, "lifted")(0.5, 0.02)
+    for kind in LIFTED_KINDS:
+        lc.threshold_bisect(0.5, kind, "direct")
+        margin, _ = lc.kind_table()[kind].margins["lifted"](0.5, 0.02)
         assert margin < 0
     assert all(calls.values()), calls
 
@@ -521,7 +545,7 @@ def lifted_solves():
 
             mp.setattr(module, attr, recording)
         solves = {}
-        for kind in lc.lifted_kinds():
+        for kind in LIFTED_KINDS:
             for alpha in (0.1, 0.5, 0.999):
                 probes.clear()
                 solves[kind, alpha] = lc.threshold_bisect(alpha, kind, "lifted"), list(probes)
@@ -533,7 +557,7 @@ def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
     # every probe after the floor except the last lands where the previous
     # optimum certifies it; the last, tol_beta above the result, ends the
     # search as the one infeasible probe
-    spec = lc.lifted_kinds()[kind]
+    spec = lifted_spec(kind)
     eps = DEFAULT.feasibility_margin
     for alpha in (0.1, 0.5, 0.999):
         r, probes = lifted_solves[kind, alpha]
@@ -552,7 +576,7 @@ def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
 def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
-    spec = lc.lifted_kinds()[kind]
+    spec = lifted_spec(kind)
     r, _ = lifted_solves[kind, alpha]
     p = r.params_at_optimum
     assert closed_total(spec, p, alpha, r.beta) == r.condition_margin
@@ -565,8 +589,8 @@ def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
 def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
     # one Nelder-Mead run from p returns at most the closed-form total at p,
     # which is what lets a warm probe carry the certificate of p
-    spec = lc.lifted_kinds()[kind]
-    margin_fn = lc._margin_provider(kind, "lifted")
+    spec = lifted_spec(kind)
+    margin_fn = lc.kind_table()[kind].margins["lifted"]
     r, _ = lifted_solves[kind, 0.5]
     starts = [(r.params_at_optimum, beta) for beta in (r.beta - 0.01, r.beta + 0.001)]
     starts.append((lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2), 0.05))
@@ -592,14 +616,14 @@ def test_cold_margin_at_the_reported_beta_is_the_search_result(lifted_solves, ki
     # a cold margin walks the search's own steps, so at the reported beta it
     # ends on the same probe
     r, _ = lifted_solves[kind, alpha]
-    margin, params = lc.lifted_margin(lc.lifted_kinds()[kind], alpha, r.beta)
+    margin, params = lc.lifted_margin(lifted_spec(kind), alpha, r.beta)
     assert margin == r.condition_margin and params == r.params_at_optimum
 
 
 def test_cold_margin_below_the_floor_is_one_probe_at_beta():
     # the search raises ThresholdRangeError at this alpha: its floor probe
     # has a margin near +6.7e-3, so a walk must not start there
-    spec = lc.lifted_kinds()["strong"]
+    spec = lifted_spec("strong")
     cold = lc.lifted_margin(spec, 0.003, 5e-5)
     assert cold[0] < -DEFAULT.feasibility_margin
     assert cold == lc.lifted_margin(spec, 0.003, 5e-5, lc.floor_start(spec, 5e-5))
@@ -609,11 +633,11 @@ def test_cold_margin_outside_the_kind_range_raises():
     # nonnegative strong sets need beta < 1/2; the walk alone would stop
     # short and return the margin of a warm run at this beta
     with pytest.raises(DomainError):
-        lc.lifted_margin(lc.lifted_kinds()["strong_nonneg"], 0.999, 0.55)
+        lc.lifted_margin(lifted_spec("strong_nonneg"), 0.999, 0.55)
 
 
 def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
-    spec = lc.lifted_kinds()["sectional"]
+    spec = lifted_spec("sectional")
     eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
     lo, _, p = lc.walk(functools.partial(lc.lifted_margin, spec), spec, 0.5, 0.11, eps, tol)
     assert lo < 0.11

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
+from l1lab.errors import DomainError
 from l1lab.lift_core import LiftParams, exp_set_term_oracle
 
 SQRT2 = math.sqrt(2.0)
@@ -78,7 +79,7 @@ def test_sectional_lifted_nu_zero_closed_form():
     plus, minus = tg.sectional_exp_moments(b, 0.0)
     assert abs(plus - 1.0 / math.sqrt(1.0 - 2.0 * b)) <= 1e-12
     assert abs(minus - 1.0 / math.sqrt(1.0 - 2.0 * b)) <= 1e-12
-    closed = tg.sectional_set_term_lifted(0.2, params)
+    closed = tg.SECTIONAL.set_term_at(0.2, params)
     oracle = exp_set_term_oracle(tg.sectional_integrand, params, 0.2)
     assert abs(closed - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
@@ -174,10 +175,15 @@ def reference_strong_t(h, nu1, nu2, gamma):
                (max(ah - nu1, 0.0)) ** 2 / (4 * gamma) + nu2)
 
 
+def strong_params(nu1, nu2, gamma):
+    """LiftParams for the strong exponent, which does not depend on c3."""
+    return LiftParams(c3=0.1, gamma=gamma, nu1=nu1, nu2=nu2)
+
+
 def test_strong_t_integrand_values():
-    s = tg.StrongIntegrand(nu1=0.0, nu2s=0.3, gamma_s=1.0)
+    s = strong_params(nu1=0.0, nu2=0.3, gamma=1.0)
     assert tg.strong_t_integrand(0.0, s) == pytest.approx(0.3, abs=1e-15)
-    s = tg.StrongIntegrand(nu1=1.0, nu2s=0.1, gamma_s=0.5)
+    s = strong_params(nu1=1.0, nu2=0.1, gamma=0.5)
     # hand evaluation at h=2: (4+1)/2 + |2*1/1 - 0.1| = 2.5 + 1.9
     assert tg.strong_t_integrand(2.0, s) == pytest.approx(4.4, abs=1e-12)
     assert tg.strong_t_integrand(2.0, s) == pytest.approx(
@@ -192,23 +198,23 @@ def test_strong_t_integrand_values():
     gamma=st.floats(0.1, 3),
 )
 def test_strong_t_integrand_matches_reference(h, nu1, nu2, gamma):
-    s = tg.StrongIntegrand(nu1=nu1, nu2s=nu2, gamma_s=gamma)
+    s = strong_params(nu1, nu2, gamma)
     assert tg.strong_t_integrand(h, s) == pytest.approx(
         reference_strong_t(h, nu1, nu2, gamma), rel=1e-13, abs=1e-13)
 
 
 def test_strong_t_branch_continuity():
     for nu1, nu2, gamma in [(1.2, 0.4, 0.7), (0.5, 1.0, 1.3), (2.0, 0.05, 0.4)]:
-        s = tg.StrongIntegrand(nu1=nu1, nu2s=nu2, gamma_s=gamma)
+        s = strong_params(nu1, nu2, gamma)
         below = tg.strong_t_integrand(nu1 - 1e-11, s)
         above = tg.strong_t_integrand(nu1 + 1e-11, s)
         assert abs(above - below) <= 1e-9
 
 
-def test_strong_regimes():
-    assert tg.StrongIntegrand(nu1=0.1, nu2s=1.0, gamma_s=1.0).regime == 1
-    assert tg.StrongIntegrand(nu1=2.0, nu2s=1.0, gamma_s=1.0).regime == 2
-    assert tg.StrongIntegrand(nu1=3.0, nu2s=1.0, gamma_s=1.0).regime == 3
+@pytest.mark.parametrize("nu1, nu2", [(-0.1, 0.3), (0.5, -0.1)])
+def test_strong_t_integrand_rejects_negative_multipliers(nu1, nu2):
+    with pytest.raises(DomainError):
+        tg.strong_t_integrand(0.5, strong_params(nu1, nu2, 1.0))
 
 
 def test_strong_moment_continuity_at_regime_boundaries():
@@ -222,7 +228,7 @@ def test_strong_moment_continuity_at_regime_boundaries():
 def test_strong_moment_nu2_zero_degenerate():
     # regimes 2 and 3 coincide; closed form equals the oracle tightly
     params = LiftParams(c3=0.7, gamma=0.9, nu1=1.3, nu2=0.0)
-    closed = tg.strong_set_term_lifted(0.2, params)
+    closed = tg.STRONG.set_term_at(0.2, params)
     oracle = exp_set_term_oracle(tg.strong_integrand, params, 0.2)
     assert abs(closed - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
@@ -230,7 +236,7 @@ def test_strong_moment_nu2_zero_degenerate():
 def test_strong_moment_matches_oracle_in_each_regime():
     for nu1, nu2 in [(0.1, 1.0), (2.0, 1.0), (3.0, 0.5), (0.0, 0.7), (1.5, 0.0)]:
         params = LiftParams(c3=0.6, gamma=1.0, nu1=nu1, nu2=nu2)
-        closed = tg.strong_set_term_lifted(0.3, params)
+        closed = tg.STRONG.set_term_at(0.3, params)
         oracle = exp_set_term_oracle(tg.strong_integrand, params, 0.3)
         assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle)), (nu1, nu2)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from l1lab import numerics as nm
 from l1lab import thresholds_nonneg as tn
+from l1lab.errors import DomainError
 from l1lab.lift_core import ExpPiece, LiftParams, exp_set_term_oracle
 from l1lab.thresholds_general import weak_alpha_of_beta
 
@@ -79,8 +80,8 @@ def test_nonneg_direct_below_classical_at_half():
 # ---------------------------------------------------------------------------
 
 def test_nonneg_t_integrand_branches():
-    p = tn.NonnegStrongParams(c3=0.5, gamma=1.0, nu1=1.5, nu2s=0.2)
-    entry = p.entry_point
+    p = LiftParams(c3=0.5, gamma=1.0, nu1=1.5, nu2=0.2)
+    entry = 1.5 - math.sqrt(8 * 1.0 * 0.2)
     # middle branch is the constant nu2s
     mid = 0.5 * (entry + p.nu1)
     assert tn.nonneg_t_integrand(mid, p) == pytest.approx(0.2, abs=1e-15)
@@ -99,7 +100,7 @@ def test_nonneg_t_integrand_branches():
     gamma=st.floats(0.1, 3),
 )
 def test_nonneg_t_integrand_matches_max_form(h, nu1, nu2, gamma):
-    p = tn.NonnegStrongParams(c3=0.1, gamma=gamma, nu1=nu1, nu2s=nu2)
+    p = LiftParams(c3=0.1, gamma=gamma, nu1=nu1, nu2=nu2)
     want = max((h - nu1) ** 2 / (4 * gamma) - nu2,
                (max(h - nu1, 0.0)) ** 2 / (4 * gamma) + nu2)
     assert tn.nonneg_t_integrand(h, p) == pytest.approx(want, rel=1e-13, abs=1e-13)
@@ -113,21 +114,30 @@ def test_nonneg_degenerate_parameters():
     moment = tn.nonneg_exp_moment(c3, gamma, 0.0, 0.0)
     assert abs(moment - 1.0 / math.sqrt(1.0 - 2.0 * p)) <= 1e-8
     params = LiftParams(c3=c3, gamma=gamma, nu1=0.0, nu2=0.0)
-    closed = tn.strong_nonneg_set_term_lifted(0.3, params)
+    closed = tn.STRONG_NONNEG.set_term_at(0.3, params)
     oracle = exp_set_term_oracle(tn.nonneg_strong_integrand, params, 0.3)
     assert abs(closed - oracle) <= 1e-8 * max(1.0, abs(oracle))
 
 
 def test_nonneg_derived_coefficient_fields():
-    p = tn.NonnegStrongParams(c3=0.8, gamma=1.1, nu1=1.2, nu2s=0.7)
-    assert p.p_plus == pytest.approx(0.8 / 4.4)
-    assert p.entry_point == pytest.approx(1.2 - math.sqrt(8 * 1.1 * 0.7))
+    # the moment scale p_plus is LiftParams.b; the entry point (left edge of
+    # the plateau) and nu1 are the oracle's breakpoints
+    p = LiftParams(c3=0.8, gamma=1.1, nu1=1.2, nu2=0.7)
+    assert p.b == pytest.approx(0.8 / 4.4)
+    _, (piece,) = tn.nonneg_strong_integrand(p, 0.3)
+    assert piece.breakpoints == pytest.approx((1.2 - math.sqrt(8 * 1.1 * 0.7), 1.2))
+
+
+@pytest.mark.parametrize("nu1, nu2", [(-0.1, 0.3), (0.5, -0.1)])
+def test_nonneg_t_integrand_rejects_negative_multipliers(nu1, nu2):
+    with pytest.raises(DomainError):
+        tn.nonneg_t_integrand(0.5, LiftParams(c3=0.1, gamma=1.0, nu1=nu1, nu2=nu2))
 
 
 def test_nonneg_moment_matches_oracle_spot():
     for nu1, nu2 in [(0.3, 1.2), (2.0, 0.4), (1.0, 1.0), (0.0, 0.5)]:
         params = LiftParams(c3=0.7, gamma=1.0, nu1=nu1, nu2=nu2)
-        closed = tn.strong_nonneg_set_term_lifted(0.25, params)
+        closed = tn.STRONG_NONNEG.set_term_at(0.25, params)
         oracle = exp_set_term_oracle(tn.nonneg_strong_integrand, params, 0.25)
         assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle)), (nu1, nu2)
 
