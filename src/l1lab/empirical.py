@@ -10,11 +10,10 @@ nonnegative), and exact null-space-property oracles at small scale:
   cross-checked in the tests against an exact LP reformulation.
 
 * sectional/strong null-space oracles decide the exact combinatorial
-  conditions by solving one small LP per sign pattern (or per support, in
-  the nonnegative case) over a null-space parameterization.  The programs
-  are normalized with the box |w|_inf <= 1 rather than the unit sphere:
-  strict positivity of the optimum is scale-invariant, so the boolean
-  answer is the same and every subproblem stays an exact LP.
+  conditions by one small LP on {A w = 0, |w|_inf <= 1} per sign pattern
+  (per support, when nonnegative), with w split off the support as p - q.
+  The box stands in for the unit sphere: strict positivity of the optimum
+  is scale-invariant, so the answer is the same and each program is an LP.
 
 Everything is seeded and deterministic; per-trial seeds are derived from
 the caller's seed so results do not depend on execution order.
@@ -31,7 +30,7 @@ import scipy.linalg as sla
 from scipy.optimize import linprog
 
 from .config import DEFAULT, Config
-from .errors import DimensionError, RankDeficientError, SolverStalledError
+from .errors import DimensionError, DomainError, RankDeficientError, SolverStalledError
 
 # exhaustive-regime caps: beyond these the enumeration is combinatorially
 # out of reach and the oracles refuse to pretend otherwise
@@ -186,6 +185,8 @@ def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
     Solver failures (stall, rank deficiency) count as failed recoveries with
     a warning; they do not abort the experiment.
     """
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
     m = int(round(alpha * n))
     k = int(round(beta * n))
     if not (1 <= k <= m < n):
@@ -217,6 +218,8 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
                         config: Config = DEFAULT) -> float:
     """Monte Carlo estimate of the 50%-recovery alpha at fixed beta, by
     bisection over alpha with common per-probe randomness."""
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
     lo = max(beta + 2.0 / n, 2.0 / n)
     hi = 1.0 - 1.0 / n
     while hi - lo > tol_alpha:
@@ -234,55 +237,34 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
 # exhaustive null-space oracles
 # --------------------------------------------------------------------------
 
-def nullspace_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of null(A) via orthogonal factorization of A^T."""
-    return sla.null_space(A)
+def _support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:
+    """Exact support-level null-space property of A on one sorted support.
 
-
-def _lp_max(c_max, A_ub, b_ub, bounds):
-    """Maximize c_max . v subject to A_ub v <= b_ub; returns the optimum."""
-    res = linprog(-np.asarray(c_max), A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"null-space LP failed with status {res.status}: {res.message}")
-    return -float(res.fun)
-
-
-def _sectional_holds_basis(N: np.ndarray, n: int, support) -> bool:
-    """Exact support-level null-space property over a null basis N.
-
-    For each sign pattern b on the support, maximize
-        b . w_support - ||w_complement||_1
-    over {w = N z, |w|_inf <= 1}.  The property holds iff every optimum is
-    (up to LP slack) nonpositive: a strictly positive optimum scales to a
-    violating direction on the sphere and vice versa.
+    For each sign pattern b on the support, maximize b . w_support - sum(p + q)
+    over A_support w_support + A_off (p - q) = 0, |w_support|_inf <= 1 and
+    p, q in [0, 1].  At an optimum p . q = 0, so sum(p + q) = ||w_off||_1.
+    The property holds iff every optimum is (up to LP slack) nonpositive: a
+    strictly positive optimum scales to a violating direction on the sphere
+    and vice versa.  The nonnegative model drops q (q = 0) and takes the
+    single pattern b = -1: no null-space w that is nonnegative off the
+    support has a negative sum.
     """
-    support = np.asarray(sorted(support), dtype=int)
+    m, n = A.shape
     k = len(support)
-    if k == 0 or N.shape[1] == 0:
+    if k == 0 or m == n:  # vacuous, or null(A) = {0} at full row rank
         return True
-    mask = np.zeros(n, dtype=bool)
-    mask[support] = True
-    N_s = N[mask, :]
-    N_c = N[~mask, :]
-    d = N.shape[1]
-    n_c = N_c.shape[0]
-
-    # variables v = [z (d), t (n_c)]; t_j >= |(N_c z)_j|
-    A_rows = np.vstack([
-        np.hstack([N_c, -np.eye(n_c)]),
-        np.hstack([-N_c, -np.eye(n_c)]),
-        np.hstack([N, np.zeros((n, n_c))]),
-        np.hstack([-N, np.zeros((n, n_c))]),
-    ])
-    b_ub = np.concatenate([np.zeros(2 * n_c), np.ones(2 * n)])
-    bounds = [(None, None)] * d + [(0, None)] * n_c
-
+    A_off = np.delete(A, support, axis=1)
+    A_eq = np.hstack([A[:, support], A_off] if nonneg else [A[:, support], A_off, -A_off])
+    bounds = [(-1, 1)] * k + [(0, 1)] * (A_eq.shape[1] - k)
     # b and -b give the same optimum (w -> -w), so fix the first sign
-    for rest in itertools.product((1.0, -1.0), repeat=k - 1):
-        b_vec = np.array((1.0,) + rest)
-        c_max = np.concatenate([N_s.T @ b_vec, -np.ones(n_c)])
-        if _lp_max(c_max, A_rows, b_ub, bounds) > _LP_SLACK:
+    patterns = ([(-1.0,) * k] if nonneg else
+                [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)])
+    for b in patterns:
+        cost = np.concatenate([-np.array(b), np.ones(A_eq.shape[1] - k)])
+        res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(m), bounds=bounds, method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"null-space LP failed with status {res.status}: {res.message}")
+        if -float(res.fun) > _LP_SLACK:
             return False
     return True
 
@@ -301,33 +283,30 @@ def check_nullspace_size(mode: str, n: int, k: int) -> None:
         )
 
 
+def _support_indices(support, n: int) -> np.ndarray:
+    """`support` as sorted column indices; DimensionError unless they are
+    distinct integers in [0, n)."""
+    idx = np.asarray(support)
+    if idx.size == 0:
+        return np.zeros(0, dtype=int)
+    if not (idx.ndim == 1 and np.issubdtype(idx.dtype, np.integer)
+            and 0 <= idx.min() and idx.max() < n and len(np.unique(idx)) == len(idx)):
+        raise DimensionError(f"support must hold distinct integer indices in [0, {n}), "
+                             f"got {support!r}")
+    return np.sort(idx)
+
+
 def sectional_nullspace_holds(A: np.ndarray, support, nonneg: bool = False) -> bool:
     """True iff every nonzero null-space direction w satisfies
     ||w_support||_1 < ||w_complement||_1 (decided exactly by LPs).  With
     nonneg, the property for nonnegative unknowns instead: every null-space
     w that is nonnegative off the support has sum(w) >= 0."""
     m, n = A.shape
-    support = np.asarray(sorted(support), dtype=int)
+    support = _support_indices(support, n)
     check_nullspace_size("sectional", n, len(support))
     if np.linalg.matrix_rank(A) < m:
         raise RankDeficientError("A must have full row rank")
-    holds = _nonneg_support_holds if nonneg else _sectional_holds_basis
-    return holds(nullspace_basis(A), n, support)
-
-
-def _nonneg_support_holds(N: np.ndarray, n: int, support) -> bool:
-    """Nonnegative variant for one support: maximize -sum(w) over
-    {w = N z, w >= 0 off the support, |w|_inf <= 1}; holds iff <= 0."""
-    if N.shape[1] == 0:
-        return True
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(sorted(support), dtype=int)] = True
-    N_c = N[~mask, :]
-    A_rows = np.vstack([-N_c, N, -N])
-    b_ub = np.concatenate([np.zeros(N_c.shape[0]), np.ones(2 * n)])
-    bounds = [(None, None)] * N.shape[1]
-    c_max = -N.sum(axis=0)
-    return _lp_max(c_max, A_rows, b_ub, bounds) <= _LP_SLACK
+    return _support_holds(A, support, nonneg)
 
 
 def strong_nullspace_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
@@ -340,6 +319,5 @@ def strong_nullspace_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
         return True
     if np.linalg.matrix_rank(A) < m:
         raise RankDeficientError("A must have full row rank")
-    N = nullspace_basis(A)
-    holds = _nonneg_support_holds if nonneg else _sectional_holds_basis
-    return all(holds(N, n, support) for support in itertools.combinations(range(n), k))
+    return all(_support_holds(A, np.array(support), nonneg)
+               for support in itertools.combinations(range(n), k))

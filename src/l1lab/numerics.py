@@ -380,16 +380,12 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _composite_gl(f, segments, panels_per_unit):
-    """Composite Gauss-Legendre sum of f over the given segments.
-
-    Panels are distributed proportionally to segment length (at least one
-    per segment) so that panel edges always sit on segment boundaries.
-    """
+def _composite_gl(f, segments, panels):
+    """Composite Gauss-Legendre sum of f over the given segments, with
+    panels[i] equal panels on segment i, so that panel edges always sit on
+    segment boundaries."""
     total = 0.0
-    span = sum(hi - lo for lo, hi in segments)
-    for lo, hi in segments:
-        n_pan = max(1, int(round(panels_per_unit * (hi - lo) / span)))
+    for (lo, hi), n_pan in zip(segments, panels):
         edges = np.linspace(lo, hi, n_pan + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -432,14 +428,18 @@ def gauss_expectation(
         def weighted(h):
             return g(h) * np.exp(-0.5 * h * h) / SQRT2PI
 
+    # spec.panels shared by segment length (at least one each); every segment
+    # doubles at each step, so none sits on one panel while the rest converge
+    seg_panels = [max(1, round(spec.panels * (hi - lo) / (2.0 * hw))) for lo, hi in segments]
     panels = spec.panels
     prev = None
     while panels <= spec.max_panels:
-        est = _composite_gl(weighted, segments, panels)
+        est = _composite_gl(weighted, segments, seg_panels)
         if prev is not None and abs(est - prev) <= spec.rel_tol * max(abs(est), 1e-12):
             return est
         prev = est
         panels *= 2
+        seg_panels = [2 * n for n in seg_panels]
     delta = "n/a" if prev is None else f"{abs(est - prev):.3e}"
     raise NonConvergentError(
         f"quadrature did not stabilize to rel_tol={spec.rel_tol} "

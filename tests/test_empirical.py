@@ -1,11 +1,14 @@
 """Instance generation, basis pursuit, null-space oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from l1lab import empirical as emp
-from l1lab.errors import DimensionError
+from l1lab.errors import DimensionError, DomainError
 
 
 def lp_basis_pursuit(A, y, nonneg=False):
@@ -161,9 +164,84 @@ def test_weak_recovery_rate_validation():
         emp.weak_recovery_rate(0.5, 0.001, 100, 5, seed=0)  # k rounds to 0
 
 
+@pytest.mark.parametrize("experiment", [
+    lambda: emp.weak_recovery_rate(0.5, 0.1, 50, 0),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 0),
+], ids=["weak_recovery_rate", "fifty_percent_alpha"])
+def test_recovery_experiments_need_a_trial(monkeypatch, experiment):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with no trials")
+
+    monkeypatch.setattr(emp, "solve_basis_pursuit", no_solve)
+    with pytest.raises(DomainError):
+        experiment()
+
+
 # ---------------------------------------------------------------------------
 # null-space oracles
 # ---------------------------------------------------------------------------
+
+def basis_lp_max(c_max, A_ub, b_ub, bounds):
+    res = linprog(-np.asarray(c_max), A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def basis_support_holds(A, support, nonneg=False):
+    """The support-level property decided over a null-space basis N, the
+    reference the LPs on A are checked against.
+
+    General signs: for each sign pattern b on the support (first sign +1),
+    maximize b . w_support - ||w_complement||_1 over {w = N z,
+    |w|_inf <= 1}, with t >= |w_complement| as extra variables.
+    Nonnegative: maximize -sum(w) over {w = N z, w >= 0 off the support,
+    |w|_inf <= 1}.  The property holds iff every optimum is <= 1e-9.
+    """
+    N = null_space(A)
+    n, d = N.shape
+    support = np.asarray(sorted(support), dtype=int)
+    mask = np.zeros(n, dtype=bool)
+    mask[support] = True
+    N_c = N[~mask, :]
+    n_c = N_c.shape[0]
+    if nonneg:
+        A_rows = np.vstack([-N_c, N, -N])
+        b_ub = np.concatenate([np.zeros(n_c), np.ones(2 * n)])
+        return basis_lp_max(-N.sum(axis=0), A_rows, b_ub, [(None, None)] * d) <= 1e-9
+    A_rows = np.vstack([
+        np.hstack([N_c, -np.eye(n_c)]),
+        np.hstack([-N_c, -np.eye(n_c)]),
+        np.hstack([N, np.zeros((n, n_c))]),
+        np.hstack([-N, np.zeros((n, n_c))]),
+    ])
+    b_ub = np.concatenate([np.zeros(2 * n_c), np.ones(2 * n)])
+    bounds = [(None, None)] * d + [(0, None)] * n_c
+    for rest in itertools.product((1.0, -1.0), repeat=len(support) - 1):
+        c_max = np.concatenate([N[mask, :].T @ np.array((1.0,) + rest), -np.ones(n_c)])
+        if basis_lp_max(c_max, A_rows, b_ub, bounds) > 1e-9:
+            return False
+    return True
+
+
+def test_support_decisions_match_the_null_space_basis_form():
+    # the LP on A with w_off = p - q has the same optimum as the LP over a
+    # null-space basis, so every per-support decision agrees
+    decisions = []
+    for m, n in [(12, 16), (6, 12), (8, 10), (15, 16)]:
+        for seed in range(2):
+            A = np.random.default_rng(seed).standard_normal((m, n))
+            rng = np.random.default_rng(100 + seed)
+            for k in (1, 2, 3):
+                for _ in range(3):
+                    support = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+                    for nonneg in (False, True):
+                        holds = emp.sectional_nullspace_holds(A, support, nonneg=nonneg)
+                        assert holds == basis_support_holds(A, support, nonneg), \
+                            ((m, n), seed, support, nonneg)
+                        decisions.append(holds)
+    assert any(decisions) and not all(decisions)  # both answers were exercised
+
 
 def test_sectional_one_dimensional_nullspace():
     # m = n - 1: the null space is a single line; compare the LP answer
@@ -172,7 +250,7 @@ def test_sectional_one_dimensional_nullspace():
         rng = np.random.default_rng(seed)
         n = 8
         A = rng.standard_normal((n - 1, n))
-        w = emp.nullspace_basis(A)[:, 0]
+        w = null_space(A)[:, 0]
         support = [0, 3]
         direct = np.abs(w[support]).sum() < np.abs(np.delete(w, support)).sum()
         assert emp.sectional_nullspace_holds(A, support) == direct
@@ -188,9 +266,8 @@ def test_sectional_nonneg_differs_from_the_general_property():
     assert emp.sectional_nullspace_holds(A, support, nonneg=True)
     for seed in range(1, 6):
         A = np.random.default_rng(seed).standard_normal((6, 12))
-        N = emp.nullspace_basis(A)
         assert (emp.sectional_nullspace_holds(A, support, nonneg=True)
-                == emp._nonneg_support_holds(N, 12, support))
+                == basis_support_holds(A, support, nonneg=True))
 
 
 def test_sectional_k_zero_vacuous():
@@ -204,7 +281,7 @@ def test_sectional_vs_sampling_falsification():
     for seed in (1, 2, 3):
         inst = emp.generate_instance(16, 12, 2, seed=seed)
         support = inst.support
-        N = emp.nullspace_basis(inst.A)
+        N = null_space(inst.A)
         holds = emp.sectional_nullspace_holds(inst.A, support)
         Z = rng.standard_normal((100_000, N.shape[1]))
         W = Z @ N.T
@@ -215,6 +292,19 @@ def test_sectional_vs_sampling_falsification():
             assert not holds
         if holds:
             assert not sample_finds_violator
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+@pytest.mark.parametrize("support", [[-1, 2], [0.5, 1], [0, 0, 1], [0, 12]],
+                         ids=["negative", "non-integer", "repeated", "past-n"])
+def test_sectional_rejects_malformed_supports(monkeypatch, support, nonneg):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran on a malformed support")
+
+    monkeypatch.setattr(emp, "linprog", no_lp)
+    A = np.random.default_rng(0).standard_normal((6, 12))
+    with pytest.raises(DimensionError):
+        emp.sectional_nullspace_holds(A, support, nonneg=nonneg)
 
 
 def test_sectional_cap_enforced():

@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from l1lab import lift_core as lc
 from l1lab.config import DEFAULT, Config
 from l1lab.errors import ConstraintViolatedError, DomainError, NonConvergentError
+from l1lab.reference_values import TABLE_ALPHAS_HIGH, TABLE_ALPHAS_LOW
 
 KINDS = tuple(lc.kind_table())
 LIFTED_KINDS = tuple(name for name, kind in lc.kind_table().items() if kind.lifted)
@@ -527,10 +528,13 @@ def closed_total(spec, params, alpha, beta):
     return -0.5 * params.c3 + spec.set_term_at(beta, params) + lc.i_sph(params.c3, alpha)
 
 
+TABLE_ALPHAS = TABLE_ALPHAS_LOW + TABLE_ALPHAS_HIGH
+
+
 @pytest.fixture(scope="module")
 def lifted_solves():
     """(kind, alpha) -> (result, [(beta, warm, margin), ...]) for the three
-    lifted kinds at alpha 0.1, 0.5 and 0.999."""
+    lifted kinds at the 15 table alphas."""
     import importlib
 
     probes = []
@@ -546,7 +550,7 @@ def lifted_solves():
             mp.setattr(module, attr, recording)
         solves = {}
         for kind in LIFTED_KINDS:
-            for alpha in (0.1, 0.5, 0.999):
+            for alpha in TABLE_ALPHAS:
                 probes.clear()
                 solves[kind, alpha] = lc.threshold_bisect(alpha, kind, "lifted"), list(probes)
     return solves
@@ -574,7 +578,7 @@ def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
 
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+@pytest.mark.parametrize("alpha", TABLE_ALPHAS)
 def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     spec = lifted_spec(kind)
     r, _ = lifted_solves[kind, alpha]

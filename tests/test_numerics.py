@@ -564,6 +564,15 @@ def test_gauss_expectation_breakpoint_alignment():
     assert abs(val - want) <= 1e-10
 
 
+def test_gauss_expectation_refines_a_short_segment_in_a_wide_window():
+    # 64 panels shared over [-1800, 1800] by length leave [-27, 0.5] one
+    # panel at 64 and at 128; the two equal estimates must not end the
+    # doubling while that segment is unresolved
+    val = nm.gauss_expectation(lambda h: ((h > -27.0) & (h < 0.5)).astype(float),
+                               nm.QuadratureSpec(half_width=1800.0), breakpoints=(-27.0, 0.5))
+    assert abs(val - 0.5 * nm.erfc(-0.5 / math.sqrt(2))) <= 1e-10
+
+
 def test_gauss_expectation_nonconvergent():
     # an oscillation far below the panel resolution cannot stabilize
     spec = nm.QuadratureSpec(half_width=10.0, panels=64, rel_tol=1e-12,
