@@ -212,7 +212,8 @@ def _read_existing_curve(path, file_format, meta, header):
     """Points of a partial curve file, keyed by the canonical alpha text.
 
     The file must start with this run's meta line (CSV) or carry its header
-    (JSON).  Failed points are left out, so that a resumed run retries them.
+    and a list of points (JSON).  Failed points, and points without a number
+    or null under every column, are left out, so that a resumed run retries them.
     """
     if not os.path.exists(path):
         return {}
@@ -226,7 +227,8 @@ def _read_existing_curve(path, file_format, meta, header):
     else:
         try:
             payload = json.loads(text)
-            points = payload["points"] if payload["header"] == header else None
+            if payload["header"] == header and isinstance(payload["points"], list):
+                points = payload["points"]
         except (ValueError, KeyError, TypeError):
             pass
     if points is None:
@@ -234,7 +236,9 @@ def _read_existing_curve(path, file_format, meta, header):
             f"existing file {path} was produced with different flags; "
             f"remove it or change --out-file"
         )
-    return {fmt(p["alpha"]): p for p in points if p is not None and p["beta"] is not None}
+    return {fmt(p["alpha"]): p for p in points
+            if isinstance(p, dict) and None not in (p.get("alpha"), p.get("beta"))
+            and all(type(p.get(col, "")) in (int, float, type(None)) for col in _CURVE_COLUMNS)}
 
 
 def _parallel_map(task_fn, tasks, jobs):
@@ -433,12 +437,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE
 
-    if getattr(args, "samples", None) is not None and args.command == "audit":
-        if args.samples < 1:
-            parser.error("--samples must be >= 1")
-    if getattr(args, "trials", None) is not None and args.command == "verify":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
+    if args.command == "audit" and args.samples < 1:
+        parser.error("--samples must be >= 1")
+    if args.command == "verify" and args.trials < 1:
+        parser.error("--trials must be >= 1")
     if args.command == "verify":
         if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
             parser.error("--alpha and --beta must be finite")

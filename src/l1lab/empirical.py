@@ -271,12 +271,12 @@ def _support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:
 
 def check_nullspace_size(mode: str, n: int, k: int) -> None:
     """Raise DimensionError unless the exact oracle of `mode` ("sectional"
-    or "strong") accepts n columns and supports of size k. Cheap, so
+    or "strong") accepts n columns and supports of integer size k. Cheap, so
     callers can check before they build an n-column matrix."""
     cap_n, cap_k = ((SECTIONAL_CAP_N, SECTIONAL_CAP_K) if mode == "sectional"
                     else (STRONG_CAP_N, STRONG_CAP_K))
-    if not 0 <= k <= n:
-        raise DimensionError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise DimensionError(f"need 0 <= k <= n with k an integer, got n={n}, k={k!r}")
     if n > cap_n or k > cap_k:
         raise DimensionError(
             f"{mode} oracle capped at n <= {cap_n}, k <= {cap_k}; got n={n}, k={k}"

@@ -46,9 +46,11 @@ BETA_FLOOR = 1e-4
 
 LOG_C3_MIN = math.log(1e-4)
 LOG_C3_MAX = math.log(400.0)
+B_MIN = 1e-7
 B_MAX = 0.4999995
-# search boxes of (nu1, nu2); a kind with one multiplier uses the first
-_NU_BOUNDS = ((0.0, 14.0), (0.0, 400.0))
+# the box over x = [log c3, b, nu1, nu2] that every lifted Nelder-Mead run clips
+# to and the parity audit samples; a kind with one multiplier uses x[:3]
+SEARCH_BOX = ((LOG_C3_MIN, LOG_C3_MAX), (B_MIN, B_MAX), (0.0, 14.0), (0.0, 400.0))
 # every Nelder-Mead run of a lifted margin: tolerances and evaluation budget
 _NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxfev": 5000}
 
@@ -278,10 +280,9 @@ def minimize_lifted_total(
     alpha: float,
     beta: float,
     start: Sequence[float],
-    extra_bounds: Sequence[tuple],
 ) -> tuple[float, list[float]]:
-    """One bounded Nelder-Mead run over x = [log c3, b, extras] from start;
-    returns (total, x) at its end.
+    """One Nelder-Mead run over x = [log c3, b, extras] in SEARCH_BOX from
+    start; returns (total, x) at its end.
 
     set_term(c3, gamma, extras, beta) evaluates the kind's set term at fixed
     parameters on Python floats.  The run has the tolerances and budget of
@@ -292,8 +293,7 @@ def minimize_lifted_total(
     per-call overhead would cost more than the closed-form total.
     """
     objective = _total_objective(set_term, alpha, beta)
-    bounds = [(LOG_C3_MIN, LOG_C3_MAX), (1e-7, B_MAX), *extra_bounds]
-    x, total = nelder_mead(objective, start, bounds, **_NM_OPTS)
+    x, total = nelder_mead(objective, start, SEARCH_BOX[:len(start)], **_NM_OPTS)
     return total, x
 
 
@@ -311,7 +311,7 @@ def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
     lifted family contains as its c3 -> 0 member, lifted to c3 = 1e-3."""
     root, nu1 = kind.direct(beta)
     g0 = max(root, 1e-6) / 2.0
-    extras = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), 400.0)]
+    extras = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), SEARCH_BOX[3][1])]
     b = min(max(1e-3 / (4.0 * g0), 1e-6), 0.49)
     return x_to_params([math.log(1e-3), b, *extras])
 
@@ -371,8 +371,7 @@ def lifted_margin(
             return m, p
         warm = p
     f, x = minimize_lifted_total(kind.set_term, alpha, beta,
-                                 params_to_x(warm, kind.n_extra),
-                                 _NU_BOUNDS[:kind.n_extra])
+                                 params_to_x(warm, kind.n_extra))
     return f, x_to_params(x)
 
 
@@ -386,8 +385,9 @@ def x_to_params(x: Sequence[float]) -> LiftParams:
 
 
 def params_to_x(params: LiftParams, n_extra: int) -> list[float]:
-    return [math.log(max(params.c3, 1e-4)), min(max(params.b, 1e-7), B_MAX),
-            *(params.nu1, params.nu2)[:n_extra]]
+    """Encode params as an optimizer vector clipped into SEARCH_BOX."""
+    x = [math.log(params.c3) if params.c3 > 0 else -math.inf, params.b, params.nu1, params.nu2]
+    return [min(max(v, lo), hi) for v, (lo, hi) in zip(x[:2 + n_extra], SEARCH_BOX)]
 
 
 # --------------------------------------------------------------------------

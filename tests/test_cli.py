@@ -281,11 +281,11 @@ def test_audit_deterministic_and_passing(capsys):
 # curve files
 # ---------------------------------------------------------------------------
 
-def drop_middle_point(text, file_format):
-    """A curve file's text without the middle one of its three points."""
+def spoil_middle_point(text, file_format):
+    """A curve file's text with its middle point dropped (CSV) or cut to its alpha (JSON)."""
     if file_format == "json":
         payload = json.loads(text)
-        del payload["points"][1]
+        payload["points"][1] = {"alpha": 0.4}
         return json.dumps(payload)
     lines = text.splitlines()
     return "\n".join(lines[:3] + lines[4:]) + "\n"
@@ -307,9 +307,9 @@ def test_curve_byte_identical_rerun_and_resume(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert out.read_bytes() == first
 
-        # drop the middle point: resume recomputes only that point and the
+        # spoil the middle point: resume recomputes only that point and the
         # bytes still come out identical
-        out.write_text(drop_middle_point(first.decode(), file_format))
+        out.write_text(spoil_middle_point(first.decode(), file_format))
         solved = []
 
         def recording(alpha, *rest, _solve=cli.threshold_bisect):
@@ -321,6 +321,11 @@ def test_curve_byte_identical_rerun_and_resume(tmp_path, monkeypatch, capsys):
             assert cli.main(args) == 0
         capsys.readouterr()
         assert out.read_bytes() == first and solved == [0.4], file_format
+
+    # JSON points that are not a list
+    out.write_text(json.dumps({**json.loads(first), "points": 5}))
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and "different flags" in err
 
 
 def test_curve_failed_point_nan_sentinel_and_exit_3(tmp_path, capsys):

@@ -307,6 +307,14 @@ def test_sectional_rejects_malformed_supports(monkeypatch, support, nonneg):
         emp.sectional_nullspace_holds(A, support, nonneg=nonneg)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), "2"])
+def test_strong_rejects_a_non_integer_k(monkeypatch, k):
+    monkeypatch.setattr(emp, "linprog", None)  # no LP may run
+    A = np.random.default_rng(0).standard_normal((6, 8))
+    with pytest.raises(DimensionError, match="k an integer"):
+        emp.strong_nullspace_holds(A, k)
+
+
 def test_sectional_cap_enforced():
     A = np.random.default_rng(0).standard_normal((20, 30))
     with pytest.raises(DimensionError):

@@ -192,44 +192,36 @@ def test_lifting_dominance_spot():
 # the lifted objective on Python floats: overflow and domain edges give inf
 # ---------------------------------------------------------------------------
 
-LOG_400 = math.log(400.0)
+(_, LOG_C3_MAX), (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
 
 
 @pytest.mark.parametrize("kind, x", [
     # c3 * nu2 >= 700: the flat branch exp(c3 nu2) saturates
-    ("strong", [LOG_400, 0.3, 1.0, 2.0]),
-    ("strong_nonneg", [LOG_400, 0.3, 1.0, 2.0]),
+    ("strong", [LOG_C3_MAX, 0.3, 1.0, 2.0]),
+    ("strong_nonneg", [LOG_C3_MAX, 0.3, 1.0, 2.0]),
     # b = B_MAX: the completed-square exponent saturates
-    ("sectional", [LOG_400, lc.B_MAX, 1.0]),
-    ("strong", [LOG_400, lc.B_MAX, 1.0, 1.0]),
-    ("strong_nonneg", [LOG_400, lc.B_MAX, 1.0, 1.0]),
+    ("sectional", [LOG_C3_MAX, B_MAX, 1.0]),
+    ("strong", [LOG_C3_MAX, B_MAX, 1.0, 1.0]),
+    ("strong_nonneg", [LOG_C3_MAX, B_MAX, 1.0, 1.0]),
     # nu1 = 0 < nu2 (strong regime 1, crossing at infinity): inf * erf(0) is NaN
-    ("strong", [LOG_400, 0.3, 0.0, 2.0]),
+    ("strong", [LOG_C3_MAX, 0.3, 0.0, 2.0]),
     # entry point nu1 - sqrt(8 gamma nu2) near -1.8e6
-    ("strong_nonneg", [LOG_400, 1e-7, 0.0, 400.0]),
+    ("strong_nonneg", [LOG_C3_MAX, B_MIN, 0.0, NU2_MAX]),
     # negative multipliers
     ("sectional", [0.0, 0.3, -1e-3]),
     ("strong", [0.0, 0.3, 1.0, -1e-3]),
     ("strong_nonneg", [0.0, 0.3, -1e-3, 1.0]),
 ])
 def test_lifted_objective_edges_return_inf(kind, x):
-    from l1lab import thresholds_general as tg
-    from l1lab import thresholds_nonneg as tn
-
-    set_term = {"sectional": tg._sectional_set_term_raw,
-                "strong": tg._strong_set_term_raw,
-                "strong_nonneg": tn._nonneg_set_term_raw}[kind]
     for alpha, beta in [(0.5, 0.1), (0.999, 0.45)]:
-        val = lc._total_objective(set_term, alpha, beta)(x)
+        val = lc._total_objective(lifted_spec(kind).set_term, alpha, beta)(x)
         assert type(val) is float and val == math.inf
 
 
 def test_lifted_objective_finite_far_from_the_edges():
-    from l1lab import thresholds_nonneg as tn
-
     # a very negative entry point (about -2.8e3) whose left tail underflows
-    objective = lc._total_objective(tn._nonneg_set_term_raw, 0.5, 0.1)
-    val = objective([math.log(1e-3), 1e-7, 0.0, 400.0])
+    objective = lc._total_objective(lifted_spec("strong_nonneg").set_term, 0.5, 0.1)
+    val = objective([math.log(1e-3), B_MIN, 0.0, NU2_MAX])
     assert type(val) is float and math.isfinite(val)
 
 
@@ -454,7 +446,7 @@ def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
     if kind.nu2 is None:
         assert direct.nu2 == 0.0
     else:
-        expected.append(min(direct.nu2, 400.0))
+        expected.append(min(direct.nu2, NU2_MAX))
     assert start == expected
     # the lifted search's floor probe is warm-started there
     probes = stub_margins(monkeypatch, feasible=lambda b: False)

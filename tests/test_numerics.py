@@ -184,22 +184,12 @@ def test_minimize_never_worse_than_start():
         assert fun <= rosen(x0) + 1e-12
 
 
-LIFTED_NU_BOUNDS = {
-    "sectional": [(0.0, 14.0)],
-    "strong": [(0.0, 14.0), (0.0, 400.0)],
-    "strong_nonneg": [(0.0, 14.0), (0.0, 400.0)],
-}
-LIFTED_SET_TERMS = {
-    "sectional": tg._sectional_set_term_raw,
-    "strong": tg._strong_set_term_raw,
-    "strong_nonneg": tn._nonneg_set_term_raw,
-}
-
-
 def lifted_problem(kind, alpha, beta, b_max=lc.B_MAX):
     """The lifted total of one kind over [log c3, b, nu...] and its box."""
-    bounds = [(lc.LOG_C3_MIN, lc.LOG_C3_MAX), (1e-7, b_max), *LIFTED_NU_BOUNDS[kind]]
-    return lc._total_objective(LIFTED_SET_TERMS[kind], alpha, beta), bounds
+    spec = lc.kind_table()[kind].lifted
+    bounds = list(lc.SEARCH_BOX[:2 + spec.n_extra])
+    bounds[1] = (lc.B_MIN, b_max)
+    return lc._total_objective(spec.set_term, alpha, beta), bounds
 
 
 def run_contract(f, x0, bounds, maxfev=1500):
@@ -230,7 +220,7 @@ def test_nelder_mead_never_above_start_on_lifted_objectives(kind):
         f, bounds = lifted_problem(kind, alpha, beta)
         # starts inside the box and, for the clip, past its edges
         x0 = [rng.uniform(-12.0, 9.0), rng.uniform(0.05, 0.6)]
-        x0 += [rng.uniform(-1.0, 3.0) for _ in LIFTED_NU_BOUNDS[kind]]
+        x0 += [rng.uniform(-1.0, 3.0) for _ in bounds[2:]]
         run_contract(f, x0, bounds)
 
 

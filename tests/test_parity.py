@@ -2,38 +2,46 @@
 
 import math
 
-import numpy as np
+import pytest
 
-from l1lab.lift_core import B_MAX, LOG_C3_MAX, LOG_C3_MIN, LiftParams, exp_set_term_oracle
-from l1lab.parity import AUDITED
-
-
-def log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+from l1lab.errors import DomainError
+from l1lab.lift_core import SEARCH_BOX, LiftParams, exp_set_term_oracle
+from l1lab.parity import AUDITED, TOLERANCE, run_parity_audit
 
 
 def test_closed_forms_match_the_oracle_over_the_optimizer_box():
-    # parity.sample_params keeps c3 <= 3, b <= 0.45 and nu <= 3, while lifted
-    # optima reach c3 ~ 111, b within 4e-5 of 1/2 and nu2 ~ 66.  Here log c3
-    # spans the optimizer's bounds, the gap 1/2 - b is log-uniform down to
-    # 1/2 - B_MAX (dense near 1/2), and the nus are log-uniform up to 14 and
-    # 400 (small nus keep the moments finite near b = 1/2).  This seed draws
-    # a strong_nonneg tuple at b = 0.49979 where the oracle is off by 5.1e-6
-    # if a short quadrature segment keeps one panel while the rest converge.
-    rng = np.random.default_rng(7)
+    # lifted optima reach c3 ~ 111, b within 4e-5 of 1/2 and nu2 ~ 66: the
+    # audit's draws cover all of SEARCH_BOX, and pass there
+    report = run_parity_audit(samples=200, seed=0)
+    assert report.passed, report.failures()[:3]
     for kind, spec in AUDITED.items():
-        finite = 0
-        for _ in range(300):
-            c3 = math.exp(rng.uniform(LOG_C3_MIN, LOG_C3_MAX))
-            b = 0.5 - log_uniform(rng, 0.5 - B_MAX, 0.5 - 1e-7)
-            nu1 = log_uniform(rng, 1e-4, 14.0)
-            nu2 = log_uniform(rng, 1e-4, 400.0) if kind != "sectional" else 0.0
-            beta = rng.uniform(0.01, 0.95 if kind == "sectional" else 0.49)
-            params = LiftParams(c3=c3, gamma=c3 / (4.0 * b), nu1=nu1, nu2=nu2)
-            closed = spec.set_term_at(beta, params)
-            if math.isinf(closed):  # the moment overflows a double
-                continue
-            finite += 1
-            oracle = exp_set_term_oracle(spec.integrand, params, beta)
-            assert abs(closed - oracle) <= 1e-6 * abs(oracle), (kind, beta, params)
-        assert finite >= 100, (kind, finite)
+        xs = [(math.log(r.params.c3), r.params.b, r.params.nu1, r.params.nu2)
+              for r in report.records if r.kind == kind]
+        assert len(xs) == 200
+        box = SEARCH_BOX[:2 + spec.n_extra]
+        assert all(lo <= v <= hi for x in xs for v, (lo, hi) in zip(x, box))
+        assert max(x[0] for x in xs) > math.log(100.0)
+        assert min(0.5 - x[1] for x in xs) < 1e-4
+        assert max(x[2] for x in xs) > 7.0
+        assert spec.n_extra == 1 or max(x[3] for x in xs) > 100.0
+
+
+@pytest.mark.parametrize("kind, beta, params", [
+    # off by 5.1e-6 while a short quadrature segment kept one panel
+    ("strong_nonneg", 0.09105889676351142, LiftParams(
+        0.9752666691778795, 0.48783723028702103, 0.47230044480385636, 187.87508946770023)),
+    # b = 1/2 - 5.7e-7: rounding keeps successive estimates 1e-8 apart
+    ("sectional", 0.11147799531303816,
+     LiftParams(37.986835944156034, 18.993439681019428, 0.039177004595829415)),
+], ids=["short-segment", "rounding-floor"])
+def test_closed_form_matches_the_oracle_at_a_pinned_tuple(kind, beta, params):
+    closed = AUDITED[kind].set_term_at(beta, params)
+    oracle = exp_set_term_oracle(AUDITED[kind].integrand, params, beta)
+    assert abs(closed - oracle) <= TOLERANCE * abs(oracle)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, "10", None])
+def test_audit_rejects_a_bad_sample_count(monkeypatch, samples):
+    monkeypatch.setattr("l1lab.parity.sample_params", None)  # nothing is drawn
+    with pytest.raises(DomainError, match="samples"):
+        run_parity_audit(samples=samples)
