@@ -5,9 +5,11 @@ nonnegative), and exact null-space-property oracles at small scale:
 
 * solve_basis_pursuit is an operator-splitting (ADMM) iteration on the
   equality-constrained l1 program; the x-update projects onto {x: Ax = y}
-  through a precomputed Cholesky factor of A A^T, the z-update is a
-  (one-sided, when nonnegative) soft threshold.  Its optimality is
-  cross-checked in the tests against an exact LP reformulation.
+  through an orthonormal basis Q of the row space of A (an economic QR of
+  A^T by Gram-Schmidt run twice, built once per instance and rank-checked
+  on the diagonal of R), the z-update is a (one-sided, when nonnegative)
+  soft threshold.  Its optimality is cross-checked in the tests against an
+  exact LP reformulation.
 
 * sectional/strong null-space oracles decide the exact combinatorial
   conditions by one small LP on {A w = 0, |w|_inf <= 1} per sign pattern
@@ -22,8 +24,9 @@ the caller's seed so results do not depend on execution order.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -68,6 +71,7 @@ class RecoveryReport:
     rel_error: float
     solver_iterations: int
     residual: float
+    x: np.ndarray = field(compare=False, repr=False)
 
 
 def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
@@ -89,8 +93,65 @@ def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
                            y=A @ x, seed=seed)
 
 
+def _norm(v):
+    """np.linalg.norm of a 1-D float vector (the same dot, then sqrt),
+    without its per-call argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def _soft_threshold(v, thresh):
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+
+
+def _row_basis(A: np.ndarray):
+    """(Q^T, R) of the economic QR A^T = QR, by classical Gram-Schmidt run
+    twice on each row of A ("twice is enough": Giraud, Langou, Rozloznik
+    and van den Eshof, Numer. Math. 2005).  Q^T is orthonormal to rounding
+    level and the diagonal of R reveals a dependent row as Householder's
+    does; a row with nothing left after both passes leaves R_jj = 0.
+
+    Only matrix-vector products run here, and BLAS keeps those on one
+    thread at these sizes.  LAPACK's Householder QR (np.linalg.qr) calls
+    threaded BLAS: in a two-process pool on 2 vCPUs with BLAS threads not
+    pinned, it took 19-147 ms per n = 200 instance on average (0.5-3 ms
+    alone), which made pooled Monte Carlo runs slower than with a Cholesky
+    factor of A A^T."""
+    m, n = A.shape
+    Qt = np.zeros((m, n))
+    R = np.zeros((m, m))
+    for j in range(m):
+        w = A[j]
+        for _ in range(2):
+            s = Qt[:j] @ w
+            w = w - s @ Qt[:j]
+            R[:j, j] += s
+        R[j, j] = _norm(w)
+        if R[j, j]:
+            Qt[j] = w / R[j, j]
+    return Qt, R
+
+
+def _affine_projector(A: np.ndarray, y: np.ndarray):
+    """The Euclidean projection onto {x : Ax = y} as a closure.
+
+    With the economic QR A^T = QR of _row_basis (Q n x m with orthonormal
+    columns), A^T (A A^T)^-1 (Av - y) = Q (Q^T v - c) where c = R^-T y, so
+    each call is two small matrix-vector products.  Raises
+    RankDeficientError when min |R_ii| <= max |R_ii| * max(m, n) * eps
+    (numpy's matrix_rank tolerance on the diagonal of R)."""
+    m, n = A.shape
+    Qt, R = _row_basis(A)
+    diag = np.abs(np.diag(R))
+    if m and diag.min() <= diag.max() * max(m, n) * np.finfo(float).eps:
+        raise RankDeficientError(
+            f"A is row-rank deficient: min |R_ii| = {diag.min():.3g}, max {diag.max():.3g}")
+    c = sla.solve_triangular(R, y, trans="T", check_finite=False)
+    Q = Qt.T
+
+    def project(v):
+        return v - Q @ (Qt @ v - c)
+
+    return project
 
 
 def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
@@ -99,11 +160,12 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
                         fail_below_l1: float | None = None) -> RecoveryReport:
     """min ||x||_1 s.t. Ax = y (plus x >= 0 when nonneg) by ADMM.
 
-    Splitting: x carries the affine constraint (projection via the cached
-    Cholesky factor of A A^T), z carries the l1 term (soft threshold), with
-    over-relaxation and residual-balancing updates of the penalty.  Raises
-    SolverStalledError at the iteration cap and RankDeficientError when
-    A A^T is not positive definite.
+    Splitting: x carries the affine constraint (projection through the
+    orthonormal row basis of _affine_projector, built once), z carries the
+    l1 term (soft threshold), with over-relaxation and residual-balancing
+    updates of the penalty.  Raises SolverStalledError at the iteration cap
+    and RankDeficientError, before any iteration, when A is numerically
+    row-rank deficient.  The report carries the returned point as `x`.
 
     fail_below_l1 is an opt-in early-exit certificate for recovery-rate
     experiments: the x iterate is exactly feasible at every step, so once
@@ -114,17 +176,10 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     wanted.
     """
     A, y = inst.A, inst.y
-    m, n = A.shape
+    n = A.shape[1]
     tol = config.bp_tol
     cap = config.bp_max_iter if max_iter is None else max_iter
-    try:
-        cho = sla.cho_factor(A @ A.T, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise RankDeficientError(f"A A^T is not positive definite: {exc}") from exc
-
-    def project(v):
-        return v - A.T @ sla.cho_solve(cho, A @ v - y, check_finite=False)
-
+    project = _affine_projector(A, y)
     x = project(np.zeros(n))        # least-norm feasible point
     z = x.copy()
     u = np.zeros(n)
@@ -137,13 +192,14 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
             z = x_new
             break
         x_relaxed = relax * x_new + (1.0 - relax) * z
+        w = x_relaxed + u
         if nonneg:
-            z_new = np.maximum(x_relaxed + u - 1.0 / rho, 0.0)
+            z_new = np.maximum(w - 1.0 / rho, 0.0)
         else:
-            z_new = _soft_threshold(x_relaxed + u, 1.0 / rho)
-        primal = float(np.linalg.norm(x_new - z_new))
-        dual = float(rho * np.linalg.norm(z_new - z))
-        u = u + x_relaxed - z_new
+            z_new = _soft_threshold(w, 1.0 / rho)
+        primal = _norm(x_new - z_new)
+        dual = rho * _norm(z_new - z)
+        u = w - z_new
         z = z_new
         if primal <= tol * scale and dual <= tol * scale:
             break
@@ -169,6 +225,7 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
         rel_error=rel_error,
         solver_iterations=it,
         residual=residual,
+        x=x_hat,
     )
 
 

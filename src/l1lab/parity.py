@@ -6,8 +6,8 @@ the exponent definition directly (slow, authoritative).  The audit samples
 random parameter tuples per threshold kind over the optimizer's search box,
 redrawing the fifth to quarter whose moments overflow a double (about 4 %
 of its time), and reports the worst relative deviation between the two
-routes.  A deviation beyond TOLERANCE is a failure; there is no
-registry of tolerated deviations.
+routes.  A deviation beyond TOLERANCE, or a NaN one, is a failure; there
+is no registry of tolerated deviations.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ class ParityReport:
     records: tuple[ParityRecord, ...]
 
     def max_dev(self, kind: str | None = None) -> float:
-        recs = [r for r in self.records if kind is None or r.kind == kind]
-        return max((r.rel_dev for r in recs), default=0.0)
+        """Worst deviation over the records (of `kind`); NaN if any is NaN."""
+        devs = [r.rel_dev for r in self.records if kind is None or r.kind == kind]
+        return float(np.max(devs)) if devs else 0.0
 
     def failures(self) -> list[ParityRecord]:
-        return [r for r in self.records if r.rel_dev > self.tolerance]
+        """Records beyond the tolerance, NaN deviations included."""
+        return [r for r in self.records if not r.rel_dev <= self.tolerance]
 
     @property
     def passed(self) -> bool:

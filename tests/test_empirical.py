@@ -8,7 +8,9 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from l1lab import empirical as emp
-from l1lab.errors import DimensionError, DomainError
+from l1lab import weak_alpha_of_beta, weak_nonneg_alpha_of_beta
+from l1lab.config import Config
+from l1lab.errors import DimensionError, DomainError, RankDeficientError
 
 
 def lp_basis_pursuit(A, y, nonneg=False):
@@ -97,61 +99,120 @@ def test_bp_adversarial_instance_fails():
     assert hits <= 1
 
 
+# the LP comparisons ask the solver for the precision they check: at the
+# default bp_tol = 1e-7 its l1 norm sits up to 1.5e-7 relative above the optimum
+TIGHT = Config(bp_tol=1e-9)
+
+
 def test_bp_matches_lp_objective():
+    # the solver's own point reaches the LP optimum within 1e-7
     for seed in range(6):
         inst = emp.generate_instance(30, 18, 5, seed=seed)
-        rep = emp.solve_basis_pursuit(inst)
-        x_lp = lp_basis_pursuit(inst.A, inst.y)
-        # recompute the solver's point to compare objectives
-        x_admm = inst.x_true if rep.recovered and rep.rel_error < 1e-7 else None
-        # always compare through the l1 values: solver must be within 1e-7
-        # of the LP optimum
-        l1_lp = np.abs(x_lp).sum()
-        if x_admm is None:
-            # re-run to extract the point itself
-            x_admm = _bp_point(inst)
-        assert np.abs(x_admm).sum() <= l1_lp + 1e-7 * max(1.0, l1_lp)
-
-
-def _bp_point(inst, nonneg=False):
-    """The actual solver iterate, via the same code path as the report."""
-    import scipy.linalg as sla
-
-    from l1lab.config import DEFAULT
-
-    A, y = inst.A, inst.y
-    cho = sla.cho_factor(A @ A.T)
-
-    def project(v):
-        return v - A.T @ sla.cho_solve(cho, A @ v - y)
-
-    x = project(np.zeros(A.shape[1]))
-    z, u, rho = x.copy(), np.zeros(A.shape[1]), 1.0
-    for _ in range(DEFAULT.bp_max_iter):
-        x = project(z - u)
-        xr = 1.8 * x + (1 - 1.8) * z
-        if nonneg:
-            z_new = np.maximum(xr + u - 1 / rho, 0.0)
-        else:
-            z_new = np.sign(xr + u) * np.maximum(np.abs(xr + u) - 1 / rho, 0.0)
-        if (np.linalg.norm(x - z_new) <= 1e-9 * max(1, np.linalg.norm(x))
-                and np.linalg.norm(z_new - z) <= 1e-9):
-            z = z_new
-            break
-        u += xr - z_new
-        z = z_new
-    return project(z)
+        rep = emp.solve_basis_pursuit(inst, config=TIGHT)
+        l1_lp = np.abs(lp_basis_pursuit(inst.A, inst.y)).sum()
+        assert np.abs(rep.x).sum() <= l1_lp + 1e-7 * max(1.0, l1_lp)
+        assert np.linalg.norm(inst.A @ rep.x - inst.y) <= 1e-12 * np.linalg.norm(inst.y)
 
 
 def test_bp_nonneg_matches_lp():
     for seed in range(4):
         inst = emp.generate_instance(24, 14, 4, nonneg=True, seed=seed)
-        rep = emp.solve_basis_pursuit(inst, nonneg=True)
+        rep = emp.solve_basis_pursuit(inst, nonneg=True, config=TIGHT)
         x_lp = lp_basis_pursuit(inst.A, inst.y, nonneg=True)
-        x_pt = _bp_point(inst, nonneg=True)
-        assert x_pt.min() >= -1e-7
-        assert np.abs(x_pt).sum() <= np.abs(x_lp).sum() + 1e-7
+        assert rep.x.min() >= -1e-7
+        assert np.abs(rep.x).sum() <= np.abs(x_lp).sum() + 1e-7
         assert rep.residual <= 1e-8
+        assert np.linalg.norm(inst.A @ rep.x - inst.y) <= 1e-12 * np.linalg.norm(inst.y)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
+def test_row_basis_is_an_orthonormal_qr_of_a_transpose(cond):
+    # the second Gram-Schmidt pass keeps Q orthonormal where one pass loses
+    # orthogonality as eps * cond^2
+    rng = np.random.default_rng(11)
+    m, n = 40, 90
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    A = (U * np.logspace(0, -np.log10(cond), m)) @ V.T
+    Qt, R = emp._row_basis(A)
+    assert np.abs(Qt @ Qt.T - np.eye(m)).max() <= 1e-13
+    assert np.abs(Qt.T @ R - A.T).max() <= 1e-13 * np.abs(A).max()
+    assert np.array_equal(R, np.triu(R))
+    householder = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
+    assert np.abs(np.diag(R) - householder).max() <= 1e-13 * householder.max()
+
+
+@pytest.mark.parametrize("m, n", [(6, 12), (18, 30), (60, 200), (1, 5)])
+def test_affine_projector_is_the_pseudoinverse_projection(m, n):
+    rng = np.random.default_rng(m * n)
+    A = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    project = emp._affine_projector(A, y)
+    for _ in range(3):
+        v = 3.0 * rng.standard_normal(n)
+        p = project(v)
+        expected = v - np.linalg.pinv(A) @ (A @ v - y)
+        assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(project(p) - p) <= 1e-12 * np.linalg.norm(p)
+
+
+def test_norm_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 200, 1000):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        assert emp._norm(v) == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("make_dependent", [
+    lambda A: A[4],
+    lambda A: A[0] + A[1],
+    lambda A: np.zeros(A.shape[1]),
+], ids=["duplicated-row", "sum-of-two-rows", "zero-row"])
+def test_bp_rejects_a_rank_deficient_matrix_before_iterating(monkeypatch, make_dependent):
+    def no_threshold(*args, **kwargs):
+        raise AssertionError("an ADMM iteration ran on a rank-deficient matrix")
+
+    monkeypatch.setattr(emp, "_soft_threshold", no_threshold)
+    for seed in range(5):
+        inst = emp.generate_instance(12, 6, 2, seed=seed)
+        A = inst.A.copy()
+        A[5] = make_dependent(A)
+        bad = emp.ProblemInstance(A=A, x_true=inst.x_true, support=inst.support,
+                                  signs=inst.signs, y=A @ inst.x_true, seed=seed)
+        with pytest.raises(RankDeficientError):
+            emp.solve_basis_pursuit(bad)
+
+
+# (nonneg, alpha offset from the weak curve, trial) -> (recovered, iterations)
+# at n = 200, beta = 0.1, solved as weak_recovery_rate solves them.  A change
+# to the projection that moves any of these changes the solver's behaviour,
+# not just its speed.
+PINNED_SOLVES = {
+    (False, -0.08, 0): (False, 13),
+    (False, -0.08, 1): (False, 22),
+    (False, -0.08, 2): (False, 26),
+    (False, 0.08, 0): (True, 406),
+    (False, 0.08, 1): (True, 429),
+    (False, 0.08, 2): (True, 469),
+    (True, -0.08, 0): (False, 7),
+    (True, -0.08, 1): (False, 3),
+    (True, -0.08, 2): (False, 3),
+    (True, 0.08, 0): (True, 645),
+    (True, 0.08, 1): (True, 607),
+    (True, 0.08, 2): (True, 1039),
+}
+
+
+@pytest.mark.parametrize("nonneg, offset, trial", sorted(PINNED_SOLVES))
+def test_bp_pinned_decisions_and_iterations(nonneg, offset, trial):
+    n, beta = 200, 0.1
+    alpha = (weak_nonneg_alpha_of_beta if nonneg else weak_alpha_of_beta)(beta) + offset
+    seed = int(emp.trial_seeds(77, 3)[trial])
+    inst = emp.generate_instance(n, int(round(alpha * n)), int(round(beta * n)),
+                                 nonneg=nonneg, seed=seed)
+    cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
+    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg, max_iter=8000, fail_below_l1=cutoff)
+    assert (rep.recovered, rep.solver_iterations) == PINNED_SOLVES[nonneg, offset, trial]
 
 
 def test_weak_recovery_rate_deep_regime():
@@ -359,7 +420,7 @@ def test_strong_monotone_in_k():
 
 
 def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
-    from l1lab.errors import RankDeficientError, SolverStalledError
+    from l1lab.errors import SolverStalledError
 
     failing = {0: SolverStalledError, 3: RankDeficientError, 5: SolverStalledError}
     trial = iter(range(100))
@@ -369,7 +430,7 @@ def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
         if i in failing:
             raise failing[i]("forced")
         return emp.RecoveryReport(recovered=True, rel_error=0.0,
-                                  solver_iterations=1, residual=0.0)
+                                  solver_iterations=1, residual=0.0, x=inst.x_true)
 
     monkeypatch.setattr(emp, "solve_basis_pursuit", fake_solve)
     with pytest.warns(UserWarning) as record:

@@ -6,7 +6,7 @@ import pytest
 
 from l1lab.errors import DomainError
 from l1lab.lift_core import SEARCH_BOX, LiftParams, exp_set_term_oracle
-from l1lab.parity import AUDITED, TOLERANCE, run_parity_audit
+from l1lab.parity import AUDITED, TOLERANCE, ParityRecord, ParityReport, run_parity_audit
 
 
 def test_closed_forms_match_the_oracle_over_the_optimizer_box():
@@ -45,3 +45,18 @@ def test_audit_rejects_a_bad_sample_count(monkeypatch, samples):
     monkeypatch.setattr("l1lab.parity.sample_params", None)  # nothing is drawn
     with pytest.raises(DomainError, match="samples"):
         run_parity_audit(samples=samples)
+
+
+@pytest.mark.parametrize("closed, oracle", [(math.nan, 1.0), (1.0, math.nan)],
+                         ids=["nan-closed-form", "nan-oracle"])
+def test_a_nan_deviation_fails_the_audit(closed, oracle):
+    params = LiftParams(1.0, 1.0, 0.5)
+    good = ParityRecord("sectional", 0.1, params, 1.0, 1.0)
+    bad = ParityRecord("sectional", 0.1, params, closed, oracle)
+    for records in [(bad, good), (good, bad)]:
+        report = ParityReport(seed=0, samples_per_kind=2, tolerance=TOLERANCE,
+                              records=records)
+        assert [r is bad for r in report.failures()] == [True]
+        assert not report.passed
+        assert math.isnan(report.max_dev()) and math.isnan(report.max_dev("sectional"))
+        assert report.to_dict()["n_failures"] == 1
