@@ -3,9 +3,10 @@
 The sectional/strong properties of a single matrix A decide recovery for
 all right-hand sides at once: if the strong property holds at sparsity k,
 basis pursuit recovers every k-sparse vector measured through A.  At
-n <= 18 the properties can be decided exactly (one small LP per sign
-pattern and support), which makes them an oracle for the solver and a
-finite-size illustration of the threshold ordering.
+small n the properties can be decided exactly from the vertices of
+null(A) ∩ B_1, one enumeration per call and no LP, which makes them an
+oracle for the solver and a finite-size illustration of the threshold
+ordering.
 """
 
 import numpy as np

@@ -325,27 +325,29 @@ def _verify_nullspace(args, config: Config) -> dict:
     n, trials = args.n, args.trials
     m = int(round(args.alpha * n))
     k = int(round(args.beta * n))
-    # before the m x n matrices are drawn, so an oversized n exits cleanly
-    empirical.check_nullspace_size(args.mode, n, k)
+    # before the m x n matrices are drawn, so an oversized shape exits cleanly
+    empirical.check_nullspace_size(m, n, k)
     seeds = empirical.trial_seeds(args.seed, trials)
     matrices = []
-    holds_count = 0
     for s in seeds:
         rng = np.random.default_rng(int(s))
         A = rng.standard_normal((m, n))
+        row = {"seed": int(s)}
+        target = k
         if args.mode == "sectional":
-            support = np.sort(rng.choice(n, size=k, replace=False))
-            holds = empirical.sectional_nullspace_holds(A, support, nonneg=args.nonneg)
-            matrices.append({"seed": int(s), "holds": holds,
-                             "support": [int(i) for i in support]})
+            target = np.sort(rng.choice(n, size=k, replace=False))
+            row["support"] = [int(i) for i in target]
+        if args.nonneg:     # the exact margin exists for general signs only
+            row.update(margin=None, holds=getattr(empirical, f"{args.mode}_nullspace_holds")(
+                A, target, nonneg=True))
         else:
-            holds = empirical.strong_nullspace_holds(A, k, nonneg=args.nonneg)
-            matrices.append({"seed": int(s), "holds": holds})
-        holds_count += int(holds)
+            margin = getattr(empirical, f"{args.mode}_nullspace_margin")(A, target)
+            row.update(holds=margin <= empirical.MARGIN_SLACK, margin=fnum(margin))
+        matrices.append(row)
     return {
         "mode": args.mode, "alpha": fnum(args.alpha), "beta": fnum(args.beta),
-        "n": n, "m": m, "k": k, "trials": trials, "seed": args.seed,
-        "nonneg": args.nonneg, "holds_fraction": fnum(holds_count / trials),
+        "n": n, "m": m, "k": k, "trials": trials, "seed": args.seed, "nonneg": args.nonneg,
+        "holds_fraction": fnum(sum(row["holds"] for row in matrices) / trials),
         "per_matrix": matrices,
     }
 

@@ -11,11 +11,11 @@ nonnegative), and exact null-space-property oracles at small scale:
   soft threshold.  Its optimality is cross-checked in the tests against an
   exact LP reformulation.
 
-* sectional/strong null-space oracles decide the exact combinatorial
-  conditions by one small LP on {A w = 0, |w|_inf <= 1} per sign pattern
-  (per support, when nonnegative), with w split off the support as p - q.
-  The box stands in for the unit sphere: strict positivity of the optimum
-  is scale-invariant, so the answer is the same and each program is an LP.
+* sectional/strong null-space oracles decide the exact conditions, with no
+  LP, from one enumeration of the vertices of null(A) ∩ B_1 (a convex
+  function peaks over a polytope at a vertex; each vertex is, up to scale,
+  the null vector vanishing on some d - 1 = n - m - 1 coordinates).  One SVD
+  of A gives the rank check and an orthonormal null basis.
 
 Everything is seeded and deterministic; per-trial seeds are derived from
 the caller's seed so results do not depend on execution order.
@@ -23,26 +23,26 @@ the caller's seed so results do not depend on execution order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linprog
 
 from .config import DEFAULT, Config
 from .errors import DimensionError, DomainError, RankDeficientError, SolverStalledError
 
-# exhaustive-regime caps: beyond these the enumeration is combinatorially
-# out of reach and the oracles refuse to pretend otherwise
-SECTIONAL_CAP_N = 24
-SECTIONAL_CAP_K = 8
-STRONG_CAP_N = 18
-STRONG_CAP_K = 4
+# exhaustive-regime caps: the oracles enumerate C(n, m+1) vertex candidates
+# (2.2 s for the 735,471 of a 7 x 24 matrix on one BLAS thread); n bounds
+# the matrix itself, since m = n - 1 has a single candidate
+NULLSPACE_CAP_N = 24
+CANDIDATE_CAP = 1_000_000
 
-_LP_SLACK = 1e-9
+# rounding allowance on the unit-l1 scale of the vertex candidates: a margin,
+# a candidate's sum or one of its entries within it of zero counts as zero
+MARGIN_SLACK = 1e-9
+_BATCH_ELEMS = 1 << 20     # floats per level batch of the vertex enumeration
 
 
 @dataclass(frozen=True)
@@ -250,23 +250,24 @@ def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
         raise DimensionError(
             f"need round(alpha*n) >= round(beta*n) >= 1 and m < n, got m={m}, k={k}, n={n}"
         )
-    hits = 0
-    stalls = 0
+    hits = stalls = deficient = 0
     for s in trial_seeds(seed, trials):
         inst = generate_instance(n, m, k, nonneg=nonneg, seed=int(s))
         cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
         try:
             report = solve_basis_pursuit(inst, nonneg=nonneg, config=config,
                                          max_iter=8000, fail_below_l1=cutoff)
-        except (SolverStalledError, RankDeficientError):
+        except SolverStalledError:
             stalls += 1
             continue
+        except RankDeficientError:
+            deficient += 1
+            continue
         hits += int(report.recovered)
-    if stalls:
+    if stalls or deficient:
         warnings.warn(
-            f"{stalls}/{trials} trials hit the solver budget and were counted "
-            f"as misses (alpha={alpha}, beta={beta}, n={n})"
-        )
+            f"{stalls}/{trials} trials hit the solver budget and {deficient}/{trials} drew "
+            f"a row-rank-deficient A; all counted as misses (alpha={alpha}, beta={beta}, n={n})")
     return hits / trials
 
 
@@ -294,50 +295,19 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
 # exhaustive null-space oracles
 # --------------------------------------------------------------------------
 
-def _support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:
-    """Exact support-level null-space property of A on one sorted support.
-
-    For each sign pattern b on the support, maximize b . w_support - sum(p + q)
-    over A_support w_support + A_off (p - q) = 0, |w_support|_inf <= 1 and
-    p, q in [0, 1].  At an optimum p . q = 0, so sum(p + q) = ||w_off||_1.
-    The property holds iff every optimum is (up to LP slack) nonpositive: a
-    strictly positive optimum scales to a violating direction on the sphere
-    and vice versa.  The nonnegative model drops q (q = 0) and takes the
-    single pattern b = -1: no null-space w that is nonnegative off the
-    support has a negative sum.
-    """
-    m, n = A.shape
-    k = len(support)
-    if k == 0 or m == n:  # vacuous, or null(A) = {0} at full row rank
-        return True
-    A_off = np.delete(A, support, axis=1)
-    A_eq = np.hstack([A[:, support], A_off] if nonneg else [A[:, support], A_off, -A_off])
-    bounds = [(-1, 1)] * k + [(0, 1)] * (A_eq.shape[1] - k)
-    # b and -b give the same optimum (w -> -w), so fix the first sign
-    patterns = ([(-1.0,) * k] if nonneg else
-                [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)])
-    for b in patterns:
-        cost = np.concatenate([-np.array(b), np.ones(A_eq.shape[1] - k)])
-        res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(m), bounds=bounds, method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"null-space LP failed with status {res.status}: {res.message}")
-        if -float(res.fun) > _LP_SLACK:
-            return False
-    return True
-
-
-def check_nullspace_size(mode: str, n: int, k: int) -> None:
-    """Raise DimensionError unless the exact oracle of `mode` ("sectional"
-    or "strong") accepts n columns and supports of integer size k. Cheap, so
-    callers can check before they build an n-column matrix."""
-    cap_n, cap_k = ((SECTIONAL_CAP_N, SECTIONAL_CAP_K) if mode == "sectional"
-                    else (STRONG_CAP_N, STRONG_CAP_K))
+def check_nullspace_size(m: int, n: int, k: int) -> None:
+    """Raise DimensionError unless the exact oracles accept an m x n matrix
+    and supports of integer size k.  O(1), so callers can check before they
+    build the matrix: math.comb runs only once n is within NULLSPACE_CAP_N."""
     if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
         raise DimensionError(f"need 0 <= k <= n with k an integer, got n={n}, k={k!r}")
-    if n > cap_n or k > cap_k:
+    if n > NULLSPACE_CAP_N:
+        raise DimensionError(f"null-space oracles capped at n <= {NULLSPACE_CAP_N}; got n={n}")
+    count = math.comb(n, m + 1) if m < n else 0
+    if count > CANDIDATE_CAP:
         raise DimensionError(
-            f"{mode} oracle capped at n <= {cap_n}, k <= {cap_k}; got n={n}, k={k}"
-        )
+            f"null-space oracles capped at {CANDIDATE_CAP} vertex candidates; an m x n "
+            f"matrix has C(n, m+1) of them, got C({n}, {m + 1}) = {count} (m={m})")
 
 
 def _support_indices(support, n: int) -> np.ndarray:
@@ -353,28 +323,112 @@ def _support_indices(support, n: int) -> np.ndarray:
     return np.sort(idx)
 
 
-def sectional_nullspace_holds(A: np.ndarray, support, nonneg: bool = False) -> bool:
-    """True iff every nonzero null-space direction w satisfies
-    ||w_support||_1 < ||w_complement||_1 (decided exactly by LPs).  With
-    nonneg, the property for nonnegative unknowns instead: every null-space
-    w that is nonnegative off the support has sum(w) >= 0."""
+def _null_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n x (n - m)) of null(A) from one SVD; raises
+    RankDeficientError unless A has full row rank (matrix_rank's tolerance)."""
     m, n = A.shape
-    support = _support_indices(support, n)
-    check_nullspace_size("sectional", n, len(support))
-    if np.linalg.matrix_rank(A) < m:
+    _, s, vt = np.linalg.svd(A)
+    if m > n or (m and s[-1] <= s[0] * max(m, n) * np.finfo(float).eps):
         raise RankDeficientError("A must have full row rank")
-    return _support_holds(A, support, nonneg)
+    return vt[m:].T
+
+
+def _vertices(N: np.ndarray):
+    """Yield, as rows of chunks, one null vector per set T of d - 1
+    coordinates, zero on T and scaled to ||v||_1 = 1, from an orthonormal
+    null basis N (n x d).  For full-rank N_T that is the vertex direction;
+    otherwise it is still a point of null(A), whose vertices other sets
+    reach, so no rank test is needed.  T grows one sorted coordinate t at
+    a time, depth first in batches of about _BATCH_ELEMS floats; a node
+    holds an orthonormal basis Z (d x q) of the c with (N c)_T = 0, and a
+    Householder reflection of N_t Z onto the first axis leaves the child's
+    basis in the other q - 1 columns."""
+    n, d = N.shape
+    if d == 1:
+        yield N.T / np.abs(N).sum()
+    if d < 2:
+        return
+    stack = [(np.array([-1]), np.eye(d)[None])]  # last coordinate of T, basis Z
+    while stack:
+        last, Z = stack.pop()
+        q = Z.shape[2]
+        # t runs over last+1 .. n-q+1, leaving room for the q-2 after it
+        counts = n - q + 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        last = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(counts) - counts), counts)
+        Z = Z[parent]
+        u = np.einsum("kd,kdq->kq", N[last], Z)        # the rows N_t Z
+        if q == 2:
+            # the leaf is Z (u_1, -u_0), the reflection's second column up to
+            # scale; when N_t Z = 0, v_t = 0 already and Z's first column serves
+            u[~u.any(axis=1)] = (0.0, -1.0)
+            V = (Z[:, :, 0] * u[:, 1:] - Z[:, :, 1] * u[:, :1]) @ N.T
+            yield V / np.abs(V).sum(axis=1, keepdims=True)
+            continue
+        u[:, 0] += np.copysign(np.sqrt(np.einsum("kq,kq->k", u, u)), u[:, 0])
+        uu = np.einsum("kq,kq->k", u, u)
+        u[uu == 0.0, 0] = 1.0                          # N_t Z = 0: v_t = 0 already
+        uu[uu == 0.0] = 1.0
+        Zu = np.einsum("kdq,kq->kd", Z, u)
+        Z = Z[:, :, 1:] - (2.0 / uu)[:, None, None] * Zu[:, :, None] * u[:, None, 1:]
+        rows = max(1, _BATCH_ELEMS // (n * d * q))
+        stack.extend((last[lo:lo + rows], Z[lo:lo + rows]) for lo in range(0, len(last), rows))
+
+
+def _oriented_negatives(V: np.ndarray) -> np.ndarray:
+    # negative-entry masks of the candidates oriented to a negative sum; one
+    # whose sum is within MARGIN_SLACK of zero witnesses nothing
+    s = V.sum(axis=1, keepdims=True)
+    return (V * -np.sign(s) < -MARGIN_SLACK)[np.abs(s[:, 0]) > MARGIN_SLACK]
+
+
+def _candidates(A: np.ndarray, k: int):
+    # size check, rank check, then the vertex chunks of null(A) ∩ B_1
+    m, n = A.shape
+    check_nullspace_size(m, n, k)
+    return _vertices(_null_basis(A))
+
+
+def strong_nullspace_margin(A: np.ndarray, k: int) -> float:
+    """theta_k - 1/2, where theta_k is the largest sum of the k biggest |v_i|
+    over null(A) ∩ B_1: negative iff every nonzero null-space w has
+    ||w_S||_1 < ||w_complement||_1 on every support S of size k."""
+    return float(max((np.sort(np.abs(V), axis=1)[:, ::-1][:, :k].sum(axis=1).max()
+                      for V in _candidates(A, k)), default=0.0)) - 0.5
+
+
+def sectional_nullspace_margin(A: np.ndarray, support) -> float:
+    """max ||v_support||_1 over null(A) ∩ B_1, minus 1/2: negative iff every
+    nonzero null-space w has ||w_support||_1 < ||w_complement||_1."""
+    support = _support_indices(support, A.shape[1])
+    return float(max((np.abs(V[:, support]).sum(axis=1).max()
+                      for V in _candidates(A, len(support))), default=0.0)) - 0.5
+
+
+def sectional_nullspace_holds(A: np.ndarray, support, nonneg: bool = False) -> bool:
+    """True iff every nonzero null-space w has ||w_support||_1 <
+    ||w_complement||_1, i.e. the margin is at most MARGIN_SLACK.  With
+    nonneg: every null-space w that is nonnegative off the support has
+    sum(w) >= 0.  That fails iff some vertex, oriented to a negative sum,
+    has all its negative entries in the support (a violating w is a
+    conformal sum of vertex directions, one of which then violates)."""
+    if not nonneg:
+        return sectional_nullspace_margin(A, support) <= MARGIN_SLACK
+    support = _support_indices(support, A.shape[1])
+    off = np.ones(A.shape[1], dtype=bool)
+    off[support] = False
+    return not any((~_oriented_negatives(V)[:, off].any(axis=1)).any()
+                   for V in _candidates(A, len(support)))
 
 
 def strong_nullspace_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
-    """True iff the support-level property holds for every support of size k
-    (sign patterns enumerated inside; for the nonnegative variant the
-    feasible cone per support is one-sided, so one LP per support)."""
-    m, n = A.shape
-    check_nullspace_size("strong", n, k)
+    """True iff the support-level property holds for every support of size
+    k: the margin is at most MARGIN_SLACK, or, with nonneg, no vertex
+    oriented to a negative sum has k or fewer negative entries."""
+    check_nullspace_size(*A.shape, k)
     if k == 0:
         return True
-    if np.linalg.matrix_rank(A) < m:
-        raise RankDeficientError("A must have full row rank")
-    return all(_support_holds(A, np.array(support), nonneg)
-               for support in itertools.combinations(range(n), k))
+    if not nonneg:
+        return strong_nullspace_margin(A, k) <= MARGIN_SLACK
+    return not any((_oriented_negatives(V).sum(axis=1) <= k).any()
+                   for V in _candidates(A, k))

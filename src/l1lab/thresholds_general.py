@@ -306,15 +306,6 @@ def strong_direct_value(beta: float, nu: float) -> float:
     return _strong_direct_profile(beta)[1](nu)[0]
 
 
-def strong_direct_value_closed(beta: float, nu: float) -> float:
-    """Single-line form of strong_direct_value:
-    (1+nu^2) erfc(nu/sqrt(2)) + (4 nu / sqrt(2 pi)) (2 e^{-erfinv(1-beta)^2} - e^{-nu^2/2}/2)."""
-    e = float(nm.erfinv(1.0 - beta))
-    return ((1.0 + nu * nu) * float(nm.erfc(nu / SQRT2))
-            + 4.0 * nu / SQRT2PI * (2.0 * math.exp(-e * e)
-                                    - 0.5 * math.exp(-0.5 * nu * nu)))
-
-
 def strong_direct_minimum(beta: float) -> tuple[float, float]:
     """(min over nu in [0, c_nu] of W, minimizing nu), by Newton on W'."""
     c, at = _strong_direct_profile(beta)

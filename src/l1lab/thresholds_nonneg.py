@@ -108,65 +108,17 @@ def strong_nonneg_direct_value(beta: float, nu1: float) -> float:
         V = int_{h <= c_nu_plus} (h - nu1)^2 dPhi + int_{h >= nu1} (h - nu1)^2 dPhi
 
     by exact Gaussian moment integration.  Matches the sum of the three
-    published S terms once their stray exponents are read as exp(-nu1^2/2);
-    see strong_nonneg_direct_closed.
+    published S terms once their stray exponents are read as exp(-nu1^2/2)
+    (cross-checked in the tests).
     """
     if nu1 < 0:
         raise DomainError("nu1 must be nonnegative")
     return _nonneg_direct_profile(beta)(nu1)[0]
 
 
-def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
-    """Three-piece form of strong_nonneg_direct_value (S1 + S2 + S3):
-
-    S1 = erfc(nu1/sqrt(2))/2 + nu1 exp(-nu1^2/2)/sqrt(2 pi)
-    S2 = beta + sqrt(2) erfinv(1-2 beta) exp(-erfinv(1-2 beta)^2)/sqrt(2 pi)
-    S3 = (erfc(nu1/sqrt(2))/2 + beta) nu1^2
-         + nu1 sqrt(2/pi) (exp(-erfinv(1-2 beta)^2) - exp(-nu1^2/2))
-    """
-    e = float(nm.erfinv(1.0 - 2.0 * beta))
-    exp_e = math.exp(-e * e)
-    exp_n = math.exp(-0.5 * nu1 * nu1)
-    q = 0.5 * float(nm.erfc(nu1 / SQRT2))
-    s1 = q + nu1 * exp_n / SQRT2PI
-    s2 = beta + SQRT2 * e * exp_e / SQRT2PI
-    s3 = (q + beta) * nu1 * nu1 + nu1 * math.sqrt(2.0 / math.pi) * (exp_e - exp_n)
-    return s1 + s2 + s3
-
-
 def strong_nonneg_direct_minimum(beta: float) -> tuple[float, float]:
     """(min over nu1 in [0, 10] of V, minimizing nu1), by Newton on V'."""
     return nm.newton_minimum(_nonneg_direct_profile(beta), 10.0)
-
-
-def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
-    """Alternate direct evaluator: the older fixed-point form.
-
-    Solves the theta equation
-        sqrt(1/(2 pi)) (e^{-erfinv(1-2 theta)^2} - e^{-erfinv(1-2 beta)^2})
-            / (theta + beta) - sqrt(2) erfinv(1 - 2 theta) = 0
-    on theta in (0, 1 - beta), then returns
-        S1(theta) + S2(beta) - (sqrt(1/(2 pi)) (e^{-E_t^2} - e^{-E_b^2}))^2
-            / (theta + beta).
-    Kept for comparison against min_nu strong_nonneg_direct_value; the two
-    routes are reported side by side rather than reconciled.
-    """
-    e_b = float(nm.erfinv(1.0 - 2.0 * beta))
-
-    def fix(theta):
-        e_t = float(nm.erfinv(1.0 - 2.0 * theta))
-        return ((math.exp(-e_t * e_t) - math.exp(-e_b * e_b))
-                / (SQRT2PI * (theta + beta)) - SQRT2 * e_t)
-
-    hi = min(1.0 - beta, 0.5) - 1e-12
-    theta = nm.find_root(fix, nm.Bracket(1e-12, hi), tol=1e-13)
-    e_t = float(nm.erfinv(1.0 - 2.0 * theta))
-
-    def s_term(x, e_x):
-        return x + SQRT2 * e_x * math.exp(-e_x * e_x) / SQRT2PI
-
-    gap = (math.exp(-e_t * e_t) - math.exp(-e_b * e_b)) / SQRT2PI
-    return s_term(theta, e_t) + s_term(beta, e_b) - gap * gap / (theta + beta)
 
 
 # --------------------------------------------------------------------------

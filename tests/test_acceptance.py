@@ -13,9 +13,11 @@ checked for presence, never recomputed.
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 import numpy as np
 import pytest
+from lp_oracles import lp_support_holds
 
 from l1lab import empirical as emp
 from l1lab import threshold_bisect
@@ -235,11 +237,10 @@ def test_criterion_8_exhaustive_oracle_consistency():
             if not emp.strong_nullspace_holds(A, k):
                 continue
             held[k] += 1
-            # strong => sectional for every size-k support
-            from itertools import combinations
-
+            # strong => sectional for every size-k support, the sectional
+            # decisions taken from the LP form so the two are independent
             bad = [S for S in combinations(range(n), k)
-                   if not emp.sectional_nullspace_holds(A, S)]
+                   if not lp_support_holds(A, np.array(S), nonneg=False)]
             if bad:
                 failures.append(f"matrix {idx}: strong k={k} but sectional fails at {bad[:3]}")
                 continue

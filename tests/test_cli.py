@@ -87,25 +87,45 @@ def test_audit_zero_samples_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("mode, n, beta, message", [
-    ("strong", 40, 0.0625, "capped at n <= 18"),
-    ("sectional", 30, 0.1, "capped at n <= 24"),
-    ("strong", 16, 0.3125, "k <= 4; got n=16, k=5"),   # k = 5 over the cap
-    ("sectional", 5, 2.0, "need 0 <= k <= n"),
-    ("strong", 10**6, 0.0, "capped at n <= 18"),       # a 750000 x 10**6 matrix
-    ("sectional", 10**6, 0.0, "capped at n <= 24"),
+@pytest.mark.parametrize("mode, n, alpha, beta, message", [
+    ("strong", 40, 0.75, 0.0625, "capped at n <= 24; got n=40"),
+    ("sectional", 30, 0.75, 0.1, "capped at n <= 24; got n=30"),
+    # no cap on k: 12 x 24 at k = 12 is refused for the shape's 2,496,144 candidates
+    ("strong", 24, 0.5, 0.5, "C(24, 13) = 2496144"),
+    ("sectional", 5, 0.75, 2.0, "need 0 <= k <= n"),
+    ("strong", 10**6, 0.75, 0.0, "capped at n <= 24; got n=1000000"),  # a 750000 x 10**6 matrix
+    ("sectional", 10**6, 0.75, 0.0, "capped at n <= 24; got n=1000000"),
+    ("sectional", 23, 0.4, 0.1, "C(23, 10) = 1144066"),
 ], ids=["strong-n", "sectional-n", "strong-k", "k-over-n", "strong-huge-n",
-        "sectional-huge-n"])
-def test_verify_over_cap_exits_2(capsys, monkeypatch, mode, n, beta, message):
+        "sectional-huge-n", "sectional-candidates"])
+def test_verify_over_cap_exits_2(capsys, monkeypatch, mode, n, alpha, beta, message):
     def no_matrix(*args, **kwargs):
         raise AssertionError("a matrix was drawn before the size check")
 
     monkeypatch.setattr(cli.np.random, "default_rng", no_matrix)
     code, _, err = run_cli(
-        ["verify", "--mode", mode, "--n", str(n), "--alpha", "0.75",
+        ["verify", "--mode", mode, "--n", str(n), "--alpha", str(alpha),
          "--beta", str(beta)], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("mode", ["sectional", "strong"])
+def test_verify_cap_check_at_huge_n_is_constant_time(capsys, monkeypatch, mode):
+    # m = n - 1 has a single vertex candidate, C(n, n) = 1, but the matrix
+    # itself is out of reach: the n bound refuses it without drawing it or
+    # evaluating a binomial of n
+    import math
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", refuse)
+    monkeypatch.setattr(math, "comb", refuse)
+    code, _, err = run_cli(["verify", "--mode", mode, "--n", str(10**6),
+                            "--alpha", "0.999999", "--beta", "0.000001"], capsys)
+    assert code == 2
+    assert "capped at n <= 24; got n=1000000" in err
 
 
 @pytest.mark.parametrize("mode", ["weak", "sectional", "strong"])
@@ -410,6 +430,22 @@ def test_verify_strong_small(capsys):
     assert payload["k"] == 1
     assert len(payload["per_matrix"]) == 4
     assert all(isinstance(mat["holds"], bool) for mat in payload["per_matrix"])
+
+
+@pytest.mark.parametrize("mode, beta", [("strong", "0.0625"), ("sectional", "0.125")])
+def test_verify_margin_sign_agrees_with_holds(capsys, mode, beta):
+    # general signs: the exact margin is negative iff the property holds;
+    # the nonnegative model reports no margin
+    args = ["verify", "--mode", mode, "--alpha", "0.5", "--beta", beta,
+            "--n", "16", "--trials", "12", "--seed", "4"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    rows = json.loads(out)["per_matrix"]
+    assert all((row["margin"] < 0) == row["holds"] for row in rows)
+    assert {row["holds"] for row in rows} == {False, True}
+    code, out, _ = run_cli(args + ["--nonneg"], capsys)
+    assert code == 0
+    assert all(row["margin"] is None for row in json.loads(out)["per_matrix"])
 
 
 def test_verify_sectional_reports_support(capsys):

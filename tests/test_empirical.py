@@ -1,9 +1,11 @@
 """Instance generation, basis pursuit, null-space oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from lp_oracles import basis_support_holds, lp_strong_holds, lp_support_holds
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
@@ -242,52 +244,9 @@ def test_recovery_experiments_need_a_trial(monkeypatch, experiment):
 # null-space oracles
 # ---------------------------------------------------------------------------
 
-def basis_lp_max(c_max, A_ub, b_ub, bounds):
-    res = linprog(-np.asarray(c_max), A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs")
-    assert res.status == 0, res.message
-    return -float(res.fun)
-
-
-def basis_support_holds(A, support, nonneg=False):
-    """The support-level property decided over a null-space basis N, the
-    reference the LPs on A are checked against.
-
-    General signs: for each sign pattern b on the support (first sign +1),
-    maximize b . w_support - ||w_complement||_1 over {w = N z,
-    |w|_inf <= 1}, with t >= |w_complement| as extra variables.
-    Nonnegative: maximize -sum(w) over {w = N z, w >= 0 off the support,
-    |w|_inf <= 1}.  The property holds iff every optimum is <= 1e-9.
-    """
-    N = null_space(A)
-    n, d = N.shape
-    support = np.asarray(sorted(support), dtype=int)
-    mask = np.zeros(n, dtype=bool)
-    mask[support] = True
-    N_c = N[~mask, :]
-    n_c = N_c.shape[0]
-    if nonneg:
-        A_rows = np.vstack([-N_c, N, -N])
-        b_ub = np.concatenate([np.zeros(n_c), np.ones(2 * n)])
-        return basis_lp_max(-N.sum(axis=0), A_rows, b_ub, [(None, None)] * d) <= 1e-9
-    A_rows = np.vstack([
-        np.hstack([N_c, -np.eye(n_c)]),
-        np.hstack([-N_c, -np.eye(n_c)]),
-        np.hstack([N, np.zeros((n, n_c))]),
-        np.hstack([-N, np.zeros((n, n_c))]),
-    ])
-    b_ub = np.concatenate([np.zeros(2 * n_c), np.ones(2 * n)])
-    bounds = [(None, None)] * d + [(0, None)] * n_c
-    for rest in itertools.product((1.0, -1.0), repeat=len(support) - 1):
-        c_max = np.concatenate([N[mask, :].T @ np.array((1.0,) + rest), -np.ones(n_c)])
-        if basis_lp_max(c_max, A_rows, b_ub, bounds) > 1e-9:
-            return False
-    return True
-
-
 def test_support_decisions_match_the_null_space_basis_form():
-    # the LP on A with w_off = p - q has the same optimum as the LP over a
-    # null-space basis, so every per-support decision agrees
+    # the vertex enumeration and the LPs over a null-space basis decide
+    # every support alike
     decisions = []
     for m, n in [(12, 16), (6, 12), (8, 10), (15, 16)]:
         for seed in range(2):
@@ -305,8 +264,8 @@ def test_support_decisions_match_the_null_space_basis_form():
 
 
 def test_sectional_one_dimensional_nullspace():
-    # m = n - 1: the null space is a single line; compare the LP answer
-    # against the direct |w| comparison
+    # m = n - 1: the null space is a single line; compare the oracle's
+    # answer against the direct |w| comparison
     for seed in range(12):
         rng = np.random.default_rng(seed)
         n = 8
@@ -359,10 +318,11 @@ def test_sectional_vs_sampling_falsification():
 @pytest.mark.parametrize("support", [[-1, 2], [0.5, 1], [0, 0, 1], [0, 12]],
                          ids=["negative", "non-integer", "repeated", "past-n"])
 def test_sectional_rejects_malformed_supports(monkeypatch, support, nonneg):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP ran on a malformed support")
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the enumeration ran on a malformed support")
 
-    monkeypatch.setattr(emp, "linprog", no_lp)
+    monkeypatch.setattr(emp, "_null_basis", no_enumeration)
+    monkeypatch.setattr(emp, "_vertices", no_enumeration)
     A = np.random.default_rng(0).standard_normal((6, 12))
     with pytest.raises(DimensionError):
         emp.sectional_nullspace_holds(A, support, nonneg=nonneg)
@@ -370,7 +330,8 @@ def test_sectional_rejects_malformed_supports(monkeypatch, support, nonneg):
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), "2"])
 def test_strong_rejects_a_non_integer_k(monkeypatch, k):
-    monkeypatch.setattr(emp, "linprog", None)  # no LP may run
+    monkeypatch.setattr(emp, "_null_basis", None)  # no enumeration may run
+    monkeypatch.setattr(emp, "_vertices", None)
     A = np.random.default_rng(0).standard_normal((6, 8))
     with pytest.raises(DimensionError, match="k an integer"):
         emp.strong_nullspace_holds(A, k)
@@ -385,10 +346,13 @@ def test_sectional_cap_enforced():
 def test_strong_k_zero_and_caps():
     A = emp.generate_instance(16, 12, 1, seed=0).A
     assert emp.strong_nullspace_holds(A, 0)
-    with pytest.raises(DimensionError):
-        emp.strong_nullspace_holds(A, 5)
-    big = np.random.default_rng(0).standard_normal((10, 19))
-    with pytest.raises(DimensionError):
+    # no cap on k: one enumeration decides every k, and k = 16 - 1 fails
+    assert not emp.strong_nullspace_holds(A, 15)
+    # 10 x 19 (C(19, 11) = 75,582 candidates) is decided; 9 x 23 has
+    # C(23, 10) = 1,144,066, over the cap
+    emp.strong_nullspace_holds(np.random.default_rng(0).standard_normal((10, 19)), 1)
+    big = np.random.default_rng(0).standard_normal((9, 23))
+    with pytest.raises(DimensionError, match="C\\(23, 10\\) = 1144066"):
         emp.strong_nullspace_holds(big, 1)
 
 
@@ -419,6 +383,153 @@ def test_strong_monotone_in_k():
     assert holds1 > holds2
 
 
+# d = n - m = 1, 3, 6, 3 and 7
+PARITY_SHAPES = [(7, 8), (5, 8), (2, 8), (6, 9), (3, 10)]
+
+
+def test_enumeration_decisions_equal_the_lp_form():
+    # 5 shapes x 24 seeded matrices; on each, strong at k = 1 or 2 and
+    # sectional on two random supports of size 1-3, in both sign models,
+    # decided by the vertex enumeration and by the LPs on A
+    answers = {}
+    for m, n in PARITY_SHAPES:
+        for seed in range(24):
+            rng = np.random.default_rng([m, n, seed])
+            A = rng.standard_normal((m, n))
+            k = 1 + seed % 2
+            supports = [np.sort(rng.choice(n, size=size, replace=False))
+                        for size in rng.integers(1, 4, size=2)]
+            for nonneg in (False, True):
+                checks = [("strong", emp.strong_nullspace_holds(A, k, nonneg=nonneg),
+                           lp_strong_holds(A, k, nonneg))]
+                checks += [("sectional", emp.sectional_nullspace_holds(A, S, nonneg=nonneg),
+                            lp_support_holds(A, S, nonneg)) for S in supports]
+                for kind, got, want in checks:
+                    assert got == want, ((m, n), seed, kind, nonneg)
+                    answers.setdefault((kind, nonneg), set()).add(got)
+    assert all(seen == {False, True} for seen in answers.values()), answers
+
+
+def test_one_dimensional_null_space_is_its_own_vertex():
+    # d = 1: no coordinate is set to zero and the null vector w itself is
+    # the only vertex, so every margin is read off w exactly
+    for seed in range(4):
+        A = np.random.default_rng(seed).standard_normal((6, 7))
+        w = null_space(A)[:, 0]
+        w = w / np.abs(w).sum()
+        top = np.sort(np.abs(w))[::-1]
+        for k in range(8):
+            assert (emp.strong_nullspace_margin(A, k)
+                    == pytest.approx(top[:k].sum() - 0.5, abs=1e-12))
+        assert (emp.sectional_nullspace_margin(A, [0, 3])
+                == pytest.approx(abs(w[0]) + abs(w[3]) - 0.5, abs=1e-12))
+        oriented = -w if w.sum() > 0 else w
+        negatives = int((oriented < 0).sum())
+        for k in (1, 2, 3):
+            assert emp.strong_nullspace_holds(A, k, nonneg=True) == (negatives > k)
+
+
+def test_square_matrices_and_k_zero_are_vacuous():
+    # m = n: null(A) = {0}, so every property holds with margin exactly -1/2
+    A = np.random.default_rng(0).standard_normal((6, 6))
+    for nonneg in (False, True):
+        assert emp.strong_nullspace_holds(A, 3, nonneg=nonneg)
+        assert emp.sectional_nullspace_holds(A, [0, 1, 2], nonneg=nonneg)
+    assert emp.strong_nullspace_margin(A, 3) == -0.5
+    assert emp.sectional_nullspace_margin(A, [0, 1, 2]) == -0.5
+    # k = 0 holds on any matrix, even one the rank check would refuse
+    B = np.random.default_rng(1).standard_normal((3, 8))
+    assert emp.strong_nullspace_margin(B, 0) == -0.5
+    assert emp.sectional_nullspace_margin(B, []) == -0.5
+    deficient = np.vstack([B, B[0]])
+    for nonneg in (False, True):
+        assert emp.strong_nullspace_holds(deficient, 0, nonneg=nonneg)
+        with pytest.raises(RankDeficientError):
+            emp.strong_nullspace_holds(deficient, 1, nonneg=nonneg)
+
+
+def test_supports_past_m_match_the_lp_form():
+    # |S| >= m + 1: A_S is rank deficient and some null vector lives on S.
+    # On Gaussian A it has a nonzero sum, so the nonnegative property fails;
+    # with columns 0 and 1 repeated, that vector is e_0 - e_1, of sum zero,
+    # and the decision rests on the other vertices
+    answers = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 7))
+        if seed % 2:
+            A[:, 1] = A[:, 0]
+        for S in ([0, 1, 2, 3], [0, 1, 2, 4, 5]):
+            for nonneg in (False, True):
+                got = emp.sectional_nullspace_holds(A, S, nonneg=nonneg)
+                assert got == lp_support_holds(A, np.array(S), nonneg), (seed, S, nonneg)
+                if nonneg:
+                    answers.add(got)
+    assert answers == {False, True}
+
+
+def _structured_matrices():
+    rng = np.random.default_rng(7)
+    cases = []
+    while len(cases) < 4:   # +-1 entries: many dependent column subsets
+        B = rng.choice([-1.0, 1.0], size=(4, 8))
+        if np.linalg.matrix_rank(B) == 4:
+            cases.append(B)
+    C = rng.standard_normal((4, 8))
+    C[:, 1] = C[:, 0]       # a repeated column: e_0 - e_1 is a vertex, a tie at S = {0}
+    D = rng.standard_normal((5, 9))
+    D[:, 2], D[:, 4] = -D[:, 3], 2.0 * D[:, 5]
+    return cases + [C, D]
+
+
+def test_structured_matrices_match_the_lp_form():
+    decisions = []
+    for A in _structured_matrices():
+        n = A.shape[1]
+        for nonneg in (False, True):
+            for k in (1, 2):
+                got = emp.strong_nullspace_holds(A, k, nonneg=nonneg)
+                assert got == lp_strong_holds(A, k, nonneg), (A, k, nonneg)
+                decisions.append(got)
+            for S in itertools.combinations(range(n), 2):
+                got = emp.sectional_nullspace_holds(A, S, nonneg=nonneg)
+                assert got == lp_support_holds(A, np.array(S), nonneg), (A, S, nonneg)
+                decisions.append(got)
+    assert any(decisions) and not all(decisions)
+    # the tie: ||w_S||_1 = ||w_complement||_1 exactly for w = e_0 - e_1, which
+    # the decision counts as holding, as the LP form does
+    C = _structured_matrices()[4]
+    assert emp.sectional_nullspace_margin(C, [0]) == pytest.approx(0.0, abs=1e-12)
+    assert emp.sectional_nullspace_holds(C, [0])
+
+
+def test_exactly_zero_rows_of_the_null_basis():
+    # A = e_2^T: the SVD gives a null basis with an exactly zero row, so
+    # every set of coordinates holding 2 is rank deficient and the
+    # reflected row N_t Z is exactly zero there; the vertices are +-e_i,
+    # i != 2
+    A = np.eye(5)[[2]]
+    assert emp.strong_nullspace_margin(A, 1) == 0.5
+    assert emp.sectional_nullspace_margin(A, [2]) == -0.5
+    assert emp.sectional_nullspace_margin(A, [0, 2]) == 0.5
+    assert not emp.sectional_nullspace_holds(A, [0, 2], nonneg=True)
+    assert emp.sectional_nullspace_holds(A, [2], nonneg=True)
+    V = np.vstack(list(emp._vertices(emp._null_basis(A))))
+    assert np.all(np.isfinite(V))
+    assert {int(i) for i in np.abs(V).argmax(axis=1)} == {0, 1, 3, 4}
+
+
+def test_candidate_cap_bounds_the_enumeration():
+    # C(n, m+1) candidates: 8 x 23 has 817,190 and is accepted, 9 x 23 has
+    # 1,144,066 and is not; n past 24 is refused before math.comb runs
+    emp.check_nullspace_size(8, 23, 2)
+    with pytest.raises(DimensionError, match="C\\(23, 10\\) = 1144066"):
+        emp.check_nullspace_size(9, 23, 2)
+    assert math.comb(23, 10) > emp.CANDIDATE_CAP >= math.comb(23, 9)
+    with pytest.raises(DimensionError, match="capped at n <= 24"):
+        emp.check_nullspace_size(10 ** 6 - 1, 10 ** 6, 1)
+
+
 def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
     from l1lab.errors import SolverStalledError
 
@@ -437,4 +548,5 @@ def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
         rate = emp.weak_recovery_rate(0.5, 0.1, 40, 8, seed=0)
     assert rate == 5 / 8
     assert len(record) == 1
-    assert str(record[0].message).startswith("3/8 trials hit the solver budget")
+    assert str(record[0].message).startswith(
+        "2/8 trials hit the solver budget and 1/8 drew a row-rank-deficient A;")

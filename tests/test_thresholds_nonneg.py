@@ -13,6 +13,61 @@ from l1lab.errors import DomainError
 from l1lab.lift_core import ExpPiece, LiftParams, exp_set_term_oracle
 from l1lab.thresholds_general import weak_alpha_of_beta
 
+SQRT2 = nm.SQRT2
+SQRT2PI = nm.SQRT2PI
+
+
+# ---------------------------------------------------------------------------
+# independent evaluators of the direct bound, the published forms the
+# library's moment integration is checked against
+# ---------------------------------------------------------------------------
+
+def strong_nonneg_direct_closed(beta: float, nu1: float) -> float:
+    """Three-piece form of tn.strong_nonneg_direct_value (S1 + S2 + S3):
+
+    S1 = erfc(nu1/sqrt(2))/2 + nu1 exp(-nu1^2/2)/sqrt(2 pi)
+    S2 = beta + sqrt(2) erfinv(1-2 beta) exp(-erfinv(1-2 beta)^2)/sqrt(2 pi)
+    S3 = (erfc(nu1/sqrt(2))/2 + beta) nu1^2
+         + nu1 sqrt(2/pi) (exp(-erfinv(1-2 beta)^2) - exp(-nu1^2/2))
+    """
+    e = float(nm.erfinv(1.0 - 2.0 * beta))
+    exp_e = math.exp(-e * e)
+    exp_n = math.exp(-0.5 * nu1 * nu1)
+    q = 0.5 * float(nm.erfc(nu1 / SQRT2))
+    s1 = q + nu1 * exp_n / SQRT2PI
+    s2 = beta + SQRT2 * e * exp_e / SQRT2PI
+    s3 = (q + beta) * nu1 * nu1 + nu1 * math.sqrt(2.0 / math.pi) * (exp_e - exp_n)
+    return s1 + s2 + s3
+
+
+def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
+    """Alternate direct evaluator: the older fixed-point form.
+
+    Solves the theta equation
+        sqrt(1/(2 pi)) (e^{-erfinv(1-2 theta)^2} - e^{-erfinv(1-2 beta)^2})
+            / (theta + beta) - sqrt(2) erfinv(1 - 2 theta) = 0
+    on theta in (0, 1 - beta), then returns
+        S1(theta) + S2(beta) - (sqrt(1/(2 pi)) (e^{-E_t^2} - e^{-E_b^2}))^2
+            / (theta + beta).
+    Compared against min_nu tn.strong_nonneg_direct_value.
+    """
+    e_b = float(nm.erfinv(1.0 - 2.0 * beta))
+
+    def fix(theta):
+        e_t = float(nm.erfinv(1.0 - 2.0 * theta))
+        return ((math.exp(-e_t * e_t) - math.exp(-e_b * e_b))
+                / (SQRT2PI * (theta + beta)) - SQRT2 * e_t)
+
+    hi = min(1.0 - beta, 0.5) - 1e-12
+    theta = nm.find_root(fix, nm.Bracket(1e-12, hi), tol=1e-13)
+    e_t = float(nm.erfinv(1.0 - 2.0 * theta))
+
+    def s_term(x, e_x):
+        return x + SQRT2 * e_x * math.exp(-e_x * e_x) / SQRT2PI
+
+    gap = (math.exp(-e_t * e_t) - math.exp(-e_b * e_b)) / SQRT2PI
+    return s_term(theta, e_t) + s_term(beta, e_b) - gap * gap / (theta + beta)
+
 
 # ---------------------------------------------------------------------------
 # weak characterization (nonnegative)
@@ -51,7 +106,7 @@ def test_nonneg_direct_integral_vs_quadrature_and_closed():
     numeric = nm.gauss_expectation(g, nm.QuadratureSpec(half_width=12.0),
                                    breakpoints=(c, nu))
     assert abs(tn.strong_nonneg_direct_value(beta, nu) - numeric) <= 1e-6
-    assert abs(tn.strong_nonneg_direct_closed(beta, nu) - numeric) <= 1e-6
+    assert abs(strong_nonneg_direct_closed(beta, nu) - numeric) <= 1e-6
 
 
 def test_nonneg_direct_beta_to_zero_limit():
@@ -63,7 +118,7 @@ def test_nonneg_direct_fixedpoint_agrees_with_minimum():
     # two published routes to the same direct bound; they coincide, so the
     # comparison is asserted rather than merely reported
     for beta in (0.02, 0.05, 0.1, 0.2, 0.3):
-        fp = tn.strong_nonneg_direct_alpha_fixedpoint(beta)
+        fp = strong_nonneg_direct_alpha_fixedpoint(beta)
         mn, _ = tn.strong_nonneg_direct_minimum(beta)
         assert abs(fp - mn) <= 1e-9, (beta, fp, mn)
 
