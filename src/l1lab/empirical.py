@@ -5,17 +5,17 @@ nonnegative), and exact null-space-property oracles at small scale:
 
 * solve_basis_pursuit is an operator-splitting (ADMM) iteration on the
   equality-constrained l1 program; the x-update projects onto {x: Ax = y}
-  through an orthonormal basis Q of the row space of A (an economic QR of
-  A^T by Gram-Schmidt run twice, built once per instance and rank-checked
-  on the diagonal of R), the z-update is a (one-sided, when nonnegative)
-  soft threshold.  Its optimality is cross-checked in the tests against an
-  exact LP reformulation.
+  through the reduced QR of A^T, the z-update is a (one-sided, when
+  nonnegative) soft threshold.  Its optimality is cross-checked in the
+  tests against an exact LP reformulation.
 
 * sectional/strong null-space oracles decide the exact conditions, with no
   LP, from one enumeration of the vertices of null(A) ∩ B_1 (a convex
   function peaks over a polytope at a vertex; each vertex is, up to scale,
-  the null vector vanishing on some d - 1 = n - m - 1 coordinates).  One SVD
-  of A gives the rank check and an orthonormal null basis.
+  the null vector vanishing on some d - 1 = n - m - 1 coordinates); the
+  complete QR of A^T gives an orthonormal null basis.
+
+Both take their LAPACK QR from _row_qr, which refuses a row-rank-deficient A.
 
 Everything is seeded and deterministic; per-trial seeds are derived from
 the caller's seed so results do not depend on execution order.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -103,50 +103,28 @@ def _soft_threshold(v, thresh):
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def _row_basis(A: np.ndarray):
-    """(Q^T, R) of the economic QR A^T = QR, by classical Gram-Schmidt run
-    twice on each row of A ("twice is enough": Giraud, Langou, Rozloznik
-    and van den Eshof, Numer. Math. 2005).  Q^T is orthonormal to rounding
-    level and the diagonal of R reveals a dependent row as Householder's
-    does; a row with nothing left after both passes leaves R_jj = 0.
-
-    Only matrix-vector products run here, and BLAS keeps those on one
-    thread at these sizes.  LAPACK's Householder QR (np.linalg.qr) calls
-    threaded BLAS: in a two-process pool on 2 vCPUs with BLAS threads not
-    pinned, it took 19-147 ms per n = 200 instance on average (0.5-3 ms
-    alone), which made pooled Monte Carlo runs slower than with a Cholesky
-    factor of A A^T."""
+def _row_qr(A: np.ndarray, mode: str):
+    """(Q, R) = np.linalg.qr(A^T, mode), "reduced" or "complete", for an
+    m x n matrix A.  Raises RankDeficientError unless A has full row rank:
+    when m > n, or when min |R_ii| <= max |R_ii| * max(m, n) * eps (numpy's
+    matrix_rank tolerance on the diagonal of R)."""
     m, n = A.shape
-    Qt = np.zeros((m, n))
-    R = np.zeros((m, m))
-    for j in range(m):
-        w = A[j]
-        for _ in range(2):
-            s = Qt[:j] @ w
-            w = w - s @ Qt[:j]
-            R[:j, j] += s
-        R[j, j] = _norm(w)
-        if R[j, j]:
-            Qt[j] = w / R[j, j]
-    return Qt, R
+    Q, R = np.linalg.qr(A.T, mode=mode)
+    diag = np.abs(np.diag(R))
+    if m > n or (m and diag.min() <= diag.max() * max(m, n) * np.finfo(float).eps):
+        raise RankDeficientError(f"the {m} x {n} matrix A does not have full row rank")
+    return Q, R
 
 
 def _affine_projector(A: np.ndarray, y: np.ndarray):
     """The Euclidean projection onto {x : Ax = y} as a closure.
 
-    With the economic QR A^T = QR of _row_basis (Q n x m with orthonormal
+    With the reduced QR A^T = QR of _row_qr (Q n x m with orthonormal
     columns), A^T (A A^T)^-1 (Av - y) = Q (Q^T v - c) where c = R^-T y, so
-    each call is two small matrix-vector products.  Raises
-    RankDeficientError when min |R_ii| <= max |R_ii| * max(m, n) * eps
-    (numpy's matrix_rank tolerance on the diagonal of R)."""
-    m, n = A.shape
-    Qt, R = _row_basis(A)
-    diag = np.abs(np.diag(R))
-    if m and diag.min() <= diag.max() * max(m, n) * np.finfo(float).eps:
-        raise RankDeficientError(
-            f"A is row-rank deficient: min |R_ii| = {diag.min():.3g}, max {diag.max():.3g}")
+    each call is two small matrix-vector products."""
+    Q, R = _row_qr(A, "reduced")
     c = sla.solve_triangular(R, y, trans="T", check_finite=False)
-    Q = Qt.T
+    Qt = Q.T
 
     def project(v):
         return v - Q @ (Qt @ v - c)
@@ -156,16 +134,16 @@ def _affine_projector(A: np.ndarray, y: np.ndarray):
 
 def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
                         config: Config = DEFAULT,
-                        max_iter: int | None = None,
                         fail_below_l1: float | None = None) -> RecoveryReport:
     """min ||x||_1 s.t. Ax = y (plus x >= 0 when nonneg) by ADMM.
 
     Splitting: x carries the affine constraint (projection through the
-    orthonormal row basis of _affine_projector, built once), z carries the
-    l1 term (soft threshold), with over-relaxation and residual-balancing
-    updates of the penalty.  Raises SolverStalledError at the iteration cap
-    and RankDeficientError, before any iteration, when A is numerically
-    row-rank deficient.  The report carries the returned point as `x`.
+    reduced QR of A^T of _affine_projector, built once), z carries the l1
+    term (soft threshold), with over-relaxation and residual-balancing
+    updates of the penalty.  Raises SolverStalledError at config.bp_max_iter
+    iterations and RankDeficientError, before any iteration, when A is
+    numerically row-rank deficient.  The report carries the returned point
+    as `x`.
 
     fail_below_l1 is an opt-in early-exit certificate for recovery-rate
     experiments: the x iterate is exactly feasible at every step, so once
@@ -178,7 +156,6 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     A, y = inst.A, inst.y
     n = A.shape[1]
     tol = config.bp_tol
-    cap = config.bp_max_iter if max_iter is None else max_iter
     project = _affine_projector(A, y)
     x = project(np.zeros(n))        # least-norm feasible point
     z = x.copy()
@@ -186,7 +163,7 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     rho = 1.0
     relax = 1.8
     scale = max(1.0, float(np.linalg.norm(x)))
-    for it in range(1, cap + 1):
+    for it in range(1, config.bp_max_iter + 1):
         x_new = project(z - u)
         if fail_below_l1 is not None and float(np.abs(x_new).sum()) < fail_below_l1:
             z = x_new
@@ -212,7 +189,7 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
                 u *= 2.0
     else:
         raise SolverStalledError(
-            f"basis pursuit did not reach tol={tol} within {cap} iterations"
+            f"basis pursuit did not reach tol={tol} within {config.bp_max_iter} iterations"
         )
 
     x_hat = project(z)  # exactly feasible, sparse up to the solver tolerance
@@ -242,21 +219,22 @@ def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
     Solver failures (stall, rank deficiency) count as failed recoveries with
     a warning; they do not abort the experiment.
     """
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"need an integer trials >= 1, got {trials!r}")
     m = int(round(alpha * n))
     k = int(round(beta * n))
     if not (1 <= k <= m < n):
         raise DimensionError(
             f"need round(alpha*n) >= round(beta*n) >= 1 and m < n, got m={m}, k={k}, n={n}"
         )
+    config = replace(config, bp_max_iter=8000)
     hits = stalls = deficient = 0
     for s in trial_seeds(seed, trials):
         inst = generate_instance(n, m, k, nonneg=nonneg, seed=int(s))
         cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
         try:
             report = solve_basis_pursuit(inst, nonneg=nonneg, config=config,
-                                         max_iter=8000, fail_below_l1=cutoff)
+                                         fail_below_l1=cutoff)
         except SolverStalledError:
             stalls += 1
             continue
@@ -276,10 +254,14 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
                         config: Config = DEFAULT) -> float:
     """Monte Carlo estimate of the 50%-recovery alpha at fixed beta, by
     bisection over alpha with common per-probe randomness."""
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"need an integer trials >= 1, got {trials!r}")
+    if not (math.isfinite(tol_alpha) and tol_alpha > 0):
+        raise DomainError(f"need a finite tol_alpha > 0, got {tol_alpha}")
     lo = max(beta + 2.0 / n, 2.0 / n)
     hi = 1.0 - 1.0 / n
+    if not lo < hi:
+        raise DomainError(f"empty alpha bracket [{lo:.6g}, {hi:.6g}] at beta={beta}, n={n}")
     while hi - lo > tol_alpha:
         mid = 0.5 * (lo + hi)
         rate = weak_recovery_rate(mid, beta, n, trials, nonneg=nonneg,
@@ -324,13 +306,9 @@ def _support_indices(support, n: int) -> np.ndarray:
 
 
 def _null_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (n x (n - m)) of null(A) from one SVD; raises
-    RankDeficientError unless A has full row rank (matrix_rank's tolerance)."""
-    m, n = A.shape
-    _, s, vt = np.linalg.svd(A)
-    if m > n or (m and s[-1] <= s[0] * max(m, n) * np.finfo(float).eps):
-        raise RankDeficientError("A must have full row rank")
-    return vt[m:].T
+    """Orthonormal basis (n x (n - m)) of null(A): the last n - m columns of
+    the complete QR of A^T, rank-checked by _row_qr."""
+    return _row_qr(A, "complete")[0][:, A.shape[0]:]
 
 
 def _vertices(N: np.ndarray):

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Threshold points shared between criteria are computed
-once, in a two-worker process pool, by the module-scoped fixture.
+once, in a two-worker process pool, by the module-scoped fixture.  The
+pool's workers start with one BLAS thread each (see `_pool`).
 
 Expected threshold values are the published reference numbers this library
 must reproduce to +-5e-4 (reported there to 4-5 significant digits); the
@@ -10,10 +11,14 @@ Donoho / Donoho-Tanner columns are literature constants and are only
 checked for presence, never recomputed.
 """
 
+import contextlib
 import json
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +61,35 @@ NONNEG_STRONG_LIFTED = {
 DOMINANCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
+@contextlib.contextmanager
+def _pool():
+    """A two-worker spawn pool whose workers run BLAS on one thread: with
+    the default threads, two workers on two cores start four BLAS threads
+    that wait on each other.  Spawned workers start on demand and read the
+    environment as they start, so it stays set for the pool's whole life."""
+    one_thread = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                "MKL_NUM_THREADS"), "1")
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool
+
+
+def _worker_blas_threads(barrier):
+    # the barrier holds each job until the other runs, so both workers report
+    barrier.wait(timeout=120)
+    return os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_pool_workers_start_on_one_blas_thread():
+    before = dict(os.environ)
+    with multiprocessing.get_context("spawn").Manager() as manager, _pool() as pool:
+        barrier = manager.Barrier(2)
+        seen = list(pool.map(_worker_blas_threads, [barrier, barrier]))
+    assert len({pid for pid, _ in seen}) == 2
+    assert {threads for _, threads in seen} == {"1"}
+    assert dict(os.environ) == before
+
+
 def _threshold_point(job):
     kind, method, alpha = job
     return job, threshold_bisect(alpha, kind, method).beta
@@ -83,7 +117,7 @@ def thresholds():
                 jobs.add((kind, method, alpha))
     jobs = sorted(jobs)
     t0 = time.time()
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with _pool() as pool:
         memo = dict(pool.map(_threshold_point, jobs, chunksize=4))
     print(f"\n[acceptance] {len(jobs)} threshold solves in {time.time()-t0:.0f}s")
     return memo
@@ -208,7 +242,7 @@ def test_criterion_7_empirical_weak_transition():
     jobs = [(beta, nonneg, 9000 + i)
             for i, (beta, nonneg) in enumerate(
                 (b, nn) for nn in (False, True) for b in (0.05, 0.1, 0.2))]
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    with _pool() as pool:
         results = dict(pool.map(_mc_transition, jobs))
     failures = []
     for (beta, nonneg, seed), alpha_mc in results.items():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.optimize import linprog
 
 from l1lab import empirical as emp
 from l1lab import weak_alpha_of_beta, weak_nonneg_alpha_of_beta
-from l1lab.config import Config
+from l1lab.config import DEFAULT, Config
 from l1lab.errors import DimensionError, DomainError, RankDeficientError
 
 
@@ -129,19 +130,25 @@ def test_bp_nonneg_matches_lp():
 
 @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
 def test_row_basis_is_an_orthonormal_qr_of_a_transpose(cond):
-    # the second Gram-Schmidt pass keeps Q orthonormal where one pass loses
-    # orthogonality as eps * cond^2
+    # the reduced QR of _row_qr is A^T = QR with orthonormal Q; the complete
+    # one adds n - m orthonormal columns that span null(A)
     rng = np.random.default_rng(11)
     m, n = 40, 90
     U = np.linalg.qr(rng.standard_normal((m, m)))[0]
     V = np.linalg.qr(rng.standard_normal((n, m)))[0]
     A = (U * np.logspace(0, -np.log10(cond), m)) @ V.T
-    Qt, R = emp._row_basis(A)
-    assert np.abs(Qt @ Qt.T - np.eye(m)).max() <= 1e-13
-    assert np.abs(Qt.T @ R - A.T).max() <= 1e-13 * np.abs(A).max()
+    Q, R = emp._row_qr(A, "reduced")
+    assert Q.shape == (n, m) and R.shape == (m, m)
+    assert np.abs(Q.T @ Q - np.eye(m)).max() <= 1e-13
+    assert np.abs(Q @ R - A.T).max() <= 1e-13 * np.abs(A).max()
     assert np.array_equal(R, np.triu(R))
-    householder = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
-    assert np.abs(np.diag(R) - householder).max() <= 1e-13 * householder.max()
+    Qc, Rc = emp._row_qr(A, "complete")
+    assert Qc.shape == (n, n) and Rc.shape == (n, m)
+    assert np.abs(Qc @ Rc - A.T).max() <= 1e-13 * np.abs(A).max()
+    N = Qc[:, m:]
+    assert np.abs(N.T @ N - np.eye(n - m)).max() <= 1e-13
+    assert np.abs(A @ N).max() <= 1e-13 * np.abs(A).max()
+    assert np.array_equal(emp._null_basis(A), N)
 
 
 @pytest.mark.parametrize("m, n", [(6, 12), (18, 30), (60, 200), (1, 5)])
@@ -183,6 +190,8 @@ def test_bp_rejects_a_rank_deficient_matrix_before_iterating(monkeypatch, make_d
                                   signs=inst.signs, y=A @ inst.x_true, seed=seed)
         with pytest.raises(RankDeficientError):
             emp.solve_basis_pursuit(bad)
+        with pytest.raises(RankDeficientError):
+            emp.strong_nullspace_holds(A, 1)
 
 
 # (nonneg, alpha offset from the weak curve, trial) -> (recovered, iterations)
@@ -213,7 +222,8 @@ def test_bp_pinned_decisions_and_iterations(nonneg, offset, trial):
     inst = emp.generate_instance(n, int(round(alpha * n)), int(round(beta * n)),
                                  nonneg=nonneg, seed=seed)
     cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
-    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg, max_iter=8000, fail_below_l1=cutoff)
+    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg, config=replace(DEFAULT, bp_max_iter=8000),
+                                  fail_below_l1=cutoff)
     assert (rep.recovered, rep.solver_iterations) == PINNED_SOLVES[nonneg, offset, trial]
 
 
@@ -230,10 +240,21 @@ def test_weak_recovery_rate_validation():
 @pytest.mark.parametrize("experiment", [
     lambda: emp.weak_recovery_rate(0.5, 0.1, 50, 0),
     lambda: emp.fifty_percent_alpha(0.1, 50, 0),
-], ids=["weak_recovery_rate", "fifty_percent_alpha"])
+    lambda: emp.weak_recovery_rate(0.5, 0.1, 50, 2.5),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 2.5),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 5, tol_alpha=-0.01),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 5, tol_alpha=0.0),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 5, tol_alpha=math.nan),
+    lambda: emp.fifty_percent_alpha(0.1, 50, 5, tol_alpha=math.inf),
+    lambda: emp.fifty_percent_alpha(0.985, 200, 5),
+    lambda: emp.fifty_percent_alpha(math.nan, 200, 5),
+], ids=["weak_recovery_rate", "fifty_percent_alpha",
+        "weak_recovery_rate-fractional-trials", "fifty_percent_alpha-fractional-trials",
+        "negative-tol_alpha", "zero-tol_alpha", "nan-tol_alpha", "inf-tol_alpha",
+        "empty-bracket", "nan-beta"])
 def test_recovery_experiments_need_a_trial(monkeypatch, experiment):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved with no trials")
+        raise AssertionError("solved with invalid arguments")
 
     monkeypatch.setattr(emp, "solve_basis_pursuit", no_solve)
     with pytest.raises(DomainError):
@@ -504,7 +525,7 @@ def test_structured_matrices_match_the_lp_form():
 
 
 def test_exactly_zero_rows_of_the_null_basis():
-    # A = e_2^T: the SVD gives a null basis with an exactly zero row, so
+    # A = e_2^T: the QR of A^T gives a null basis with an exactly zero row, so
     # every set of coordinates holding 2 is rank deficient and the
     # reflected row N_t Z is exactly zero there; the vertices are +-e_i,
     # i != 2
