@@ -264,6 +264,8 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
         raise DomainError(f"empty alpha bracket [{lo:.6g}, {hi:.6g}] at beta={beta}, n={n}")
     while hi - lo > tol_alpha:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one float spacing wide
+            break
         rate = weak_recovery_rate(mid, beta, n, trials, nonneg=nonneg,
                                   seed=seed, config=config)
         if rate >= 0.5:

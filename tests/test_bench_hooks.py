@@ -37,3 +37,25 @@ def test_retired_linprog_hook_is_an_absent_layer():
         assert "empirical.linprog" in traced.absent
     finally:
         traced.uninstall()
+
+
+@pytest.mark.parametrize("kind, pieces", [("sectional", 2), ("strong", 1), ("strong_nonneg", 1)])
+def test_the_oracle_reaches_the_traced_quadrature_once_per_piece(monkeypatch, kind, pieces):
+    # the traced direct-curves run counts numerics.gauss_expectation calls:
+    # the oracle must look the attribute up at call time, once per ExpPiece
+    numerics = importlib.import_module("l1lab.numerics")
+    lift_core = importlib.import_module("l1lab.lift_core")
+    quadrature = numerics.gauss_expectation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kind)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "gauss_expectation", counted)
+    spec = lift_core.kind_table()[kind].lifted
+    params = lift_core.LiftParams(c3=1.5, gamma=2.0, nu1=0.4, nu2=0.3)
+    assert len(spec.integrand(params, 0.2)[1]) == pieces
+    assert lift_core.exp_set_term_oracle(spec.integrand, params, 0.2) == pytest.approx(
+        spec.set_term_at(0.2, params), rel=1e-6)
+    assert len(calls) == pieces

@@ -261,6 +261,24 @@ def test_recovery_experiments_need_a_trial(monkeypatch, experiment):
         experiment()
 
 
+def test_fifty_percent_alpha_stops_at_the_float_spacing_of_its_bracket(monkeypatch):
+    # tol_alpha below the spacing of doubles near the step: once the midpoint
+    # rounds onto an end, further probes cannot narrow the bracket
+    probes = []
+
+    def step_rate(alpha, *args, **kwargs):
+        probes.append(alpha)
+        if len(probes) >= 100:
+            raise AssertionError("still bisecting after 100 probes")
+        return 1.0 if alpha >= 0.4 else 0.0
+
+    monkeypatch.setattr(emp, "weak_recovery_rate", step_rate)
+    alpha = emp.fifty_percent_alpha(0.1, 200, 5, tol_alpha=1e-20)
+    assert 0.1 + 2.0 / 200 < alpha < 1.0 - 1.0 / 200
+    assert abs(alpha - 0.4) <= 1e-15
+    assert len(probes) < 100
+
+
 # ---------------------------------------------------------------------------
 # null-space oracles
 # ---------------------------------------------------------------------------

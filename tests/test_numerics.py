@@ -580,6 +580,88 @@ def test_quadrature_spec_validation():
         nm.QuadratureSpec(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("half_width", math.nan), ("half_width", math.inf), ("panels", 64.5),
+    ("max_panels", 16384.0), ("max_panels", 32), ("rel_tol", math.nan),
+    ("rel_tol", math.inf),
+], ids=["nan-half_width", "inf-half_width", "fractional-panels", "float-max_panels",
+        "max_panels-below-panels", "nan-rel_tol", "inf-rel_tol"])
+def test_quadrature_spec_rejects_malformed_inputs(field, value):
+    with pytest.raises(DomainError, match=field):
+        nm.QuadratureSpec(**{field: value})
+
+
+def test_quadrature_spec_takes_numpy_integer_panels():
+    spec = nm.QuadratureSpec(panels=np.int64(128), max_panels=np.int64(4096))
+    assert abs(nm.gauss_expectation(lambda h: h * h, spec) - 1.0) <= 1e-10
+
+
+def _composite_gl_by_segment(f, segments, panels):
+    """The segment-by-segment composite sum, one np.linspace and one call of
+    f per segment: the reference for the blocked nm._composite_gl."""
+    total = 0.0
+    for (lo, hi), n_pan in zip(segments, panels):
+        edges = np.linspace(lo, hi, n_pan + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = mid[:, None] + half[:, None] * nm._GL_NODES[None, :]
+        vals = f(nodes.ravel()).reshape(nodes.shape)
+        total += float(np.sum(half[:, None] * nm._GL_WEIGHTS[None, :] * vals))
+    return total
+
+
+UNEVEN_SEGMENTS = [
+    ([(-10.0, 10.0)], [64]),
+    ([(-13.7, -0.31), (-0.31, 0.2), (0.2, 41.3)], [29, 1, 89]),
+    # more panels than one block, a block boundary inside a segment
+    ([(-1800.0, -27.0), (-27.0, 0.5), (0.5, 1800.0)], [1700, 3, 700]),
+    ([(-7.0, -2.0), (3.0, 9.5)], [5, 600]),  # segments need not touch
+]
+
+
+@pytest.mark.parametrize("segments, panels", UNEVEN_SEGMENTS)
+def test_composite_gl_matches_the_segment_by_segment_sum(segments, panels):
+    integrands = [
+        lambda h: np.exp(-0.5 * h * h) * (1.0 + h * h),
+        lambda h: np.exp(np.abs(h - 0.2) - 0.5 * h * h),
+        lambda h: 1.0 / (1.0 + h * h),
+    ]
+    for f in integrands:
+        want = _composite_gl_by_segment(f, segments, panels)
+        assert abs(nm._composite_gl(f, segments, panels) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("segments, panels", UNEVEN_SEGMENTS)
+def test_panel_edges_land_on_the_segment_boundaries(segments, panels):
+    left, right = nm._panel_edges(segments, panels)
+    ends = np.cumsum(panels)
+    assert len(left) == len(right) == ends[-1]
+    for (lo, hi), n, last in zip(segments, panels, ends - 1):
+        first = last + 1 - n
+        assert left[first] == lo and right[last] == hi
+        assert np.array_equal(right[first:last], left[first + 1:last + 1])
+        assert np.allclose(right[first:last + 1] - left[first:last + 1], (hi - lo) / n,
+                           rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("g_is_log", [False, True], ids=["plain", "log"])
+def test_quadrature_calls_the_integrand_one_block_at_a_time(g_is_log):
+    # noise never converges, so the doubling runs to max_panels (and, for
+    # log-values, on to the rounding check at twice that)
+    rng = np.random.default_rng(0)
+    sizes = []
+
+    def noise(h):
+        sizes.append(h.size)
+        return rng.standard_normal(h.shape)
+
+    spec = nm.QuadratureSpec()
+    with pytest.raises(NonConvergentError):
+        nm.gauss_expectation(noise, spec, breakpoints=(-0.3, 2.0), g_is_log=g_is_log)
+    assert max(sizes) == 512 * 16
+    assert sum(sizes) >= spec.max_panels * 16 * (3 if g_is_log else 1)
+
+
 # ---------------------------------------------------------------------------
 # gaussian_quadratic_integral
 # ---------------------------------------------------------------------------
