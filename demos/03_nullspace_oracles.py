@@ -4,9 +4,10 @@ The sectional/strong properties of a single matrix A decide recovery for
 all right-hand sides at once: if the strong property holds at sparsity k,
 basis pursuit recovers every k-sparse vector measured through A.  At
 small n the properties can be decided exactly from the vertices of
-null(A) ∩ B_1, one enumeration per call and no LP, which makes them an
-oracle for the solver and a finite-size illustration of the threshold
-ordering.
+null(A) ∩ B_1, with no LP and one enumeration per matrix (each matrix below
+is asked six questions; the five after the first reuse its stored
+vertices), which makes them an oracle for the solver and a finite-size
+illustration of the threshold ordering.
 """
 
 import numpy as np

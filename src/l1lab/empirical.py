@@ -13,9 +13,12 @@ nonnegative), and exact null-space-property oracles at small scale:
   LP, from one enumeration of the vertices of null(A) ∩ B_1 (a convex
   function peaks over a polytope at a vertex; each vertex is, up to scale,
   the null vector vanishing on some d - 1 = n - m - 1 coordinates); the
-  complete QR of A^T gives an orthonormal null basis.
+  complete QR of A^T gives an orthonormal null basis.  The last matrix's
+  vertices are kept (when they fit in _BATCH_ELEMS floats), so the many
+  supports, sign models and k asked of one matrix cost one enumeration.
 
-Both take their LAPACK QR from _row_qr, which refuses a row-rank-deficient A.
+Both take their LAPACK QR from _row_qr, which refuses a non-finite or
+row-rank-deficient A.
 
 Everything is seeded and deterministic; per-trial seeds are derived from
 the caller's seed so results do not depend on execution order.
@@ -105,10 +108,13 @@ def _soft_threshold(v, thresh):
 
 def _row_qr(A: np.ndarray, mode: str):
     """(Q, R) = np.linalg.qr(A^T, mode), "reduced" or "complete", for an
-    m x n matrix A.  Raises RankDeficientError unless A has full row rank:
-    when m > n, or when min |R_ii| <= max |R_ii| * max(m, n) * eps (numpy's
-    matrix_rank tolerance on the diagonal of R)."""
+    m x n matrix A.  Raises DomainError if A holds a NaN or an infinity, and
+    RankDeficientError unless A has full row rank: when m > n, or when
+    min |R_ii| <= max |R_ii| * max(m, n) * eps (numpy's matrix_rank
+    tolerance on the diagonal of R)."""
     m, n = A.shape
+    if not np.isfinite(A).all():
+        raise DomainError(f"the {m} x {n} matrix A has a non-finite entry")
     Q, R = np.linalg.qr(A.T, mode=mode)
     diag = np.abs(np.diag(R))
     if m > n or (m and diag.min() <= diag.max() * max(m, n) * np.finfo(float).eps):
@@ -141,9 +147,9 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     reduced QR of A^T of _affine_projector, built once), z carries the l1
     term (soft threshold), with over-relaxation and residual-balancing
     updates of the penalty.  Raises SolverStalledError at config.bp_max_iter
-    iterations and RankDeficientError, before any iteration, when A is
-    numerically row-rank deficient.  The report carries the returned point
-    as `x`.
+    iterations and, before any iteration, DomainError when A or y holds a
+    NaN or an infinity and RankDeficientError when A is numerically row-rank
+    deficient.  The report carries the returned point as `x`.
 
     fail_below_l1 is an opt-in early-exit certificate for recovery-rate
     experiments: the x iterate is exactly feasible at every step, so once
@@ -154,6 +160,8 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     wanted.
     """
     A, y = inst.A, inst.y
+    if not np.isfinite(y).all():
+        raise DomainError("the measurement vector y has a non-finite entry")
     n = A.shape[1]
     tol = config.bp_tol
     project = _affine_projector(A, y)
@@ -362,11 +370,29 @@ def _oriented_negatives(V: np.ndarray) -> np.ndarray:
     return (V * -np.sign(s) < -MARGIN_SLACK)[np.abs(s[:, 0]) > MARGIN_SLACK]
 
 
+# (key, chunks) of the last matrix whose vertices fit in _BATCH_ELEMS floats
+_memo = (None, ())
+
+
 def _candidates(A: np.ndarray, k: int):
-    # size check, rank check, then the vertex chunks of null(A) ∩ B_1
+    # size check (it depends on k, so it runs on every call), then the
+    # vertex chunks of null(A) ∩ B_1: the stored ones when A equals the last
+    # enumerated matrix byte for byte, else a fresh, rank-checked enumeration,
+    # stored when it fits in _BATCH_ELEMS floats and streamed otherwise
+    global _memo
     m, n = A.shape
     check_nullspace_size(m, n, k)
-    return _vertices(_null_basis(A))
+    key = (A.shape, A.dtype.str, A.tobytes())   # tobytes is in C order
+    if _memo[0] == key:
+        return _memo[1]
+    chunks = _vertices(_null_basis(A))
+    if math.comb(n, m + 1) * n > _BATCH_ELEMS:
+        return chunks
+    chunks = tuple(chunks)
+    for V in chunks:
+        V.flags.writeable = False
+    _memo = (key, chunks)
+    return chunks
 
 
 def strong_nullspace_margin(A: np.ndarray, k: int) -> float:

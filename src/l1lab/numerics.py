@@ -466,14 +466,15 @@ def gauss_expectation(
         prev, est = est, _composite_gl(weighted, segments, seg_panels)
         if abs(est - prev) <= spec.rel_tol * max(abs(est), 1e-12):
             return est
-        seg_panels = [2 * n for n in seg_panels]
-    # each exp(g - h**2/2) is rounded to eps * (|g| + h**2/2) relative
+        est_panels, seg_panels = seg_panels, [2 * n for n in seg_panels]
+    # each exp(g - h**2/2) is rounded to eps * (|g| + h**2/2) relative; the
+    # rounding is integrated on the panels of the estimate it judges
     if g_is_log:
         def rounding(h):
             gh = g(h)
             return np.exp(gh - 0.5 * h * h) / SQRT2PI * (np.abs(gh) + 0.5 * h * h)
 
-        if abs(est - prev) <= 2.2e-16 * _composite_gl(rounding, segments, seg_panels):
+        if abs(est - prev) <= 2.2e-16 * _composite_gl(rounding, segments, est_panels):
             return est
     raise NonConvergentError(
         f"quadrature did not stabilize to rel_tol={spec.rel_tol} "

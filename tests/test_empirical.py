@@ -589,3 +589,197 @@ def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
     assert len(record) == 1
     assert str(record[0].message).startswith(
         "2/8 trials hit the solver budget and 1/8 drew a row-rank-deficient A;")
+
+
+# ---------------------------------------------------------------------------
+# the memo of the last matrix's vertices
+# ---------------------------------------------------------------------------
+
+def _count_enumerations(monkeypatch):
+    # empty the memo and count the null bases _candidates builds from here on
+    calls = []
+    real = emp._null_basis
+
+    def counted(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(emp, "_null_basis", counted)
+    monkeypatch.setattr(emp, "_memo", (None, ()))
+    return calls
+
+
+def _all_answers(A, fresh):
+    # every margin and decision for supports of size 0-3 and k = 0-3, in
+    # both sign models; with fresh, the memo is emptied before each call
+    def ask(fn, *args, **kwargs):
+        if fresh:
+            emp._memo = (None, ())
+        return fn(*args, **kwargs)
+
+    n = A.shape[1]
+    margins, decisions = [], []
+    for k in range(4):
+        margins.append(ask(emp.strong_nullspace_margin, A, k))
+        decisions += [ask(emp.strong_nullspace_holds, A, k, nonneg=nonneg)
+                      for nonneg in (False, True)]
+        for S in itertools.combinations(range(n), k):
+            margins.append(ask(emp.sectional_nullspace_margin, A, S))
+            decisions += [ask(emp.sectional_nullspace_holds, A, S, nonneg=nonneg)
+                          for nonneg in (False, True)]
+    return np.array(margins), decisions
+
+
+def test_memoized_answers_equal_fresh_ones(monkeypatch):
+    # 20 seeded matrices of three shapes; bitwise-equal margins and the same
+    # decisions, in both sign models, whether the vertices are enumerated
+    # once per matrix or once per call
+    calls = _count_enumerations(monkeypatch)
+    seen = set()
+    for (m, n), count in [((12, 16), 6), ((8, 11), 7), ((5, 9), 7)]:
+        for seed in range(count):
+            A = np.random.default_rng([m, n, seed]).standard_normal((m, n))
+            del calls[:]
+            memo_margins, memo_decisions = _all_answers(A, fresh=False)
+            assert len(calls) == 1
+            fresh_margins, fresh_decisions = _all_answers(A, fresh=True)
+            assert len(calls) > 1
+            assert memo_margins.tobytes() == fresh_margins.tobytes(), ((m, n), seed)
+            assert memo_decisions == fresh_decisions, ((m, n), seed)
+            seen.update(fresh_decisions)
+    assert seen == {False, True}
+
+
+def test_a_matrix_mutated_in_place_is_enumerated_afresh(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    A = np.random.default_rng(5).standard_normal((12, 16))
+    before = emp.strong_nullspace_margin(A, 2)
+    A[3, 7] += 0.5
+    after = emp.strong_nullspace_margin(A, 2)
+    assert len(calls) == 2 and after != before
+    emp._memo = (None, ())
+    assert emp.strong_nullspace_margin(A.copy(), 2) == after
+
+
+def test_stored_vertex_chunks_are_read_only(monkeypatch):
+    _count_enumerations(monkeypatch)
+    A = np.random.default_rng(6).standard_normal((6, 10))
+    emp.sectional_nullspace_holds(A, [0, 1])
+    chunks = emp._memo[1]
+    assert isinstance(chunks, tuple) and chunks
+    assert sum(len(V) for V in chunks) == math.comb(10, 7)
+    for V in chunks:
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+
+
+def test_a_rank_deficient_matrix_raises_on_every_call(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    good = np.random.default_rng(1).standard_normal((5, 9))
+    emp.strong_nullspace_holds(good, 1)
+    stored = emp._memo
+    bad = np.vstack([good[:4], good[0] + good[1]])
+    for _ in range(3):
+        for nonneg in (False, True):
+            with pytest.raises(RankDeficientError):
+                emp.strong_nullspace_holds(bad, 1, nonneg=nonneg)
+    assert len(calls) == 1 + 6
+    assert emp._memo is stored
+
+
+def test_the_size_check_runs_on_a_memo_hit(monkeypatch):
+    _count_enumerations(monkeypatch)
+    A = np.random.default_rng(2).standard_normal((6, 8))
+    emp.strong_nullspace_holds(A, 1)
+    monkeypatch.setattr(emp, "_null_basis", None)  # every call below is a hit
+    for k in (9, 2.0, -1):
+        with pytest.raises(DimensionError):
+            emp.strong_nullspace_margin(A, k)
+    assert emp.strong_nullspace_holds(A, 8) is False
+
+
+def test_a_matrix_over_the_budget_is_never_stored(monkeypatch):
+    # C(16, 13) * 16 = 8960 floats; below that budget every call enumerates
+    calls = _count_enumerations(monkeypatch)
+    A = np.random.default_rng(3).standard_normal((12, 16))
+    want = emp.strong_nullspace_margin(A, 2)
+    monkeypatch.setattr(emp, "_memo", (None, ()))
+    monkeypatch.setattr(emp, "_BATCH_ELEMS", 8959)
+    del calls[:]
+    assert emp.strong_nullspace_margin(A, 2) == want
+    assert emp.strong_nullspace_margin(A, 2) == want
+    assert len(calls) == 2 and emp._memo == (None, ())
+
+
+def test_one_enumeration_serves_the_implication_chain(monkeypatch):
+    # the bench chain on one 12 x 16 matrix: strong at k = 1 and 2,
+    # nonnegative strong at k = 2, sectional on all 136 supports of size 1
+    # and 2
+    calls = _count_enumerations(monkeypatch)
+    A = np.random.default_rng(4).standard_normal((12, 16))
+    for k in (1, 2):
+        emp.strong_nullspace_holds(A, k)
+    emp.strong_nullspace_holds(A, 2, nonneg=True)
+    supports = [S for k in (1, 2) for S in itertools.combinations(range(16), k)]
+    assert len(supports) == 136
+    for S in supports:
+        emp.sectional_nullspace_holds(A, S)
+    assert calls == [(12, 16)]
+
+
+def test_the_memo_holds_one_matrix(monkeypatch):
+    # alternating two matrices enumerates on every switch
+    calls = _count_enumerations(monkeypatch)
+    rng = np.random.default_rng(8)
+    A, B = rng.standard_normal((12, 16)), rng.standard_normal((12, 16))
+    for M in (A, A, B, B, A, B):
+        emp.sectional_nullspace_holds(M, [0])
+    assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+ORACLES = {
+    "strong-margin": lambda A: emp.strong_nullspace_margin(A, 1),
+    "sectional-margin": lambda A: emp.sectional_nullspace_margin(A, [0]),
+    "strong": lambda A: emp.strong_nullspace_holds(A, 1),
+    "strong-nonneg": lambda A: emp.strong_nullspace_holds(A, 1, nonneg=True),
+    "sectional": lambda A: emp.sectional_nullspace_holds(A, [0]),
+    "sectional-nonneg": lambda A: emp.sectional_nullspace_holds(A, [0], nonneg=True),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES.keys())
+def test_oracles_refuse_a_non_finite_matrix(monkeypatch, oracle, bad):
+    calls = _count_enumerations(monkeypatch)
+    rng = np.random.default_rng(0)
+    oracle(rng.standard_normal((6, 10)))
+    stored = emp._memo
+    monkeypatch.setattr(emp, "_vertices", None)  # no enumeration may run
+    A = rng.standard_normal((6, 10))
+    A[0, 0] = bad
+    for _ in range(2):
+        with pytest.raises(DomainError, match="non-finite"):
+            oracle(A)
+    assert len(calls) == 3 and emp._memo is stored
+
+
+@pytest.mark.parametrize("where", ["A", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_bp_refuses_non_finite_input_before_iterating(monkeypatch, where, bad):
+    def no_threshold(*args, **kwargs):
+        raise AssertionError("an ADMM iteration ran on non-finite input")
+
+    monkeypatch.setattr(emp, "_soft_threshold", no_threshold)
+    inst = emp.generate_instance(10, 6, 1, seed=0)
+    A, y = inst.A.copy(), inst.y.copy()
+    if where == "A":
+        A[0, 0] = bad
+    else:
+        y[0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        emp.solve_basis_pursuit(replace(inst, A=A, y=y))

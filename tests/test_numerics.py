@@ -647,7 +647,8 @@ def test_panel_edges_land_on_the_segment_boundaries(segments, panels):
 @pytest.mark.parametrize("g_is_log", [False, True], ids=["plain", "log"])
 def test_quadrature_calls_the_integrand_one_block_at_a_time(g_is_log):
     # noise never converges, so the doubling runs to max_panels (and, for
-    # log-values, on to the rounding check at twice that)
+    # log-values, on to the rounding check on the panels of the last
+    # estimate); the 64 panels split 31 + 7 + 26 over the three segments
     rng = np.random.default_rng(0)
     sizes = []
 
@@ -658,8 +659,10 @@ def test_quadrature_calls_the_integrand_one_block_at_a_time(g_is_log):
     spec = nm.QuadratureSpec()
     with pytest.raises(NonConvergentError):
         nm.gauss_expectation(noise, spec, breakpoints=(-0.3, 2.0), g_is_log=g_is_log)
-    assert max(sizes) == 512 * 16
-    assert sum(sizes) >= spec.max_panels * 16 * (3 if g_is_log else 1)
+    passes = [spec.panels << i for i in range((spec.max_panels // spec.panels).bit_length())]
+    passes += [spec.max_panels] if g_is_log else []
+    assert sizes == [16 * min(512, p - b) for p in passes for b in range(0, p, 512)]
+    assert sum(sizes) == spec.max_panels * 16 * (3 if g_is_log else 2) - spec.panels * 16
 
 
 # ---------------------------------------------------------------------------
