@@ -16,11 +16,19 @@ kind modules' closed forms are validated against.
 The direct (c3 -> 0) bounds arise as the limit of the same family, so the
 lifted threshold can never fall below the direct one beyond search noise.
 
+Every lifted set term depends on c3 only through b = c3/(4*gamma) and
+mu = c3*nu2: I_set = gamma + K(b, nu1[, mu], beta)/c3.  So at fixed
+q = (b, nu1[, mu]) the total is A*c3 + K/c3 + I_sph(c3, alpha) with
+A = 1/(4b) - 1/2, and its minimum over c3 is a cheap scalar problem
+(_c3_minimum) once K is known.  A lifted probe therefore runs Nelder-Mead
+over q only and solves c3 exactly inside each evaluation: variable
+projection (Golub & Pereyra, Inverse Problems 19, 2003).
+
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
 closed form.  walk steps along these certificates from the direct optimum
-at small beta, one Nelder-Mead run per step warm-started at the previous
+at small beta, one minimization per step warm-started at the previous
 optimum; the lifted search walks up to the cap and a cold lifted margin
 walks up to its beta.  The direct and weak margins are increasing in beta,
 so their threshold is one bracketed root solve on beta.
@@ -48,11 +56,23 @@ LOG_C3_MIN = math.log(1e-4)
 LOG_C3_MAX = math.log(400.0)
 B_MIN = 1e-7
 B_MAX = 0.4999995
-# the box over x = [log c3, b, nu1, nu2] that every lifted Nelder-Mead run clips
-# to and the parity audit samples; a kind with one multiplier uses x[:3]
+# the box over x = [log c3, b, nu1, nu2] that every reported lifted point lies
+# in, warm starts are clipped to and the parity audit samples; a kind with
+# one multiplier uses x[:3]
 SEARCH_BOX = ((LOG_C3_MIN, LOG_C3_MAX), (B_MIN, B_MAX), (0.0, 14.0), (0.0, 400.0))
-# every Nelder-Mead run of a lifted margin: tolerances and evaluation budget
-_NM_OPTS = {"xatol": 1e-11, "fatol": 1e-13, "maxfev": 5000}
+C3_MIN = math.exp(LOG_C3_MIN)
+C3_MAX = math.exp(LOG_C3_MAX)
+NU2_MAX = SEARCH_BOX[3][1]
+# the box over q = [b, nu1, mu] of the simplex (mu = c3*nu2 <= C3_MAX*NU2_MAX);
+# a kind with one multiplier uses q[:2]
+_Q_BOX = (SEARCH_BOX[1], SEARCH_BOX[2], (0.0, C3_MAX * NU2_MAX))
+# every Nelder-Mead run of a lifted margin: tolerances and evaluation budget.
+# The totals are O(1) with O(1) curvature, so q is resolved to about 1e-8 at
+# best; a smaller xatol only sorts rounding noise.
+_NM_OPTS = {"xatol": 1e-7, "fatol": 1e-13, "maxfev": 5000}
+# Newton steps of one inner c3 solve, and its relative step at convergence
+_C3_STEPS = 100
+_C3_RTOL = 1e-10
 
 
 class ThresholdRangeError(L1LabError):
@@ -122,10 +142,11 @@ def sphere_gamma_hat(c3: float, alpha: float) -> float:
     """Optimal (negative) sphere scale: (2*c3 - sqrt(4*c3**2 + 16*alpha)) / 8.
 
     Evaluated in the cancellation-free form -2*alpha / (2*c3 + sqrt(...)),
-    exact for c3 = 0 as well (limit -sqrt(alpha)/2).
+    exact for c3 = 0 as well (limit -sqrt(alpha)/2).  NaN and infinite
+    arguments are refused, so every sphere function refuses them too.
     """
-    if c3 < 0 or alpha <= 0:
-        raise DomainError("need c3 >= 0 and alpha > 0")
+    if not (0.0 <= c3 < math.inf and 0.0 < alpha < math.inf):
+        raise DomainError(f"need 0 <= c3 < inf and 0 < alpha < inf, got c3={c3}, alpha={alpha}")
     root = math.sqrt(4.0 * c3 * c3 + 16.0 * alpha)
     return -2.0 * alpha / (2.0 * c3 + root)
 
@@ -223,9 +244,14 @@ def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float,
 class LiftedKind:
     """What one lifted bound adds to the shared master condition.
 
-    set_term(c3, gamma, extras, beta) is the closed-form I_set on Python
-    floats, extras = (nu1,) or (nu1, nu2), returning inf outside its domain;
-    integrand(params, beta) is its description for exp_set_term_oracle;
+    k_term(b, extras, beta) is the c3-free part K of the closed-form set
+    term I_set = gamma + K/c3 on Python floats, with b = c3/(4*gamma) and
+    extras = (nu1,) or (nu1, mu), mu = c3*nu2; it returns inf outside its
+    domain (a negative multiplier, an overflowing moment).  K is computed
+    directly: recovering it from a set term at c3 = 1 as I_set - 1/(4b)
+    would cancel about 6 digits at b = 1e-6, which the division by c3 then
+    magnifies.  integrand(params, beta) is its description for
+    exp_set_term_oracle;
     direct(beta) -> (root, nu1) is the direct (c3 -> 0) optimum, root being
     the value compared with sqrt(alpha); nu2(beta, nu1, gamma) is the second
     multiplier the direct optimum implies, None for a kind with one.
@@ -235,7 +261,7 @@ class LiftedKind:
     the rebinding, so each such call goes through a small module function.
     """
 
-    set_term: Callable[[float, float, Sequence[float], float], float]
+    k_term: Callable[[float, Sequence[float], float], float]
     integrand: Callable
     direct: Callable[[float], tuple[float, float]]
     nu2: Callable[[float, float, float], float] | None = None
@@ -248,53 +274,140 @@ class LiftedKind:
         """The closed-form set term at explicit lift parameters; raises
         ConstraintViolatedError unless c3/(4*gamma) < 1/2."""
         params.require_convergent()
-        extras = (params.nu1, params.nu2)[:self.n_extra]
-        return self.set_term(params.c3, params.gamma, extras, beta)
+        extras = (params.nu1, params.c3 * params.nu2)[:self.n_extra]
+        return params.gamma + self.k_term(params.b, extras, beta) / params.c3
 
 
 # --------------------------------------------------------------------------
 # inner minimization of the lifted total
 # --------------------------------------------------------------------------
 
-def _total_objective(set_term, alpha, beta):
-    """The master-condition total at x = [log c3, b, extras...] (a list of
-    floats), with inf for points outside the convergent domain and for any
-    non-finite set term or total."""
-    def objective(x):
-        c3 = math.exp(x[0])
-        b = x[1]
-        if not 0.0 < b < 0.5:
-            return math.inf
-        gamma = c3 / (4.0 * b)
-        st = set_term(c3, gamma, x[2:], beta)
-        if not math.isfinite(st):
-            return math.inf
-        val = -0.5 * c3 + st + i_sph(c3, alpha)
-        return val if math.isfinite(val) else math.inf
+def lifted_total(kind: LiftedKind, params: LiftParams, alpha: float, beta: float) -> float:
+    """The closed-form master-condition total at explicit lift parameters:
+    -c3/2 + I_set + I_sph, the value every lifted probe reports."""
+    return -0.5 * params.c3 + kind.set_term_at(beta, params) + i_sph(params.c3, alpha)
 
-    return objective
+
+def _c3_minimum(a: float, k: float, alpha: float, c3: float, lo: float,
+                hi: float) -> tuple[float, float]:
+    """(min, argmin) over c3 in [lo, hi] (0 < lo <= hi) of
+
+        phi(c3) = a*c3 + k/c3 + i_sph(c3, alpha),   a > 0,
+
+    by safeguarded Newton on c3**2 * phi'(c3), starting at c3.
+
+    With g the optimal sphere scale at c3 (so c3 = 2g - alpha/(2g)), the
+    envelope theorem gives
+
+        c3**2 * phi'(c3) = a*c3**2 + g*c3 + (alpha/2)*log1p(-c3/(2g)) - k,
+
+    which is strictly increasing in c3 (its derivative is
+    c3*(2a + 4g**2/(4g**2 + alpha)) > 0, as c3*i_sph is convex), so phi has
+    one minimum on [lo, hi].  The iterate is c3 rather than g, because
+    c3 = 2g - alpha/(2g) cancels at small c3; g comes from the
+    cancellation-free form of sphere_gamma_hat, and log1p keeps the digits
+    of the log there.  Each step narrows a bracket by the sign of the
+    slope; a Newton step leaving it goes to an end whose sign is still
+    unknown, or else to the geometric midpoint.  The value returned is phi
+    at the last point the slope was evaluated at, with i_sph in closed form
+    from the same g.
+    """
+    c = min(max(c3, lo), hi)
+    lo_known = hi_known = False  # slope < 0 at lo / > 0 at hi seen
+    for _ in range(_C3_STEPS):
+        at = c
+        g = -2.0 * alpha / (2.0 * c + math.sqrt(4.0 * c * c + 16.0 * alpha))
+        log_term = math.log1p(-c / (2.0 * g))
+        slope = (a * c + g) * c + 0.5 * alpha * log_term - k
+        if slope > 0.0:
+            if c == lo:
+                break
+            hi, hi_known = c, True
+        elif slope < 0.0:
+            if c == hi:
+                break
+            lo, lo_known = c, True
+        else:
+            break
+        g2 = 4.0 * g * g
+        step = slope / (c * (2.0 * a + g2 / (g2 + alpha)))
+        if abs(step) <= _C3_RTOL * c:
+            break
+        new = c - step
+        if not lo < new < hi:
+            if new <= lo and not lo_known:
+                new = lo
+            elif new >= hi and not hi_known:
+                new = hi
+            else:
+                new = math.sqrt(lo * hi)
+        c = new
+    return a * at + k / at + (g - alpha / (2.0 * at) * log_term), at
+
+
+def _profile_objective(kind: LiftedKind, alpha: float, beta: float, c3_start: float):
+    """profile(q) -> (total, c3): the lifted total minimized over c3 at
+    q = [b, nu1[, mu]] (a list of floats), and the minimizing c3.
+
+    K(q) is computed once, then c3 is solved by _c3_minimum over
+    [max(C3_MIN, mu/NU2_MAX), C3_MAX], so that nu2 = mu/c3 stays in
+    SEARCH_BOX.  The first solve starts at c3_start and each later one at
+    the c3 of the last finite total: the simplex moves q little between
+    evaluations, so the inner solve usually takes two or three steps.
+    The total is inf outside the convergent domain and wherever K or the
+    total is not finite."""
+    k_term = kind.k_term
+    last = [c3_start]
+
+    def profile(q):
+        b = q[0]
+        if not 0.0 < b < 0.5:
+            return math.inf, last[0]
+        k = k_term(b, q[1:], beta)
+        if not math.isfinite(k):
+            return math.inf, last[0]
+        lo = max(C3_MIN, q[2] / NU2_MAX) if len(q) > 2 else C3_MIN
+        val, c3 = _c3_minimum(0.25 / b - 0.5, k, alpha, last[0], lo, C3_MAX)
+        if not math.isfinite(val):
+            return math.inf, c3
+        last[0] = c3
+        return val, c3
+
+    return profile
 
 
 def minimize_lifted_total(
-    set_term: Callable,
+    kind: LiftedKind,
     alpha: float,
     beta: float,
-    start: Sequence[float],
-) -> tuple[float, list[float]]:
-    """One Nelder-Mead run over x = [log c3, b, extras] in SEARCH_BOX from
-    start; returns (total, x) at its end.
+    start: LiftParams,
+) -> tuple[float, LiftParams]:
+    """One Nelder-Mead run over q = [b, nu1[, mu]] (mu = c3*nu2) from start
+    clipped into SEARCH_BOX, with c3 solved exactly at every q
+    (_profile_objective); returns (total, params) at its end.
 
-    set_term(c3, gamma, extras, beta) evaluates the kind's set term at fixed
-    parameters on Python floats.  The run has the tolerances and budget of
-    _NM_OPTS and never ends above its (clipped) start, so a start that
-    certifies beta yields a certificate.
+    The run has the tolerances and budget of _NM_OPTS.  Its end point is
+    reported as LiftParams in SEARCH_BOX with the closed-form lifted_total
+    there, so the margin is exactly what the reported parameters certify.
+    If that total is above (or not below) the total at the clipped start,
+    the start and its total are returned instead: a probe never ends above
+    its start, so a start that certifies beta yields a certificate.
 
     The simplex is numerics.nelder_mead on lists of floats: numpy's
     per-call overhead would cost more than the closed-form total.
     """
-    objective = _total_objective(set_term, alpha, beta)
-    x, total = nelder_mead(objective, start, SEARCH_BOX[:len(start)], **_NM_OPTS)
-    return total, x
+    start = x_to_params(params_to_x(start, kind.n_extra))
+    q0 = [start.b, start.nu1, start.c3 * start.nu2][:1 + kind.n_extra]
+    profile = _profile_objective(kind, alpha, beta, start.c3)
+    q, _ = nelder_mead(lambda v: profile(v)[0], q0, _Q_BOX[:len(q0)], **_NM_OPTS)
+    _, c3 = profile(q)
+    nu2 = min(q[2] / c3, NU2_MAX) if len(q) > 2 else 0.0
+    end = LiftParams(c3=c3, gamma=c3 / (4.0 * q[0]), nu1=q[1], nu2=nu2)
+    total = lifted_total(kind, end, alpha, beta)
+    start_total = lifted_total(kind, start, alpha, beta)
+    if not total <= start_total:
+        return start_total, start
+    return total, end
 
 
 def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:
@@ -354,10 +467,12 @@ def lifted_margin(
 ) -> tuple[float, LiftParams]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
-    With a warm start this is one Nelder-Mead run from it, which never ends
-    above the total at the start; threshold_bisect warm-starts each probe at
-    the previous optimum.  Without one it walks the threshold search's
-    certificate steps up to beta (default eps and tol_beta), since a single
+    With a warm start this is one minimize_lifted_total run from it: a
+    Nelder-Mead search over (b, nu1[, mu]) with c3 solved exactly at each
+    point, which never ends above the total at the start; threshold_bisect
+    warm-starts each probe at the previous optimum.  Without one it walks
+    the threshold search's certificate steps up to beta (default eps and
+    tol_beta), since a single
     cold start can stall at small c3, and, if the walk stops short of beta,
     makes one warm run at beta from the last feasible point.  Such a margin
     (beta past the threshold) is the minimum of the basin the walk ended
@@ -370,9 +485,7 @@ def lifted_margin(
         if lo == beta:
             return m, p
         warm = p
-    f, x = minimize_lifted_total(kind.set_term, alpha, beta,
-                                 params_to_x(warm, kind.n_extra))
-    return f, x_to_params(x)
+    return minimize_lifted_total(kind, alpha, beta, warm)
 
 
 def x_to_params(x: Sequence[float]) -> LiftParams:
@@ -485,9 +598,9 @@ def threshold_bisect(
     is asked for.
 
     A lifted kind is searched by walk up to the cap: certificate steps on
-    beta, each re-minimized with one Nelder-Mead run warm-started at the
-    previous optimum, until the first infeasible probe (necessarily one
-    tol_beta above the last feasible one).  The direct and weak margins are
+    beta, each re-minimized with one minimize_lifted_total run
+    warm-started at the previous optimum, until the first infeasible probe
+    (necessarily one tol_beta above the last feasible one).  The direct and weak margins are
     increasing in beta, so their threshold is one bracketed root solve
     (xtol tol_beta/4) of the kind's residual, which crosses 0 where the
     margin is -2*eps.  The margin is then evaluated at the root r; if it is

@@ -24,6 +24,7 @@ the closed-form objectives they minimize.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -152,7 +153,12 @@ def nelder_mead(
     would start with maxfev evaluations spent; so the last iteration may
     overrun maxfev by up to n + 1 evaluations (a reflection, a contraction
     and a shrink of n vertices).  f takes a list of floats, which it must
-    not mutate, and returns a float (inf outside its domain).
+    not mutate, and returns a float, never NaN (inf outside its domain).
+
+    The vertices are kept ordered by value, ties in the order they entered.
+    An iteration that replaces the worst vertex inserts the new one after
+    every vertex of no larger value (bisect_right), which is where a stable
+    sort would put it; only a shrink, which moves n vertices, re-sorts.
     """
     lo = [float(b[0]) for b in bounds]
     hi = [float(b[1]) for b in bounds]
@@ -166,6 +172,10 @@ def nelder_mead(
         """x + t * (y - x), clipped into the box."""
         return clip([a + t * (b - a) for a, b in zip(x, y)])
 
+    def ordered(sim, fsim):
+        order = sorted(range(len(sim)), key=fsim.__getitem__)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
     x0 = clip([float(v) for v in x0])
     n = len(x0)
     sim = [x0]
@@ -175,13 +185,10 @@ def nelder_mead(
         if y[k] > hi[k]:
             y[k] = 2.0 * hi[k] - y[k]
         sim.append(clip(y))
-    fsim = [f(x) for x in sim]
+    sim, fsim = ordered(sim, [f(x) for x in sim])
     nfev = n + 1
 
     while True:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
         best = sim[0]
         if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and all(
                 b - xatol <= v <= b + xatol for x in sim[1:] for v, b in zip(x, best))):
@@ -194,20 +201,25 @@ def nelder_mead(
             xe = towards(xbar, sim[-1], -2.0)
             fe = f(xe)
             nfev += 1
-            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+            new, f_new = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
+            new, f_new = xr, fr
         else:
             outside = fr < fsim[-1]
             xc = towards(xbar, sim[-1], -0.5 if outside else 0.5)
             fc = f(xc)
             nfev += 1
             if (fc <= fr) if outside else (fc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fc
+                new, f_new = xc, fc
             else:  # shrink towards the best vertex
-                sim = [best] + [towards(best, x, 0.5) for x in sim[1:]]
-                fsim = [fsim[0]] + [f(x) for x in sim[1:]]
+                shrunk = [towards(best, x, 0.5) for x in sim[1:]]
+                sim, fsim = ordered([best] + shrunk, [fsim[0]] + [f(x) for x in shrunk])
                 nfev += n
+                continue
+        del sim[-1], fsim[-1]
+        i = bisect.bisect_right(fsim, f_new)
+        sim.insert(i, new)
+        fsim.insert(i, f_new)
 
 
 class ScalarResult(NamedTuple):

@@ -154,16 +154,16 @@ def sectional_integrand(params: LiftParams, beta: float):
     return gamma, pieces
 
 
-def _sectional_set_term_raw(c3, gamma, extra, beta):
-    """gamma + (beta/c3) log(plus) + ((1-beta)/c3) log(minus); inf for nu < 0."""
-    b = c3 / (4.0 * gamma)
+def _sectional_k(b, extra, beta):
+    """K = beta log(plus) + (1-beta) log(minus), so that the set term is
+    gamma + K/c3; inf for nu < 0."""
     nu = extra[0]
     if nu < 0:
         return math.inf
     plus, minus = sectional_exp_moments(b, nu)
     if not (plus > 0 and minus > 0 and math.isfinite(plus) and math.isfinite(minus)):
         return math.inf
-    return gamma + beta / c3 * math.log(plus) + (1.0 - beta) / c3 * math.log(minus)
+    return beta * math.log(plus) + (1.0 - beta) * math.log(minus)
 
 
 def _sectional_direct(beta):
@@ -171,7 +171,7 @@ def _sectional_direct(beta):
     return sectional_direct_minimum(beta)
 
 
-SECTIONAL = LiftedKind(set_term=_sectional_set_term_raw, integrand=sectional_integrand,
+SECTIONAL = LiftedKind(k_term=_sectional_k, integrand=sectional_integrand,
                        direct=_sectional_direct)
 
 
@@ -204,29 +204,32 @@ def strong_t_integrand(h, params: LiftParams):
     return float(out) if out.ndim == 0 else out
 
 
-def strong_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
-    """E exp(c3 * t(h)) in closed form, dispatched on the branch regime.
+def strong_exp_moment(b: float, nu1: float, mu: float) -> float:
+    """E exp(c3 * t(h)) in closed form, dispatched on the branch regime, as
+    a function of b = c3/(4 gamma), nu1 and mu = c3 nu2 alone (so
+    gamma nu2 = mu/(4b)).
 
     Branch exponents (for h >= 0, exploiting symmetry):
-      grow:  b h^2 + 2 b nu1 h + (b nu1^2 - c3 nu2)   from (|h|+nu1)^2 branch
-      decay: b h^2 - 2 b nu1 h + (b nu1^2 + c3 nu2)   from (|h|-nu1)^2 branch
-      flat:  exp(c3 nu2) on the interval where the inner max is constant.
+      grow:  b h^2 + 2 b nu1 h + (b nu1^2 - mu)   from (|h|+nu1)^2 branch
+      decay: b h^2 - 2 b nu1 h + (b nu1^2 + mu)   from (|h|-nu1)^2 branch
+      flat:  exp(mu) on the interval where the inner max is constant.
+    The branches cross at |h| = 2 gamma nu2 / nu1 = mu/(2 b nu1), and the
+    plateau ends at sqrt(8 gamma nu2) - nu1 = sqrt(2 mu / b) - nu1.
     """
-    b = c3 / (4.0 * gamma)
     if b >= 0.5:
         return math.inf
     gq = nm.gaussian_quadratic_integral
-    s_grow, c_grow = 2.0 * b * nu1, b * nu1 * nu1 - c3 * nu2
-    s_dec, c_dec = -2.0 * b * nu1, b * nu1 * nu1 + c3 * nu2
-    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
+    s_grow, c_grow = 2.0 * b * nu1, b * nu1 * nu1 - mu
+    s_dec, c_dec = -2.0 * b * nu1, b * nu1 * nu1 + mu
+    flat = math.exp(mu) if mu < 700 else math.inf
 
-    if nu1 * nu1 < 2.0 * gamma * nu2:
-        cross = 2.0 * gamma * nu2 / nu1 if nu1 > 0 else math.inf
+    if nu1 * nu1 < mu / (2.0 * b):
+        cross = mu / (2.0 * b * nu1) if nu1 > 0 else math.inf
         val = (flat * 0.5 * float(nm.erf(nu1 / SQRT2))
                + gq(b, s_dec, c_dec, nu1, cross)
                + gq(b, s_grow, c_grow, cross, math.inf))
-    elif nu1 * nu1 < 8.0 * gamma * nu2:
-        start = math.sqrt(8.0 * gamma * nu2) - nu1
+    elif nu1 * nu1 < 2.0 * mu / b:
+        start = math.sqrt(2.0 * mu / b) - nu1
         val = (flat * 0.5 * float(nm.erf(start / SQRT2))
                + gq(b, s_grow, c_grow, start, math.inf))
     else:
@@ -253,15 +256,17 @@ def strong_integrand(params: LiftParams, beta: float):
                              half_width=hw),)
 
 
-def _strong_set_term_raw(c3, gamma, extra, beta):
-    """nu2*(2*beta - 1) + gamma + log(E exp(c3 t)) / c3; inf for negative nus."""
-    nu1, nu2 = extra
-    if nu1 < 0 or nu2 < 0:
+def _strong_k(b, extra, beta):
+    """K = mu*(2*beta - 1) + log(E exp(c3 t)), so that the set term
+    nu2*(2*beta - 1) + gamma + log(E exp(c3 t))/c3 is gamma + K/c3; inf for
+    negative multipliers."""
+    nu1, mu = extra
+    if nu1 < 0 or mu < 0:
         return math.inf
-    moment = strong_exp_moment(c3, gamma, nu1, nu2)
+    moment = strong_exp_moment(b, nu1, mu)
     if not (math.isfinite(moment) and moment > 0):
         return math.inf
-    return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
+    return mu * (2.0 * beta - 1.0) + math.log(moment)
 
 
 def strong_crossover(beta: float) -> float:
@@ -328,7 +333,7 @@ def _strong_nu2(beta, nu1, gamma):
     return strong_crossover(beta) * nu1 / (2.0 * gamma)
 
 
-STRONG = LiftedKind(set_term=_strong_set_term_raw, integrand=strong_integrand,
+STRONG = LiftedKind(k_term=_strong_k, integrand=strong_integrand,
                     direct=_strong_direct, nu2=_strong_nu2)
 
 

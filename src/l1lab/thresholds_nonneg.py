@@ -141,20 +141,22 @@ def nonneg_t_integrand(h, params: LiftParams):
     return float(out) if out.ndim == 0 else out
 
 
-def nonneg_exp_moment(c3: float, gamma: float, nu1: float, nu2: float) -> float:
-    """E exp(c3 * t_plus(h)) assembled from the three branches."""
-    p = c3 / (4.0 * gamma)
-    if p >= 0.5:
+def nonneg_exp_moment(b: float, nu1: float, mu: float) -> float:
+    """E exp(c3 * t_plus(h)) assembled from the three branches, as a
+    function of b = c3/(4 gamma), nu1 and mu = c3 nu2 alone: the plateau
+    value is exp(mu) and its left edge nu1 - sqrt(8 gamma nu2) is
+    nu1 - sqrt(2 mu / b)."""
+    if b >= 0.5:
         return math.inf
     gq = nm.gaussian_quadratic_integral
-    s_lin = -2.0 * p * nu1
-    c_low = p * nu1 * nu1 - c3 * nu2
-    c_high = p * nu1 * nu1 + c3 * nu2
-    entry = nu1 - math.sqrt(8.0 * gamma * nu2)
-    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
-    left = gq(p, s_lin, c_low, -math.inf, entry)
+    s_lin = -2.0 * b * nu1
+    c_low = b * nu1 * nu1 - mu
+    c_high = b * nu1 * nu1 + mu
+    entry = nu1 - math.sqrt(2.0 * mu / b)
+    flat = math.exp(mu) if mu < 700 else math.inf
+    left = gq(b, s_lin, c_low, -math.inf, entry)
     middle = flat * (_gauss_cdf(nu1) - _gauss_cdf(entry))
-    right = gq(p, s_lin, c_high, nu1, math.inf)
+    right = gq(b, s_lin, c_high, nu1, math.inf)
     return left + middle + right
 
 
@@ -169,15 +171,17 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks, half_width=hw),)
 
 
-def _nonneg_set_term_raw(c3, gamma, extra, beta):
-    """nu2*(2*beta - 1) + gamma + log(E exp(c3 t_plus)) / c3; inf for negative nus."""
-    nu1, nu2 = extra
-    if nu1 < 0 or nu2 < 0:
+def _nonneg_k(b, extra, beta):
+    """K = mu*(2*beta - 1) + log(E exp(c3 t_plus)), so that the set term
+    nu2*(2*beta - 1) + gamma + log(E exp(c3 t_plus))/c3 is gamma + K/c3;
+    inf for negative multipliers."""
+    nu1, mu = extra
+    if nu1 < 0 or mu < 0:
         return math.inf
-    moment = nonneg_exp_moment(c3, gamma, nu1, nu2)
+    moment = nonneg_exp_moment(b, nu1, mu)
     if not (math.isfinite(moment) and moment > 0):
         return math.inf
-    return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
+    return mu * (2.0 * beta - 1.0) + math.log(moment)
 
 
 def _nonneg_direct(beta):
@@ -189,7 +193,7 @@ def _nonneg_nu2(beta, nu1, gamma):
     return (nonneg_crossover(beta) - nu1) ** 2 / (8.0 * gamma)
 
 
-STRONG_NONNEG = LiftedKind(set_term=_nonneg_set_term_raw, integrand=nonneg_strong_integrand,
+STRONG_NONNEG = LiftedKind(k_term=_nonneg_k, integrand=nonneg_strong_integrand,
                            direct=_nonneg_direct, nu2=_nonneg_nu2)
 
 

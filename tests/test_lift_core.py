@@ -193,36 +193,39 @@ def test_lifting_dominance_spot():
 # ---------------------------------------------------------------------------
 
 (_, LOG_C3_MAX), (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
+MU_MAX = lc.C3_MAX * NU2_MAX
 
 
+# x = [b, nu1, mu] with mu = c3 nu2, the simplex coordinates of a lifted probe
 @pytest.mark.parametrize("kind, x", [
-    # c3 * nu2 >= 700: the flat branch exp(c3 nu2) saturates
-    ("strong", [LOG_C3_MAX, 0.3, 1.0, 2.0]),
-    ("strong_nonneg", [LOG_C3_MAX, 0.3, 1.0, 2.0]),
+    # mu >= 700: the flat branch exp(mu) saturates
+    ("strong", [0.3, 1.0, 800.0]),
+    ("strong_nonneg", [0.3, 1.0, 800.0]),
     # b = B_MAX: the completed-square exponent saturates
-    ("sectional", [LOG_C3_MAX, B_MAX, 1.0]),
-    ("strong", [LOG_C3_MAX, B_MAX, 1.0, 1.0]),
-    ("strong_nonneg", [LOG_C3_MAX, B_MAX, 1.0, 1.0]),
+    ("sectional", [B_MAX, 1.0]),
+    ("strong", [B_MAX, 1.0, 400.0]),
+    ("strong_nonneg", [B_MAX, 1.0, 400.0]),
     # nu1 = 0 < nu2 (strong regime 1, crossing at infinity): inf * erf(0) is NaN
-    ("strong", [LOG_C3_MAX, 0.3, 0.0, 2.0]),
-    # entry point nu1 - sqrt(8 gamma nu2) near -1.8e6
-    ("strong_nonneg", [LOG_C3_MAX, B_MIN, 0.0, NU2_MAX]),
+    ("strong", [0.3, 0.0, 800.0]),
+    # entry point nu1 - sqrt(2 mu / b) near -1.8e6
+    ("strong_nonneg", [B_MIN, 0.0, MU_MAX]),
     # negative multipliers
-    ("sectional", [0.0, 0.3, -1e-3]),
-    ("strong", [0.0, 0.3, 1.0, -1e-3]),
-    ("strong_nonneg", [0.0, 0.3, -1e-3, 1.0]),
+    ("sectional", [0.3, -1e-3]),
+    ("strong", [0.3, 1.0, -1e-3]),
+    ("strong_nonneg", [0.3, -1e-3, 1.0]),
 ])
 def test_lifted_objective_edges_return_inf(kind, x):
     for alpha, beta in [(0.5, 0.1), (0.999, 0.45)]:
-        val = lc._total_objective(lifted_spec(kind).set_term, alpha, beta)(x)
+        val, _ = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)(x)
         assert type(val) is float and val == math.inf
 
 
 def test_lifted_objective_finite_far_from_the_edges():
     # a very negative entry point (about -2.8e3) whose left tail underflows
-    objective = lc._total_objective(lifted_spec("strong_nonneg").set_term, 0.5, 0.1)
-    val = objective([math.log(1e-3), B_MIN, 0.0, NU2_MAX])
+    profile = lc._profile_objective(lifted_spec("strong_nonneg"), 0.5, 0.1, 1e-3)
+    val, c3 = profile([B_MIN, 0.0, 1e-3 * NU2_MAX])
     assert type(val) is float and math.isfinite(val)
+    assert 1e-3 <= c3 <= lc.C3_MAX  # mu / c3 stays within NU2_MAX
 
 
 def test_x_to_params_gives_plain_floats():
@@ -264,8 +267,12 @@ def stub_lifted(monkeypatch, root, slope=1.0):
     a warm start at p caps the margin at the total p certifies, as a
     minimization started there would.  Records each probe as (beta, warm)."""
     probes = []
-    spec = lc.LiftedKind(set_term=lambda c3, gamma, extras, beta: slope * beta - extras[0],
-                         integrand=None, direct=lambda beta: (1.0, 0.0))
+
+    class Stub(lc.LiftedKind):
+        def set_term_at(self, beta, params):
+            return slope * beta - params.nu1
+
+    spec = Stub(k_term=None, integrand=None, direct=lambda beta: (1.0, 0.0))
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
@@ -639,3 +646,211 @@ def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
     assert lo < 0.11
     cold = lc.lifted_margin(spec, 0.5, 0.11)
     assert cold == lc.lifted_margin(spec, 0.5, 0.11, p) and cold[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# non-finite sphere arguments are refused
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: lc.sphere_term(math.nan, 0.5),
+    lambda: lc.sphere_term(1.0, math.inf),
+    lambda: lc.sphere_term(math.inf, 0.5),
+    lambda: lc.sphere_term(1.0, math.nan),
+    lambda: lc.i_sph(math.inf, 0.5),
+    lambda: lc.master_condition(0.1, math.nan, 0.5),
+], ids=["c3-nan", "alpha-inf", "c3-inf", "alpha-nan", "i_sph-c3-inf", "master-c3-nan"])
+def test_sphere_functions_refuse_non_finite_arguments(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# c3 solved inside each lifted probe: I_set = gamma + K(b, nu1[, mu], beta)/c3
+# ---------------------------------------------------------------------------
+
+def _old_strong_moment(c3, gamma, nu1, nu2):
+    """E exp(c3 t) of the strong exponent in the (c3, gamma, nu1, nu2) form
+    the library used before the moments took (b, nu1, mu = c3 nu2)."""
+    from l1lab import numerics as nm
+
+    b = c3 / (4.0 * gamma)
+    if b >= 0.5:
+        return math.inf
+    gq = nm.gaussian_quadratic_integral
+    s_grow, c_grow = 2.0 * b * nu1, b * nu1 * nu1 - c3 * nu2
+    s_dec, c_dec = -2.0 * b * nu1, b * nu1 * nu1 + c3 * nu2
+    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
+    if nu1 * nu1 < 2.0 * gamma * nu2:
+        cross = 2.0 * gamma * nu2 / nu1 if nu1 > 0 else math.inf
+        val = (flat * 0.5 * float(nm.erf(nu1 / nm.SQRT2))
+               + gq(b, s_dec, c_dec, nu1, cross) + gq(b, s_grow, c_grow, cross, math.inf))
+    elif nu1 * nu1 < 8.0 * gamma * nu2:
+        start = math.sqrt(8.0 * gamma * nu2) - nu1
+        val = (flat * 0.5 * float(nm.erf(start / nm.SQRT2))
+               + gq(b, s_grow, c_grow, start, math.inf))
+    else:
+        val = gq(b, s_grow, c_grow, 0.0, math.inf)
+    return 2.0 * val
+
+
+def _old_nonneg_moment(c3, gamma, nu1, nu2):
+    """E exp(c3 t_plus) in the old (c3, gamma, nu1, nu2) form."""
+    from l1lab import numerics as nm
+
+    p = c3 / (4.0 * gamma)
+    if p >= 0.5:
+        return math.inf
+    gq = nm.gaussian_quadratic_integral
+    cdf = lambda x: 0.5 * (1.0 + float(nm.erf(x / nm.SQRT2)))  # noqa: E731
+    s_lin = -2.0 * p * nu1
+    entry = nu1 - math.sqrt(8.0 * gamma * nu2)
+    flat = math.exp(c3 * nu2) if c3 * nu2 < 700 else math.inf
+    return (gq(p, s_lin, p * nu1 * nu1 - c3 * nu2, -math.inf, entry)
+            + flat * (cdf(nu1) - cdf(entry))
+            + gq(p, s_lin, p * nu1 * nu1 + c3 * nu2, nu1, math.inf))
+
+
+def _old_set_term(kind, params, beta):
+    """The closed-form set term in its old c3 form, on the old moments."""
+    from l1lab import thresholds_general as tg
+
+    c3, gamma, nu1, nu2 = params.c3, params.gamma, params.nu1, params.nu2
+    if kind == "sectional":
+        plus, minus = tg.sectional_exp_moments(params.b, nu1)
+        if not (0 < plus < math.inf and 0 < minus < math.inf):
+            return math.inf
+        return gamma + beta / c3 * math.log(plus) + (1.0 - beta) / c3 * math.log(minus)
+    old = _old_strong_moment if kind == "strong" else _old_nonneg_moment
+    moment = old(c3, gamma, nu1, nu2)
+    if not (math.isfinite(moment) and moment > 0):
+        return math.inf
+    return nu2 * (2.0 * beta - 1.0) + gamma + math.log(moment) / c3
+
+
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_c3_free_set_term_equals_the_old_c3_form(kind):
+    # gamma + K/c3 against the old form on draws of the audit's sampler
+    # until 200 are finite; both are inf on the same draws
+    from l1lab.parity import sample_params
+
+    spec = lifted_spec(kind)
+    rng = np.random.default_rng(7)
+    finite = 0
+    while finite < 200:
+        beta, p = sample_params(kind, rng)
+        new, old = spec.set_term_at(beta, p), _old_set_term(kind, p, beta)
+        if old == math.inf:
+            assert new == math.inf
+            continue
+        finite += 1
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (beta, p, new, old)
+
+
+@pytest.mark.parametrize("kind", ["strong", "strong_nonneg"])
+def test_b_nu1_mu_moments_equal_the_old_moments(kind):
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+    from l1lab.parity import sample_params
+
+    new, old = ((tg.strong_exp_moment, _old_strong_moment) if kind == "strong"
+                else (tn.nonneg_exp_moment, _old_nonneg_moment))
+    rng = np.random.default_rng(8)
+    compared = 0
+    while compared < 200:
+        _, p = sample_params(kind, rng)
+        want = old(p.c3, p.gamma, p.nu1, p.nu2)
+        got = new(p.b, p.nu1, p.c3 * p.nu2)
+        if not math.isfinite(want):
+            assert not math.isfinite(got)
+            continue
+        compared += 1
+        assert abs(got - want) <= 1e-14 * abs(want), (p, got, want)
+
+
+def _phi(a, k, alpha, c3):
+    return a * c3 + k / c3 + lc.i_sph(c3, alpha)
+
+
+def _grid_minimum(a, k, alpha, lo, hi):
+    grid = np.geomspace(lo, hi, 2000)
+    vals = [_phi(a, k, alpha, float(c)) for c in grid]
+    i = int(np.argmin(vals))
+    return vals[i], float(grid[i]), grid
+
+
+def _slope_root_k(a, alpha, c3):
+    """The K whose minimum over c3 lies at c3: c3**2 phi'(c3) = 0 there."""
+    g = lc.sphere_gamma_hat(c3, alpha)
+    return a * c3 * c3 + g * c3 + 0.5 * alpha * math.log1p(-c3 / (2.0 * g))
+
+
+def test_inner_c3_solve_matches_a_dense_log_grid():
+    rng = np.random.default_rng(11)
+    lo, hi = lc.C3_MIN, lc.C3_MAX
+    ends = {"lo": 0, "hi": 0, "inside": 0}
+    for _ in range(60):
+        b = 0.5 - math.exp(rng.uniform(math.log(5e-7), math.log(0.5 - 1e-7)))
+        a, alpha = 0.25 / b - 0.5, float(rng.uniform(0.001, 0.9999))
+        # minima from below the bracket to past its top
+        k = _slope_root_k(a, alpha, math.exp(rng.uniform(math.log(1e-5), math.log(4e3))))
+        start = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        val, c3 = lc._c3_minimum(a, k, alpha, start, lo, hi)
+        best, at, grid = _grid_minimum(a, k, alpha, lo, hi)
+        assert val <= best + 1e-12 * max(1.0, abs(best))
+        assert val == pytest.approx(_phi(a, k, alpha, c3), rel=1e-12, abs=1e-12)
+        step = grid[1] / grid[0]
+        assert at / step <= c3 <= at * step
+        ends["lo" if c3 == lo else "hi" if c3 == hi else "inside"] += 1
+    assert all(ends.values()), ends
+
+
+def test_inner_c3_solve_binds_at_mu_over_nu2_max():
+    # with mu = c3 nu2 the bracket starts at mu/400, so nu2 <= 400; a
+    # minimum below that edge is reported on it
+    a, alpha, mu = 0.25 / 0.3 - 0.5, 0.5, 2.0
+    lo = mu / lc.NU2_MAX
+    k = _slope_root_k(a, alpha, lo / 3.0)
+    val, c3 = lc._c3_minimum(a, k, alpha, 1.0, lo, lc.C3_MAX)
+    best, at, _ = _grid_minimum(a, k, alpha, lo, lc.C3_MAX)
+    assert c3 == lo == at and val <= best + 1e-12
+    # the same edge through a probe's objective: strong at beta = 1e-4
+    spec = lifted_spec("strong")
+    b, nu1, mu = 1e-4, 0.5, 0.5
+    val, c3 = lc._profile_objective(spec, 0.5, 1e-4, 1.0)([b, nu1, mu])
+    assert c3 == mu / lc.NU2_MAX
+    best, _, _ = _grid_minimum(0.25 / b - 0.5, spec.k_term(b, (nu1, mu), 1e-4), 0.5,
+                               c3, lc.C3_MAX)
+    assert math.isfinite(val) and val <= best + 1e-12
+
+
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_reported_params_lie_in_the_search_box(lifted_solves, kind):
+    # log c3 is checked as c3 against the exp of its bounds, the range the
+    # inner c3 solve works in
+    _, (b_lo, b_hi), (_, nu1_hi), (_, nu2_hi) = lc.SEARCH_BOX
+    for alpha in TABLE_ALPHAS:
+        p = lifted_solves[kind, alpha][0].params_at_optimum
+        assert lc.C3_MIN <= p.c3 <= lc.C3_MAX, (alpha, p)
+        assert b_lo <= p.b <= b_hi, (alpha, p)
+        assert 0.0 <= p.nu1 <= nu1_hi and 0.0 <= p.nu2 <= nu2_hi, (alpha, p)
+
+
+def test_probe_falls_back_to_its_start_when_the_end_is_worse(monkeypatch):
+    # the guard behind "a probe never ends above its start": a simplex
+    # ending on a worse point yields the (clipped) start and its total
+    spec = lifted_spec("strong")
+    start = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
+    monkeypatch.setattr(lc, "nelder_mead", lambda f, x0, *a, **k: ([0.45, 5.0, 30.0], 0.0))
+    total, params = lc.minimize_lifted_total(spec, 0.5, 0.05, start)
+    assert params == start and total == lc.lifted_total(spec, start, 0.5, 0.05)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.011467), (0.5, 0.104482), (0.9, 0.311332)])
+def test_sectional_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, alpha, beta):
+    # the walk must not depend on where it starts: a probe stalled on the
+    # c3 = 1e-4 face would end near the direct threshold instead (0.011214,
+    # 0.102246 and 0.307947 from this floor)
+    monkeypatch.setattr(lc, "BETA_FLOOR", 1e-9)
+    r = lc.threshold_bisect(alpha, "sectional", "lifted")
+    assert abs(r.beta - beta) <= DEFAULT.tol_beta

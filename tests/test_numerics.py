@@ -13,6 +13,7 @@ from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
 from l1lab import thresholds_nonneg as tn
 from l1lab.errors import (
+    ConstraintViolatedError,
     DomainError,
     NonConvergentError,
     NoSignChangeError,
@@ -185,11 +186,24 @@ def test_minimize_never_worse_than_start():
 
 
 def lifted_problem(kind, alpha, beta, b_max=lc.B_MAX):
-    """The lifted total of one kind over [log c3, b, nu...] and its box."""
+    """The lifted total of one kind over [log c3, b, nu...] and its box: the
+    problem with c3 as one more simplex coordinate, a harder bounded test
+    problem than the lifted probes' own, where c3 is solved exactly.  inf
+    outside the convergent domain and where the total is not finite."""
     spec = lc.kind_table()[kind].lifted
     bounds = list(lc.SEARCH_BOX[:2 + spec.n_extra])
     bounds[1] = (lc.B_MIN, b_max)
-    return lc._total_objective(spec.set_term, alpha, beta), bounds
+
+    def f(x):
+        if not 0.0 < x[1] < 0.5:
+            return math.inf
+        try:
+            val = lc.lifted_total(spec, lc.x_to_params(x), alpha, beta)
+        except ConstraintViolatedError:  # b within rounding of 1/2
+            return math.inf
+        return val if math.isfinite(val) else math.inf
+
+    return f, bounds
 
 
 def run_contract(f, x0, bounds, maxfev=1500):
@@ -290,6 +304,129 @@ def test_nelder_mead_matches_scipy_on_bounded_quadratics(case):
     assert abs(fun - ref.fun) <= 1e-8
     if case == "active-bound":
         assert x[1] == 0.0 and ref.x[1] == 0.0
+
+
+def reference_nelder_mead(f, x0, bounds, *, xatol, fatol, maxfev):
+    """The simplex loop as it was before its bookkeeping was trimmed: every
+    iteration stably re-sorts all n + 1 vertices and rebuilds both lists.
+    nm.nelder_mead must evaluate the same points and return the same
+    (x, fun)."""
+    lo = [float(b[0]) for b in bounds]
+    hi = [float(b[1]) for b in bounds]
+
+    def clip(x):
+        return [v if l <= v <= h else (l if v < l else h) for v, l, h in zip(x, lo, hi)]
+
+    def towards(x, y, t):
+        return clip([a + t * (b - a) for a, b in zip(x, y)])
+
+    x0 = clip([float(v) for v in x0])
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        if y[k] > hi[k]:
+            y[k] = 2.0 * hi[k] - y[k]
+        sim.append(clip(y))
+    fsim = [f(x) for x in sim]
+    nfev = n + 1
+    while True:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        best = sim[0]
+        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and all(
+                b - xatol <= v <= b + xatol for x in sim[1:] for v, b in zip(x, best))):
+            return best, fsim[0]
+        xbar = [sum(col) / n for col in zip(*sim[:-1])]
+        xr = towards(xbar, sim[-1], -1.0)
+        fr = f(xr)
+        nfev += 1
+        if fr < fsim[0]:
+            xe = towards(xbar, sim[-1], -2.0)
+            fe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            outside = fr < fsim[-1]
+            xc = towards(xbar, sim[-1], -0.5 if outside else 0.5)
+            fc = f(xc)
+            nfev += 1
+            if (fc <= fr) if outside else (fc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
+            else:
+                sim = [best] + [towards(best, x, 0.5) for x in sim[1:]]
+                fsim = [fsim[0]] + [f(x) for x in sim[1:]]
+                nfev += n
+
+
+def assert_same_run(make_f, x0, bounds, **opts):
+    """nm.nelder_mead and the reference loop, each on a fresh
+    f = make_f(), evaluate the same sequence of points and return the same
+    (x, fun)."""
+    runs = []
+    for minimizer in (nm.nelder_mead, reference_nelder_mead):
+        seen = []
+        f = make_f()
+
+        def logged(v):
+            seen.append(list(v))
+            return f(v)
+
+        runs.append((minimizer(logged, x0, bounds, **opts), seen))
+    (got, got_seen), (want, want_seen) = runs
+    assert got == want and got_seen == want_seen
+    return len(got_seen)
+
+
+def seeded_contract_problems():
+    """(make_f, x0, bounds, maxfev) of the contract tests above, and seeded
+    starts on every kind's lifted problems: both with c3 a coordinate and
+    the probes' own, with c3 solved inside each evaluation (whose inner
+    solve starts where the last one ended, hence a fresh f per run)."""
+    problems = []
+    for case in sorted(BOUNDED_QUADRATICS):
+        diag, coupling, centre, bounds, x0 = BOUNDED_QUADRATICS[case]
+
+        def quad(v, diag=diag, coupling=coupling, centre=centre):
+            d = [vi - ci for vi, ci in zip(v, centre)]
+            return (sum(h * di * di for h, di in zip(diag, d))
+                    + coupling * sum(a * b for a, b in zip(d, d[1:])))
+
+        problems.append((lambda quad=quad: quad, x0, bounds, 20_000))
+    rosen = lambda v: (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2  # noqa: E731
+    problems += [(lambda: rosen, x0, [(-4.0, 4.0)] * 2, 300)
+                 for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0])]
+    for kind, x0, b_max in [("sectional", [0.5, 0.48, 1.0], 0.9),
+                            ("strong_nonneg", [1.0, 0.7, 0.5, 2.0], 0.9),
+                            ("strong", [lc.LOG_C3_MAX, 0.49, 0.03, 0.04], lc.B_MAX)]:
+        f, bounds = lifted_problem(kind, 0.7 if b_max == 0.9 else 0.999, 0.1, b_max)
+        problems.append((lambda f=f: f, x0, bounds, 600))
+    for seed, kind in enumerate(("sectional", "strong", "strong_nonneg")):
+        rng = np.random.default_rng(20 + seed)
+        spec = lc.kind_table()[kind].lifted
+        for _ in range(3):
+            alpha, beta = rng.uniform(0.05, 0.999), rng.uniform(1e-3, 0.45)
+            f, bounds = lifted_problem(kind, alpha, beta)
+            x0 = [rng.uniform(-9.0, 5.0), rng.uniform(0.05, 0.49)]
+            x0 += [rng.uniform(0.0, 3.0) for _ in bounds[2:]]
+            problems.append((lambda f=f: f, x0, bounds, 1500))
+
+            def make_profile(spec=spec, alpha=alpha, beta=beta, c3=math.exp(x0[0])):
+                profile = lc._profile_objective(spec, alpha, beta, c3)
+                return lambda q: profile(q)[0]
+
+            problems.append((make_profile, x0[1:], list(lc._Q_BOX[:1 + spec.n_extra]), 1500))
+    return problems
+
+
+def test_nelder_mead_evaluates_the_points_of_the_reference_loop():
+    calls = [assert_same_run(make_f, x0, bounds, xatol=1e-10, fatol=1e-12, maxfev=maxfev)
+             for make_f, x0, bounds, maxfev in seeded_contract_problems()]
+    assert sum(calls) > 10_000
 
 
 def test_nelder_mead_rejects_inverted_bounds():

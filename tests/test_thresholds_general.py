@@ -219,9 +219,10 @@ def test_strong_t_integrand_rejects_negative_multipliers(nu1, nu2):
 
 def test_strong_moment_continuity_at_regime_boundaries():
     c3, gamma, nu2 = 0.8, 1.1, 0.9
+    b, mu = c3 / (4 * gamma), c3 * nu2
     for edge in (math.sqrt(2 * gamma * nu2), math.sqrt(8 * gamma * nu2)):
-        lo = tg.strong_exp_moment(c3, gamma, edge * (1 - 1e-9), nu2)
-        hi = tg.strong_exp_moment(c3, gamma, edge * (1 + 1e-9), nu2)
+        lo = tg.strong_exp_moment(b, edge * (1 - 1e-9), mu)
+        hi = tg.strong_exp_moment(b, edge * (1 + 1e-9), mu)
         assert abs(lo - hi) <= 1e-8 * max(lo, hi)
 
 
