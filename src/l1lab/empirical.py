@@ -262,6 +262,8 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
                         config: Config = DEFAULT) -> float:
     """Monte Carlo estimate of the 50%-recovery alpha at fixed beta, by
     bisection over alpha with common per-probe randomness."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionError(f"need an integer n >= 1, got {n!r}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError(f"need an integer trials >= 1, got {trials!r}")
     if not (math.isfinite(tol_alpha) and tol_alpha > 0):

@@ -24,8 +24,8 @@ class NonConvergentError(L1LabError):
 
 
 class ConstraintViolatedError(L1LabError, ValueError):
-    """Lifted-bound parameters violate the exponential-moment convergence
-    constraint c3/(4*gamma) < 1/2."""
+    """Lifted-bound parameters leave the lifted family: c3 outside (0, inf)
+    or the exponential moments divergent, c3/(4*gamma) >= 1/2."""
 
 
 class NegativeRadicandError(L1LabError):

@@ -21,8 +21,9 @@ mu = c3*nu2: I_set = gamma + K(b, nu1[, mu], beta)/c3.  So at fixed
 q = (b, nu1[, mu]) the total is A*c3 + K/c3 + I_sph(c3, alpha) with
 A = 1/(4b) - 1/2, and its minimum over c3 is a cheap scalar problem
 (_c3_minimum) once K is known.  A lifted probe therefore runs Nelder-Mead
-over q only and solves c3 exactly inside each evaluation: variable
-projection (Golub & Pereyra, Inverse Problems 19, 2003).
+over q only, solves c3 exactly inside each evaluation (variable projection,
+Golub & Pereyra, Inverse Problems 19, 2003) and reports LiftParams, the one
+form of a lifted point outside the search.
 
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,17 +53,12 @@ METHODS = ("direct", "lifted")
 
 BETA_FLOOR = 1e-4
 
-LOG_C3_MIN = math.log(1e-4)
-LOG_C3_MAX = math.log(400.0)
 B_MIN = 1e-7
 B_MAX = 0.4999995
-# the box over x = [log c3, b, nu1, nu2] that every reported lifted point lies
-# in, warm starts are clipped to and the parity audit samples; a kind with
-# one multiplier uses x[:3]
-SEARCH_BOX = ((LOG_C3_MIN, LOG_C3_MAX), (B_MIN, B_MAX), (0.0, 14.0), (0.0, 400.0))
-C3_MIN = math.exp(LOG_C3_MIN)
-C3_MAX = math.exp(LOG_C3_MAX)
-NU2_MAX = SEARCH_BOX[3][1]
+# the box over (c3, b, nu1, nu2) that every reported lifted point lies in,
+# warm starts are clipped to (LiftParams.clipped) and the parity audit samples
+SEARCH_BOX = ((1e-4, 400.0), (B_MIN, B_MAX), (0.0, 14.0), (0.0, 400.0))
+(C3_MIN, C3_MAX), _, _, (_, NU2_MAX) = SEARCH_BOX
 # the box over q = [b, nu1, mu] of the simplex (mu = c3*nu2 <= C3_MAX*NU2_MAX);
 # a kind with one multiplier uses q[:2]
 _Q_BOX = (SEARCH_BOX[1], SEARCH_BOX[2], (0.0, C3_MAX * NU2_MAX))
@@ -85,7 +81,8 @@ class LiftParams:
 
     nu2 is unused (zero) for the sectional kind, where only one multiplier
     appears.  The exponential moments converge iff b = c3/(4*gamma) < 1/2,
-    equivalently gamma > c3/2.
+    equivalently gamma > c3/2.  The family needs 0 < c3 < inf: its c3 -> 0
+    limit is the direct bound, whose reported parameters carry c3 = 0.
     """
 
     c3: float
@@ -98,10 +95,15 @@ class LiftParams:
         return self.c3 / (4.0 * self.gamma)
 
     def require_convergent(self):
-        if not self.gamma > 0 or not self.b < 0.5:
-            raise ConstraintViolatedError(
-                f"need c3/(4*gamma) < 1/2, got b={self.b!r} (c3={self.c3}, gamma={self.gamma})"
-            )
+        if not (0.0 < self.c3 < math.inf and self.gamma > 0 and self.b < 0.5):
+            raise ConstraintViolatedError(f"need 0 < c3 < inf, gamma > 0 and c3/(4*gamma) < 1/2, "
+                                          f"got c3={self.c3!r}, gamma={self.gamma!r}")
+
+    def clipped(self) -> LiftParams:
+        """c3, b, nu1 and nu2 clipped into SEARCH_BOX, as Python floats."""
+        c3, b, nu1, nu2 = (min(max(float(v), lo), hi) for v, (lo, hi) in
+                           zip((self.c3, self.b, self.nu1, self.nu2), SEARCH_BOX))
+        return LiftParams(c3=c3, gamma=c3 / (4.0 * b), nu1=nu1, nu2=nu2)
 
 
 @dataclass(frozen=True)
@@ -188,22 +190,20 @@ class ExpPiece:
     """One weighted log-expectation (weight/c3) * log E exp(c3 * t(h)).
 
     t must be vectorized; breakpoints list the kinks of t so quadrature
-    panels can be aligned to them; half_width is the window (in h) outside
-    which exp(c3*t(h)) * exp(-h**2/2) is negligible.
+    panels can be aligned to them.
     """
 
     weight: float
     t: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...]
-    half_width: float
 
 
 def window_half_width(params: LiftParams) -> float:
-    """ExpPiece.half_width of an exponent growing as (|h| + nu1)^2/(4*gamma)
-    beyond its plateau, which reaches |h| = nu1 + sqrt(8*gamma*nu2) (nu1 for
-    the sectional kind, where nu2 is 0): exp(c3*t(h)) tilts the Gaussian to
-    scale sigma = 1/sqrt(1 - 2b) and drifts it by 2*b*nu1/(1 - 2b), and the
-    window reaches 13 sigma past both."""
+    """The oracle's window in h for any lifted exponent, which grows as
+    (|h| + nu1)^2/(4*gamma) beyond a plateau reaching |h| = nu1 +
+    sqrt(8*gamma*nu2) (nu1 for the sectional kind): exp(c3*t(h)) tilts the
+    Gaussian to scale sigma = 1/sqrt(1 - 2b) and drifts it by
+    2*b*nu1/(1 - 2b), and the window reaches 13 sigma past both."""
     if params.nu1 < 0 or params.nu2 < 0:
         raise DomainError("need nu1, nu2 >= 0")
     b = params.b
@@ -213,25 +213,22 @@ def window_half_width(params: LiftParams) -> float:
     return reach + drift + 13.0 * sig + 2.0
 
 
-def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float,
-                        rel_tol: float = 1e-9) -> float:
+def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float) -> float:
     """Set term evaluated by quadrature straight from the exponent definition.
 
     integrand_spec(params, beta) must return (linear, pieces) where linear
     collects the terms outside the expectations (gamma, multiples of nu) and
-    pieces is a sequence of ExpPiece.  This is the authoritative evaluation
-    the closed forms are audited against.
+    pieces is a sequence of ExpPiece, all integrated over one window
+    window_half_width(params): the authoritative evaluation of the set term.
     """
     from .numerics import QuadratureSpec, gauss_expectation
 
     params.require_convergent()
+    spec = QuadratureSpec(half_width=max(window_half_width(params), 6.0))
     linear, pieces = integrand_spec(params, beta)
     total = float(linear)
     c3 = params.c3
     for piece in pieces:
-        spec = QuadratureSpec(
-            half_width=max(piece.half_width, 6.0), panels=64, rel_tol=rel_tol
-        )
         ev = gauss_expectation(
             lambda h: c3 * piece.t(h), spec, breakpoints=piece.breakpoints,
             g_is_log=True,
@@ -396,7 +393,7 @@ def minimize_lifted_total(
     The simplex is numerics.nelder_mead on lists of floats: numpy's
     per-call overhead would cost more than the closed-form total.
     """
-    start = x_to_params(params_to_x(start, kind.n_extra))
+    start = start.clipped()
     q0 = [start.b, start.nu1, start.c3 * start.nu2][:1 + kind.n_extra]
     profile = _profile_objective(kind, alpha, beta, start.c3)
     q, _ = nelder_mead(lambda v: profile(v)[0], q0, _Q_BOX[:len(q0)], **_NM_OPTS)
@@ -410,23 +407,28 @@ def minimize_lifted_total(
     return total, end
 
 
-def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:
-    """The direct (c3 -> 0) condition margin root - sqrt(alpha), with the
-    direct optimum as c3 = 0 lift parameters (gamma = root/2)."""
+def _direct_point(kind: LiftedKind, beta: float) -> tuple[float, LiftParams]:
+    """(root, params): the direct (c3 -> 0) optimum at beta, root being
+    compared with sqrt(alpha), as c3 = 0 lift parameters (gamma = root/2)."""
     root, nu1 = kind.direct(beta)
     gamma = max(root, 1e-12) / 2.0
     nu2 = 0.0 if kind.nu2 is None else kind.nu2(beta, nu1, gamma)
-    return root - math.sqrt(alpha), LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
+    return root, LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
+
+
+def direct_margin(kind: LiftedKind, alpha: float, beta: float) -> tuple[float, LiftParams]:
+    """The direct condition margin root - sqrt(alpha), with _direct_point's params."""
+    root, params = _direct_point(kind, beta)
+    return root - math.sqrt(alpha), params
 
 
 def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
     """Where a lifted walk starts: the direct optimum at beta, which the
-    lifted family contains as its c3 -> 0 member, lifted to c3 = 1e-3."""
-    root, nu1 = kind.direct(beta)
-    g0 = max(root, 1e-6) / 2.0
-    extras = [nu1] if kind.nu2 is None else [nu1, min(kind.nu2(beta, nu1, g0), SEARCH_BOX[3][1])]
-    b = min(max(1e-3 / (4.0 * g0), 1e-6), 0.49)
-    return x_to_params([math.log(1e-3), b, *extras])
+    lifted family contains as its c3 -> 0 member, lifted to c3 = 1e-3 with
+    b = c3/(4*gamma) in [1e-6, 0.49]."""
+    params = _direct_point(kind, beta)[1]
+    b = min(max(1e-3 / (4.0 * params.gamma), 1e-6), 0.49)
+    return replace(params, c3=1e-3, gamma=1e-3 / (4.0 * b))
 
 
 def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
@@ -486,21 +488,6 @@ def lifted_margin(
             return m, p
         warm = p
     return minimize_lifted_total(kind, alpha, beta, warm)
-
-
-def x_to_params(x: Sequence[float]) -> LiftParams:
-    """Decode an optimizer vector [log c3, b, nu...] into LiftParams."""
-    c3 = math.exp(x[0])
-    gamma = c3 / (4.0 * float(x[1]))
-    nu1 = float(x[2]) if len(x) > 2 else 0.0
-    nu2 = float(x[3]) if len(x) > 3 else 0.0
-    return LiftParams(c3=c3, gamma=gamma, nu1=nu1, nu2=nu2)
-
-
-def params_to_x(params: LiftParams, n_extra: int) -> list[float]:
-    """Encode params as an optimizer vector clipped into SEARCH_BOX."""
-    x = [math.log(params.c3) if params.c3 > 0 else -math.inf, params.b, params.nu1, params.nu2]
-    return [min(max(v, lo), hi) for v, (lo, hi) in zip(x[:2 + n_extra], SEARCH_BOX)]
 
 
 # --------------------------------------------------------------------------

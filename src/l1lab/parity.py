@@ -69,12 +69,12 @@ class ParityReport:
 
 
 def sample_params(kind: str, rng: np.random.Generator) -> tuple[float, LiftParams]:
-    """One random (beta, params) of the given kind over SEARCH_BOX: log c3
-    uniform, 1/2 - b log-uniform (dense near b = 1/2, where optima at high
-    alpha sit) and each multiplier log-uniform from 1e-4; betas cover the
-    kind's range.  An oracle call costs no more here than with b <= 0.45."""
+    """One random (beta, params) of the given kind over SEARCH_BOX: c3
+    log-uniform, 1/2 - b log-uniform (dense near b = 1/2, where optima at
+    high alpha sit) and each multiplier log-uniform from 1e-4; betas cover
+    the kind's range.  An oracle call costs no more here than with b <= 0.45."""
     (c3_lo, c3_hi), (b_lo, b_hi), *nu_box = SEARCH_BOX[:2 + AUDITED[kind].n_extra]
-    c3 = math.exp(rng.uniform(c3_lo, c3_hi))
+    c3 = math.exp(rng.uniform(math.log(c3_lo), math.log(c3_hi)))
     b = 0.5 - math.exp(rng.uniform(math.log(0.5 - b_hi), math.log(0.5 - b_lo)))
     nu = [math.exp(rng.uniform(math.log(1e-4), math.log(hi))) for _, hi in nu_box]
     beta = float(rng.uniform(0.01, 0.95 if kind == "sectional" else 0.49))

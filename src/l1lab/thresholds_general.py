@@ -28,8 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError, NegativeRadicandError
-from .lift_core import (ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin,
-                        window_half_width)
+from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 from .numerics import phi
 
 SQRT2 = nm.SQRT2
@@ -115,6 +114,8 @@ def sectional_set_term_direct(beta: float, nu: float) -> float:
 def sectional_direct_minimum(beta: float) -> tuple[float, float]:
     """(min over nu in [0, 12] of the direct sectional set term, minimizing
     nu): the square root of the radicand's Newton minimum."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0,1), got {beta}")
     rad, nu = nm.newton_minimum(_sectional_direct_profile(beta), 12.0)
     return math.sqrt(rad), nu
 
@@ -139,7 +140,6 @@ def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
 def sectional_integrand(params: LiftParams, beta: float):
     """Oracle description of the sectional set term (linear part + pieces)."""
     gamma, nu = params.gamma, params.nu1
-    hw = window_half_width(params)
 
     def t_plus(h):
         return (np.abs(h) + nu) ** 2 / (4.0 * gamma)
@@ -148,8 +148,8 @@ def sectional_integrand(params: LiftParams, beta: float):
         return np.maximum(np.abs(h) - nu, 0.0) ** 2 / (4.0 * gamma)
 
     pieces = (
-        ExpPiece(weight=beta, t=t_plus, breakpoints=(0.0,), half_width=hw),
-        ExpPiece(weight=1.0 - beta, t=t_minus, breakpoints=(-nu, 0.0, nu), half_width=hw),
+        ExpPiece(weight=beta, t=t_plus, breakpoints=(0.0,)),
+        ExpPiece(weight=1.0 - beta, t=t_minus, breakpoints=(-nu, 0.0, nu)),
     )
     return gamma, pieces
 
@@ -240,8 +240,6 @@ def strong_exp_moment(b: float, nu1: float, mu: float) -> float:
 def strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the strong set term."""
     gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
-    hw = window_half_width(params)
-
     breaks = {0.0, nu1, -nu1}
     if nu1 > 0:
         cross = 2.0 * gamma * nu2 / nu1
@@ -252,8 +250,7 @@ def strong_integrand(params: LiftParams, beta: float):
 
     t = functools.partial(strong_t_integrand, params=params)
     linear = nu2 * (2.0 * beta - 1.0) + gamma
-    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks)),
-                             half_width=hw),)
+    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks))),)
 
 
 def _strong_k(b, extra, beta):

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError
-from .lift_core import (ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin,
-                        window_half_width)
+from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 from .numerics import phi
 from .thresholds_general import weak_boundary
 
@@ -163,12 +162,10 @@ def nonneg_exp_moment(b: float, nu1: float, mu: float) -> float:
 def nonneg_strong_integrand(params: LiftParams, beta: float):
     """Oracle description of the nonnegative strong set term."""
     gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
-    hw = window_half_width(params)
-
     linear = nu2 * (2.0 * beta - 1.0) + gamma
     breaks = (nu1 - math.sqrt(8.0 * gamma * nu2), nu1)
     t = functools.partial(nonneg_t_integrand, params=params)
-    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks, half_width=hw),)
+    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks),)
 
 
 def _nonneg_k(b, extra, beta):

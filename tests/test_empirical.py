@@ -261,6 +261,16 @@ def test_recovery_experiments_need_a_trial(monkeypatch, experiment):
         experiment()
 
 
+@pytest.mark.parametrize("n", [0, -10, 50.0, 2.5])
+def test_fifty_percent_alpha_needs_a_positive_integer_n(monkeypatch, n):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with invalid arguments")
+
+    monkeypatch.setattr(emp, "weak_recovery_rate", no_solve)
+    with pytest.raises(DimensionError, match="integer n >= 1"):
+        emp.fifty_percent_alpha(0.1, n, 5)
+
+
 def test_fifty_percent_alpha_stops_at_the_float_spacing_of_its_bracket(monkeypatch):
     # tol_alpha below the spacing of doubles near the step: once the midpoint
     # rounds onto an end, further probes cannot narrow the bracket

@@ -106,6 +106,8 @@ def test_lift_params_constraint():
     bad = lc.LiftParams(c3=1.0, gamma=0.5)  # b = 1/2 exactly
     with pytest.raises(ConstraintViolatedError):
         bad.require_convergent()
+    with pytest.raises(ConstraintViolatedError):  # b itself divides by zero
+        lc.LiftParams(c3=1.0, gamma=0.0).require_convergent()
 
 
 def test_exp_set_term_oracle_constant_exponent():
@@ -114,7 +116,7 @@ def test_exp_set_term_oracle_constant_exponent():
     def integrand(params, beta):
         return 0.0, (lc.ExpPiece(weight=1.0,
                                  t=lambda h: np.full_like(h, kappa),
-                                 breakpoints=(), half_width=10.0),)
+                                 breakpoints=()),)
 
     params = lc.LiftParams(c3=0.8, gamma=1.0)
     val = lc.exp_set_term_oracle(integrand, params, beta=0.3)
@@ -127,6 +129,20 @@ def test_exp_set_term_oracle_rejects_invalid_b():
 
     with pytest.raises(ConstraintViolatedError):
         lc.exp_set_term_oracle(integrand, lc.LiftParams(c3=2.0, gamma=0.5), 0.3)
+
+
+@pytest.mark.parametrize("name", LIFTED_KINDS)
+@pytest.mark.parametrize("c3", [0.0, -1.0, math.nan, math.inf])
+def test_lift_params_need_a_positive_finite_c3(name, c3):
+    # c3 = 0 is the direct bound, the limit of the lifted family but not a
+    # member of it: a direct result's params are refused, not divided by 0
+    kind = lifted_spec(name)
+    params = lc.LiftParams(c3=c3, gamma=1.0, nu1=0.4, nu2=0.2)
+    for evaluate in (lambda: kind.set_term_at(0.1, params),
+                     lambda: lc.lifted_total(kind, params, 0.5, 0.1),
+                     lambda: lc.exp_set_term_oracle(kind.integrand, params, 0.1)):
+        with pytest.raises(ConstraintViolatedError, match="0 < c3 < inf"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ def test_lifting_dominance_spot():
 # the lifted objective on Python floats: overflow and domain edges give inf
 # ---------------------------------------------------------------------------
 
-(_, LOG_C3_MAX), (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
+_, (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
 MU_MAX = lc.C3_MAX * NU2_MAX
 
 
@@ -228,10 +244,19 @@ def test_lifted_objective_finite_far_from_the_edges():
     assert 1e-3 <= c3 <= lc.C3_MAX  # mu / c3 stays within NU2_MAX
 
 
-def test_x_to_params_gives_plain_floats():
-    p = lc.x_to_params(np.array([0.3, 0.25, 1.5, 2.0]))
+def test_clipped_params_are_plain_floats():
+    c3 = np.exp(np.float64(0.3))
+    p = lc.LiftParams(c3=c3, gamma=c3, nu1=np.float64(1.5), nu2=np.float64(2.0)).clipped()
     assert all(type(v) is float for v in dataclasses.astuple(p))
     assert p.b == pytest.approx(0.25, rel=1e-15)
+    # each of c3, b, nu1 and nu2 goes to the nearer end of SEARCH_BOX
+    (c3_lo, c3_hi), (b_lo, b_hi), (nu1_lo, nu1_hi), (nu2_lo, nu2_hi) = lc.SEARCH_BOX
+    high = lc.LiftParams(c3=1e3, gamma=1.0, nu1=20.0, nu2=1e3).clipped()
+    assert (high.c3, high.nu1, high.nu2) == (c3_hi, nu1_hi, nu2_hi)
+    assert high.b == pytest.approx(b_hi, rel=1e-15)
+    low = lc.LiftParams(c3=0.0, gamma=1.0, nu1=-1.0, nu2=-1.0).clipped()
+    assert (low.c3, low.nu1, low.nu2) == (c3_lo, nu1_lo, nu2_lo)
+    assert low.b == pytest.approx(b_lo, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +472,15 @@ def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
     alpha, beta = 0.5, lc.BETA_FLOOR
     _, direct = lc.direct_margin(kind, alpha, beta)
     assert direct.c3 == 0.0 and direct.gamma > 1e-6
-    start = lc.params_to_x(lc.floor_start(kind, beta), kind.n_extra)
-    expected = [math.log(1e-3), min(max(1e-3 / (4.0 * direct.gamma), 1e-6), 0.49),
-                direct.nu1]
+    lifted = lc.floor_start(kind, beta)
+    assert (lifted.nu1, lifted.nu2) == (direct.nu1, direct.nu2)
+    start = lifted.clipped()
+    expected = [1e-3, min(max(1e-3 / (4.0 * direct.gamma), 1e-6), 0.49), direct.nu1]
     if kind.nu2 is None:
         assert direct.nu2 == 0.0
     else:
         expected.append(min(direct.nu2, NU2_MAX))
-    assert start == expected
+    assert [start.c3, start.b, start.nu1, start.nu2][:2 + kind.n_extra] == expected
     # the lifted search's floor probe is warm-started there
     probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError):
@@ -826,12 +852,10 @@ def test_inner_c3_solve_binds_at_mu_over_nu2_max():
 
 @pytest.mark.parametrize("kind", LIFTED_KINDS)
 def test_reported_params_lie_in_the_search_box(lifted_solves, kind):
-    # log c3 is checked as c3 against the exp of its bounds, the range the
-    # inner c3 solve works in
-    _, (b_lo, b_hi), (_, nu1_hi), (_, nu2_hi) = lc.SEARCH_BOX
+    (c3_lo, c3_hi), (b_lo, b_hi), (_, nu1_hi), (_, nu2_hi) = lc.SEARCH_BOX
     for alpha in TABLE_ALPHAS:
         p = lifted_solves[kind, alpha][0].params_at_optimum
-        assert lc.C3_MIN <= p.c3 <= lc.C3_MAX, (alpha, p)
+        assert c3_lo <= p.c3 <= c3_hi, (alpha, p)
         assert b_lo <= p.b <= b_hi, (alpha, p)
         assert 0.0 <= p.nu1 <= nu1_hi and 0.0 <= p.nu2 <= nu2_hi, (alpha, p)
 

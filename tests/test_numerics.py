@@ -185,20 +185,26 @@ def test_minimize_never_worse_than_start():
         assert fun <= rosen(x0) + 1e-12
 
 
+LOG_C3_MAX = math.log(lc.C3_MAX)
+
+
 def lifted_problem(kind, alpha, beta, b_max=lc.B_MAX):
-    """The lifted total of one kind over [log c3, b, nu...] and its box: the
-    problem with c3 as one more simplex coordinate, a harder bounded test
-    problem than the lifted probes' own, where c3 is solved exactly.  inf
-    outside the convergent domain and where the total is not finite."""
+    """The lifted total of one kind over x = [log c3, b, nu...] and its box:
+    the problem with c3 as one more simplex coordinate, a harder bounded
+    test problem than the lifted probes' own, where c3 is solved exactly.
+    inf outside the convergent domain and where the total is not finite."""
     spec = lc.kind_table()[kind].lifted
-    bounds = list(lc.SEARCH_BOX[:2 + spec.n_extra])
-    bounds[1] = (lc.B_MIN, b_max)
+    bounds = [(math.log(lc.C3_MIN), LOG_C3_MAX), (lc.B_MIN, b_max),
+              *lc.SEARCH_BOX[2:2 + spec.n_extra]]
 
     def f(x):
         if not 0.0 < x[1] < 0.5:
             return math.inf
+        c3 = math.exp(x[0])
+        params = lc.LiftParams(c3=c3, gamma=c3 / (4.0 * x[1]), nu1=x[2],
+                               nu2=x[3] if len(x) > 3 else 0.0)
         try:
-            val = lc.lifted_total(spec, lc.x_to_params(x), alpha, beta)
+            val = lc.lifted_total(spec, params, alpha, beta)
         except ConstraintViolatedError:  # b within rounding of 1/2
             return math.inf
         return val if math.isfinite(val) else math.inf
@@ -242,9 +248,9 @@ def test_nelder_mead_never_above_start_on_the_c3_and_b_corner():
     # the lifted walks start on LOG_C3_MAX and B_MAX, where the initial
     # simplex reflects its scaled vertices back into the box
     cases = [
-        ("sectional", 0.999, 0.48, [lc.LOG_C3_MAX, 0.49, 0.03]),
-        ("strong", 0.999, 0.23, [lc.LOG_C3_MAX, 0.49, 0.03, 0.04]),
-        ("strong_nonneg", 0.999, 0.47, [lc.LOG_C3_MAX, lc.B_MAX, 0.002, 0.0026]),
+        ("sectional", 0.999, 0.48, [LOG_C3_MAX, 0.49, 0.03]),
+        ("strong", 0.999, 0.23, [LOG_C3_MAX, 0.49, 0.03, 0.04]),
+        ("strong_nonneg", 0.999, 0.47, [LOG_C3_MAX, lc.B_MAX, 0.002, 0.0026]),
     ]
     for kind, alpha, beta, x0 in cases:
         f, bounds = lifted_problem(kind, alpha, beta)
@@ -402,7 +408,7 @@ def seeded_contract_problems():
                  for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0])]
     for kind, x0, b_max in [("sectional", [0.5, 0.48, 1.0], 0.9),
                             ("strong_nonneg", [1.0, 0.7, 0.5, 2.0], 0.9),
-                            ("strong", [lc.LOG_C3_MAX, 0.49, 0.03, 0.04], lc.B_MAX)]:
+                            ("strong", [LOG_C3_MAX, 0.49, 0.03, 0.04], lc.B_MAX)]:
         f, bounds = lifted_problem(kind, 0.7 if b_max == 0.9 else 0.999, 0.1, b_max)
         problems.append((lambda f=f: f, x0, bounds, 600))
     for seed, kind in enumerate(("sectional", "strong", "strong_nonneg")):

@@ -15,12 +15,12 @@ def test_closed_forms_match_the_oracle_over_the_optimizer_box():
     report = run_parity_audit(samples=200, seed=0)
     assert report.passed, report.failures()[:3]
     for kind, spec in AUDITED.items():
-        xs = [(math.log(r.params.c3), r.params.b, r.params.nu1, r.params.nu2)
+        xs = [(r.params.c3, r.params.b, r.params.nu1, r.params.nu2)
               for r in report.records if r.kind == kind]
         assert len(xs) == 200
         box = SEARCH_BOX[:2 + spec.n_extra]
         assert all(lo <= v <= hi for x in xs for v, (lo, hi) in zip(x, box))
-        assert max(x[0] for x in xs) > math.log(100.0)
+        assert max(x[0] for x in xs) > 100.0
         assert min(0.5 - x[1] for x in xs) < 1e-4
         assert max(x[2] for x in xs) > 7.0
         assert spec.n_extra == 1 or max(x[3] for x in xs) > 100.0

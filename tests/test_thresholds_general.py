@@ -55,6 +55,15 @@ def test_sectional_direct_trivials():
     assert abs(tg.sectional_set_term_direct(0.1, 0.0) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.2, 1.5, -0.1, math.nan])
+def test_sectional_margins_refuse_beta_outside_the_unit_interval(beta):
+    # as the strong kinds do through their crossovers; the cold lifted
+    # margin refuses before its walk starts
+    for margin in (tg.sectional_margin_direct, tg.sectional_margin_lifted):
+        with pytest.raises(DomainError, match="beta must lie in"):
+            margin(0.5, beta)
+
+
 def test_sectional_direct_boundary_at_table_value():
     # at the direct threshold for alpha=0.3 the minimized term hits sqrt(0.3)
     val, nu = tg.sectional_direct_minimum(0.0481)
@@ -154,8 +163,7 @@ def test_oracle_small_c3_limit_matches_direct():
     direct, nu = tg.sectional_direct_minimum(beta)
     gamma = direct / 2.0
     params = LiftParams(c3=3e-5, gamma=gamma, nu1=nu)
-    term = exp_set_term_oracle(tg.sectional_integrand, params, beta,
-                               rel_tol=1e-12)
+    term = exp_set_term_oracle(tg.sectional_integrand, params, beta)
     assert abs(term - direct) <= 1e-4
 
 

@@ -206,8 +206,7 @@ def test_mirror_invariance_of_expectation():
         flipped = tuple(
             ExpPiece(weight=pc.weight,
                      t=(lambda h, f=pc.t: f(-h)),
-                     breakpoints=tuple(-b for b in pc.breakpoints),
-                     half_width=pc.half_width)
+                     breakpoints=tuple(-b for b in pc.breakpoints))
             for pc in pieces
         )
         return linear, flipped
