@@ -302,13 +302,15 @@ def _verify_weak(args, config: Config) -> dict:
             ok = rep.recovered
             trials_out.append({"seed": int(s), "recovered": ok,
                                "iterations": rep.solver_iterations,
-                               "rel_error": fnum(rep.rel_error)})
+                               "rel_error": fnum(rep.rel_error),
+                               "decided_by": rep.decided_by})
             iters.append(rep.solver_iterations)
         except L1LabError as exc:
             ok = False
             trials_out.append({"seed": int(s), "recovered": False,
                                "error": str(exc)})
         hits += int(ok)
+    decided = [row.get("decided_by") for row in trials_out]
     return {
         "mode": "weak", "alpha": fnum(args.alpha), "beta": fnum(args.beta),
         "n": n, "m": m, "k": k, "trials": trials, "seed": args.seed,
@@ -316,6 +318,8 @@ def _verify_weak(args, config: Config) -> dict:
         "solver_stats": {
             "mean_iterations": fnum(np.mean(iters)) if iters else None,
             "max_iterations": int(max(iters)) if iters else None,
+            "certified": decided.count("certificate"),
+            "tolerance": decided.count("tolerance"),
         },
         "per_trial": trials_out,
     }

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 
 from .errors import DomainError
@@ -33,8 +34,16 @@ class Config:
         if not (math.isfinite(self.feasibility_margin) and self.feasibility_margin >= 0):
             raise DomainError("feasibility_margin must be finite and >= 0, "
                               f"got {self.feasibility_margin}")
-        if self.jobs is not None and self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1 (or unset for all cores), got {self.jobs}")
+        if not (math.isfinite(self.recovery_tol) and self.recovery_tol >= 0):
+            raise DomainError(f"recovery_tol must be finite and >= 0, got {self.recovery_tol}")
+        if not (math.isfinite(self.bp_tol) and self.bp_tol > 0):
+            raise DomainError(f"bp_tol must be finite and > 0, got {self.bp_tol}")
+        if not (isinstance(self.bp_max_iter, numbers.Integral) and self.bp_max_iter >= 1):
+            raise DomainError(f"bp_max_iter must be an integer >= 1, got {self.bp_max_iter!r}")
+        if self.jobs is not None and not (isinstance(self.jobs, numbers.Integral)
+                                          and self.jobs >= 1):
+            raise DomainError("jobs must be an integer >= 1 (or unset for all cores), "
+                              f"got {self.jobs!r}")
 
     def effective_jobs(self) -> int:
         return self.jobs or os.cpu_count() or 1
@@ -44,8 +53,13 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
 
 
 def _coerce(name, raw):
-    """int or float by the field's declared type ("int", "int | None", ...)."""
-    return (int if _FIELD_TYPES[name].startswith("int") else float)(raw.strip())
+    """int or float by the field's declared type ("int", "int | None", ...);
+    DomainError, naming the field, when raw is not one."""
+    kind = int if _FIELD_TYPES[name].startswith("int") else float
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        raise DomainError(f"{name} must be {kind.__name__}, got {raw.strip()!r}") from None
 
 
 def load_config(overrides: dict | None = None) -> Config:

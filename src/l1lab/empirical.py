@@ -6,8 +6,17 @@ nonnegative), and exact null-space-property oracles at small scale:
 * solve_basis_pursuit is an operator-splitting (ADMM) iteration on the
   equality-constrained l1 program; the x-update projects onto {x: Ax = y}
   through the reduced QR of A^T, the z-update is a (one-sided, when
-  nonnegative) soft threshold.  Its optimality is cross-checked in the
-  tests against an exact LP reformulation.
+  nonnegative) soft threshold.  Every CERT_EVERY iterations it tries a dual
+  certificate (Fuchs 2004; Candes, Romberg & Tao 2006) that the planted x*
+  is the unique minimizer: A_S injective on the support S of x* and some
+  v in range(A^T) with v_S = sign(x*_S), |v_i| < 1 off S (v_i < 1 when
+  nonnegative).  The candidate v is the scaled dual, a subgradient of the
+  l1 term, projected onto {v in range(A^T) : v_S = sign(x*_S)}; a solve
+  still open after CERT_SEARCH_AFTER iterations also tries the v of that
+  face with the smallest max |v_i| off S, from one LP.  A proven hit stops
+  there and returns x* itself; otherwise the solve runs to convergence and
+  a tolerance decides.  Its optimality is cross-checked in the tests
+  against an exact LP reformulation.
 
 * sectional/strong null-space oracles decide the exact conditions, with no
   LP, from one enumeration of the vertices of null(A) ∩ B_1 (a convex
@@ -32,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.optimize as sopt
 
 from .config import DEFAULT, Config
 from .errors import DimensionError, DomainError, RankDeficientError, SolverStalledError
@@ -46,6 +56,16 @@ CANDIDATE_CAP = 1_000_000
 # a candidate's sum or one of its entries within it of zero counts as zero
 MARGIN_SLACK = 1e-9
 _BATCH_ELEMS = 1 << 20     # floats per level batch of the vertex enumeration
+
+# basis pursuit tries the dual certificate every CERT_EVERY iterations and on
+# the one that converges, and searches the face once at CERT_SEARCH_AFTER
+# (past every hit the dual certifies and almost every l1 cutoff at n = 200);
+# it accepts when |v_S - sign(x*_S)| <= _CERT_FACE_TOL and max |v_i| off the
+# support < 1 - _CERT_MARGIN, a strict margin far above the rounding of v
+CERT_EVERY = 10
+CERT_SEARCH_AFTER = 1000
+_CERT_FACE_TOL = 1e-12
+_CERT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,11 +90,17 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class RecoveryReport:
+    """One basis-pursuit solve.  decided_by says what ended it: "certificate"
+    (x* is proven the unique minimizer and `x` is x*), "l1_cutoff" (a
+    feasible point beat x*'s l1 norm, see fail_below_l1) or "tolerance"
+    (convergence, then ||x - x*|| / ||x*|| <= recovery_tol decides)."""
+
     recovered: bool
     rel_error: float
     solver_iterations: int
     residual: float
     x: np.ndarray = field(compare=False, repr=False)
+    decided_by: str = "tolerance"
 
 
 def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
@@ -83,6 +109,7 @@ def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
     nonzero magnitudes |N(0,1)| + 0.5 (bounded away from zero so the
     recovered/failed dichotomy is well separated), uniform signs unless
     nonnegative.  Deterministic in `seed`."""
+    _require_integers(n=n, m=m, k=k)
     if not (0 <= k <= m < n):
         raise DimensionError(f"need 0 <= k <= m < n, got n={n}, m={m}, k={k}")
     rng = np.random.default_rng(seed)
@@ -94,6 +121,18 @@ def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
     x[support] = signs * magnitudes
     return ProblemInstance(A=A, x_true=x, support=support, signs=signs,
                            y=A @ x, seed=seed)
+
+
+def _require_integers(**dims):
+    for name, value in dims.items():
+        if not isinstance(value, (int, np.integer)):
+            raise DimensionError(f"need an integer {name}, got {value!r}")
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"need a finite {name}, got {value}")
 
 
 def _norm(v):
@@ -123,7 +162,8 @@ def _row_qr(A: np.ndarray, mode: str):
 
 
 def _affine_projector(A: np.ndarray, y: np.ndarray):
-    """The Euclidean projection onto {x : Ax = y} as a closure.
+    """(project, Q): the Euclidean projection onto {x : Ax = y} as a closure,
+    and the orthonormal basis Q of range(A^T) it projects with.
 
     With the reduced QR A^T = QR of _row_qr (Q n x m with orthonormal
     columns), A^T (A A^T)^-1 (Av - y) = Q (Q^T v - c) where c = R^-T y, so
@@ -135,7 +175,63 @@ def _affine_projector(A: np.ndarray, y: np.ndarray):
     def project(v):
         return v - Q @ (Qt @ v - c)
 
-    return project
+    return project, Q
+
+
+def _dual_certificate(Q: np.ndarray, inst: ProblemInstance, nonneg: bool):
+    """(certifies, search) for the planted x* (support S and signs s read
+    from the nonzeros of inst.x_true): `certifies(g)` is True when g,
+    projected onto the face {v in range(Q) : v_S = s}, is a dual
+    certificate, which proves x* the unique minimizer of the basis-pursuit
+    program; `search()` is certifies() of the face point with the smallest
+    max |v_i| off S (max v_i when nonneg).  None when no certificate can
+    apply: y is not A x*, x* has a negative entry under nonneg, or A_S is
+    not injective.
+
+    rank A_S = rank Q_S, and with Q_S^T = Q' R' the projection in the
+    coordinates t of v = Q t is the affine projection onto {t : Q_S t = s},
+    built once by _affine_projector (whose rank check refuses a
+    non-injective A_S); a check is then four matrix-vector products.  The
+    search is one LP over t = t0 + N r, N a null basis of Q_S: it only
+    proposes v, and certifies() decides."""
+    A, x, y = inst.A, inst.x_true, inst.y
+    if not _norm(A @ x - y) <= 1e-12 * max(_norm(y), 1.0):
+        return None
+    if nonneg and not x.min() >= 0.0:
+        return None
+    S = np.flatnonzero(x)
+    s = np.sign(x[S])
+    try:
+        to_face = _affine_projector(Q[S], s)[0]
+    except RankDeficientError:
+        return None
+    off = np.ones(len(x), dtype=bool)
+    off[S] = False
+    Qt = Q.T
+
+    def certifies(g):
+        v = Q @ to_face(Qt @ g)
+        if not np.abs(v[S] - s).max(initial=0.0) <= _CERT_FACE_TOL:
+            return False
+        rest = v[off] if nonneg else np.abs(v[off])
+        return bool(rest.max(initial=0.0) < 1.0 - _CERT_MARGIN)
+
+    def search():
+        # minimize tau over (r, tau >= 0) with -tau <= b + M r <= tau
+        # (the lower side dropped when nonneg), b + M r = v_off
+        t0 = to_face(np.zeros(Q.shape[1]))
+        N = _null_basis(Q[S])
+        M, b = Q[off] @ N, Q[off] @ t0
+        sides = (1.0,) if nonneg else (1.0, -1.0)
+        A_ub = np.vstack([np.hstack([side * M, -np.ones((len(b), 1))]) for side in sides])
+        b_ub = np.concatenate([-side * b for side in sides])
+        cost = np.zeros(N.shape[1] + 1)
+        cost[-1] = 1.0
+        res = sopt.linprog(cost, A_ub=A_ub, b_ub=b_ub, method="highs",
+                           bounds=[(None, None)] * N.shape[1] + [(0.0, None)])
+        return res.status == 0 and certifies(Q @ (t0 + N @ res.x[:-1]))
+
+    return certifies, search
 
 
 def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
@@ -151,30 +247,44 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     NaN or an infinity and RankDeficientError when A is numerically row-rank
     deficient.  The report carries the returned point as `x`.
 
-    fail_below_l1 is an opt-in early-exit certificate for recovery-rate
-    experiments: the x iterate is exactly feasible at every step, so once
-    its l1 norm drops below the planted vector's, the planted vector is
-    provably not the optimum and the trial can stop as a miss without
-    waiting for full convergence.  The returned point is then feasible but
-    not optimal; leave the parameter None whenever the minimizer itself is
-    wanted.
+    Every CERT_EVERY iterations, and on the one that converges, the scaled
+    dual rho*u (a subgradient of the l1 term at z) is tested as a dual
+    certificate of inst.x_true (_dual_certificate); at iteration
+    CERT_SEARCH_AFTER the best candidate of the face is tested once, for
+    the nearly degenerate hits whose dual iterates approach every strict
+    certificate from outside.  When a test proves x* the unique minimizer
+    the solve stops there and returns x = x*, rel_error 0 and decided_by
+    "certificate": the exact minimizer, so the check is always on.  It never applies when y is not A x*, when x* has a negative
+    entry under nonneg or when A is not injective on the support of x*;
+    without it the convergence and tolerance rule decides ("tolerance").
+
+    fail_below_l1 is an opt-in early-exit certificate of a miss for
+    recovery-rate experiments: the x iterate is exactly feasible at every
+    step, so once its l1 norm drops below the planted vector's, the planted
+    vector is provably not the optimum and the trial can stop as a miss
+    ("l1_cutoff") without waiting for full convergence.  The returned point
+    is then feasible but not optimal; leave the parameter None whenever the
+    minimizer itself is wanted.
     """
     A, y = inst.A, inst.y
     if not np.isfinite(y).all():
         raise DomainError("the measurement vector y has a non-finite entry")
     n = A.shape[1]
     tol = config.bp_tol
-    project = _affine_projector(A, y)
+    project, Q = _affine_projector(A, y)
+    certifies, search = _dual_certificate(Q, inst, nonneg) or (None, None)
     x = project(np.zeros(n))        # least-norm feasible point
     z = x.copy()
     u = np.zeros(n)
     rho = 1.0
     relax = 1.8
     scale = max(1.0, float(np.linalg.norm(x)))
+    decided_by = "tolerance"
     for it in range(1, config.bp_max_iter + 1):
         x_new = project(z - u)
         if fail_below_l1 is not None and float(np.abs(x_new).sum()) < fail_below_l1:
             z = x_new
+            decided_by = "l1_cutoff"
             break
         x_relaxed = relax * x_new + (1.0 - relax) * z
         w = x_relaxed + u
@@ -186,7 +296,13 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
         dual = rho * _norm(z_new - z)
         u = w - z_new
         z = z_new
-        if primal <= tol * scale and dual <= tol * scale:
+        converged = primal <= tol * scale and dual <= tol * scale
+        if certifies is not None and (
+                (converged or it % CERT_EVERY == 0) and certifies(rho * u)
+                or it == CERT_SEARCH_AFTER and search()):
+            decided_by = "certificate"
+            break
+        if converged:
             break
         if it % 50 == 0:  # residual balancing keeps rho in a useful range
             if primal > 10.0 * dual:
@@ -200,7 +316,9 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
             f"basis pursuit did not reach tol={tol} within {config.bp_max_iter} iterations"
         )
 
-    x_hat = project(z)  # exactly feasible, sparse up to the solver tolerance
+    # the proven minimizer, or a point exactly feasible and sparse up to the
+    # solver tolerance
+    x_hat = inst.x_true.copy() if decided_by == "certificate" else project(z)
     denom = float(np.linalg.norm(inst.x_true))
     err = float(np.linalg.norm(x_hat - inst.x_true))
     rel_error = err / denom if denom > 0 else float(np.linalg.norm(x_hat))
@@ -211,6 +329,7 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
         solver_iterations=it,
         residual=residual,
         x=x_hat,
+        decided_by=decided_by,
     )
 
 
@@ -227,6 +346,8 @@ def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
     Solver failures (stall, rank deficiency) count as failed recoveries with
     a warning; they do not abort the experiment.
     """
+    _require_finite(alpha=alpha, beta=beta)
+    _require_integers(n=n)
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError(f"need an integer trials >= 1, got {trials!r}")
     m = int(round(alpha * n))
@@ -262,6 +383,7 @@ def fifty_percent_alpha(beta: float, n: int, trials: int, nonneg: bool = False,
                         config: Config = DEFAULT) -> float:
     """Monte Carlo estimate of the 50%-recovery alpha at fixed beta, by
     bisection over alpha with common per-probe randomness."""
+    _require_finite(beta=beta)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionError(f"need an integer n >= 1, got {n!r}")
     if not isinstance(trials, (int, np.integer)) or trials < 1:

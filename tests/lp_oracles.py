@@ -1,9 +1,10 @@
-"""LP forms of the null-space properties: the references the vertex
-enumeration of l1lab.empirical is checked against.
+"""LP forms of basis pursuit and of the null-space properties: the
+references the ADMM solver and the vertex enumeration of l1lab.empirical
+are checked against.
 
-lp_support_holds decides one support by one LP on A per sign pattern,
-basis_support_holds by LPs over a null-space basis; neither shares code
-with the enumeration.
+lp_basis_pursuit solves the l1 program itself; lp_support_holds decides one
+support by one LP on A per sign pattern, basis_support_holds by LPs over a
+null-space basis; none shares code with the library.
 """
 
 import itertools
@@ -13,6 +14,21 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 _LP_SLACK = 1e-9
+
+
+def lp_basis_pursuit(A, y, nonneg=False):
+    """Exact LP reformulation (split x = u - v, u, v >= 0): the oracle the
+    operator-splitting solver is checked against."""
+    m, n = A.shape
+    if nonneg:
+        res = linprog(np.ones(n), A_eq=A, b_eq=y, bounds=[(0, None)] * n,
+                      method="highs")
+        assert res.status == 0
+        return res.x
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([A, -A]), b_eq=y,
+                  bounds=[(0, None)] * (2 * n), method="highs")
+    assert res.status == 0
+    return res.x[:n] - res.x[n:]
 
 
 def lp_support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:

@@ -72,6 +72,19 @@ def test_bad_config_file_exits_2(tmp_path, monkeypatch, capsys, line, method):
     assert err.startswith("config error:") and line.split()[0] in err
 
 
+@pytest.mark.parametrize("line", ["bp_tol = 0", "bp_tol = nan", "recovery_tol = nan",
+                                  "bp_max_iter = 0", "jobs = 2.5"])
+def test_bad_solver_config_exits_2(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.setattr(cli.empirical, "solve_basis_pursuit", no_solve)
+    cfg = tmp_path / "l1lab.cfg"
+    cfg.write_text(line + "\n")
+    monkeypatch.setenv("L1LAB_CONFIG", str(cfg))
+    code, out, err = run_cli(["verify", "--mode", "weak", "--alpha", "0.5", "--beta", "0.1",
+                              "--n", "40", "--trials", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and line.split()[0] in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2(monkeypatch, capsys, jobs):
     monkeypatch.setattr(cli, "threshold_bisect", no_solve)
@@ -419,6 +432,28 @@ def test_verify_weak_deterministic(capsys):
     assert payload["m"] == 36 and payload["k"] == 4
     assert len(payload["per_trial"]) == 5
     assert 0.0 <= payload["rate"] <= 1.0
+
+
+def test_verify_weak_reports_what_decided_each_trial(capsys):
+    # far above the weak curve every hit is certified; far below, a solve
+    # converges to a point other than x* and a tolerance decides, or stalls
+    # (an error, decided by nothing)
+    for alpha, decided_by, rate in (("0.9", "certificate", 1.0), ("0.3", "tolerance", 0.0)):
+        code, out, _ = run_cli(["verify", "--mode", "weak", "--alpha", alpha, "--beta", "0.2",
+                                "--n", "40", "--trials", "4", "--seed", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rate"] == rate
+        trials = payload["per_trial"]
+        decided = [t for t in trials if "error" not in t]
+        assert len(decided) >= 3
+        assert all(t["decided_by"] == decided_by for t in decided)
+        assert all("decided_by" not in t for t in trials if "error" in t)
+        stats = payload["solver_stats"]
+        assert stats["certified" if decided_by == "certificate" else "tolerance"] == len(decided)
+        assert stats["certified"] + stats["tolerance"] == len(decided)
+        if decided_by == "certificate":
+            assert all(t["rel_error"] == 0.0 and t["iterations"] % 10 == 0 for t in decided)
 
 
 def test_verify_strong_small(capsys):

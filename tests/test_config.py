@@ -65,3 +65,25 @@ def test_bad_search_settings_rejected(tmp_path, monkeypatch, field, value):
 def test_search_settings_at_their_limits_accepted():
     cfg = Config(tol_beta=1e-5, feasibility_margin=0.0)
     assert (cfg.tol_beta, cfg.feasibility_margin) == (1e-5, 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bp_tol", 0.0), ("bp_tol", -1e-7), ("bp_tol", float("nan")), ("bp_tol", float("inf")),
+    ("recovery_tol", float("nan")), ("recovery_tol", float("inf")), ("recovery_tol", -1e-5),
+    ("bp_max_iter", 0), ("bp_max_iter", -5), ("bp_max_iter", 2.5), ("jobs", 2.5),
+])
+def test_bad_solver_settings_rejected(tmp_path, monkeypatch, field, value):
+    # each of these used to be accepted: a solve that cannot converge, a
+    # decision that is always a miss, or a fractional count
+    with pytest.raises(DomainError, match=field):
+        Config(**{field: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {value}\n")
+    monkeypatch.setenv(ENV_VAR, str(path))
+    with pytest.raises(DomainError, match=field):
+        load_config()
+
+
+def test_solver_settings_at_their_limits_accepted():
+    cfg = Config(recovery_tol=0.0, bp_max_iter=1, bp_tol=5e-324, jobs=1)
+    assert (cfg.recovery_tol, cfg.bp_max_iter, cfg.bp_tol, cfg.jobs) == (0.0, 1, 5e-324, 1)

@@ -6,29 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from lp_oracles import basis_support_holds, lp_strong_holds, lp_support_holds
+from lp_oracles import (basis_support_holds, lp_basis_pursuit, lp_strong_holds,
+                        lp_support_holds)
 from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from l1lab import empirical as emp
 from l1lab import weak_alpha_of_beta, weak_nonneg_alpha_of_beta
 from l1lab.config import DEFAULT, Config
 from l1lab.errors import DimensionError, DomainError, RankDeficientError
-
-
-def lp_basis_pursuit(A, y, nonneg=False):
-    """Exact LP reformulation (split x = u - v, u, v >= 0): the oracle the
-    operator-splitting solver is checked against."""
-    m, n = A.shape
-    if nonneg:
-        res = linprog(np.ones(n), A_eq=A, b_eq=y, bounds=[(0, None)] * n,
-                      method="highs")
-        assert res.status == 0
-        return res.x
-    res = linprog(np.ones(2 * n), A_eq=np.hstack([A, -A]), b_eq=y,
-                  bounds=[(0, None)] * (2 * n), method="highs")
-    assert res.status == 0
-    return res.x[:n] - res.x[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +51,9 @@ def test_generate_instance_dimension_errors():
         emp.generate_instance(10, 10, 2, seed=0)  # m == n
     with pytest.raises(DimensionError):
         emp.generate_instance(10, 4, 5, seed=0)  # k > m
+    for n, m, k in [(20, 10, 2.5), (20, 10.0, 2), (20.5, 10, 2)]:
+        with pytest.raises(DimensionError, match="need an integer"):
+            emp.generate_instance(n, m, k, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +95,13 @@ def test_bp_adversarial_instance_fails():
 TIGHT = Config(bp_tol=1e-9)
 
 
+@pytest.fixture
+def no_certificate(monkeypatch):
+    """Plain ADMM: no dual certificate is ever tried."""
+    monkeypatch.setattr(emp, "_dual_certificate", lambda *args: None)
+
+
+@pytest.mark.usefixtures("no_certificate")
 def test_bp_matches_lp_objective():
     # the solver's own point reaches the LP optimum within 1e-7
     for seed in range(6):
@@ -117,6 +112,7 @@ def test_bp_matches_lp_objective():
         assert np.linalg.norm(inst.A @ rep.x - inst.y) <= 1e-12 * np.linalg.norm(inst.y)
 
 
+@pytest.mark.usefixtures("no_certificate")
 def test_bp_nonneg_matches_lp():
     for seed in range(4):
         inst = emp.generate_instance(24, 14, 4, nonneg=True, seed=seed)
@@ -156,7 +152,8 @@ def test_affine_projector_is_the_pseudoinverse_projection(m, n):
     rng = np.random.default_rng(m * n)
     A = rng.standard_normal((m, n))
     y = rng.standard_normal(m)
-    project = emp._affine_projector(A, y)
+    project, Q = emp._affine_projector(A, y)
+    assert np.array_equal(Q, emp._row_qr(A, "reduced")[0])
     for _ in range(3):
         v = 3.0 * rng.standard_normal(n)
         p = project(v)
@@ -195,9 +192,9 @@ def test_bp_rejects_a_rank_deficient_matrix_before_iterating(monkeypatch, make_d
 
 
 # (nonneg, alpha offset from the weak curve, trial) -> (recovered, iterations)
-# at n = 200, beta = 0.1, solved as weak_recovery_rate solves them.  A change
-# to the projection that moves any of these changes the solver's behaviour,
-# not just its speed.
+# at n = 200, beta = 0.1, solved as weak_recovery_rate solves them but with
+# no dual certificate: plain ADMM.  A change to the projection that moves any
+# of these changes the solver's behaviour, not just its speed.
 PINNED_SOLVES = {
     (False, -0.08, 0): (False, 13),
     (False, -0.08, 1): (False, 22),
@@ -214,17 +211,236 @@ PINNED_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("nonneg, offset, trial", sorted(PINNED_SOLVES))
-def test_bp_pinned_decisions_and_iterations(nonneg, offset, trial):
-    n, beta = 200, 0.1
+# the same solves with the certificate on: (recovered, iterations, decided_by)
+PINNED_CERTIFIED = {
+    (False, -0.08, 0): (False, 13, "l1_cutoff"),
+    (False, -0.08, 1): (False, 22, "l1_cutoff"),
+    (False, -0.08, 2): (False, 26, "l1_cutoff"),
+    (False, 0.08, 0): (True, 10, "certificate"),
+    (False, 0.08, 1): (True, 10, "certificate"),
+    (False, 0.08, 2): (True, 10, "certificate"),
+    (True, -0.08, 0): (False, 7, "l1_cutoff"),
+    (True, -0.08, 1): (False, 3, "l1_cutoff"),
+    (True, -0.08, 2): (False, 3, "l1_cutoff"),
+    (True, 0.08, 0): (True, 20, "certificate"),
+    (True, 0.08, 1): (True, 10, "certificate"),
+    (True, 0.08, 2): (True, 20, "certificate"),
+}
+
+
+def _weak_trial(nonneg, offset, seed, n=200, beta=0.1):
+    # one solve at alpha_w(beta) + offset, as weak_recovery_rate solves it
     alpha = (weak_nonneg_alpha_of_beta if nonneg else weak_alpha_of_beta)(beta) + offset
-    seed = int(emp.trial_seeds(77, 3)[trial])
     inst = emp.generate_instance(n, int(round(alpha * n)), int(round(beta * n)),
                                  nonneg=nonneg, seed=seed)
     cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
-    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg, config=replace(DEFAULT, bp_max_iter=8000),
-                                  fail_below_l1=cutoff)
+    return emp.solve_basis_pursuit(inst, nonneg=nonneg, config=replace(DEFAULT, bp_max_iter=8000),
+                                   fail_below_l1=cutoff)
+
+
+@pytest.mark.usefixtures("no_certificate")
+@pytest.mark.parametrize("nonneg, offset, trial", sorted(PINNED_SOLVES))
+def test_bp_pinned_decisions_and_iterations(nonneg, offset, trial):
+    rep = _weak_trial(nonneg, offset, int(emp.trial_seeds(77, 3)[trial]))
     assert (rep.recovered, rep.solver_iterations) == PINNED_SOLVES[nonneg, offset, trial]
+
+
+@pytest.mark.parametrize("nonneg, offset, trial", sorted(PINNED_CERTIFIED))
+def test_bp_pinned_certified_decisions(nonneg, offset, trial):
+    rep = _weak_trial(nonneg, offset, int(emp.trial_seeds(77, 3)[trial]))
+    assert (rep.recovered, rep.solver_iterations, rep.decided_by) == \
+        PINNED_CERTIFIED[nonneg, offset, trial]
+
+
+def test_certificate_keeps_every_decision(monkeypatch):
+    # 24 solves around the weak curve: the same decisions with the
+    # certificate on and off, and every hit is certified
+    cases = [(nonneg, offset, int(seed)) for nonneg in (False, True)
+             for offset in (-0.08, 0.04, 0.08) for seed in emp.trial_seeds(5, 4)]
+    on = [_weak_trial(*case) for case in cases]
+    monkeypatch.setattr(emp, "_dual_certificate", lambda *args: None)
+    off = [_weak_trial(*case) for case in cases]
+    assert [r.recovered for r in on] == [r.recovered for r in off]
+    assert sum(r.recovered for r in on) >= 8
+    assert all(r.decided_by == ("certificate" if r.recovered else "l1_cutoff") for r in on)
+    assert all(a.solver_iterations < b.solver_iterations for a, b in zip(on, off) if a.recovered)
+
+
+# ---------------------------------------------------------------------------
+# the dual certificate
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def certificate_cases():
+    """(instance, nonneg, report or None on a stall, LP minimizer) for 108
+    instances: 18 seeds at 3 shapes (n = 24..60) near the weak curve of each
+    sign model, solved with no l1 cutoff, so a miss is checked for a
+    certificate every CERT_EVERY iterations and by the face search at
+    CERT_SEARCH_AFTER, up to its budget."""
+    shapes = {False: [(24, 12, 4), (40, 20, 7), (60, 30, 11)],
+              True: [(24, 12, 7), (40, 20, 11), (60, 30, 17)]}
+    config = replace(DEFAULT, bp_max_iter=8000)
+    cases = []
+    for nonneg, sizes in shapes.items():
+        for n, m, k in sizes:
+            for seed in range(18):
+                inst = emp.generate_instance(n, m, k, nonneg=nonneg, seed=1000 * n + seed)
+                try:
+                    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg, config=config)
+                except emp.SolverStalledError:
+                    rep = None
+                cases.append((inst, nonneg, rep, lp_basis_pursuit(inst.A, inst.y, nonneg=nonneg)))
+    return cases
+
+
+def test_a_certified_solve_is_the_lp_minimizer(certificate_cases, monkeypatch):
+    certified = [(inst, nonneg) for inst, nonneg, rep, x_lp in certificate_cases
+                 if rep is not None and rep.decided_by == "certificate"]
+    assert len(certified) >= 50
+    for inst, nonneg, rep, x_lp in certificate_cases:
+        if rep is not None and rep.decided_by == "certificate":
+            assert rep.recovered and rep.rel_error == 0.0
+            assert np.array_equal(rep.x, inst.x_true) and rep.x is not inst.x_true
+            assert np.abs(rep.x - x_lp).max() <= 1e-7
+    # plain ADMM reaches the same verdict on every certified instance
+    monkeypatch.setattr(emp, "_dual_certificate", lambda *args: None)
+    for inst, nonneg in certified:
+        rep = emp.solve_basis_pursuit(inst, nonneg=nonneg)
+        assert rep.recovered and rep.decided_by == "tolerance"
+
+
+def test_no_certificate_when_the_lp_beats_the_planted_vector(certificate_cases):
+    beaten = [rep for inst, nonneg, rep, x_lp in certificate_cases
+              if np.abs(x_lp).sum() < (1.0 - 1e-9) * np.abs(inst.x_true).sum()]
+    assert len(beaten) >= 30
+    assert all(rep is None or (rep.decided_by == "tolerance" and not rep.recovered)
+               for rep in beaten)
+
+
+def test_the_face_search_decides_like_the_lp(certificate_cases):
+    # the LP-proposed candidate certifies every instance the dual iterates
+    # certified and none that the LP minimizer beats
+    searched = {True: 0, False: 0}
+    for inst, nonneg, rep, x_lp in certificate_cases:
+        beaten = np.abs(x_lp).sum() < (1.0 - 1e-9) * np.abs(inst.x_true).sum()
+        certified = rep is not None and rep.decided_by == "certificate"
+        if beaten or certified:
+            Q = emp._affine_projector(inst.A, inst.y)[1]
+            found = emp._dual_certificate(Q, inst, nonneg)[1]()
+            assert found == certified
+            searched[found] += 1
+    assert searched[True] >= 50 and searched[False] >= 30
+
+
+def test_the_face_search_certifies_a_nearly_degenerate_hit(monkeypatch):
+    # x* is the LP minimizer and the best certificate has max v_off =
+    # 1 - 7.7e-6; the dual iterates stay just outside it, so plain ADMM
+    # stalls at the Monte Carlo budget and the search certifies the hit
+    inst = emp.generate_instance(200, 61, 20, nonneg=True, seed=2798641990805214926)
+    config = replace(DEFAULT, bp_max_iter=8000)
+    rep = emp.solve_basis_pursuit(inst, nonneg=True, config=config)
+    assert (rep.recovered, rep.decided_by, rep.solver_iterations) == \
+        (True, "certificate", emp.CERT_SEARCH_AFTER)
+    assert np.abs(rep.x - lp_basis_pursuit(inst.A, inst.y, nonneg=True)).max() <= 1e-7
+    monkeypatch.setattr(emp, "_dual_certificate", lambda *args: None)
+    with pytest.raises(emp.SolverStalledError):
+        emp.solve_basis_pursuit(inst, nonneg=True, config=config)
+
+
+def _certified_instance(nonneg=False):
+    inst = emp.generate_instance(40, 24, 4, nonneg=nonneg, seed=3)
+    assert emp.solve_basis_pursuit(inst, nonneg=nonneg).decided_by == "certificate"
+    return inst
+
+
+def _refuses(inst, nonneg=False):
+    # no certificate is built for inst, and its solve is not certified
+    Q = emp._affine_projector(inst.A, inst.A @ inst.x_true)[1]
+    if emp._dual_certificate(Q, inst, nonneg) is not None:
+        return False
+    try:
+        rep = emp.solve_basis_pursuit(inst, nonneg=nonneg)
+    except emp.SolverStalledError:
+        return True
+    return rep.decided_by != "certificate"
+
+
+def test_no_certificate_for_a_duplicated_support_column():
+    # x* moves freely between two equal columns of the same sign, so it is
+    # no unique minimizer, though a v with v_S = s and |v_off| < 1 may exist
+    inst = _certified_instance()
+    A = inst.A.copy()
+    i, j = inst.support[:2]
+    A[:, j] = A[:, i]
+    x = inst.x_true.copy()
+    x[j] = abs(x[j]) * np.sign(x[i])
+    assert _refuses(replace(inst, A=A, x_true=x, signs=np.sign(x[inst.support]), y=A @ x))
+
+
+def test_no_certificate_when_y_is_not_a_x_true():
+    inst = _certified_instance()
+    y = inst.y + 1e-6 * np.random.default_rng(0).standard_normal(len(inst.y))
+    assert _refuses(replace(inst, y=y))
+    rep = emp.solve_basis_pursuit(replace(inst, y=y))
+    assert np.linalg.norm(inst.A @ rep.x - y) <= 1e-10
+
+
+def test_no_certificate_for_a_negative_entry_under_nonneg():
+    # x* with one negative entry is certified as a general-sign solution,
+    # but it is not feasible for the nonnegative program
+    inst = _certified_instance(nonneg=True)
+    x = inst.x_true.copy()
+    x[inst.support[0]] *= -1.0
+    flipped = replace(inst, x_true=x, signs=np.sign(x[inst.support]), y=inst.A @ x)
+    assert emp.solve_basis_pursuit(flipped).decided_by == "certificate"
+    assert _refuses(flipped, nonneg=True)
+
+
+def test_no_certificate_when_v_misses_the_support_signs(monkeypatch):
+    # nudge the face projection so that v_S[0] is 2e-11 off sign(x*_S[0])
+    inst = _certified_instance()
+    real = emp._affine_projector
+
+    def nudged(A, y):
+        project, Q = real(A, y)
+        if A.shape == inst.A.shape:
+            return project, Q
+        shift = 2e-11 * A[0] / (A[0] @ A[0])
+        return (lambda t: project(t) + shift), Q
+
+    monkeypatch.setattr(emp, "_affine_projector", nudged)
+    rep = emp.solve_basis_pursuit(inst)
+    assert rep.recovered and rep.decided_by == "tolerance"
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_the_zero_vector_is_certified_at_the_first_check(nonneg):
+    inst = emp.generate_instance(20, 8, 0, nonneg=nonneg, seed=2)
+    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg)
+    assert (rep.recovered, rep.decided_by, rep.solver_iterations) == (True, "certificate", 1)
+    assert rep.rel_error == 0.0 and not rep.x.any()
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_a_square_system_with_a_full_support_is_certified(nonneg):
+    # no coordinate lies off the support; x* is the only feasible point
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6))
+    x = np.abs(rng.standard_normal(6)) + 0.5
+    if not nonneg:
+        x *= rng.choice([-1.0, 1.0], size=6)
+    inst = emp.ProblemInstance(A=A, x_true=x, support=np.arange(6), signs=np.sign(x),
+                               y=A @ x, seed=0)
+    rep = emp.solve_basis_pursuit(inst, nonneg=nonneg)
+    assert (rep.recovered, rep.decided_by) == (True, "certificate")
+
+
+def test_the_certificate_reads_the_support_from_x_true():
+    # support and signs fields that disagree with x_true change nothing
+    inst = _certified_instance()
+    wrong = replace(inst, support=inst.support[:1], signs=-inst.signs[:1])
+    rep = emp.solve_basis_pursuit(wrong)
+    assert rep.decided_by == "certificate" and np.array_equal(rep.x, inst.x_true)
 
 
 def test_weak_recovery_rate_deep_regime():
@@ -235,6 +451,27 @@ def test_weak_recovery_rate_deep_regime():
 def test_weak_recovery_rate_validation():
     with pytest.raises(DimensionError):
         emp.weak_recovery_rate(0.5, 0.001, 100, 5, seed=0)  # k rounds to 0
+
+
+@pytest.mark.parametrize("experiment, error", [
+    (lambda: emp.weak_recovery_rate(math.nan, 0.1, 50, 2), DomainError),
+    (lambda: emp.weak_recovery_rate(math.inf, 0.1, 50, 2), DomainError),
+    (lambda: emp.weak_recovery_rate(0.5, math.nan, 50, 2), DomainError),
+    (lambda: emp.weak_recovery_rate(0.5, math.inf, 50, 2), DomainError),
+    (lambda: emp.weak_recovery_rate(0.5, 0.1, 50.5, 2), DimensionError),
+    (lambda: emp.weak_recovery_rate(0.5, 0.1, 50.0, 2), DimensionError),
+    (lambda: emp.fifty_percent_alpha(math.inf, 200, 5), DomainError),
+    (lambda: emp.fifty_percent_alpha(-math.inf, 200, 5), DomainError),
+], ids=["nan-alpha", "inf-alpha", "nan-beta", "inf-beta", "fractional-n", "float-n",
+        "fifty-inf-beta", "fifty-minus-inf-beta"])
+def test_recovery_experiments_refuse_bad_numbers(monkeypatch, experiment, error):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with invalid arguments")
+
+    monkeypatch.setattr(emp, "solve_basis_pursuit", no_solve)
+    monkeypatch.setattr(emp, "generate_instance", no_solve)
+    with pytest.raises(error, match="need a finite|need an integer"):
+        experiment()
 
 
 @pytest.mark.parametrize("experiment", [
