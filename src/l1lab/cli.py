@@ -287,41 +287,30 @@ def cmd_curve(args, config: Config) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_weak(args, config: Config) -> dict:
-    n, trials = args.n, args.trials
-    m = int(round(args.alpha * n))
-    k = int(round(args.beta * n))
-    seeds = empirical.trial_seeds(args.seed, trials)
-    trials_out = []
-    hits = 0
-    iters = []
-    for s in seeds:
-        inst = empirical.generate_instance(n, m, k, nonneg=args.nonneg, seed=int(s))
-        try:
-            rep = empirical.solve_basis_pursuit(inst, nonneg=args.nonneg,
-                                                config=config)
-            ok = rep.recovered
-            trials_out.append({"seed": int(s), "recovered": ok,
-                               "iterations": rep.solver_iterations,
-                               "rel_error": fnum(rep.rel_error),
-                               "decided_by": rep.decided_by})
-            iters.append(rep.solver_iterations)
-        except L1LabError as exc:
-            ok = False
-            trials_out.append({"seed": int(s), "recovered": False,
-                               "error": str(exc)})
-        hits += int(ok)
-    decided = [row.get("decided_by") for row in trials_out]
+    rows = []
+    for inst, out in empirical.weak_trials(args.alpha, args.beta, args.n, args.trials,
+                                           nonneg=args.nonneg, seed=args.seed, config=config):
+        if isinstance(out, L1LabError):
+            rows.append({"seed": inst.seed, "recovered": False, "error": str(out)})
+        else:
+            rows.append({"seed": inst.seed, "recovered": out.recovered,
+                         "iterations": out.solver_iterations,
+                         "rel_error": fnum(out.rel_error), "decided_by": out.decided_by})
+    iters = [row["iterations"] for row in rows if "error" not in row]
+    decided = [row.get("decided_by") for row in rows]
     return {
         "mode": "weak", "alpha": fnum(args.alpha), "beta": fnum(args.beta),
-        "n": n, "m": m, "k": k, "trials": trials, "seed": args.seed,
-        "nonneg": args.nonneg, "rate": fnum(hits / trials),
+        "n": args.n, "m": inst.shape[0], "k": inst.k, "trials": args.trials,
+        "seed": args.seed, "nonneg": args.nonneg,
+        "rate": fnum(sum(row["recovered"] for row in rows) / args.trials),
         "solver_stats": {
             "mean_iterations": fnum(np.mean(iters)) if iters else None,
             "max_iterations": int(max(iters)) if iters else None,
             "certified": decided.count("certificate"),
+            "l1_cutoff": decided.count("l1_cutoff"),
             "tolerance": decided.count("tolerance"),
         },
-        "per_trial": trials_out,
+        "per_trial": rows,
     }
 
 

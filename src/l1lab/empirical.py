@@ -29,6 +29,13 @@ nonnegative), and exact null-space-property oracles at small scale:
 Both take their LAPACK QR from _row_qr, which refuses a non-finite or
 row-rank-deficient A.
 
+weak_trials runs the Monte Carlo trials of weak_recovery_rate,
+fifty_percent_alpha and `verify --mode weak`: seeded instances, each solved
+with the l1 cutoff fail_below_l1 just under ||x*||_1 and the caller's
+Config.  The cutoff proves a miss for the general-sign program only; under
+nonneg its iterate can have negative entries, so a trial it ends may be a
+certified hit (see solve_basis_pursuit).
+
 Everything is seeded and deterministic; per-trial seeds are derived from
 the caller's seed so results do not depend on execution order.
 """
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -108,10 +115,11 @@ def generate_instance(n: int, m: int, k: int, nonneg: bool = False,
     """Gaussian instance: A with i.i.d. N(0,1) entries, uniform support,
     nonzero magnitudes |N(0,1)| + 0.5 (bounded away from zero so the
     recovered/failed dichotomy is well separated), uniform signs unless
-    nonnegative.  Deterministic in `seed`."""
+    nonnegative.  Deterministic in `seed`, an integer >= 0."""
     _require_integers(n=n, m=m, k=k)
     if not (0 <= k <= m < n):
         raise DimensionError(f"need 0 <= k <= m < n, got n={n}, m={m}, k={k}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     support = np.sort(rng.choice(n, size=k, replace=False))
@@ -127,6 +135,11 @@ def _require_integers(**dims):
     for name, value in dims.items():
         if not isinstance(value, (int, np.integer)):
             raise DimensionError(f"need an integer {name}, got {value!r}")
+
+
+def _require_seed(seed):
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"need an integer seed >= 0, got {seed!r}")
 
 
 def _require_finite(**values):
@@ -258,13 +271,20 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
     entry under nonneg or when A is not injective on the support of x*;
     without it the convergence and tolerance rule decides ("tolerance").
 
-    fail_below_l1 is an opt-in early-exit certificate of a miss for
-    recovery-rate experiments: the x iterate is exactly feasible at every
-    step, so once its l1 norm drops below the planted vector's, the planted
-    vector is provably not the optimum and the trial can stop as a miss
-    ("l1_cutoff") without waiting for full convergence.  The returned point
-    is then feasible but not optimal; leave the parameter None whenever the
-    minimizer itself is wanted.
+    fail_below_l1 is an opt-in early exit for recovery-rate experiments:
+    the x iterate satisfies Ax = y at every step, so once its l1 norm drops
+    below the planted vector's, the trial stops as a miss ("l1_cutoff")
+    without waiting for full convergence.  For the general-sign program
+    that proves the planted vector is not the optimum.  Under nonneg it
+    does not: the iterate can have negative entries, so it lies outside the
+    feasible set.  At n = 100, m = 26, k = 10 and seed
+    1806050767184116235 the certificate proves x* at iteration 40, but the
+    cutoff fires at iteration 19 on an iterate with a minimum entry of
+    -0.087 and ||x||_1 = 15.9618 < ||x*||_1 = 15.9634.  Within 0.02 of
+    the nonnegative weak curve at beta = 0.1, 4-5 of 180 trials at n = 60
+    were such certified hits ended as misses, and 0 of 180 at n = 200.
+    The returned point is not optimal either way; leave the parameter None
+    whenever the minimizer itself is wanted.
     """
     A, y = inst.A, inst.y
     if not np.isfinite(y).all():
@@ -334,18 +354,20 @@ def solve_basis_pursuit(inst: ProblemInstance, nonneg: bool = False,
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:
-    """Per-trial instance seeds derived deterministically from one seed."""
+    """Per-trial instance seeds derived deterministically from one seed, an
+    integer >= 0."""
+    _require_seed(seed)
     return np.random.default_rng(seed).integers(0, 2 ** 62, size=trials)
 
 
-def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
-                       nonneg: bool = False, seed: int = 0,
-                       config: Config = DEFAULT) -> float:
-    """Fraction of recovered instances at m = round(alpha*n), k = round(beta*n).
-
-    Solver failures (stall, rank deficiency) count as failed recoveries with
-    a warning; they do not abort the experiment.
-    """
+def weak_trials(alpha: float, beta: float, n: int, trials: int,
+                nonneg: bool = False, seed: int = 0, config: Config = DEFAULT):
+    """Yield (instance, outcome) for each of the `trials` seeded instances at
+    m = round(alpha*n), k = round(beta*n).  Each is solved with `config`
+    and the l1 cutoff just under ||x*||_1 (fail_below_l1); the outcome is
+    the RecoveryReport, or the SolverStalledError or RankDeficientError
+    that ended the trial.  The arguments are checked before the first
+    trial."""
     _require_finite(alpha=alpha, beta=beta)
     _require_integers(n=n)
     if not isinstance(trials, (int, np.integer)) or trials < 1:
@@ -356,21 +378,30 @@ def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
         raise DimensionError(
             f"need round(alpha*n) >= round(beta*n) >= 1 and m < n, got m={m}, k={k}, n={n}"
         )
-    config = replace(config, bp_max_iter=8000)
-    hits = stalls = deficient = 0
     for s in trial_seeds(seed, trials):
         inst = generate_instance(n, m, k, nonneg=nonneg, seed=int(s))
         cutoff = (1.0 - 1e-9) * float(np.abs(inst.x_true).sum())
         try:
-            report = solve_basis_pursuit(inst, nonneg=nonneg, config=config,
-                                         fail_below_l1=cutoff)
-        except SolverStalledError:
-            stalls += 1
-            continue
-        except RankDeficientError:
-            deficient += 1
-            continue
-        hits += int(report.recovered)
+            outcome = solve_basis_pursuit(inst, nonneg=nonneg, config=config,
+                                          fail_below_l1=cutoff)
+        except (SolverStalledError, RankDeficientError) as exc:
+            outcome = exc
+        yield inst, outcome
+
+
+def weak_recovery_rate(alpha: float, beta: float, n: int, trials: int,
+                       nonneg: bool = False, seed: int = 0,
+                       config: Config = DEFAULT) -> float:
+    """Fraction of the weak_trials that recovered x*.
+
+    Solver failures (stall, rank deficiency) count as failed recoveries with
+    a warning; they do not abort the experiment.
+    """
+    hits = stalls = deficient = 0
+    for _, out in weak_trials(alpha, beta, n, trials, nonneg=nonneg, seed=seed, config=config):
+        stalls += isinstance(out, SolverStalledError)
+        deficient += isinstance(out, RankDeficientError)
+        hits += isinstance(out, RecoveryReport) and out.recovered
     if stalls or deficient:
         warnings.warn(
             f"{stalls}/{trials} trials hit the solver budget and {deficient}/{trials} drew "

@@ -83,9 +83,12 @@ def sample_params(kind: str, rng: np.random.Generator) -> tuple[float, LiftParam
 
 def run_parity_audit(samples: int = 100, seed: int = 0) -> ParityReport:
     """Compare closed forms against the quadrature oracle on `samples`
-    random tuples per kind, redrawing any whose closed form is inf."""
+    random tuples per kind, redrawing any whose closed form is inf; `seed`
+    is an integer >= 0."""
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     records = []
     for kind, spec in AUDITED.items():

@@ -435,25 +435,73 @@ def test_verify_weak_deterministic(capsys):
 
 
 def test_verify_weak_reports_what_decided_each_trial(capsys):
-    # far above the weak curve every hit is certified; far below, a solve
-    # converges to a point other than x* and a tolerance decides, or stalls
-    # (an error, decided by nothing)
-    for alpha, decided_by, rate in (("0.9", "certificate", 1.0), ("0.3", "tolerance", 0.0)):
+    # far above the weak curve every hit is certified; far below, the l1
+    # cutoff ends every trial as a miss
+    for alpha, decided_by, stat, rate in (("0.9", "certificate", "certified", 1.0),
+                                          ("0.3", "l1_cutoff", "l1_cutoff", 0.0)):
         code, out, _ = run_cli(["verify", "--mode", "weak", "--alpha", alpha, "--beta", "0.2",
                                 "--n", "40", "--trials", "4", "--seed", "2"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["rate"] == rate
         trials = payload["per_trial"]
-        decided = [t for t in trials if "error" not in t]
-        assert len(decided) >= 3
-        assert all(t["decided_by"] == decided_by for t in decided)
-        assert all("decided_by" not in t for t in trials if "error" in t)
+        assert [t["decided_by"] for t in trials] == [decided_by] * 4
         stats = payload["solver_stats"]
-        assert stats["certified" if decided_by == "certificate" else "tolerance"] == len(decided)
-        assert stats["certified"] + stats["tolerance"] == len(decided)
+        assert stats[stat] == stats["certified"] + stats["l1_cutoff"] + stats["tolerance"] == 4
         if decided_by == "certificate":
-            assert all(t["rel_error"] == 0.0 and t["iterations"] % 10 == 0 for t in decided)
+            assert all(t["rel_error"] == 0.0 and t["iterations"] % 10 == 0 for t in trials)
+
+
+@pytest.mark.parametrize("alpha, beta, seed, nonneg, rate", [
+    ("0.34", "0.1", 1, False, 0.65),
+    ("0.53", "0.2", 3, False, 0.55),
+    ("0.26", "0.1", 2, True, 0.6),
+], ids=["general-beta-0.1", "general-beta-0.2", "nonneg"])
+def test_verify_weak_prints_the_decisions_of_weak_recovery_rate(capsys, alpha, beta, seed,
+                                                                 nonneg, rate):
+    # near the weak curve; without the l1 cutoff 5, 8 and 6 of these trials
+    # ran to the 30,000-iteration budget and were printed as errors
+    code, out, _ = run_cli(["verify", "--mode", "weak", "--alpha", alpha, "--beta", beta,
+                            "--n", "100", "--trials", "20", "--seed", str(seed)]
+                           + ["--nonneg"] * nonneg, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rate"] == rate == cli.empirical.weak_recovery_rate(
+        float(alpha), float(beta), 100, 20, nonneg=nonneg, seed=seed)
+    assert not any("error" in t for t in payload["per_trial"])
+    stats = payload["solver_stats"]
+    assert stats["certified"] + stats["l1_cutoff"] + stats["tolerance"] == 20
+
+
+def test_verify_weak_nonneg_below_the_curve_prints_no_error_rows(capsys):
+    code, out, _ = run_cli(["verify", "--mode", "weak", "--nonneg", "--alpha", "0.185",
+                            "--beta", "0.1", "--n", "200", "--trials", "3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rate"] == 0.0
+    assert [t["decided_by"] for t in payload["per_trial"]] == ["l1_cutoff"] * 3
+
+
+@pytest.mark.parametrize("alpha, beta", [("0.5", "0.001"), ("0.99", "0.1")],
+                         ids=["k-rounds-to-zero", "m-rounds-to-n"])
+def test_verify_weak_refuses_the_shapes_weak_recovery_rate_refuses(capsys, monkeypatch,
+                                                                  alpha, beta):
+    monkeypatch.setattr(cli.empirical, "solve_basis_pursuit", no_solve)
+    code, out, err = run_cli(["verify", "--mode", "weak", "--alpha", alpha, "--beta", beta,
+                              "--n", "40"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: need round(alpha*n) >= round(beta*n) >= 1 and m < n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "weak", "--alpha", "0.5", "--beta", "0.1", "--n", "40"],
+    ["verify", "--mode", "strong", "--alpha", "0.75", "--beta", "0.1", "--n", "16"],
+    ["audit", "--samples", "2"],
+], ids=["verify-weak", "verify-strong", "audit"])
+def test_a_negative_seed_exits_2(capsys, argv):
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err
 
 
 def test_verify_strong_small(capsys):

@@ -56,6 +56,22 @@ def test_generate_instance_dimension_errors():
             emp.generate_instance(n, m, k, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, None])
+@pytest.mark.parametrize("entry", [
+    lambda seed: emp.trial_seeds(seed, 3),
+    lambda seed: emp.generate_instance(10, 5, 2, seed=seed),
+    lambda seed: emp.weak_recovery_rate(0.5, 0.1, 40, 3, seed=seed),
+    lambda seed: emp.fifty_percent_alpha(0.1, 40, 3, seed=seed),
+], ids=["trial_seeds", "generate_instance", "weak_recovery_rate", "fifty_percent_alpha"])
+def test_a_seed_must_be_an_integer_at_least_zero(monkeypatch, entry, seed):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a bad seed")
+
+    monkeypatch.setattr(emp, "solve_basis_pursuit", no_solve)
+    with pytest.raises(DomainError, match="need an integer seed >= 0"):
+        entry(seed)
+
+
 # ---------------------------------------------------------------------------
 # basis pursuit
 # ---------------------------------------------------------------------------
@@ -836,6 +852,23 @@ def test_weak_recovery_rate_counts_solver_failures_as_misses(monkeypatch):
     assert len(record) == 1
     assert str(record[0].message).startswith(
         "2/8 trials hit the solver budget and 1/8 drew a row-rank-deficient A;")
+
+
+def test_weak_recovery_rate_solves_under_the_callers_budget():
+    # every trial here is certified at iteration 10 under the default budget
+    assert emp.weak_recovery_rate(0.9, 0.1, 40, 3) == 1.0
+    with pytest.warns(UserWarning, match="^3/3 trials hit the solver budget and 0/3 drew"):
+        assert emp.weak_recovery_rate(0.9, 0.1, 40, 3, config=Config(bp_max_iter=5)) == 0.0
+
+
+def test_weak_trials_solve_the_seeded_instances_with_the_l1_cutoff():
+    trials = list(emp.weak_trials(0.3, 0.1, 40, 3, seed=4))
+    assert [inst.seed for inst, _ in trials] == list(emp.trial_seeds(4, 3))
+    for inst, out in trials:
+        assert inst.shape == (12, 40) and inst.k == 4
+        cutoff = (1.0 - 1e-9) * np.abs(inst.x_true).sum()
+        assert out == emp.solve_basis_pursuit(inst, fail_below_l1=cutoff)
+    assert [out.decided_by for _, out in trials] == ["l1_cutoff"] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def test_audit_rejects_a_bad_sample_count(monkeypatch, samples):
         run_parity_audit(samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, None])
+def test_audit_rejects_a_bad_seed(monkeypatch, seed):
+    monkeypatch.setattr("l1lab.parity.sample_params", None)  # nothing is drawn
+    with pytest.raises(DomainError, match="seed"):
+        run_parity_audit(samples=2, seed=seed)
+
+
 @pytest.mark.parametrize("closed, oracle", [(math.nan, 1.0), (1.0, math.nan)],
                          ids=["nan-closed-form", "nan-oracle"])
 def test_a_nan_deviation_fails_the_audit(closed, oracle):
