@@ -20,10 +20,13 @@ Every lifted set term depends on c3 only through b = c3/(4*gamma) and
 mu = c3*nu2: I_set = gamma + K(b, nu1[, mu], beta)/c3.  So at fixed
 q = (b, nu1[, mu]) the total is A*c3 + K/c3 + I_sph(c3, alpha) with
 A = 1/(4b) - 1/2, and its minimum over c3 is a cheap scalar problem
-(_c3_minimum) once K is known.  A lifted probe therefore runs Nelder-Mead
-over q only, solves c3 exactly inside each evaluation (variable projection,
-Golub & Pereyra, Inverse Problems 19, 2003) and reports LiftParams, the one
-form of a lifted point outside the search.
+(_c3_minimum) once K is known.  A lifted probe therefore searches over q
+only, solving c3 exactly inside each evaluation (variable projection,
+Golub & Pereyra, Inverse Problems 19, 2003), and reports LiftParams, the
+one form of a lifted point outside the search.  The kinds give K with its
+analytic gradient, so by the envelope theorem the profile's gradient is
+that of the total at the optimal c3, and the search is a projected BFGS
+on it (numerics.projected_bfgs).
 
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
@@ -47,7 +50,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import (ConstraintViolatedError, DomainError, L1LabError, NonConvergentError,
                      NoSignChangeError)
-from .numerics import Bracket, find_root, nelder_mead
+from .numerics import Bracket, find_root, projected_bfgs
 
 METHODS = ("direct", "lifted")
 
@@ -59,13 +62,14 @@ B_MAX = 0.4999995
 # warm starts are clipped to (LiftParams.clipped) and the parity audit samples
 SEARCH_BOX = ((1e-4, 400.0), (B_MIN, B_MAX), (0.0, 14.0), (0.0, 400.0))
 (C3_MIN, C3_MAX), _, _, (_, NU2_MAX) = SEARCH_BOX
-# the box over q = [b, nu1, mu] of the simplex (mu = c3*nu2 <= C3_MAX*NU2_MAX);
+# the box over q = [b, nu1, mu] of a probe's search (mu = c3*nu2 <= C3_MAX*NU2_MAX);
 # a kind with one multiplier uses q[:2]
 _Q_BOX = (SEARCH_BOX[1], SEARCH_BOX[2], (0.0, C3_MAX * NU2_MAX))
-# every Nelder-Mead run of a lifted margin: tolerances and evaluation budget.
-# The totals are O(1) with O(1) curvature, so q is resolved to about 1e-8 at
-# best; a smaller xatol only sorts rounding noise.
-_NM_OPTS = {"xatol": 1e-7, "fatol": 1e-13, "maxfev": 5000}
+# every projected BFGS run of a lifted probe stops once its predicted
+# decrease is below _FATOL (the totals are O(1), so that is their
+# rounding) or after _MAX_ITER iterations
+_FATOL = 1e-14
+_MAX_ITER = 200
 # Newton steps of one inner c3 solve, and its relative step at convergence
 _C3_STEPS = 100
 _C3_RTOL = 1e-10
@@ -241,9 +245,10 @@ def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float) -> floa
 class LiftedKind:
     """What one lifted bound adds to the shared master condition.
 
-    k_term(b, extras, beta) is the c3-free part K of the closed-form set
-    term I_set = gamma + K/c3 on Python floats, with b = c3/(4*gamma) and
-    extras = (nu1,) or (nu1, mu), mu = c3*nu2; it returns inf outside its
+    k_term(b, extras, beta) -> (K, grad) is the c3-free part K of the
+    closed-form set term I_set = gamma + K/c3 on Python floats, with
+    b = c3/(4*gamma) and extras = (nu1,) or (nu1, mu), mu = c3*nu2, and its
+    analytic gradient in (b, *extras); K is inf (grad None) outside its
     domain (a negative multiplier, an overflowing moment).  K is computed
     directly: recovering it from a set term at c3 = 1 as I_set - 1/(4b)
     would cancel about 6 digits at b = 1e-6, which the division by c3 then
@@ -258,7 +263,7 @@ class LiftedKind:
     the rebinding, so each such call goes through a small module function.
     """
 
-    k_term: Callable[[float, Sequence[float], float], float]
+    k_term: Callable[[float, Sequence[float], float], tuple[float, Sequence[float] | None]]
     integrand: Callable
     direct: Callable[[float], tuple[float, float]]
     nu2: Callable[[float, float, float], float] | None = None
@@ -272,7 +277,7 @@ class LiftedKind:
         ConstraintViolatedError unless c3/(4*gamma) < 1/2."""
         params.require_convergent()
         extras = (params.nu1, params.c3 * params.nu2)[:self.n_extra]
-        return params.gamma + self.k_term(params.b, extras, beta) / params.c3
+        return params.gamma + self.k_term(params.b, extras, beta)[0] / params.c3
 
 
 # --------------------------------------------------------------------------
@@ -286,8 +291,8 @@ def lifted_total(kind: LiftedKind, params: LiftParams, alpha: float, beta: float
 
 
 def _c3_minimum(a: float, k: float, alpha: float, c3: float, lo: float,
-                hi: float) -> tuple[float, float]:
-    """(min, argmin) over c3 in [lo, hi] (0 < lo <= hi) of
+                hi: float) -> tuple[float, float, float]:
+    """(min, argmin, c3**2 * phi'(argmin)) over c3 in [lo, hi] (0 < lo <= hi) of
 
         phi(c3) = a*c3 + k/c3 + i_sph(c3, alpha),   a > 0,
 
@@ -339,36 +344,43 @@ def _c3_minimum(a: float, k: float, alpha: float, c3: float, lo: float,
             else:
                 new = math.sqrt(lo * hi)
         c = new
-    return a * at + k / at + (g - alpha / (2.0 * at) * log_term), at
+    return a * at + k / at + (g - alpha / (2.0 * at) * log_term), at, slope
 
 
 def _profile_objective(kind: LiftedKind, alpha: float, beta: float, c3_start: float):
-    """profile(q) -> (total, c3): the lifted total minimized over c3 at
-    q = [b, nu1[, mu]] (a list of floats), and the minimizing c3.
+    """profile(q) -> (total, grad, c3): the lifted total minimized over c3
+    at q = [b, nu1[, mu]] (a list of floats), its gradient in q and the
+    minimizing c3.
 
-    K(q) is computed once, then c3 is solved by _c3_minimum over
-    [max(C3_MIN, mu/NU2_MAX), C3_MAX], so that nu2 = mu/c3 stays in
-    SEARCH_BOX.  The first solve starts at c3_start and each later one at
-    the c3 of the last finite total: the simplex moves q little between
-    evaluations, so the inner solve usually takes two or three steps.
-    The total is inf outside the convergent domain and wherever K or the
-    total is not finite."""
+    K(q) and its gradient are computed once, then c3 is solved by
+    _c3_minimum over [max(C3_MIN, mu/NU2_MAX), C3_MAX], so that
+    nu2 = mu/c3 stays in SEARCH_BOX.  The first solve starts at c3_start
+    and each later one at the c3 of the last finite total: the search moves
+    q little between evaluations, so the inner solve usually takes two or
+    three steps.  By the envelope theorem the gradient is that of
+    A*c3 + K/c3 at the optimal c3, A = 1/(4b) - 1/2, plus, when c3 sits on
+    the edge mu/NU2_MAX, the total's c3-slope times that edge's mu-slope.
+    The total is inf (grad None) outside the convergent domain and wherever
+    K, its gradient or the total is not finite."""
     k_term = kind.k_term
     last = [c3_start]
 
     def profile(q):
         b = q[0]
         if not 0.0 < b < 0.5:
-            return math.inf, last[0]
-        k = k_term(b, q[1:], beta)
+            return math.inf, None, last[0]
+        k, dk = k_term(b, q[1:], beta)
         if not math.isfinite(k):
-            return math.inf, last[0]
+            return math.inf, None, last[0]
         lo = max(C3_MIN, q[2] / NU2_MAX) if len(q) > 2 else C3_MIN
-        val, c3 = _c3_minimum(0.25 / b - 0.5, k, alpha, last[0], lo, C3_MAX)
-        if not math.isfinite(val):
-            return math.inf, c3
+        val, c3, slope = _c3_minimum(0.25 / b - 0.5, k, alpha, last[0], lo, C3_MAX)
+        grad = [dk[0] / c3 - c3 / (4.0 * b * b)] + [d / c3 for d in dk[1:]]
+        if c3 == lo > C3_MIN and slope > 0.0:
+            grad[2] += slope / (c3 * c3 * NU2_MAX)
+        if not (math.isfinite(val) and all(map(math.isfinite, grad))):
+            return math.inf, None, c3
         last[0] = c3
-        return val, c3
+        return val, grad, c3
 
     return profile
 
@@ -379,28 +391,32 @@ def minimize_lifted_total(
     beta: float,
     start: LiftParams,
 ) -> tuple[float, LiftParams]:
-    """One Nelder-Mead run over q = [b, nu1[, mu]] (mu = c3*nu2) from start
-    clipped into SEARCH_BOX, with c3 solved exactly at every q
-    (_profile_objective); returns (total, params) at its end.
+    """One numerics.projected_bfgs run over q = [b, nu1[, mu]] (mu = c3*nu2)
+    from start clipped into SEARCH_BOX, with c3 solved exactly at every q
+    and the profile's analytic gradient (_profile_objective); returns
+    (total, params) at its end.
 
-    The run has the tolerances and budget of _NM_OPTS.  Its end point is
-    reported as LiftParams in SEARCH_BOX with the closed-form lifted_total
-    there, so the margin is exactly what the reported parameters certify.
-    If that total is above (or not below) the total at the clipped start,
-    the start and its total are returned instead: a probe never ends above
-    its start, so a start that certifies beta yields a certificate.
-
-    The simplex is numerics.nelder_mead on lists of floats: numpy's
-    per-call overhead would cost more than the closed-form total.
+    The run stops on _FATOL and _MAX_ITER.  A start whose total is not
+    finite (K overflows at b near 1/2 and a large nu1) has its b halved
+    until it is.  The end point is reported as LiftParams in SEARCH_BOX
+    with the closed-form lifted_total there, so the margin is exactly what
+    the reported parameters certify.  If that total is above (or not below)
+    the total at the clipped start, the start and its total are returned
+    instead: a probe never ends above its start, so a start that certifies
+    beta yields a certificate.
     """
     start = start.clipped()
-    q0 = [start.b, start.nu1, start.c3 * start.nu2][:1 + kind.n_extra]
+    q = [start.b, start.nu1, start.c3 * start.nu2][:1 + kind.n_extra]
     profile = _profile_objective(kind, alpha, beta, start.c3)
-    q, _ = nelder_mead(lambda v: profile(v)[0], q0, _Q_BOX[:len(q0)], **_NM_OPTS)
-    _, c3 = profile(q)
+    while True:
+        q, (f, _, c3) = projected_bfgs(profile, q, _Q_BOX[:len(q)],
+                                       fatol=_FATOL, max_iter=_MAX_ITER)
+        if f < math.inf or q[0] <= B_MIN:
+            break
+        q[0] = max(0.5 * q[0], B_MIN)
     nu2 = min(q[2] / c3, NU2_MAX) if len(q) > 2 else 0.0
     end = LiftParams(c3=c3, gamma=c3 / (4.0 * q[0]), nu1=q[1], nu2=nu2)
-    total = lifted_total(kind, end, alpha, beta)
+    total = lifted_total(kind, end, alpha, beta) if f < math.inf else math.inf
     start_total = lifted_total(kind, start, alpha, beta)
     if not total <= start_total:
         return start_total, start
@@ -470,13 +486,13 @@ def lifted_margin(
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
     With a warm start this is one minimize_lifted_total run from it: a
-    Nelder-Mead search over (b, nu1[, mu]) with c3 solved exactly at each
-    point, which never ends above the total at the start; threshold_bisect
-    warm-starts each probe at the previous optimum.  Without one it walks
-    the threshold search's certificate steps up to beta (default eps and
-    tol_beta), since a single
-    cold start can stall at small c3, and, if the walk stops short of beta,
-    makes one warm run at beta from the last feasible point.  Such a margin
+    projected BFGS search over (b, nu1[, mu]) on analytic gradients, with c3
+    solved exactly at each point, which never ends above the total at the
+    start; threshold_bisect warm-starts each probe at the previous optimum.
+    Without one it walks the threshold search's certificate steps up to
+    beta (default eps and tol_beta), since a single cold start can stall at
+    small c3, and, if the walk stops short of beta, makes one warm run at
+    beta from the last feasible point.  Such a margin
     (beta past the threshold) is the minimum of the basin the walk ended
     in, so only its sign is meaningful.
     """

@@ -10,8 +10,8 @@ library routines do not:
   certificate, each doubling step one vectorized Gauss-Legendre pass over
   the panels of every segment, in blocks of at most 512 panels per call
   of the integrand;
-* a plain bounded Nelder-Mead simplex on Python floats (the lifted
-  solves);
+* a projected BFGS on Python floats for smooth objectives with analytic
+  gradients over a box (the lifted probes);
 * a Newton search for the minimum of a convex function whose slope is
   increasing and concave, given in closed form (the direct 1-D minima);
 * a bounded Brent search on Python floats whose iterates are bit-for-bit
@@ -24,8 +24,8 @@ the closed-form objectives they minimize.
 
 from __future__ import annotations
 
-import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -131,95 +131,82 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
     return float(_opt.brentq(f, lo, hi, xtol=tol, maxiter=300))
 
 
-def nelder_mead(
-    f: Callable[[list], float],
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def projected_bfgs(
+    fg: Callable[[list], tuple],
     x0: Sequence[float],
     bounds: Sequence[tuple[float, float]],
     *,
-    xatol: float,
     fatol: float,
-    maxfev: int,
-) -> tuple[list, float]:
-    """Minimize f over a box by the Nelder-Mead simplex method; returns the
-    best vertex and its value, never above f at the clipped start.
+    max_iter: int,
+) -> tuple[list, tuple]:
+    """Minimize f over a box by projected BFGS; returns the last accepted
+    point and fg there, whose f is never above f at the clipped start.
 
-    Standard coefficients: reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2 (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 1998).
-    The initial simplex is scipy's: the clipped x0, and per coordinate a
-    vertex with that coordinate scaled by 1.05 (0.00025 where it is zero),
-    reflected back into the box past an upper bound.  Every trial point is
-    clipped into the box.  The run stops when the values span at most fatol
-    and every vertex lies within xatol of the best, or when an iteration
-    would start with maxfev evaluations spent; so the last iteration may
-    overrun maxfev by up to n + 1 evaluations (a reflection, a contraction
-    and a shrink of n vertices).  f takes a list of floats, which it must
-    not mutate, and returns a float, never NaN (inf outside its domain).
-
-    The vertices are kept ordered by value, ties in the order they entered.
-    An iteration that replaces the worst vertex inserts the new one after
-    every vertex of no larger value (bisect_right), which is where a stable
-    sort would put it; only a shrink, which moves n vertices, re-sorts.
+    fg(x) returns a tuple (f, gradient, ...) for a list of floats x, which
+    it must not mutate; the gradient is None where f is not finite.  The
+    start's inverse Hessian estimate H is diagonal, from forward
+    differences of the gradient (steps of 1e-4 times the distance to the
+    box, at least 1e-8), 1 where a curvature is not positive.  Each
+    iteration fixes the coordinates on a face whose gradient points out of
+    the box, steps along -H g on the others, projects the step into the box
+    and halves it until the Armijo condition holds (slope fraction 1e-4, 40
+    halvings at most); H gets the BFGS update when the curvature s.y is
+    positive and is reset to the identity when -H g is not a descent
+    direction (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 6 and
+    16.7).  The run stops when the predicted decrease -g.p/2 is at most
+    fatol, when no halving decreases f, or after max_iter iterations.
     """
-    lo = [float(b[0]) for b in bounds]
-    hi = [float(b[1]) for b in bounds]
-    if any(l > h for l, h in zip(lo, hi)):
-        raise DomainError("nelder_mead: a lower bound exceeds its upper bound")
-
-    def clip(x):
-        return [v if l <= v <= h else (l if v < l else h) for v, l, h in zip(x, lo, hi)]
-
-    def towards(x, y, t):
-        """x + t * (y - x), clipped into the box."""
-        return clip([a + t * (b - a) for a, b in zip(x, y)])
-
-    def ordered(sim, fsim):
-        order = sorted(range(len(sim)), key=fsim.__getitem__)
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    x0 = clip([float(v) for v in x0])
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        if y[k] > hi[k]:
-            y[k] = 2.0 * hi[k] - y[k]
-        sim.append(clip(y))
-    sim, fsim = ordered(sim, [f(x) for x in sim])
-    nfev = n + 1
-
-    while True:
-        best = sim[0]
-        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and all(
-                b - xatol <= v <= b + xatol for x in sim[1:] for v, b in zip(x, best))):
-            return best, fsim[0]
-        xbar = [sum(col) / n for col in zip(*sim[:-1])]
-        xr = towards(xbar, sim[-1], -1.0)
-        fr = f(xr)
-        nfev += 1
-        if fr < fsim[0]:
-            xe = towards(xbar, sim[-1], -2.0)
-            fe = f(xe)
-            nfev += 1
-            new, f_new = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fsim[-2]:
-            new, f_new = xr, fr
+    box = [(float(lo), float(hi)) for lo, hi in bounds]
+    n = len(box)
+    x = [min(max(float(v), lo), hi) for v, (lo, hi) in zip(x0, box)]
+    out = fg(x)
+    f, g = out[:2]
+    if g is None:
+        return x, out
+    h = [[0.0] * n for _ in range(n)]
+    for i, (lo, hi) in enumerate(box):
+        step = 1e-4 * max(min(x[i] - lo, hi - x[i]), 1e-4)
+        e = list(x)
+        e[i] = x[i] + step if x[i] + step <= hi else x[i] - step
+        ge = fg(e)[1]
+        curv = (ge[i] - g[i]) / (e[i] - x[i]) if ge is not None else 0.0
+        h[i][i] = 1.0 / curv if curv > 0.0 else 1.0
+    for _ in range(max_iter):
+        free = [not ((v <= lo and gi > 0.0) or (v >= hi and gi < 0.0))
+                for v, gi, (lo, hi) in zip(x, g, box)]
+        g_free = [gi if fi else 0.0 for gi, fi in zip(g, free)]
+        p = [-_dot(row, g_free) if fi else 0.0 for row, fi in zip(h, free)]
+        slope = _dot(p, g)
+        if not slope < 0.0:
+            h = [[float(i == j) for j in range(n)] for i in range(n)]
+            p = [-gi for gi in g_free]
+            slope = _dot(p, g)
+        if -slope <= 2.0 * fatol:
+            break
+        t = 1.0
+        for _ in range(40):
+            trial = [min(max(v + t * pi, lo), hi) for v, pi, (lo, hi) in zip(x, p, box)]
+            s = [a - v for a, v in zip(trial, x)]
+            out_t = fg(trial)
+            ft, gt = out_t[:2]
+            if ft < f and ft <= f + 1e-4 * _dot(s, g):
+                break
+            t *= 0.5
         else:
-            outside = fr < fsim[-1]
-            xc = towards(xbar, sim[-1], -0.5 if outside else 0.5)
-            fc = f(xc)
-            nfev += 1
-            if (fc <= fr) if outside else (fc < fsim[-1]):
-                new, f_new = xc, fc
-            else:  # shrink towards the best vertex
-                shrunk = [towards(best, x, 0.5) for x in sim[1:]]
-                sim, fsim = ordered([best] + shrunk, [fsim[0]] + [f(x) for x in shrunk])
-                nfev += n
-                continue
-        del sim[-1], fsim[-1]
-        i = bisect.bisect_right(fsim, f_new)
-        sim.insert(i, new)
-        fsim.insert(i, f_new)
+            break
+        y = [a - v for a, v in zip(gt, g)]
+        sy = _dot(s, y)
+        if sy > 0.0:
+            hy = [_dot(row, y) for row in h]
+            c = (1.0 + _dot(y, hy) / sy) / sy
+            h = [[hij - (hyi * sj + si * hyj) / sy + c * si * sj
+                  for hij, hyj, sj in zip(row, hy, s)] for row, hyi, si in zip(h, hy, s)]
+        x, out, f, g = trial, out_t, ft, gt
+    return x, out
 
 
 class ScalarResult(NamedTuple):
@@ -393,6 +380,29 @@ def gaussian_quadratic_integral(p: float, s: float, c: float, lo: float, hi: flo
     upper = (0.0 if z_hi == math.inf else
              float(_sp.erfcx(z_hi)) * _exp_sat((p - 0.5) * hi * hi + s * hi + c))
     return (2.0 * _exp_sat(E) - lower - upper) / norm
+
+
+def gaussian_quadratic_moments(b: float, x0: float, c: float, lo: float,
+                               hi: float) -> tuple[float, float, float]:
+    """(J0, J1, J2), Jk the integral of u**k * exp(b*u**2 + c), u = h - x0,
+    against the N(0,1) density on [lo, hi] (b < 1/2, lo <= hi).
+
+    J0 is gaussian_quadratic_integral; J1 and J2 follow by parts from J0 and
+    the integrand f (density included) at the finite ends: in u,
+    f' = -(1 - 2b)(u - d) f with d = -x0/(1 - 2b), so
+        (1 - 2b) J1 = (1 - 2b) d J0 + f(lo) - f(hi),
+        (1 - 2b) J2 = (1 - 2b) d J1 + J0 + u(lo) f(lo) - u(hi) f(hi).
+    """
+    j0 = gaussian_quadratic_integral(b, -2.0 * b * x0, b * x0 * x0 + c, lo, hi)
+    a2 = 1.0 - 2.0 * b
+    f1 = f2 = 0.0
+    for x, sign in ((lo, 1.0), (hi, -1.0)):
+        if math.isfinite(x) and hi > lo:
+            u = x - x0
+            f = sign * _exp_sat(b * u * u + c - 0.5 * x * x) / SQRT2PI
+            f1, f2 = f1 + f, f2 + u * f
+    j1 = (-x0 * j0 + f1) / a2
+    return j0, j1, (-x0 * j1 + j0 + f2) / a2
 
 
 _GL_ORDER = 16

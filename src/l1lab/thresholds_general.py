@@ -120,21 +120,27 @@ def sectional_direct_minimum(beta: float) -> tuple[float, float]:
     return math.sqrt(rad), nu
 
 
-def sectional_exp_moments(b: float, nu: float) -> tuple[float, float]:
-    """The two sectional per-coordinate moments at exponent scale b = c3/(4*gamma):
+def sectional_exp_moments(b: float, nu: float) -> tuple[tuple[float, float], tuple]:
+    """The two sectional per-coordinate moments at exponent scale b = c3/(4*gamma),
 
     plus  = E exp(b * (|h| + nu)^2)
-    minus = E exp(b * max(|h| - nu, 0)^2)
+    minus = E exp(b * max(|h| - nu, 0)^2),
+
+    and their gradients in (b, nu): ((plus, minus), (d_plus, d_minus)).
 
     Equivalent closed forms (expanded through the quadratic-exponential
     integral; convergent iff b < 1/2):
     plus  = exp(b nu^2/(1-2b)) / sqrt(1-2b) * (1 + erf(sqrt(2) b nu / sqrt(1-2b)))
     minus = exp(b nu^2/(1-2b)) / sqrt(1-2b) * erfc(nu / sqrt(2(1-2b))) + erf(nu/sqrt(2))
+    Each exponent is continuous in h, so a derivative is the expectation of
+    the exponent's derivative times exp(exponent), piece by piece.
     """
-    gq = nm.gaussian_quadratic_integral
-    plus = 2.0 * gq(b, 2.0 * b * nu, b * nu * nu, 0.0, math.inf)
-    minus = float(nm.erf(nu / SQRT2)) + 2.0 * gq(b, -2.0 * b * nu, b * nu * nu, nu, math.inf)
-    return plus, minus
+    gm = nm.gaussian_quadratic_moments
+    p0, p1, p2 = gm(b, -nu, 0.0, 0.0, math.inf)
+    m0, m1, m2 = gm(b, nu, 0.0, nu, math.inf)
+    plus = 2.0 * p0
+    minus = float(nm.erf(nu / SQRT2)) + 2.0 * m0
+    return (plus, minus), ((2.0 * p2, 4.0 * b * p1), (2.0 * m2, -4.0 * b * m1))
 
 
 def sectional_integrand(params: LiftParams, beta: float):
@@ -155,15 +161,17 @@ def sectional_integrand(params: LiftParams, beta: float):
 
 
 def _sectional_k(b, extra, beta):
-    """K = beta log(plus) + (1-beta) log(minus), so that the set term is
-    gamma + K/c3; inf for nu < 0."""
+    """(K, dK/d(b, nu)) with K = beta log(plus) + (1-beta) log(minus), so
+    that the set term is gamma + K/c3; K is inf for nu < 0."""
     nu = extra[0]
     if nu < 0:
-        return math.inf
-    plus, minus = sectional_exp_moments(b, nu)
+        return math.inf, None
+    (plus, minus), (d_plus, d_minus) = sectional_exp_moments(b, nu)
     if not (plus > 0 and minus > 0 and math.isfinite(plus) and math.isfinite(minus)):
-        return math.inf
-    return beta * math.log(plus) + (1.0 - beta) * math.log(minus)
+        return math.inf, None
+    return (beta * math.log(plus) + (1.0 - beta) * math.log(minus),
+            tuple(beta * dp / plus + (1.0 - beta) * dm / minus
+                  for dp, dm in zip(d_plus, d_minus)))
 
 
 def _sectional_direct(beta):
@@ -204,37 +212,37 @@ def strong_t_integrand(h, params: LiftParams):
     return float(out) if out.ndim == 0 else out
 
 
-def strong_exp_moment(b: float, nu1: float, mu: float) -> float:
+def strong_exp_moment(b: float, nu1: float, mu: float) -> tuple[float, tuple | None]:
     """E exp(c3 * t(h)) in closed form, dispatched on the branch regime, as
     a function of b = c3/(4 gamma), nu1 and mu = c3 nu2 alone (so
-    gamma nu2 = mu/(4b)).
+    gamma nu2 = mu/(4b)), and its gradient in (b, nu1, mu).
 
     Branch exponents (for h >= 0, exploiting symmetry):
-      grow:  b h^2 + 2 b nu1 h + (b nu1^2 - mu)   from (|h|+nu1)^2 branch
-      decay: b h^2 - 2 b nu1 h + (b nu1^2 + mu)   from (|h|-nu1)^2 branch
+      grow:  b (h + nu1)^2 - mu   from (|h|+nu1)^2 branch
+      decay: b (h - nu1)^2 + mu   from (|h|-nu1)^2 branch
       flat:  exp(mu) on the interval where the inner max is constant.
     The branches cross at |h| = 2 gamma nu2 / nu1 = mu/(2 b nu1), and the
-    plateau ends at sqrt(8 gamma nu2) - nu1 = sqrt(2 mu / b) - nu1.
+    plateau ends at sqrt(8 gamma nu2) - nu1 = sqrt(2 mu / b) - nu1.  The
+    exponent is continuous in h, so the gradient sums the branch
+    derivatives (h -+ nu1)^2, +-2b (h -+ nu1) and -+1 (1 on the plateau)
+    against exp(exponent), with no terms from the moving breakpoints.
     """
     if b >= 0.5:
-        return math.inf
-    gq = nm.gaussian_quadratic_integral
-    s_grow, c_grow = 2.0 * b * nu1, b * nu1 * nu1 - mu
-    s_dec, c_dec = -2.0 * b * nu1, b * nu1 * nu1 + mu
+        return math.inf, None
+    gm = nm.gaussian_quadratic_moments
     flat = math.exp(mu) if mu < 700 else math.inf
-
+    plateau, dec, grow_lo = 0.0, (0.0, 0.0, 0.0), 0.0
     if nu1 * nu1 < mu / (2.0 * b):
-        cross = mu / (2.0 * b * nu1) if nu1 > 0 else math.inf
-        val = (flat * 0.5 * float(nm.erf(nu1 / SQRT2))
-               + gq(b, s_dec, c_dec, nu1, cross)
-               + gq(b, s_grow, c_grow, cross, math.inf))
+        grow_lo = mu / (2.0 * b * nu1) if nu1 > 0 else math.inf
+        plateau = flat * 0.5 * float(nm.erf(nu1 / SQRT2))
+        dec = gm(b, nu1, mu, nu1, grow_lo)
     elif nu1 * nu1 < 2.0 * mu / b:
-        start = math.sqrt(2.0 * mu / b) - nu1
-        val = (flat * 0.5 * float(nm.erf(start / SQRT2))
-               + gq(b, s_grow, c_grow, start, math.inf))
-    else:
-        val = gq(b, s_grow, c_grow, 0.0, math.inf)
-    return 2.0 * val
+        grow_lo = math.sqrt(2.0 * mu / b) - nu1
+        plateau = flat * 0.5 * float(nm.erf(grow_lo / SQRT2))
+    g0, g1, g2 = gm(b, -nu1, -mu, grow_lo, math.inf)
+    d0, d1, d2 = dec
+    return (2.0 * (plateau + d0 + g0),
+            (2.0 * (d2 + g2), 4.0 * b * (g1 - d1), 2.0 * (plateau + d0 - g0)))
 
 
 def strong_integrand(params: LiftParams, beta: float):
@@ -253,17 +261,24 @@ def strong_integrand(params: LiftParams, beta: float):
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks))),)
 
 
+def multiplier_k(moment_and_grad, mu: float, beta: float):
+    """(K, dK/d(b, nu1, mu)) of a strong kind from its moment M and M's
+    gradient: K = mu*(2*beta - 1) + log M, so that the set term
+    nu2*(2*beta - 1) + gamma + log(M)/c3 is gamma + K/c3; K is inf where M
+    is not finite and positive."""
+    moment, grad = moment_and_grad
+    if not (math.isfinite(moment) and moment > 0):
+        return math.inf, None
+    return mu * (2.0 * beta - 1.0) + math.log(moment), (
+        grad[0] / moment, grad[1] / moment, grad[2] / moment + 2.0 * beta - 1.0)
+
+
 def _strong_k(b, extra, beta):
-    """K = mu*(2*beta - 1) + log(E exp(c3 t)), so that the set term
-    nu2*(2*beta - 1) + gamma + log(E exp(c3 t))/c3 is gamma + K/c3; inf for
-    negative multipliers."""
+    """multiplier_k of E exp(c3 t); K is inf for negative multipliers."""
     nu1, mu = extra
     if nu1 < 0 or mu < 0:
-        return math.inf
-    moment = strong_exp_moment(b, nu1, mu)
-    if not (math.isfinite(moment) and moment > 0):
-        return math.inf
-    return mu * (2.0 * beta - 1.0) + math.log(moment)
+        return math.inf, None
+    return multiplier_k(strong_exp_moment(b, nu1, mu), mu, beta)
 
 
 def strong_crossover(beta: float) -> float:

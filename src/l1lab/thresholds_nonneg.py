@@ -30,7 +30,7 @@ from . import numerics as nm
 from .errors import DomainError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
 from .numerics import phi
-from .thresholds_general import weak_boundary
+from .thresholds_general import multiplier_k, weak_boundary
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -140,23 +140,23 @@ def nonneg_t_integrand(h, params: LiftParams):
     return float(out) if out.ndim == 0 else out
 
 
-def nonneg_exp_moment(b: float, nu1: float, mu: float) -> float:
+def nonneg_exp_moment(b: float, nu1: float, mu: float) -> tuple[float, tuple | None]:
     """E exp(c3 * t_plus(h)) assembled from the three branches, as a
-    function of b = c3/(4 gamma), nu1 and mu = c3 nu2 alone: the plateau
-    value is exp(mu) and its left edge nu1 - sqrt(8 gamma nu2) is
-    nu1 - sqrt(2 mu / b)."""
+    function of b = c3/(4 gamma), nu1 and mu = c3 nu2 alone, and its
+    gradient in (b, nu1, mu): the plateau value is exp(mu) and its left
+    edge nu1 - sqrt(8 gamma nu2) is nu1 - sqrt(2 mu / b).  The exponent is
+    continuous in h, so the gradient sums the branch derivatives
+    (h - nu1)^2, -2b (h - nu1) and -+1 (1 on the plateau) against
+    exp(exponent), with no terms from the moving breakpoints."""
     if b >= 0.5:
-        return math.inf
-    gq = nm.gaussian_quadratic_integral
-    s_lin = -2.0 * b * nu1
-    c_low = b * nu1 * nu1 - mu
-    c_high = b * nu1 * nu1 + mu
+        return math.inf, None
+    gm = nm.gaussian_quadratic_moments
     entry = nu1 - math.sqrt(2.0 * mu / b)
     flat = math.exp(mu) if mu < 700 else math.inf
-    left = gq(b, s_lin, c_low, -math.inf, entry)
+    l0, l1, l2 = gm(b, nu1, -mu, -math.inf, entry)
     middle = flat * (_gauss_cdf(nu1) - _gauss_cdf(entry))
-    right = gq(b, s_lin, c_high, nu1, math.inf)
-    return left + middle + right
+    r0, r1, r2 = gm(b, nu1, mu, nu1, math.inf)
+    return l0 + middle + r0, (l2 + r2, -2.0 * b * (l1 + r1), middle + r0 - l0)
 
 
 def nonneg_strong_integrand(params: LiftParams, beta: float):
@@ -169,16 +169,11 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
 
 
 def _nonneg_k(b, extra, beta):
-    """K = mu*(2*beta - 1) + log(E exp(c3 t_plus)), so that the set term
-    nu2*(2*beta - 1) + gamma + log(E exp(c3 t_plus))/c3 is gamma + K/c3;
-    inf for negative multipliers."""
+    """multiplier_k of E exp(c3 t_plus); K is inf for negative multipliers."""
     nu1, mu = extra
     if nu1 < 0 or mu < 0:
-        return math.inf
-    moment = nonneg_exp_moment(b, nu1, mu)
-    if not (math.isfinite(moment) and moment > 0):
-        return math.inf
-    return mu * (2.0 * beta - 1.0) + math.log(moment)
+        return math.inf, None
+    return multiplier_k(nonneg_exp_moment(b, nu1, mu), mu, beta)
 
 
 def _nonneg_direct(beta):

@@ -59,3 +59,38 @@ def test_the_oracle_reaches_the_traced_quadrature_once_per_piece(monkeypatch, ki
     assert lift_core.exp_set_term_oracle(spec.integrand, params, 0.2) == pytest.approx(
         spec.set_term_at(0.2, params), rel=1e-6)
     assert len(calls) == pieces
+
+
+@pytest.mark.parametrize("kind, module, attr", [
+    ("sectional", "thresholds_general", "sectional_exp_moments"),
+    ("strong", "thresholds_general", "strong_exp_moment"),
+    ("strong_nonneg", "thresholds_nonneg", "nonneg_exp_moment"),
+])
+def test_a_lifted_probe_reaches_the_traced_moment_once_per_evaluation(monkeypatch, kind,
+                                                                      module, attr):
+    # the traced lifted-table run counts the moment and quadratic-integral
+    # calls: a probe must look both attributes up at call time, the moment
+    # once per evaluation of the search and of the two reported totals
+    numerics = importlib.import_module("l1lab.numerics")
+    lift_core = importlib.import_module("l1lab.lift_core")
+    target = importlib.import_module(f"l1lab.{module}")
+    calls = {"moment": 0, "integral": 0, "evaluations": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(target, attr, counting("moment", getattr(target, attr)))
+    monkeypatch.setattr(numerics, "gaussian_quadratic_integral",
+                        counting("integral", numerics.gaussian_quadratic_integral))
+    profile_objective = lift_core._profile_objective
+    monkeypatch.setattr(lift_core, "_profile_objective", lambda *args: counting(
+        "evaluations", profile_objective(*args)))
+    spec = lift_core.kind_table()[kind].lifted
+    start = lift_core.LiftParams(c3=0.5, gamma=0.5, nu1=1.0, nu2=0.5)
+    lift_core.minimize_lifted_total(spec, 0.5, 0.05, start)
+    assert calls["evaluations"] > 2
+    assert calls["moment"] == calls["evaluations"] + 2
+    assert calls["integral"] >= calls["moment"]

@@ -212,7 +212,7 @@ _, (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
 MU_MAX = lc.C3_MAX * NU2_MAX
 
 
-# x = [b, nu1, mu] with mu = c3 nu2, the simplex coordinates of a lifted probe
+# x = [b, nu1, mu] with mu = c3 nu2, the search coordinates of a lifted probe
 @pytest.mark.parametrize("kind, x", [
     # mu >= 700: the flat branch exp(mu) saturates
     ("strong", [0.3, 1.0, 800.0]),
@@ -232,14 +232,14 @@ MU_MAX = lc.C3_MAX * NU2_MAX
 ])
 def test_lifted_objective_edges_return_inf(kind, x):
     for alpha, beta in [(0.5, 0.1), (0.999, 0.45)]:
-        val, _ = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)(x)
+        val, _, _ = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)(x)
         assert type(val) is float and val == math.inf
 
 
 def test_lifted_objective_finite_far_from_the_edges():
     # a very negative entry point (about -2.8e3) whose left tail underflows
     profile = lc._profile_objective(lifted_spec("strong_nonneg"), 0.5, 0.1, 1e-3)
-    val, c3 = profile([B_MIN, 0.0, 1e-3 * NU2_MAX])
+    val, _, c3 = profile([B_MIN, 0.0, 1e-3 * NU2_MAX])
     assert type(val) is float and math.isfinite(val)
     assert 1e-3 <= c3 <= lc.C3_MAX  # mu / c3 stays within NU2_MAX
 
@@ -616,7 +616,7 @@ def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
-    # one Nelder-Mead run from p returns at most the closed-form total at p,
+    # one search from p returns at most the closed-form total at p,
     # which is what lets a warm probe carry the certificate of p
     spec = lifted_spec(kind)
     margin_fn = lc.kind_table()[kind].margins["lifted"]
@@ -743,7 +743,7 @@ def _old_set_term(kind, params, beta):
 
     c3, gamma, nu1, nu2 = params.c3, params.gamma, params.nu1, params.nu2
     if kind == "sectional":
-        plus, minus = tg.sectional_exp_moments(params.b, nu1)
+        (plus, minus), _ = tg.sectional_exp_moments(params.b, nu1)
         if not (0 < plus < math.inf and 0 < minus < math.inf):
             return math.inf
         return gamma + beta / c3 * math.log(plus) + (1.0 - beta) / c3 * math.log(minus)
@@ -786,7 +786,7 @@ def test_b_nu1_mu_moments_equal_the_old_moments(kind):
     while compared < 200:
         _, p = sample_params(kind, rng)
         want = old(p.c3, p.gamma, p.nu1, p.nu2)
-        got = new(p.b, p.nu1, p.c3 * p.nu2)
+        got = new(p.b, p.nu1, p.c3 * p.nu2)[0]
         if not math.isfinite(want):
             assert not math.isfinite(got)
             continue
@@ -821,7 +821,7 @@ def test_inner_c3_solve_matches_a_dense_log_grid():
         # minima from below the bracket to past its top
         k = _slope_root_k(a, alpha, math.exp(rng.uniform(math.log(1e-5), math.log(4e3))))
         start = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        val, c3 = lc._c3_minimum(a, k, alpha, start, lo, hi)
+        val, c3, _ = lc._c3_minimum(a, k, alpha, start, lo, hi)
         best, at, grid = _grid_minimum(a, k, alpha, lo, hi)
         assert val <= best + 1e-12 * max(1.0, abs(best))
         assert val == pytest.approx(_phi(a, k, alpha, c3), rel=1e-12, abs=1e-12)
@@ -837,15 +837,15 @@ def test_inner_c3_solve_binds_at_mu_over_nu2_max():
     a, alpha, mu = 0.25 / 0.3 - 0.5, 0.5, 2.0
     lo = mu / lc.NU2_MAX
     k = _slope_root_k(a, alpha, lo / 3.0)
-    val, c3 = lc._c3_minimum(a, k, alpha, 1.0, lo, lc.C3_MAX)
+    val, c3, _ = lc._c3_minimum(a, k, alpha, 1.0, lo, lc.C3_MAX)
     best, at, _ = _grid_minimum(a, k, alpha, lo, lc.C3_MAX)
     assert c3 == lo == at and val <= best + 1e-12
     # the same edge through a probe's objective: strong at beta = 1e-4
     spec = lifted_spec("strong")
     b, nu1, mu = 1e-4, 0.5, 0.5
-    val, c3 = lc._profile_objective(spec, 0.5, 1e-4, 1.0)([b, nu1, mu])
+    val, _, c3 = lc._profile_objective(spec, 0.5, 1e-4, 1.0)([b, nu1, mu])
     assert c3 == mu / lc.NU2_MAX
-    best, _, _ = _grid_minimum(0.25 / b - 0.5, spec.k_term(b, (nu1, mu), 1e-4), 0.5,
+    best, _, _ = _grid_minimum(0.25 / b - 0.5, spec.k_term(b, (nu1, mu), 1e-4)[0], 0.5,
                                c3, lc.C3_MAX)
     assert math.isfinite(val) and val <= best + 1e-12
 
@@ -861,13 +861,100 @@ def test_reported_params_lie_in_the_search_box(lifted_solves, kind):
 
 
 def test_probe_falls_back_to_its_start_when_the_end_is_worse(monkeypatch):
-    # the guard behind "a probe never ends above its start": a simplex
+    # the guard behind "a probe never ends above its start": a search
     # ending on a worse point yields the (clipped) start and its total
     spec = lifted_spec("strong")
     start = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
-    monkeypatch.setattr(lc, "nelder_mead", lambda f, x0, *a, **k: ([0.45, 5.0, 30.0], 0.0))
+    worse = [0.45, 5.0, 30.0]
+    monkeypatch.setattr(lc, "projected_bfgs", lambda fg, x0, *a, **k: (worse, fg(worse)))
     total, params = lc.minimize_lifted_total(spec, 0.5, 0.05, start)
     assert params == start and total == lc.lifted_total(spec, start, 0.5, 0.05)
+
+
+def test_probe_from_an_infinite_floor_start_ends_feasible():
+    # floor_start at beta = 1e-9 puts b at 0.49 with nu1 near 5.5, where the
+    # sectional moments overflow; the probe halves b until the total is finite
+    spec = lifted_spec("sectional")
+    start = lc.floor_start(spec, 1e-9)
+    assert lc.lifted_total(spec, start.clipped(), 0.1, 1e-9) == math.inf
+    total, params = lc.minimize_lifted_total(spec, 0.1, 1e-9, start)
+    assert math.isfinite(total) and total < -DEFAULT.feasibility_margin
+    assert total == lc.lifted_total(spec, params, 0.1, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# analytic gradients of K and of the c3 profile
+# ---------------------------------------------------------------------------
+
+def fd_gradient(f, q, lower, steps):
+    """Fourth-order differences of f at q: central, or forward where a
+    central stencil would cross the lower end of q's domain."""
+    grad = []
+    for i, step in enumerate(steps):
+        def at(k):
+            x = list(q)
+            x[i] += k * step
+            return f(x)
+
+        if q[i] - 2 * step < lower[i]:
+            grad.append((-25 * at(0) + 48 * at(1) - 36 * at(2) + 16 * at(3) - 3 * at(4))
+                        / (12 * step))
+        else:
+            grad.append((8 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * step))
+    return grad
+
+
+def fd_steps(q):
+    """1e-3 of the scale of each coordinate: b's distance to 0 or 1/2, a
+    multiplier's size but at least 1e-3."""
+    return [1e-3 * min(q[0], 0.5 - q[0])] + [1e-3 * max(v, 1e-3) for v in q[1:]]
+
+
+# q = [b, nu1(, mu)]: every regime of strong_exp_moment (nu1**2 below
+# mu/(2b), between it and 2mu/b, above 2mu/b), b up to 0.4999, nu1 = 0
+# and mu near or at 0.  The nonneg moment's plateau has width
+# sqrt(2mu/b), so its mu-curvature grows as mu**-1/2 and differences
+# resolve its slope only down to mu near 1e-4; the strong plateau is
+# empty for small mu, which is smooth down to mu = 0.
+GRADIENT_POINTS = {
+    "sectional": [[0.1, 0.5], [0.3, 1.5], [0.45, 5.0], [0.4999, 0.3], [0.2, 0.0], [1e-6, 2.0]],
+    "strong": [[0.3, 0.5, 1.0], [0.3, 1.5, 1.0], [0.3, 3.0, 1.0], [0.4999, 0.5, 0.3],
+               [0.4999, 0.3, 0.01], [0.3, 0.0, 1.0], [0.3, 1.0, 1e-9], [0.3, 1.0, 0.0]],
+    "strong_nonneg": [[0.3, 0.5, 1.0], [0.45, 2.0, 5.0], [0.4999, 0.1, 0.2],
+                      [0.3, 0.0, 1.0], [0.3, 1.0, 1e-4]],
+}
+
+
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_k_gradient_matches_differences_of_the_closed_form(kind):
+    spec = lifted_spec(kind)
+    for beta in (0.01, 0.3):
+        for q in GRADIENT_POINTS[kind]:
+            k, grad = spec.k_term(q[0], q[1:], beta)
+            assert math.isfinite(k)
+            want = fd_gradient(lambda x: spec.k_term(x[0], x[1:], beta)[0], q,
+                               [0.0] * len(q), fd_steps(q))
+            assert grad == pytest.approx(want, rel=1e-6, abs=1e-9), (beta, q)
+
+
+@pytest.mark.parametrize("kind, alpha, beta, q", [
+    ("sectional", 0.5, 0.1, [0.2, 0.9]),
+    ("sectional", 0.999, 0.49, [0.28, 0.03]),
+    ("strong", 0.5, 0.04, [0.43, 0.9, 3.4]),
+    ("strong", 0.9, 0.14, [0.4999, 0.3, 1.4]),
+    ("strong_nonneg", 0.5, 0.06, [0.46, 0.5, 2.8]),
+    ("strong_nonneg", 0.9999, 0.489, [0.49995, 3.5e-4, 0.047]),
+    # c3 on its lower edge mu/NU2_MAX
+    ("strong", 0.5, 1e-4, [1e-4, 0.5, 0.5]),
+])
+def test_profile_gradient_matches_differences_of_the_profile(kind, alpha, beta, q):
+    profile = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)
+    val, grad, c3 = profile(q)
+    assert math.isfinite(val)
+    if q[0] == 1e-4:
+        assert c3 == q[2] / NU2_MAX
+    want = fd_gradient(lambda x: profile(x)[0], q, [0.0] * len(q), fd_steps(q))
+    assert grad == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.1, 0.011467), (0.5, 0.104482), (0.9, 0.311332)])

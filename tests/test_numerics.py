@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import minimize, minimize_scalar
 
 from l1lab import lift_core as lc
@@ -13,7 +14,6 @@ from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
 from l1lab import thresholds_nonneg as tn
 from l1lab.errors import (
-    ConstraintViolatedError,
     DomainError,
     NonConvergentError,
     NoSignChangeError,
@@ -158,287 +158,147 @@ def test_find_root_stays_inside_bracket(root, width, tol):
 
 
 # ---------------------------------------------------------------------------
-# nelder_mead: a plain bounded simplex
+# projected_bfgs: a projected quasi-Newton search on analytic gradients
 # ---------------------------------------------------------------------------
 
+def rosen_fg(v):
+    x, y = v
+    return ((1 - x) ** 2 + 100 * (y - x * x) ** 2,
+            [-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+
 def test_minimize_quadratic_bowl():
-    x, fun = nm.nelder_mead(lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2, [0.0, 0.0],
-                            [(-5.0, 5.0), (-5.0, 5.0)], xatol=1e-8, fatol=1e-10, maxfev=2000)
+    x, (fun, _) = nm.projected_bfgs(
+        lambda v: ((v[0] - 1) ** 2 + (v[1] - 2) ** 2, [2 * (v[0] - 1), 2 * (v[1] - 2)]),
+        [0.0, 0.0], [(-5.0, 5.0), (-5.0, 5.0)], fatol=1e-16, max_iter=200)
     assert abs(x[0] - 1.0) <= 1e-6 and abs(x[1] - 2.0) <= 1e-6
     assert fun <= 1e-12
 
 
 def test_minimize_respects_active_bound():
-    x, fun = nm.nelder_mead(lambda v: (v[0] - 1.0) ** 2, [4.0], [(3.0, 10.0)],
-                            xatol=1e-8, fatol=1e-10, maxfev=2000)
-    assert abs(x[0] - 3.0) <= 1e-6
-    assert abs(fun - 4.0) <= 1e-5
+    x, (fun, _) = nm.projected_bfgs(lambda v: ((v[0] - 1.0) ** 2, [2 * (v[0] - 1.0)]),
+                                    [4.0], [(3.0, 10.0)], fatol=1e-16, max_iter=200)
+    assert x == [3.0] and fun == 4.0
 
 
 def test_minimize_never_worse_than_start():
-    def rosen(v):
-        return (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
-
     for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0]):
-        _, fun = nm.nelder_mead(rosen, x0, [(-4.0, 4.0), (-4.0, 4.0)],
-                                xatol=1e-8, fatol=1e-10, maxfev=300)
-        assert fun <= rosen(x0) + 1e-12
+        seen = []
+
+        def logged(v):
+            seen.append(list(v))
+            return rosen_fg(v)
+
+        x, (fun, _) = nm.projected_bfgs(logged, x0, [(-4.0, 4.0), (-4.0, 4.0)],
+                                        fatol=1e-20, max_iter=300)
+        assert seen[0] == [min(max(v, -4.0), 4.0) for v in x0]
+        assert all(-4.0 <= vi <= 4.0 for v in seen for vi in v)
+        assert fun == rosen_fg(x)[0] <= rosen_fg(x0)[0]
+        assert abs(x[0] - 1.0) <= 1e-5 and abs(x[1] - 1.0) <= 1e-5
 
 
-LOG_C3_MAX = math.log(lc.C3_MAX)
+def test_minimize_returns_an_infinite_start_unchanged():
+    x, (fun, grad) = nm.projected_bfgs(lambda v: (math.inf, None), [2.0, 7.0],
+                                       [(0.0, 1.0), (0.0, 5.0)], fatol=1e-14, max_iter=10)
+    assert x == [1.0, 5.0] and fun == math.inf and grad is None
 
 
-def lifted_problem(kind, alpha, beta, b_max=lc.B_MAX):
-    """The lifted total of one kind over x = [log c3, b, nu...] and its box:
-    the problem with c3 as one more simplex coordinate, a harder bounded
-    test problem than the lifted probes' own, where c3 is solved exactly.
-    inf outside the convergent domain and where the total is not finite."""
+def test_minimize_leaves_a_face_a_bounded_simplex_collapses_onto():
+    # on this convex quadratic a bounded Nelder-Mead (scipy's, say) stops
+    # at f = 0.1008 with x[3] pinned at its lower bound, where L-BFGS-B
+    # finds 0.0217
+    diag, centre = (2.0, 1.0, 1.0, 0.5), (0.3, 0.1, 0.5, 0.4)
+    bounds = [(-1.0, 1.0), (0.25, 1.0), (0.0, 1.0), (0.0, 3.0)]
+
+    def fg(v):
+        d = [vi - ci for vi, ci in zip(v, centre)]
+        grad = [2 * h * di for h, di in zip(diag, d)]
+        for i in range(3):
+            grad[i] += 0.3 * d[i + 1]
+            grad[i + 1] += 0.3 * d[i]
+        return (sum(h * di * di for h, di in zip(diag, d))
+                + 0.3 * sum(a * b for a, b in zip(d, d[1:])), grad)
+
+    x, (fun, _) = nm.projected_bfgs(fg, [0.9, 0.9, 0.1, 2.9], bounds, fatol=1e-16,
+                                    max_iter=200)
+    ref = minimize(lambda v: fg(list(v))[0], [0.9, 0.9, 0.1, 2.9], jac=lambda v: fg(list(v))[1],
+                   method="L-BFGS-B", bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-12})
+    assert ref.fun == pytest.approx(0.0217, abs=1e-4)
+    assert fun <= ref.fun + 1e-12
+    assert x[1] == 0.25 and 0.0 < x[3]
+
+
+def run_contract(kind, alpha, beta, start):
+    """One lifted probe from start that checks the contract: every q the
+    search evaluates lies in the probe's box, the end is reported in
+    SEARCH_BOX with the closed-form total there, never above the total at
+    the clipped start.  Returns (total, params, number of evaluations)."""
     spec = lc.kind_table()[kind].lifted
-    bounds = [(math.log(lc.C3_MIN), LOG_C3_MAX), (lc.B_MIN, b_max),
-              *lc.SEARCH_BOX[2:2 + spec.n_extra]]
-
-    def f(x):
-        if not 0.0 < x[1] < 0.5:
-            return math.inf
-        c3 = math.exp(x[0])
-        params = lc.LiftParams(c3=c3, gamma=c3 / (4.0 * x[1]), nu1=x[2],
-                               nu2=x[3] if len(x) > 3 else 0.0)
-        try:
-            val = lc.lifted_total(spec, params, alpha, beta)
-        except ConstraintViolatedError:  # b within rounding of 1/2
-            return math.inf
-        return val if math.isfinite(val) else math.inf
-
-    return f, bounds
-
-
-def run_contract(f, x0, bounds, maxfev=1500):
-    """One run that checks the contract: every point evaluated lies in the
-    box, the run stops within maxfev + n + 1 calls and never ends above f
-    at the clipped start.  Returns (x, fun, number of calls)."""
     seen = []
+    profile_objective = lc._profile_objective
 
-    def logged(v):
-        seen.append(list(v))
-        return f(v)
+    def logged(*args):
+        profile = profile_objective(*args)
 
-    x, fun = nm.nelder_mead(logged, x0, bounds, xatol=1e-10, fatol=1e-12, maxfev=maxfev)
-    for v in seen:
-        assert all(lo <= vi <= hi for vi, (lo, hi) in zip(v, bounds)), v
-    assert len(seen) <= maxfev + len(x0) + 1
-    start = [min(max(v, lo), hi) for v, (lo, hi) in zip(x0, bounds)]
-    assert seen[0] == start
-    assert fun == f(x) <= f(start)
-    return x, fun, len(seen)
+        def evaluate(q):
+            seen.append(list(q))
+            return profile(q)
+        return evaluate
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lc, "_profile_objective", logged)
+        total, params = lc.minimize_lifted_total(spec, alpha, beta, start)
+    box = lc._Q_BOX[:1 + spec.n_extra]
+    for q in seen:
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(q, box)), q
+    assert params == params.clipped()
+    assert total == lc.lifted_total(spec, params, alpha, beta)
+    assert total <= lc.lifted_total(spec, start.clipped(), alpha, beta)
+    return total, params, len(seen)
 
 
+def lift_start(x):
+    """LiftParams from x = [c3, b, nu1(, nu2)], which may lie past SEARCH_BOX."""
+    return lc.LiftParams(c3=x[0], gamma=x[0] / (4.0 * x[1]), nu1=x[2],
+                         nu2=x[3] if len(x) > 3 else 0.0)
+
+
+# these contract tests keep the names they had when a simplex ran the probes
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_nelder_mead_never_above_start_on_lifted_objectives(kind):
     rng = np.random.default_rng({"sectional": 3, "strong": 4, "strong_nonneg": 5}[kind])
     for _ in range(4):
         alpha, beta = rng.uniform(0.05, 0.999), rng.uniform(1e-3, 0.45)
-        f, bounds = lifted_problem(kind, alpha, beta)
         # starts inside the box and, for the clip, past its edges
-        x0 = [rng.uniform(-12.0, 9.0), rng.uniform(0.05, 0.6)]
-        x0 += [rng.uniform(-1.0, 3.0) for _ in bounds[2:]]
-        run_contract(f, x0, bounds)
+        x = [math.exp(rng.uniform(-12.0, 9.0)), rng.uniform(0.05, 0.6)]
+        x += [rng.uniform(-1.0, 3.0) for _ in range(1 if kind == "sectional" else 2)]
+        run_contract(kind, alpha, beta, lift_start(x))
 
 
 def test_nelder_mead_never_above_start_on_the_c3_and_b_corner():
-    # the lifted walks start on LOG_C3_MAX and B_MAX, where the initial
-    # simplex reflects its scaled vertices back into the box
+    # starts on C3_MAX and at or near B_MAX
     cases = [
-        ("sectional", 0.999, 0.48, [LOG_C3_MAX, 0.49, 0.03]),
-        ("strong", 0.999, 0.23, [LOG_C3_MAX, 0.49, 0.03, 0.04]),
-        ("strong_nonneg", 0.999, 0.47, [LOG_C3_MAX, lc.B_MAX, 0.002, 0.0026]),
+        ("sectional", 0.999, 0.48, [lc.C3_MAX, 0.49, 0.03]),
+        ("strong", 0.999, 0.23, [lc.C3_MAX, 0.49, 0.03, 0.04]),
+        ("strong_nonneg", 0.999, 0.47, [lc.C3_MAX, lc.B_MAX, 0.002, 0.0026]),
     ]
-    for kind, alpha, beta, x0 in cases:
-        f, bounds = lifted_problem(kind, alpha, beta)
-        x, fun, _ = run_contract(f, x0, bounds)
-        assert fun < f(x0)
+    for kind, alpha, beta, x in cases:
+        start = lift_start(x)
+        total, _, _ = run_contract(kind, alpha, beta, start)
+        spec = lc.kind_table()[kind].lifted
+        assert total < lc.lifted_total(spec, start.clipped(), alpha, beta)
 
 
 def test_nelder_mead_never_above_start_on_the_inf_plateau_past_b_half():
-    # with the b box opened past 1/2 the objective is +inf on a plateau:
-    # starts straddling it and starts on it (every initial vertex at inf)
-    cases = [("sectional", [0.5, 0.48, 1.0]), ("sectional", [0.5, 0.6, 1.0]),
-             ("strong_nonneg", [1.0, 0.47, 0.5, 2.0]), ("strong_nonneg", [1.0, 0.7, 0.5, 2.0])]
-    for kind, x0 in cases:
-        f, bounds = lifted_problem(kind, 0.7, 0.1, b_max=0.9)
-        assert f([0.5, 0.6] + x0[2:]) == math.inf
-        _, fun, _ = run_contract(f, x0, bounds, maxfev=600)
-        if x0[1] < 0.5:
-            assert math.isfinite(fun)
-
-
-def test_nelder_mead_stops_within_the_budget_plus_one_iteration():
-    # a seeded strong problem that shrinks its 4-D simplex early on; the
-    # budget is checked once per iteration, so a shrink may overrun it
-    f, bounds = lifted_problem("strong", 0.8209062928075801, 0.3008823431015367)
-    x0 = [2.7504817906677115, 0.4202858308857675, 2.244745509905262, 2.582104228643033]
-    overruns = set()
-    for maxfev in range(20, 120):
-        _, _, calls = run_contract(f, x0, bounds, maxfev=maxfev)
-        assert calls >= maxfev  # no tolerance is met this early
-        overruns.add(calls - maxfev)
-    # a reflection, a contraction and a shrink of all 4 moving vertices
-    assert max(overruns) == len(x0) + 1
-
-
-BOUNDED_QUADRATICS = {
-    # (Hessian diagonal and coupling, centre, box, start)
-    "interior": ((1.0, 2.0, 0.5), 0.1, [0.3, -0.2, 1.0], [(-1.0, 1.0)] * 3, [0.9, 0.9, 0.1]),
-    "start-on-upper-bounds": ((1.0, 3.0), 0.2, [0.3, 0.2], [(-1.0, 1.0), (0.0, 0.5)], [1.0, 0.5]),
-    "active-bound": ((1.0, 2.0, 0.5), 0.1, [0.3, -0.5, 1.0],
-                     [(-1.0, 1.0), (0.0, 1.0), (-1.0, 2.0)], [0.8, 0.8, 0.5]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BOUNDED_QUADRATICS))
-def test_nelder_mead_matches_scipy_on_bounded_quadratics(case):
-    diag, coupling, centre, bounds, x0 = BOUNDED_QUADRATICS[case]
-
-    def f(v):
-        d = [vi - ci for vi, ci in zip(v, centre)]
-        return (sum(h * di * di for h, di in zip(diag, d))
-                + coupling * sum(a * b for a, b in zip(d, d[1:])))
-
-    x, fun, _ = run_contract(f, x0, bounds, maxfev=20_000)
-    ref = minimize(lambda v: f(list(v)), np.asarray(x0), method="Nelder-Mead", bounds=bounds,
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 20_000})
-    assert ref.success
-    assert abs(fun - ref.fun) <= 1e-8
-    if case == "active-bound":
-        assert x[1] == 0.0 and ref.x[1] == 0.0
-
-
-def reference_nelder_mead(f, x0, bounds, *, xatol, fatol, maxfev):
-    """The simplex loop as it was before its bookkeeping was trimmed: every
-    iteration stably re-sorts all n + 1 vertices and rebuilds both lists.
-    nm.nelder_mead must evaluate the same points and return the same
-    (x, fun)."""
-    lo = [float(b[0]) for b in bounds]
-    hi = [float(b[1]) for b in bounds]
-
-    def clip(x):
-        return [v if l <= v <= h else (l if v < l else h) for v, l, h in zip(x, lo, hi)]
-
-    def towards(x, y, t):
-        return clip([a + t * (b - a) for a, b in zip(x, y)])
-
-    x0 = clip([float(v) for v in x0])
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        if y[k] > hi[k]:
-            y[k] = 2.0 * hi[k] - y[k]
-        sim.append(clip(y))
-    fsim = [f(x) for x in sim]
-    nfev = n + 1
-    while True:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-        best = sim[0]
-        if nfev >= maxfev or (fsim[-1] - fsim[0] <= fatol and all(
-                b - xatol <= v <= b + xatol for x in sim[1:] for v, b in zip(x, best))):
-            return best, fsim[0]
-        xbar = [sum(col) / n for col in zip(*sim[:-1])]
-        xr = towards(xbar, sim[-1], -1.0)
-        fr = f(xr)
-        nfev += 1
-        if fr < fsim[0]:
-            xe = towards(xbar, sim[-1], -2.0)
-            fe = f(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
-        else:
-            outside = fr < fsim[-1]
-            xc = towards(xbar, sim[-1], -0.5 if outside else 0.5)
-            fc = f(xc)
-            nfev += 1
-            if (fc <= fr) if outside else (fc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fc
-            else:
-                sim = [best] + [towards(best, x, 0.5) for x in sim[1:]]
-                fsim = [fsim[0]] + [f(x) for x in sim[1:]]
-                nfev += n
-
-
-def assert_same_run(make_f, x0, bounds, **opts):
-    """nm.nelder_mead and the reference loop, each on a fresh
-    f = make_f(), evaluate the same sequence of points and return the same
-    (x, fun)."""
-    runs = []
-    for minimizer in (nm.nelder_mead, reference_nelder_mead):
-        seen = []
-        f = make_f()
-
-        def logged(v):
-            seen.append(list(v))
-            return f(v)
-
-        runs.append((minimizer(logged, x0, bounds, **opts), seen))
-    (got, got_seen), (want, want_seen) = runs
-    assert got == want and got_seen == want_seen
-    return len(got_seen)
-
-
-def seeded_contract_problems():
-    """(make_f, x0, bounds, maxfev) of the contract tests above, and seeded
-    starts on every kind's lifted problems: both with c3 a coordinate and
-    the probes' own, with c3 solved inside each evaluation (whose inner
-    solve starts where the last one ended, hence a fresh f per run)."""
-    problems = []
-    for case in sorted(BOUNDED_QUADRATICS):
-        diag, coupling, centre, bounds, x0 = BOUNDED_QUADRATICS[case]
-
-        def quad(v, diag=diag, coupling=coupling, centre=centre):
-            d = [vi - ci for vi, ci in zip(v, centre)]
-            return (sum(h * di * di for h, di in zip(diag, d))
-                    + coupling * sum(a * b for a, b in zip(d, d[1:])))
-
-        problems.append((lambda quad=quad: quad, x0, bounds, 20_000))
-    rosen = lambda v: (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2  # noqa: E731
-    problems += [(lambda: rosen, x0, [(-4.0, 4.0)] * 2, 300)
-                 for x0 in ([0.0, 0.0], [-1.2, 1.0], [3.0, -3.0])]
-    for kind, x0, b_max in [("sectional", [0.5, 0.48, 1.0], 0.9),
-                            ("strong_nonneg", [1.0, 0.7, 0.5, 2.0], 0.9),
-                            ("strong", [LOG_C3_MAX, 0.49, 0.03, 0.04], lc.B_MAX)]:
-        f, bounds = lifted_problem(kind, 0.7 if b_max == 0.9 else 0.999, 0.1, b_max)
-        problems.append((lambda f=f: f, x0, bounds, 600))
-    for seed, kind in enumerate(("sectional", "strong", "strong_nonneg")):
-        rng = np.random.default_rng(20 + seed)
+    # starts at b past 1/2 (clipped to B_MAX) with a moment that overflows
+    # there: the probe halves b until the total is finite
+    cases = [("sectional", [0.5, 0.6, 12.0]), ("strong", [1.0, 0.7, 12.0, 2.0]),
+             ("strong_nonneg", [1.0, 0.7, 12.0, 2.0])]
+    for kind, x in cases:
         spec = lc.kind_table()[kind].lifted
-        for _ in range(3):
-            alpha, beta = rng.uniform(0.05, 0.999), rng.uniform(1e-3, 0.45)
-            f, bounds = lifted_problem(kind, alpha, beta)
-            x0 = [rng.uniform(-9.0, 5.0), rng.uniform(0.05, 0.49)]
-            x0 += [rng.uniform(0.0, 3.0) for _ in bounds[2:]]
-            problems.append((lambda f=f: f, x0, bounds, 1500))
-
-            def make_profile(spec=spec, alpha=alpha, beta=beta, c3=math.exp(x0[0])):
-                profile = lc._profile_objective(spec, alpha, beta, c3)
-                return lambda q: profile(q)[0]
-
-            problems.append((make_profile, x0[1:], list(lc._Q_BOX[:1 + spec.n_extra]), 1500))
-    return problems
-
-
-def test_nelder_mead_evaluates_the_points_of_the_reference_loop():
-    calls = [assert_same_run(make_f, x0, bounds, xatol=1e-10, fatol=1e-12, maxfev=maxfev)
-             for make_f, x0, bounds, maxfev in seeded_contract_problems()]
-    assert sum(calls) > 10_000
-
-
-def test_nelder_mead_rejects_inverted_bounds():
-    with pytest.raises(DomainError):
-        nm.nelder_mead(lambda v: v[0] ** 2, [0.0], [(1.0, -1.0)],
-                       xatol=1e-8, fatol=1e-8, maxfev=100)
+        assert lc.lifted_total(spec, lift_start(x).clipped(), 0.7, 0.1) == math.inf
+        total, _, _ = run_contract(kind, 0.7, 0.1, lift_start(x))
+        assert math.isfinite(total)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +693,25 @@ def test_gaussian_quadratic_integral_matches_quadrature(p, s, c, lo, width):
                              rel_tol=1e-11)
     numeric = nm.gauss_expectation(g, spec, breakpoints=(lo, hi))
     assert abs(closed - numeric) <= 1e-9 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("b, x0, c, lo, hi", [
+    (0.3, 0.7, -0.2, -1.0, 2.5),
+    (0.3, -0.7, 0.4, 0.0, math.inf),
+    (0.45, 1.2, 1.0, -math.inf, 0.3),
+    (-0.4, 2.0, 0.0, 2.0, math.inf),
+    (0.2, 0.0, 0.0, -math.inf, math.inf),
+    (0.49, 5.0, -1.0, 5.0, 9.0),
+])
+def test_gaussian_quadratic_moments_match_quadrature(b, x0, c, lo, hi):
+    moments = nm.gaussian_quadratic_moments(b, x0, c, lo, hi)
+    assert moments[0] == nm.gaussian_quadratic_integral(b, -2 * b * x0, b * x0 * x0 + c, lo, hi)
+    for k, closed in enumerate(moments):
+        def f(h, k=k):  # the Gaussian weight folded into the exponent
+            return (h - x0) ** k * math.exp(b * (h - x0) ** 2 + c - 0.5 * h * h) / nm.SQRT2PI
+
+        numeric = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        assert closed == pytest.approx(numeric, rel=1e-9, abs=1e-12), k
 
 
 def test_gaussian_quadratic_integral_infinite_limits():

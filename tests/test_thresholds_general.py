@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
@@ -74,7 +75,7 @@ def test_sectional_direct_boundary_at_table_value():
 def test_sectional_moments_match_displayed_forms():
     # the textbook one-line expressions, evaluated literally
     for b, nu in [(0.1, 0.5), (0.3, 1.5), (0.45, 0.2), (0.05, 3.0)]:
-        plus, minus = tg.sectional_exp_moments(b, nu)
+        (plus, minus), _ = tg.sectional_exp_moments(b, nu)
         pref = math.exp(b * nu * nu / (1 - 2 * b)) / math.sqrt(1 - 2 * b)
         plus_disp = pref * (1 + nm.erf(SQRT2 * b * nu / math.sqrt(1 - 2 * b)))
         minus_disp = pref * nm.erfc(nu / math.sqrt(2 * (1 - 2 * b))) + nm.erf(nu / SQRT2)
@@ -85,7 +86,7 @@ def test_sectional_moments_match_displayed_forms():
 def test_sectional_lifted_nu_zero_closed_form():
     params = LiftParams(c3=0.6, gamma=0.5, nu1=0.0)
     b = params.b
-    plus, minus = tg.sectional_exp_moments(b, 0.0)
+    (plus, minus), _ = tg.sectional_exp_moments(b, 0.0)
     assert abs(plus - 1.0 / math.sqrt(1.0 - 2.0 * b)) <= 1e-12
     assert abs(minus - 1.0 / math.sqrt(1.0 - 2.0 * b)) <= 1e-12
     closed = tg.SECTIONAL.set_term_at(0.2, params)
@@ -97,25 +98,26 @@ def test_sectional_inner_minimization_vs_grid_scan():
     # 200 x 200 grid scan over (gamma, nu) is the oracle for the inner
     # minimization of the lifted sectional term at (beta, c3) = (0.1, 0.5)
     beta, c3 = 0.1, 0.5
-    gammas = np.linspace(c3 / 2 + 1e-3, 3.0, 200)
-    nus = np.linspace(0.0, 4.0, 200)
+    gammas = np.linspace(c3 / 2 + 1e-3, 3.0, 200).tolist()
+    nus = np.linspace(0.0, 4.0, 200).tolist()
     best = np.inf
     for g in gammas:
         b = c3 / (4.0 * g)
         for nu in nus:
-            plus, minus = tg.sectional_exp_moments(b, nu)
+            (plus, minus), _ = tg.sectional_exp_moments(b, nu)
             val = g + beta / c3 * math.log(plus) + (1 - beta) / c3 * math.log(minus)
             best = min(best, val)
 
     def objective(v):
-        g, nu = v
+        g, nu = map(float, v)
         if g <= c3 / 2 or nu < 0:
             return np.inf
-        plus, minus = tg.sectional_exp_moments(c3 / (4 * g), nu)
+        (plus, minus), _ = tg.sectional_exp_moments(c3 / (4 * g), nu)
         return g + beta / c3 * math.log(plus) + (1 - beta) / c3 * math.log(minus)
 
-    _, fx = nm.nelder_mead(objective, [1.0, 1.0], [(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)],
-                           xatol=1e-8, fatol=1e-10, maxfev=4000)
+    fx = minimize(objective, [1.0, 1.0], method="Nelder-Mead",
+                  bounds=[(c3 / 2 + 1e-6, 5.0), (0.0, 6.0)],
+                  options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 4000}).fun
     assert fx <= best + 1e-4
     assert abs(fx - best) <= 1e-4
 
@@ -129,12 +131,12 @@ def test_sectional_lifted_reduces_to_direct_at_tiny_c3():
             g, nu = v
             if g <= 0 or nu < 0:
                 return np.inf
-            plus, minus = tg.sectional_exp_moments(1e-6 / (4 * g), nu)
+            (plus, minus), _ = tg.sectional_exp_moments(1e-6 / (4 * g), nu)
             return g + beta / 1e-6 * math.log(plus) + (1 - beta) / 1e-6 * math.log(minus)
 
-        _, fx = nm.nelder_mead(objective, [max(direct, 0.05) / 2, nu_d],
-                               [(1e-4, 5.0), (0.0, 8.0)],
-                               xatol=1e-8, fatol=1e-10, maxfev=4000)
+        fx = minimize(objective, [max(direct, 0.05) / 2, nu_d], method="Nelder-Mead",
+                      bounds=[(1e-4, 5.0), (0.0, 8.0)],
+                      options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 4000}).fun
         assert abs(fx - direct) <= 1e-3
 
 
@@ -148,7 +150,7 @@ def test_sectional_lifted_fixed_nu_limit_matches_direct():
         direct = tg.sectional_set_term_direct(beta, nu)
 
         def term(g):
-            plus, minus = tg.sectional_exp_moments(c3 / (4 * g), nu)
+            (plus, minus), _ = tg.sectional_exp_moments(c3 / (4 * g), nu)
             return g + beta / c3 * math.log(plus) + (1 - beta) / c3 * math.log(minus)
 
         res = minimize_scalar(term, bounds=(1e-3, 4.0), method="bounded",
@@ -229,8 +231,8 @@ def test_strong_moment_continuity_at_regime_boundaries():
     c3, gamma, nu2 = 0.8, 1.1, 0.9
     b, mu = c3 / (4 * gamma), c3 * nu2
     for edge in (math.sqrt(2 * gamma * nu2), math.sqrt(8 * gamma * nu2)):
-        lo = tg.strong_exp_moment(b, edge * (1 - 1e-9), mu)
-        hi = tg.strong_exp_moment(b, edge * (1 + 1e-9), mu)
+        lo = tg.strong_exp_moment(b, edge * (1 - 1e-9), mu)[0]
+        hi = tg.strong_exp_moment(b, edge * (1 + 1e-9), mu)[0]
         assert abs(lo - hi) <= 1e-8 * max(lo, hi)
 
 

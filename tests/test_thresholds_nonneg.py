@@ -166,7 +166,7 @@ def test_nonneg_degenerate_parameters():
     # is E exp(p h^2) = 1/sqrt(1-2p)
     c3, gamma = 0.6, 0.8
     p = c3 / (4 * gamma)
-    moment = tn.nonneg_exp_moment(p, 0.0, 0.0)
+    moment = tn.nonneg_exp_moment(p, 0.0, 0.0)[0]
     assert abs(moment - 1.0 / math.sqrt(1.0 - 2.0 * p)) <= 1e-8
     params = LiftParams(c3=c3, gamma=gamma, nu1=0.0, nu2=0.0)
     closed = tn.STRONG_NONNEG.set_term_at(0.3, params)
