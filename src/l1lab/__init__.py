@@ -10,20 +10,15 @@ small scale.
 
 from .config import Config, load_config
 from .lift_core import (
-    BoundEvaluation,
     LiftParams,
-    SphereTerm,
     ThresholdResult,
     exp_set_term_oracle,
     i_sph,
-    master_condition,
     sphere_gamma_hat,
-    sphere_term,
     threshold_bisect,
 )
 from .thresholds_general import (
     sectional_set_term_direct,
-    strong_condition_direct,
     strong_t_integrand,
     weak_alpha_of_beta,
 )
@@ -36,20 +31,15 @@ from .thresholds_nonneg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEvaluation",
     "Config",
     "LiftParams",
-    "SphereTerm",
     "ThresholdResult",
     "exp_set_term_oracle",
     "i_sph",
     "load_config",
-    "master_condition",
     "nonneg_t_integrand",
     "sectional_set_term_direct",
     "sphere_gamma_hat",
-    "sphere_term",
-    "strong_condition_direct",
     "strong_nonneg_direct_value",
     "strong_t_integrand",
     "threshold_bisect",

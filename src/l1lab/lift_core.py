@@ -111,30 +111,6 @@ class LiftParams:
 
 
 @dataclass(frozen=True)
-class SphereTerm:
-    """The sphere contribution at (c3, alpha): optimal scale and value."""
-
-    c3: float
-    alpha: float
-    gamma_hat: float
-    value: float
-
-
-@dataclass(frozen=True)
-class BoundEvaluation:
-    """The three terms of the master condition and their sum at one point."""
-
-    c3: float
-    i_set: float
-    i_sph: float
-    total: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.total < 0.0
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     alpha: float
     beta: float
@@ -160,29 +136,14 @@ def sphere_gamma_hat(c3: float, alpha: float) -> float:
 def i_sph(c3: float, alpha: float) -> float:
     """Sphere term gamma_hat - alpha/(2*c3) * log(1 - c3/(2*gamma_hat)).
 
-    Requires c3 > 0; the c3 -> 0 limit is -sqrt(alpha) (see sphere_term).
-    The log argument exceeds 1 because gamma_hat < 0, so the expression is
-    total on the stated domain.
+    Requires c3 > 0; its c3 -> 0 limit is -sqrt(alpha), the sphere term of
+    the direct bounds.  The log argument exceeds 1 because gamma_hat < 0, so
+    the expression is total on the stated domain.
     """
     if c3 <= 0:
-        raise DomainError("i_sph requires c3 > 0; use sphere_term for the c3=0 limit")
+        raise DomainError("i_sph requires c3 > 0; its c3 -> 0 limit is -sqrt(alpha)")
     g = sphere_gamma_hat(c3, alpha)
     return g - alpha / (2.0 * c3) * math.log1p(-c3 / (2.0 * g))
-
-
-def sphere_term(c3: float, alpha: float) -> SphereTerm:
-    """SphereTerm at (c3, alpha), handling c3 = 0 by its analytic limit."""
-    g = sphere_gamma_hat(c3, alpha)
-    value = -math.sqrt(alpha) if c3 == 0 else i_sph(c3, alpha)
-    return SphereTerm(c3=c3, alpha=alpha, gamma_hat=g, value=value)
-
-
-def master_condition(i_set: float, c3: float, alpha: float) -> BoundEvaluation:
-    """Assemble total = -c3/2 + i_set + i_sph(c3, alpha)."""
-    if not math.isfinite(i_set):
-        raise DomainError("i_set must be finite")
-    sph = i_sph(c3, alpha)
-    return BoundEvaluation(c3=c3, i_set=i_set, i_sph=sph, total=-0.5 * c3 + i_set + sph)
 
 
 # --------------------------------------------------------------------------

@@ -329,13 +329,6 @@ def strong_direct_minimum(beta: float) -> tuple[float, float]:
     return nm.newton_minimum(at, c)
 
 
-def strong_condition_direct(beta: float, alpha: float) -> bool:
-    """Direct strong success condition: min_nu W(beta, nu) < alpha."""
-    if not 0.0 < beta <= 0.5:
-        raise DomainError(f"strong kinds require beta in (0, 0.5], got {beta}")
-    return strong_direct_minimum(beta)[0] < alpha
-
-
 def _strong_direct(beta):
     w, nu = strong_direct_minimum(beta)
     return math.sqrt(max(w, 0.0)), nu

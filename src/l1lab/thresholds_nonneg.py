@@ -7,7 +7,7 @@ dominates its general-x counterpart.  The module mirrors thresholds_general:
 * the direct strong bound, two truncated Gaussian second moments split at
   c_nu_plus = -sqrt(2)*erfinv(1 - 2*beta), which is negative for beta < 1/2
   (the sum is compared against alpha directly, it is already the squared
-  quantity), plus the older fixed-point form kept as an alternate evaluator;
+  quantity);
 * the lifted strong bound, whose exponent t(h) is asymmetric in h: a growing
   quadratic branch for h >= nu1, a constant plateau in the middle, and a
   decaying-entry branch below nu1 - sqrt(8*gamma*nu2).

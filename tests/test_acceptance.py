@@ -6,7 +6,8 @@ once, in a two-worker process pool, by the module-scoped fixture.  The
 pool's workers start with one BLAS thread each (see `_pool`).
 
 Expected threshold values are the published reference numbers this library
-must reproduce to +-5e-4 (reported there to 4-5 significant digits); the
+must reproduce to +-5e-4 (reported there to 4-5 significant digits), and
+never fall more than half a printed unit (plus tol_beta) below; the
 Donoho / Donoho-Tanner columns are literature constants and are only
 checked for presence, never recomputed.
 """
@@ -17,6 +18,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from itertools import combinations
 from unittest import mock
 
@@ -26,6 +28,7 @@ from lp_oracles import lp_support_holds
 
 from l1lab import empirical as emp
 from l1lab import threshold_bisect
+from l1lab.config import DEFAULT
 from l1lab.reference_values import (
     DONOHO_STRONG,
     DONOHO_TANNER_STRONG_NONNEG,
@@ -36,26 +39,27 @@ from l1lab.reference_values import (
 TOL = 5e-4
 BISECT_SLACK = 2e-5  # two bisection widths
 
-# published threshold columns to reproduce (low + high aspect ratios)
+# published threshold columns to reproduce (low + high aspect ratios), as
+# printed: a literal's last digit sets the printed unit of its cell
 SECTIONAL_DIRECT = {
-    0.01: 0.00069, 0.05: 0.00471, 0.1: 0.0112, 0.2: 0.0276, 0.3: 0.0481,
-    0.4: 0.0728, 0.5: 0.1022, 0.6: 0.1373, 0.7: 0.1800, 0.8: 0.2337,
-    0.9: 0.3079, 0.95: 0.3626, 0.99: 0.4378, 0.999: 0.4802, 0.9999: 0.4937,
+    0.01: "0.00069", 0.05: "0.00471", 0.1: "0.0112", 0.2: "0.0276", 0.3: "0.0481",
+    0.4: "0.0728", 0.5: "0.1022", 0.6: "0.1373", 0.7: "0.1800", 0.8: "0.2337",
+    0.9: "0.3079", 0.95: "0.3626", 0.99: "0.4378", 0.999: "0.4802", 0.9999: "0.4937",
 }
 SECTIONAL_LIFTED = {
-    0.01: 0.00070, 0.05: 0.00483, 0.1: 0.0115, 0.2: 0.0283, 0.3: 0.0491,
-    0.4: 0.0744, 0.5: 0.1045, 0.6: 0.1401, 0.7: 0.1832, 0.8: 0.2373,
-    0.9: 0.3113, 0.95: 0.3654, 0.99: 0.4394, 0.999: 0.4807, 0.9999: 0.4937,
+    0.01: "0.00070", 0.05: "0.00483", 0.1: "0.0115", 0.2: "0.0283", 0.3: "0.0491",
+    0.4: "0.0744", 0.5: "0.1045", 0.6: "0.1401", 0.7: "0.1832", 0.8: "0.2373",
+    0.9: "0.3113", 0.95: "0.3654", 0.99: "0.4394", 0.999: "0.4807", 0.9999: "0.4937",
 }
 STRONG_LIFTED = {
-    0.01: 0.00030, 0.05: 0.00206, 0.1: 0.00492, 0.2: 0.01225, 0.3: 0.02154,
-    0.4: 0.03285, 0.5: 0.04645, 0.6: 0.06287, 0.7: 0.08298, 0.8: 0.1085,
-    0.9: 0.1443, 0.95: 0.1710, 0.99: 0.2080, 0.999: 0.2291, 0.9999: 0.2359,
+    0.01: "0.00030", 0.05: "0.00206", 0.1: "0.00492", 0.2: "0.01225", 0.3: "0.02154",
+    0.4: "0.03285", 0.5: "0.04645", 0.6: "0.06287", 0.7: "0.08298", 0.8: "0.1085",
+    0.9: "0.1443", 0.95: "0.1710", 0.99: "0.2080", 0.999: "0.2291", 0.9999: "0.2359",
 }
 NONNEG_STRONG_LIFTED = {
-    0.01: 0.00033, 0.05: 0.0024, 0.1: 0.0060, 0.2: 0.0158, 0.3: 0.0291,
-    0.4: 0.0461, 0.5: 0.0680, 0.6: 0.0959, 0.7: 0.1323, 0.8: 0.1820,
-    0.9: 0.2577, 0.95: 0.3188, 0.99: 0.4113, 0.999: 0.4694, 0.9999: 0.4895,
+    0.01: "0.00033", 0.05: "0.0024", 0.1: "0.0060", 0.2: "0.0158", 0.3: "0.0291",
+    0.4: "0.0461", 0.5: "0.0680", 0.6: "0.0959", 0.7: "0.1323", 0.8: "0.1820",
+    0.9: "0.2577", 0.95: "0.3188", 0.99: "0.4113", 0.999: "0.4694", 0.9999: "0.4895",
 }
 
 DOMINANCE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -131,15 +135,33 @@ def _report(criterion, failures, note=""):
     assert not failures
 
 
+def _printed_unit(literal):
+    """The unit of the last printed digit of a published literal."""
+    return 10.0 ** Decimal(literal).as_tuple().exponent
+
+
 def _column_failures(memo, kind, method, expected, alphas):
+    """Cells outside +-TOL of the published value, or below its printed
+    digits: beta < published - unit/2 - tol_beta.  A lifted beta is a
+    certified lower bound, so a cell above its digits is printed, not
+    gated."""
     failures = []
     for alpha in alphas:
         got = memo[(kind, method, alpha)]
-        want = expected[alpha]
+        literal = expected[alpha]
+        want, unit = float(literal), _printed_unit(literal)
         if abs(got - want) > TOL:
             failures.append(
                 f"{kind}/{method} alpha={alpha}: got {got:.5f}, want {want} (+-{TOL})"
             )
+        if got < want - 0.5 * unit - DEFAULT.tol_beta:
+            failures.append(
+                f"{kind}/{method} alpha={alpha}: got {got:.7f}, below the printed "
+                f"{literal} by more than half a unit plus tol_beta"
+            )
+        elif got > want + 0.5 * unit:
+            print(f"    above the printed digits: {kind}/{method} alpha={alpha}: "
+                  f"got {got:.7f}, printed {literal} ({(got - want) / unit:+.2f} units)")
     return failures
 
 

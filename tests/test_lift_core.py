@@ -1,4 +1,4 @@
-"""Sphere term, master condition, set-term oracle, threshold search."""
+"""Sphere term, lifted total, set-term oracle, threshold search."""
 
 import dataclasses
 import functools
@@ -71,19 +71,10 @@ def test_i_sph_continuity_at_zero():
 
 def test_i_sph_domain():
     with pytest.raises(DomainError):
-        lc.i_sph(0.0, 0.5)
-    term = lc.sphere_term(0.0, 0.49)
-    assert term.value == -math.sqrt(0.49)
-    assert term.gamma_hat == pytest.approx(-math.sqrt(0.49) / 2, abs=1e-15)
-
-
-def test_master_condition_trivials():
-    ev = lc.master_condition(0.0, 1e-8, 0.25)
-    assert abs(ev.total - (-0.5)) <= 1e-6
-    assert ev.feasible
-    ev = lc.master_condition(1.0, 1e-8, 0.25)
-    assert abs(ev.total - 0.5) <= 1e-6
-    assert not ev.feasible
+        lc.i_sph(0.0, 0.49)
+    # the c3 -> 0 limit: gamma_hat -> -sqrt(alpha)/2 and i_sph -> -sqrt(alpha)
+    assert lc.sphere_gamma_hat(0.0, 0.49) == pytest.approx(-0.35, abs=1e-15)
+    assert lc.i_sph(1e-12, 0.49) == pytest.approx(-math.sqrt(0.49), abs=1e-11)
 
 
 def test_master_condition_continuity_in_c3():
@@ -91,9 +82,7 @@ def test_master_condition_continuity_in_c3():
     prev = None
     for c3 in grid:
         params = lc.LiftParams(c3=c3, gamma=max(c3 / (4 * 0.3), 0.5), nu1=1.0)
-        total = lc.master_condition(
-            lifted_spec("sectional").set_term_at(0.1, params), c3, 0.5
-        ).total
+        total = lc.lifted_total(lifted_spec("sectional"), params, 0.5, 0.1)
         assert np.isfinite(total)
         if prev is not None:
             assert abs(total - prev) <= 0.05
@@ -679,12 +668,12 @@ def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
-    lambda: lc.sphere_term(math.nan, 0.5),
-    lambda: lc.sphere_term(1.0, math.inf),
-    lambda: lc.sphere_term(math.inf, 0.5),
-    lambda: lc.sphere_term(1.0, math.nan),
+    lambda: lc.sphere_gamma_hat(math.nan, 0.5),
+    lambda: lc.sphere_gamma_hat(1.0, math.inf),
+    lambda: lc.sphere_gamma_hat(math.inf, 0.5),
+    lambda: lc.i_sph(1.0, math.nan),
     lambda: lc.i_sph(math.inf, 0.5),
-    lambda: lc.master_condition(0.1, math.nan, 0.5),
+    lambda: lc.i_sph(math.nan, 0.5),  # the sphere term of every lifted total
 ], ids=["c3-nan", "alpha-inf", "c3-inf", "alpha-nan", "i_sph-c3-inf", "master-c3-nan"])
 def test_sphere_functions_refuse_non_finite_arguments(call):
     with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from bounded_brent import minimize_bounded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -438,7 +439,8 @@ def test_newton_minimum_on_a_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# minimize_bounded: a step-for-step replay of scipy's bounded Brent
+# minimize_bounded (tests/bounded_brent.py): a step-for-step replay of
+# scipy's bounded Brent
 # ---------------------------------------------------------------------------
 
 def _logged(f, log):
@@ -452,7 +454,7 @@ def _assert_replays_scipy(f, lo, hi, xatol=1e-12, maxiter=500):
     seen_scipy, seen_ours = [], []
     want = minimize_scalar(_logged(f, seen_scipy), bounds=(lo, hi), method="bounded",
                            options={"xatol": xatol, "maxiter": maxiter})
-    got = nm.minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol, maxiter=maxiter)
+    got = minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol, maxiter=maxiter)
     assert seen_ours == seen_scipy
     assert float(got.x).hex() == float(want.x).hex()
     assert float(got.fun).hex() == float(want.fun).hex()
@@ -514,7 +516,7 @@ def test_minimize_bounded_replays_scipy_on_the_direct_objectives():
 def test_minimize_bounded_rejects_bad_bounds():
     for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)):
         with pytest.raises(DomainError):
-            nm.minimize_bounded(lambda x: x, lo, hi)
+            minimize_bounded(lambda x: x, lo, hi)
 
 
 # ---------------------------------------------------------------------------

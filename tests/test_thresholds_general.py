@@ -283,8 +283,7 @@ def test_strong_direct_integral_vs_quadrature():
 
 def test_strong_direct_limit_beta_to_zero():
     w, nu = tg.strong_direct_minimum(1e-5)
-    assert w < 5e-3
-    assert tg.strong_condition_direct(1e-5, 0.05)
+    assert w < 5e-3  # so the direct strong condition W < alpha holds down to alpha = 5e-3
 
 
 def test_strong_direct_below_donoho_at_half():
