@@ -1,4 +1,5 @@
-"""Golden grid of lifted thresholds: 3 lifted kinds x 26 alpha.
+"""Golden grids of thresholds at 26 alpha: 3 lifted kinds, and the direct
+method of all 5 kinds.
 
 golden_lifted_grid.json holds, for every (kind, alpha), the lifted beta,
 its condition margin and the lift parameters at the optimum as float.hex,
@@ -7,13 +8,18 @@ tests hold each point to the fixture within tol_beta, keep its margin below
 -feasibility_margin, raise exactly at the fixture's error points, and keep
 each kind's beta non-decreasing in alpha.
 
-A change that moves beta on purpose regenerates the fixture by running
+golden_direct_grid.json holds the direct method's results in the same
+format (a weak kind has no lift parameters), and the tests hold every
+point to it bit for bit.
+
+A change that moves beta on purpose regenerates both fixtures by running
 
     PYTHONPATH=src python tests/test_golden_grid.py
 
 and states its largest |delta beta| in CHANGES.md.
 """
 
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -24,8 +30,9 @@ from l1lab import lift_core as lc
 from l1lab.config import DEFAULT
 from l1lab.reference_values import TABLE_ALPHAS_HIGH, TABLE_ALPHAS_LOW
 
-FIXTURE = Path(__file__).resolve().parent / "golden_lifted_grid.json"
-KINDS = ("sectional", "strong", "strong_nonneg")
+HERE = Path(__file__).resolve().parent
+FIXTURES = {"lifted": HERE / "golden_lifted_grid.json", "direct": HERE / "golden_direct_grid.json"}
+KINDS = {"lifted": ("sectional", "strong", "strong_nonneg"), "direct": tuple(lc.kind_table())}
 # the table alphas, the half-steps 0.15..0.85 between them, and the small-alpha end
 ALPHAS = tuple(sorted(TABLE_ALPHAS_LOW + TABLE_ALPHAS_HIGH
                       + tuple(round(0.15 + 0.1 * i, 2) for i in range(8))
@@ -34,10 +41,10 @@ RANGE_ERROR = "range_error"
 
 
 @functools.cache
-def solve(kind, alpha):
-    """The lifted ThresholdResult at (kind, alpha), or RANGE_ERROR."""
+def solve(kind, alpha, method="lifted"):
+    """The ThresholdResult at (kind, alpha, method), or RANGE_ERROR."""
     try:
-        return lc.threshold_bisect(alpha, kind, "lifted")
+        return lc.threshold_bisect(alpha, kind, method)
     except lc.ThresholdRangeError:
         return RANGE_ERROR
 
@@ -46,21 +53,21 @@ def record(result):
     """The fixture entry of one solve: hex floats, or RANGE_ERROR."""
     if result == RANGE_ERROR:
         return RANGE_ERROR
-    p = result.params_at_optimum
-    return {name: float(value).hex() for name, value in (
-        ("beta", result.beta), ("margin", result.condition_margin),
-        ("c3", p.c3), ("gamma", p.gamma), ("nu1", p.nu1), ("nu2", p.nu2))}
+    fields = {"beta": result.beta, "margin": result.condition_margin}
+    if result.params_at_optimum is not None:
+        fields.update(dataclasses.asdict(result.params_at_optimum))
+    return {name: float(value).hex() for name, value in fields.items()}
 
 
 @functools.cache
-def golden():
-    return json.loads(FIXTURE.read_text())
+def golden(method):
+    return json.loads(FIXTURES[method].read_text())
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=repr)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS["lifted"])
 def test_lifted_beta_matches_the_golden_grid(kind, alpha):
-    want = golden()[kind][repr(alpha)]
+    want = golden("lifted")[kind][repr(alpha)]
     got = solve(kind, alpha)
     if want == RANGE_ERROR:
         assert got == RANGE_ERROR, f"{kind} at alpha={alpha} no longer raises"
@@ -70,17 +77,24 @@ def test_lifted_beta_matches_the_golden_grid(kind, alpha):
     assert got.condition_margin < -DEFAULT.feasibility_margin
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS["lifted"])
 def test_lifted_beta_is_non_decreasing_in_alpha(kind):
     betas = [r.beta for r in (solve(kind, a) for a in ALPHAS) if r != RANGE_ERROR]
     assert all(a <= b for a, b in zip(betas, betas[1:]))
 
 
+@pytest.mark.parametrize("alpha", ALPHAS, ids=repr)
+@pytest.mark.parametrize("kind", KINDS["direct"])
+def test_direct_result_matches_the_golden_grid_bit_for_bit(kind, alpha):
+    assert record(solve(kind, alpha, "direct")) == golden("direct")[kind][repr(alpha)]
+
+
 def main():
-    grid = {kind: {repr(alpha): record(solve(kind, alpha)) for alpha in ALPHAS}
-            for kind in KINDS}
-    FIXTURE.write_text(json.dumps(grid, indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    for method, path in FIXTURES.items():
+        grid = {kind: {repr(alpha): record(solve(kind, alpha, method)) for alpha in ALPHAS}
+                for kind in KINDS[method]}
+        path.write_text(json.dumps(grid, indent=1) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
