@@ -253,6 +253,8 @@ def cmd_curve(args, config: Config) -> int:
     method = kind_table()[kind].method_for(args.method)
     grid = parse_alpha_grid(args.alpha_grid)
     meta, header = _curve_headers(kind, method, args.alpha_grid, config.tol_beta)
+    if os.path.isdir(args.out_file) or not os.path.isdir(os.path.dirname(args.out_file) or "."):
+        raise DomainError(f"--out-file {args.out_file!r} is not a file in an existing directory")
     rows = _read_existing_curve(args.out_file, args.format, meta, header)
 
     missing = [a for a in grid if fmt(a) not in rows]
@@ -444,7 +446,7 @@ def main(argv=None) -> int:
 
     try:
         return args.handler(args, config)
-    except (DomainError, DimensionError) as exc:
+    except (DomainError, DimensionError, OSError) as exc:  # OSError: the curve file
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except L1LabError as exc:

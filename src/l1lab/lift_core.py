@@ -35,7 +35,7 @@ closed form.  walk steps along these certificates from the direct optimum
 at small beta, one minimization per step warm-started at the previous
 optimum; the lifted search walks up to the cap and a cold lifted margin
 walks up to its beta.  The direct and weak margins are increasing in beta,
-so their threshold is one bracketed root solve on beta.
+so one bracketed root solve on beta decides their threshold and its range.
 """
 
 from __future__ import annotations
@@ -489,13 +489,15 @@ class Kind:
 
     def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
         """(F, hi): an F(beta) increasing through 0 where the direct or weak
-        margin crosses -2*eps, and the upper end of the beta range to search.
+        margin crosses -2*eps, and the upper end of the beta range to search;
+        an F of one sign on [BETA_FLOOR, hi] puts the threshold at an end.
 
         A direct F is the margin plus 2*eps.  A weak F is the weak
         characterization at alpha - 2*eps, negated: its root is the beta
         whose weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is
         solved per probe, and the range stops at alpha - 2*eps, where
-        alpha_w >= beta makes the characterization -inf.
+        alpha_w >= beta makes the characterization -inf (no range is left
+        at alpha - 2*eps <= BETA_FLOOR).
         """
         if self.characterization is None:
             margin = self.margins["direct"]
@@ -555,21 +557,23 @@ def threshold_bisect(
 
     Feasibility at a probe means the kind's minimized condition margin is
     strictly below -config.feasibility_margin (eps); the strict cut keeps
-    boundary noise from being declared feasible.  The search starts from a
-    feasible probe at BETA_FLOOR (ThresholdRangeError otherwise) and
-    reports the cap when the whole range is feasible.  A weak kind has one
+    boundary noise from being declared feasible.  A weak kind has one
     route, its weak boundary, and reports it as "direct" whatever method
-    is asked for.
+    is asked for.  Every method ends in one range check: if the beta to
+    report is infeasible, it is BETA_FLOOR, and ThresholdRangeError is raised.
 
     A lifted kind is searched by walk up to the cap: certificate steps on
     beta, each re-minimized with one minimize_lifted_total run
     warm-started at the previous optimum, until the first infeasible probe
-    (necessarily one tol_beta above the last feasible one).  The direct and weak margins are
-    increasing in beta, so their threshold is one bracketed root solve
-    (xtol tol_beta/4) of the kind's residual, which crosses 0 where the
-    margin is -2*eps.  The margin is then evaluated at the root r; if it is
-    not below -eps, r - tol_beta/2 is reported instead, which lies below
-    the exact crossing and is checked to be feasible.
+    (necessarily one tol_beta above the last feasible one) or the cap.
+    The direct and weak margins are increasing in beta, so their threshold
+    is one bracketed root solve (xtol tol_beta/4) on [BETA_FLOOR, hi] of
+    the kind's residual, which crosses 0 where the margin is -2*eps; with
+    no sign change the root is the floor if the residual is positive
+    there, else hi.  The margin is evaluated only at the beta reported:
+    the root r, or, if r is infeasible, max(r - tol_beta/2, BETA_FLOOR),
+    which lies below the exact crossing (NonConvergentError if that is
+    infeasible above the floor).
     """
     table = kind_table()
     if kind not in table:
@@ -585,33 +589,26 @@ def threshold_bisect(
     if method == "lifted":
         lo, m_lo, p_lo = walk(margin_fn, row.lifted, alpha, row.cap, eps, tol_beta)
     else:
-        lo = BETA_FLOOR
-        m_lo, p_lo = margin_fn(alpha, lo)
+        residual, hi = row.residual(alpha, eps)
+        residual = functools.cache(residual)  # brentq evaluates the bracket ends again
+        root = BETA_FLOOR
+        if hi > BETA_FLOOR:
+            try:
+                root = find_root(residual, Bracket(BETA_FLOOR, hi), tol=tol_beta / 4.0)
+            except NoSignChangeError:
+                root = hi if residual(BETA_FLOOR) < 0 else BETA_FLOOR
+        for lo in (root, max(root - tol_beta / 2.0, BETA_FLOOR)):
+            m_lo, p_lo = margin_fn(alpha, lo)
+            if m_lo < -eps or lo == BETA_FLOOR:
+                break
+        else:
+            raise NonConvergentError(
+                f"no feasible beta at the root {root!r} of the {kind}/{method} "
+                f"margin or tol_beta/2 below it (margin {m_lo:.3e}) for alpha={alpha}")
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "
             f"({kind}/{method}); threshold below the bisection floor"
         )
-
-    if method == "direct":
-        m_hi, p_hi = margin_fn(alpha, row.cap)
-        if m_hi < -eps:
-            lo, m_lo, p_lo = row.cap, m_hi, p_hi
-        else:
-            residual, hi = row.residual(alpha, eps)
-            try:
-                root = find_root(residual, Bracket(lo, hi), tol=tol_beta / 4.0)
-            except NoSignChangeError:  # the floor margin lies in [-2 eps, -eps)
-                root = lo
-            for beta in (root, max(root - tol_beta / 2.0, lo)):
-                m, p = margin_fn(alpha, beta)
-                if m < -eps:
-                    break
-            else:
-                raise NonConvergentError(
-                    f"no feasible beta at the root {root!r} of the {kind}/{method} "
-                    f"margin or tol_beta/2 below it (margin {m:.3e}) for alpha={alpha}"
-                )
-            lo, m_lo, p_lo = beta, m, p
     return ThresholdResult(alpha=alpha, beta=lo, method=method, kind=kind,
                            params_at_optimum=p_lo, condition_margin=m_lo)

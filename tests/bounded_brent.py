@@ -10,8 +10,6 @@ iterate for iterate, until they can be retired.
 import math
 from typing import Callable, NamedTuple
 
-from l1lab.errors import DomainError
-
 
 class ScalarResult(NamedTuple):
     """Outcome of minimize_bounded: best point, its value, evaluation count."""
@@ -38,7 +36,7 @@ def minimize_bounded(
     xatol: float = 1e-5,
     maxiter: int = 500,
 ) -> ScalarResult:
-    """Bounded Brent minimization on Python floats.
+    """Bounded Brent minimization on Python floats over finite lo <= hi.
 
     Replays scipy.optimize.minimize_scalar(method="bounded") step for step,
     so for the same f it visits the same points and returns the same x, fun
@@ -49,10 +47,6 @@ def minimize_bounded(
     bookkeeping, which costs more than a closed-form direct objective.
     """
     a, b = float(lo), float(hi)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("minimize_bounded: bounds must be finite")
-    if a > b:
-        raise DomainError("minimize_bounded: the lower bound exceeds the upper bound")
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0

@@ -240,6 +240,36 @@ def test_curve_empty_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing/c.csv", "folder", "folder/"])
+def test_curve_out_file_that_cannot_be_written_exits_2_before_solving(
+        tmp_path, monkeypatch, capsys, where):
+    monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    (tmp_path / "folder").mkdir()
+    code, out, err = run_cli(["curve", "--kind", "weak", "--alpha-grid", "0.5:0.5:0.1",
+                              "--out-file", f"{tmp_path}/{where}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out-file") and "not a file in an existing directory" in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["read", "write"])
+def test_curve_file_os_error_exits_2(tmp_path, monkeypatch, capsys, existing):
+    # an existing curve file is read before any point is solved; a new one
+    # is only written after the solves
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = tmp_path / "c.csv"
+    if existing:
+        path.write_text("")
+        monkeypatch.setattr(cli, "threshold_bisect", no_solve)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run_cli(["curve", "--kind", "weak", "--alpha-grid", "0.5:0.5:0.1",
+                              "--out-file", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 13] Permission denied: {str(path)!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # threshold output formats
 # ---------------------------------------------------------------------------

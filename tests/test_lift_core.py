@@ -335,7 +335,8 @@ def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
     r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
     cap = lc.kind_table()["strong_nonneg"].cap
     assert r.beta == cap and r.condition_margin == -1.0
-    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
+    # the residual at both ends of the root solve, then the margin at the cap
+    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap, cap]
 
 
 def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
@@ -377,6 +378,59 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
     r = lc.threshold_bisect(0.5, "strong", "direct")
     assert r.beta == lc.BETA_FLOOR and r.condition_margin == -1.5 * eps
     assert probes[-1] == lc.BETA_FLOOR
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monkeypatch):
+    # besides the root solve's residual calls, a solve evaluates the margin
+    # at the root and, if that is infeasible, tol_beta/2 below it: one exact
+    # alpha_w solve each for a weak kind, one direct minimum each (on top of
+    # one per residual call) for a lifted kind
+    from l1lab import thresholds_general as tg
+    from l1lab import thresholds_nonneg as tn
+
+    row = lc.kind_table()[kind]
+    name = f"{kind}_{'direct_minimum' if row.lifted else 'alpha_of_beta'}"
+    module = tn if "nonneg" in kind else tg
+    calls = {"counted": 0, "residual": 0}
+    roots = []
+
+    def counted(original, key):
+        def fn(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return fn
+
+    original_residual, original_find_root = lc.Kind.residual, lc.find_root
+
+    def residual(self, alpha, eps):
+        f, hi = original_residual(self, alpha, eps)
+        return counted(f, "residual"), hi
+
+    def find_root(*args, **kwargs):
+        roots.append(original_find_root(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(module, name, counted(getattr(module, name), "counted"))
+    monkeypatch.setattr(lc.Kind, "residual", residual)
+    monkeypatch.setattr(lc, "find_root", find_root)
+    for alpha in CONTRACT_ALPHAS:
+        calls.update(counted=0, residual=0)
+        roots.clear()
+        r = lc.threshold_bisect(alpha, kind, "direct")
+        [root] = roots
+        margins = 1 + (r.beta != root)
+        expected = margins + (0 if row.lifted is None else calls["residual"])
+        assert calls["counted"] == expected, (alpha, calls, margins)
+        assert row.lifted or calls["counted"] <= 2
+
+
+@pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
+@pytest.mark.parametrize("alpha", [5e-5, lc.BETA_FLOOR, lc.BETA_FLOOR + 1e-9])
+def test_weak_range_below_the_floor_raises_range_error(kind, alpha):
+    # alpha - 2 eps at or below the floor leaves no beta to search
+    with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
+        lc.threshold_bisect(alpha, kind, "direct")
 
 
 CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
