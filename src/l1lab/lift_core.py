@@ -590,7 +590,7 @@ def threshold_bisect(
         lo, m_lo, p_lo = walk(margin_fn, row.lifted, alpha, row.cap, eps, tol_beta)
     else:
         residual, hi = row.residual(alpha, eps)
-        residual = functools.cache(residual)  # brentq evaluates the bracket ends again
+        residual = functools.cache(residual)  # brentq re-evaluates the ends, as does the sign test
         root = BETA_FLOOR
         if hi > BETA_FLOOR:
             try:

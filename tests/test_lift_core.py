@@ -380,6 +380,10 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
     assert probes[-1] == lc.BETA_FLOOR
 
 
+CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+                   0.999, 0.9999)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monkeypatch):
     # besides the root solve's residual calls, a solve evaluates the margin
@@ -422,7 +426,6 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
         margins = 1 + (r.beta != root)
         expected = margins + (0 if row.lifted is None else calls["residual"])
         assert calls["counted"] == expected, (alpha, calls, margins)
-        assert row.lifted or calls["counted"] <= 2
 
 
 @pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
@@ -431,10 +434,6 @@ def test_weak_range_below_the_floor_raises_range_error(kind, alpha):
     # alpha - 2 eps at or below the floor leaves no beta to search
     with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
         lc.threshold_bisect(alpha, kind, "direct")
-
-
-CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
-                   0.999, 0.9999)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-3], ids=["default-tol", "tol-1e-3"])
