@@ -253,7 +253,9 @@ def cmd_curve(args, config: Config) -> int:
     method = kind_table()[kind].method_for(args.method)
     grid = parse_alpha_grid(args.alpha_grid)
     meta, header = _curve_headers(kind, method, args.alpha_grid, config.tol_beta)
-    if os.path.isdir(args.out_file) or not os.path.isdir(os.path.dirname(args.out_file) or "."):
+    # an empty path names no file: it is refused as the directory "."
+    if (os.path.isdir(args.out_file or ".")
+            or not os.path.isdir(os.path.dirname(args.out_file) or ".")):
         raise DomainError(f"--out-file {args.out_file!r} is not a file in an existing directory")
     rows = _read_existing_curve(args.out_file, args.format, meta, header)
 

@@ -31,11 +31,12 @@ on it (numerics.projected_bfgs).
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
-closed form.  walk steps along these certificates from the direct optimum
-at small beta, one minimization per step warm-started at the previous
-optimum; the lifted search walks up to the cap and a cold lifted margin
-walks up to its beta.  The direct and weak margins are increasing in beta,
-so one bracketed root solve on beta decides their threshold and its range.
+closed form.  walk steps along these certificates from the direct
+threshold, which the lifted one can only exceed, one minimization per step
+warm-started at the previous optimum; the lifted search walks up to the
+cap and a cold lifted margin walks up to its beta.  The direct and weak
+margins are increasing in beta, so one bracketed root solve on beta
+decides their threshold and its range.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ class LiftedKind:
     magnifies.  integrand(params, beta) is its description for
     exp_set_term_oracle;
     direct(beta) -> (root, nu1) is the direct (c3 -> 0) optimum, root being
-    the value compared with sqrt(alpha); nu2(beta, nu1, gamma) is the second
-    multiplier the direct optimum implies, None for a kind with one.
+    the value compared with sqrt(alpha); cap is the largest beta searched;
+    nu2(beta, nu1, gamma) is the second multiplier the direct optimum
+    implies, None for a kind with one.
 
     No field may hold a function that tracers or tests rebind on its module
     (the direct minima, the moments): a reference taken here would bypass
@@ -227,6 +229,7 @@ class LiftedKind:
     k_term: Callable[[float, Sequence[float], float], tuple[float, Sequence[float] | None]]
     integrand: Callable
     direct: Callable[[float], tuple[float, float]]
+    cap: float
     nu2: Callable[[float, float, float], float] | None = None
 
     @property
@@ -408,21 +411,51 @@ def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
     return replace(params, c3=1e-3, gamma=1e-3 / (4.0 * b))
 
 
+def _root_on_range(residual: Callable[[float], float], hi: float, tol_beta: float) -> float:
+    """The root (xtol tol_beta/4) on [BETA_FLOOR, hi] of a residual
+    increasing in beta; with no sign change the floor if the residual is
+    positive there, else hi, and the floor if hi <= BETA_FLOOR.  Each
+    residual value is computed once: brentq re-evaluates the ends, as does
+    the sign test."""
+    residual = functools.cache(residual)
+    if not hi > BETA_FLOOR:
+        return BETA_FLOOR
+    try:
+        return find_root(residual, Bracket(BETA_FLOOR, hi), tol=tol_beta / 4.0)
+    except NoSignChangeError:
+        return hi if residual(BETA_FLOOR) < 0 else BETA_FLOOR
+
+
 def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
          eps: float, tol_beta: float) -> tuple[float, float, LiftParams]:
-    """Certificate steps on beta from min(BETA_FLOOR, stop) towards stop.
+    """Certificate steps on beta from the direct root towards stop.
 
-    margin_fn(alpha, beta, warm) is the kind's lifted margin.  The first
-    probe starts at floor_start; each later one is warm-started at the
-    previous optimum p.  The total is affine in beta at fixed p, so p
-    certifies every beta up to where its total reaches -2*eps; the walk
-    steps there, or tol_beta further if that is further, never past stop.
-    It ends at the first probe whose margin is not below -eps or on
-    reaching stop, and returns (beta, margin, params) of the last feasible
-    probe, or of the first probe when even that one is infeasible.
+    margin_fn(alpha, beta, warm) is the kind's lifted margin.  The lifted
+    family contains the direct bound, so the walk starts where the direct
+    margin crosses -2*eps: at the root r of kind.direct(beta)[0] -
+    sqrt(alpha) + 2*eps on [BETA_FLOOR, kind.cap], solved as the direct
+    search solves it (_root_on_range), clipped to stop; for
+    stop <= BETA_FLOOR it starts at stop.  The first probe starts at
+    floor_start; if it is not below -eps and lies above the floor, the
+    walk starts over with a probe at BETA_FLOOR.  Each later probe is
+    warm-started at the previous optimum p.  The total is affine in beta at
+    fixed p, so p certifies every beta up to where its total reaches
+    -2*eps; the walk steps there, or tol_beta further if that is further,
+    never past stop.  It ends at the first probe whose margin is not below
+    -eps or on reaching stop, and returns (beta, margin, params) of the
+    last feasible probe, or of the last starting probe when that one is
+    infeasible.
     """
-    lo = min(BETA_FLOOR, stop)
+    lo = stop
+    if stop > BETA_FLOOR:
+        sqrt_alpha = math.sqrt(alpha)
+        root = _root_on_range(lambda beta: kind.direct(beta)[0] - sqrt_alpha + 2.0 * eps,
+                              kind.cap, tol_beta)
+        lo = min(root, stop)
     m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
+    if not m_lo < -eps and lo > BETA_FLOOR:
+        lo = BETA_FLOOR
+        m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
     if not m_lo < -eps:
         return lo, m_lo, p_lo
     while lo < stop:
@@ -450,12 +483,14 @@ def lifted_margin(
     projected BFGS search over (b, nu1[, mu]) on analytic gradients, with c3
     solved exactly at each point, which never ends above the total at the
     start; threshold_bisect warm-starts each probe at the previous optimum.
-    Without one it walks the threshold search's certificate steps up to
-    beta (default eps and tol_beta), since a single cold start can stall at
-    small c3, and, if the walk stops short of beta, makes one warm run at
-    beta from the last feasible point.  Such a margin
-    (beta past the threshold) is the minimum of the basin the walk ended
-    in, so only its sign is meaningful.
+    Without one it walks the threshold search's certificate steps, from
+    the direct root up to beta (default eps and tol_beta), since a single
+    cold start can stall at small c3, and, if the walk stops short of beta,
+    makes one warm run at beta from the last feasible point.  The walk
+    solves the direct root on [BETA_FLOOR, kind.cap] as the search does,
+    so at the search's reported beta it ends on the search's own last
+    probe.  Such a margin (beta past the threshold) is the minimum of the
+    basin the walk ended in, so only its sign is meaningful.
     """
     if warm is None:
         kind.direct(beta)  # DomainError outside the kind's beta range
@@ -535,16 +570,16 @@ def kind_table() -> dict[str, Kind]:
                     margins={"direct": lambda a, b, warm=None: (alpha_w(b) - a, None)},
                     characterization=getattr(module, f"{name}_characterization"))
 
-    def lifted(module, name, cap):
-        return Kind(cap=cap, lifted=getattr(module, name.upper()),
+    def lifted(module, name):
+        spec = getattr(module, name.upper())
+        return Kind(cap=spec.cap, lifted=spec,
                     margins={m: _late(module, f"{name}_margin_{m}") for m in METHODS})
 
-    # strong set definitions need k <= n/2
     return {"weak": weak(tg, "weak"),
-            "sectional": lifted(tg, "sectional", 0.9999),
-            "strong": lifted(tg, "strong", 0.5 - 1e-9),
+            "sectional": lifted(tg, "sectional"),
+            "strong": lifted(tg, "strong"),
             "weak_nonneg": weak(tn, "weak_nonneg"),
-            "strong_nonneg": lifted(tn, "strong_nonneg", 0.5 - 1e-9)}
+            "strong_nonneg": lifted(tn, "strong_nonneg")}
 
 
 def threshold_bisect(
@@ -562,18 +597,19 @@ def threshold_bisect(
     is asked for.  Every method ends in one range check: if the beta to
     report is infeasible, it is BETA_FLOOR, and ThresholdRangeError is raised.
 
-    A lifted kind is searched by walk up to the cap: certificate steps on
-    beta, each re-minimized with one minimize_lifted_total run
-    warm-started at the previous optimum, until the first infeasible probe
-    (necessarily one tol_beta above the last feasible one) or the cap.
-    The direct and weak margins are increasing in beta, so their threshold
-    is one bracketed root solve (xtol tol_beta/4) on [BETA_FLOOR, hi] of
-    the kind's residual, which crosses 0 where the margin is -2*eps; with
-    no sign change the root is the floor if the residual is positive
-    there, else hi.  The margin is evaluated only at the beta reported:
-    the root r, or, if r is infeasible, max(r - tol_beta/2, BETA_FLOOR),
-    which lies below the exact crossing (NonConvergentError if that is
-    infeasible above the floor).
+    A lifted kind is searched by walk up to the cap: a first probe at the
+    direct root (or at BETA_FLOOR if that probe is infeasible), then
+    certificate steps on beta, each re-minimized with one
+    minimize_lifted_total run warm-started at the previous optimum, until
+    the first infeasible probe (necessarily one tol_beta above the last
+    feasible one) or the cap.  The direct and weak margins are increasing
+    in beta, so their threshold is one bracketed root solve (xtol
+    tol_beta/4) on [BETA_FLOOR, hi] of the kind's residual, which crosses 0
+    where the margin is -2*eps; with no sign change the root is the floor
+    if the residual is positive there, else hi.  The margin is evaluated
+    only at the beta reported: the root r, or, if r is infeasible,
+    max(r - tol_beta/2, BETA_FLOOR), which lies below the exact crossing
+    (NonConvergentError if that is infeasible above the floor).
     """
     table = kind_table()
     if kind not in table:
@@ -589,14 +625,7 @@ def threshold_bisect(
     if method == "lifted":
         lo, m_lo, p_lo = walk(margin_fn, row.lifted, alpha, row.cap, eps, tol_beta)
     else:
-        residual, hi = row.residual(alpha, eps)
-        residual = functools.cache(residual)  # brentq re-evaluates the ends, as does the sign test
-        root = BETA_FLOOR
-        if hi > BETA_FLOOR:
-            try:
-                root = find_root(residual, Bracket(BETA_FLOOR, hi), tol=tol_beta / 4.0)
-            except NoSignChangeError:
-                root = hi if residual(BETA_FLOOR) < 0 else BETA_FLOOR
+        root = _root_on_range(*row.residual(alpha, eps), tol_beta)
         for lo in (root, max(root - tol_beta / 2.0, BETA_FLOOR)):
             m_lo, p_lo = margin_fn(alpha, lo)
             if m_lo < -eps or lo == BETA_FLOOR:

@@ -180,7 +180,7 @@ def _sectional_direct(beta):
 
 
 SECTIONAL = LiftedKind(k_term=_sectional_k, integrand=sectional_integrand,
-                       direct=_sectional_direct)
+                       direct=_sectional_direct, cap=0.9999)
 
 
 def sectional_margin_direct(alpha, beta, warm=None):
@@ -338,8 +338,9 @@ def _strong_nu2(beta, nu1, gamma):
     return strong_crossover(beta) * nu1 / (2.0 * gamma)
 
 
+# strong set definitions need k <= n/2
 STRONG = LiftedKind(k_term=_strong_k, integrand=strong_integrand,
-                    direct=_strong_direct, nu2=_strong_nu2)
+                    direct=_strong_direct, cap=0.5 - 1e-9, nu2=_strong_nu2)
 
 
 def strong_margin_direct(alpha, beta, warm=None):

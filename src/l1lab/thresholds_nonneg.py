@@ -185,8 +185,9 @@ def _nonneg_nu2(beta, nu1, gamma):
     return (nonneg_crossover(beta) - nu1) ** 2 / (8.0 * gamma)
 
 
+# strong set definitions need k <= n/2
 STRONG_NONNEG = LiftedKind(k_term=_nonneg_k, integrand=nonneg_strong_integrand,
-                           direct=_nonneg_direct, nu2=_nonneg_nu2)
+                           direct=_nonneg_direct, cap=0.5 - 1e-9, nu2=_nonneg_nu2)
 
 
 def strong_nonneg_margin_direct(alpha, beta, warm=None):

@@ -240,13 +240,14 @@ def test_curve_empty_grid_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("where", ["missing/c.csv", "folder", "folder/"])
+@pytest.mark.parametrize("where", ["missing/c.csv", "folder", "folder/", ""])
 def test_curve_out_file_that_cannot_be_written_exits_2_before_solving(
         tmp_path, monkeypatch, capsys, where):
+    # "" is passed as the empty path itself
     monkeypatch.setattr(cli, "threshold_bisect", no_solve)
     (tmp_path / "folder").mkdir()
     code, out, err = run_cli(["curve", "--kind", "weak", "--alpha-grid", "0.5:0.5:0.1",
-                              "--out-file", f"{tmp_path}/{where}"], capsys)
+                              "--out-file", where and f"{tmp_path}/{where}"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: --out-file") and "not a file in an existing directory" in err
     assert not (tmp_path / "missing").exists()

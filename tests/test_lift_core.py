@@ -23,6 +23,12 @@ def lifted_spec(name):
     return lc.kind_table()[name].lifted
 
 
+def assert_at_direct_root(beta, direct_beta):
+    """beta is the direct search's root: the direct search reports the root
+    itself or tol_beta/2 below it."""
+    assert direct_beta <= beta <= direct_beta + DEFAULT.tol_beta / 2.0 + 1e-15
+
+
 def sphere_objective(gamma, c3, alpha):
     """The sphere-scale maximization objective over gamma < 0."""
     return gamma - alpha / (2.0 * c3) * math.log(1.0 - c3 / (2.0 * gamma))
@@ -275,18 +281,22 @@ def stub_margins(monkeypatch, feasible, above=1.0):
     return probes
 
 
-def stub_lifted(monkeypatch, root, slope=1.0):
+def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
     """Replace every lifted kind by a stub whose set term at params p is
     slope * beta - p.nu1, and every margin by slope * beta - root(beta);
     a warm start at p caps the margin at the total p certifies, as a
-    minimization started there would.  Records each probe as (beta, warm)."""
+    minimization started there would.  The stub's direct optimum is
+    (direct_root(beta), 0); the default puts the direct threshold at no
+    alpha < 1, so the walk starts at the floor.  Records each probe as
+    (beta, warm)."""
     probes = []
 
     class Stub(lc.LiftedKind):
         def set_term_at(self, beta, params):
             return slope * beta - params.nu1
 
-    spec = Stub(k_term=None, integrand=None, direct=lambda beta: (1.0, 0.0))
+    spec = Stub(k_term=None, integrand=None, direct=lambda beta: (direct_root(beta), 0.0),
+                cap=0.9)
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
@@ -324,10 +334,34 @@ def test_lifted_certificate_reaching_the_cap_returns_the_cap(monkeypatch, slope)
 
 
 def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
+    # the walk's probe at the direct root fails, and so does the floor
+    # probe it starts over from
+    direct = lc.threshold_bisect(0.5, "strong", "direct")
     probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
         lc.threshold_bisect(0.5, "strong", "lifted")
-    assert [b for b, _ in probes] == [lc.BETA_FLOOR]
+    [root, floor] = [b for b, _ in probes]
+    assert_at_direct_root(root, direct.beta)
+    assert floor == lc.BETA_FLOOR
+
+
+def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkeypatch):
+    # the stub's direct threshold is 0.2 (its residual is beta - 0.2) and
+    # its margin beta - 0.1, so the probe at the direct root is infeasible;
+    # the walk from the floor then ends as a walk with no direct root does
+    eps = DEFAULT.feasibility_margin
+    shift = math.sqrt(0.5) - 2.0 * eps - 0.2
+    probes = stub_lifted(monkeypatch, root=lambda beta: 0.1,
+                         direct_root=lambda beta: beta + shift)
+    r = lc.threshold_bisect(0.5, "sectional", "lifted")
+    betas = [b for b, _ in probes]
+    assert betas[0] == pytest.approx(0.2, abs=DEFAULT.tol_beta / 4)
+    assert betas[1] == lc.BETA_FLOOR
+    assert probes[1][1] == lc.floor_start(lc.kind_table()["sectional"].lifted, lc.BETA_FLOOR)
+    floor_probes = stub_lifted(monkeypatch, root=lambda beta: 0.1)
+    assert lc.threshold_bisect(0.5, "sectional", "lifted") == r
+    assert betas[1:] == [b for b, _ in floor_probes]
+    assert 0.1 - 2e-5 <= r.beta < 0.1 and r.condition_margin < -eps
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
@@ -523,11 +557,15 @@ def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
     else:
         expected.append(min(direct.nu2, NU2_MAX))
     assert [start.c3, start.b, start.nu1, start.nu2][:2 + kind.n_extra] == expected
-    # the lifted search's floor probe is warm-started there
+    # the lifted search's probe at the direct root is warm-started there,
+    # and so is the floor probe it starts over from when that one fails
+    direct_beta = lc.threshold_bisect(alpha, name, "direct").beta
     probes = stub_margins(monkeypatch, feasible=lambda b: False)
     with pytest.raises(lc.ThresholdRangeError):
         lc.threshold_bisect(alpha, name, "lifted")
-    [(floor, warm)] = probes
+    [(root, warm_root), (floor, warm)] = probes
+    assert_at_direct_root(root, direct_beta)
+    assert warm_root == lc.floor_start(kind, root)
     assert floor == beta and warm == lc.floor_start(kind, beta)
 
 
@@ -625,14 +663,17 @@ def lifted_solves():
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
-    # every probe after the floor except the last lands where the previous
-    # optimum certifies it; the last, tol_beta above the result, ends the
-    # search as the one infeasible probe
+    # the first probe lies at the direct root, started from the direct
+    # optimum there; every later probe except the last lands where the
+    # previous optimum certifies it; the last, tol_beta above the result,
+    # ends the search as the one infeasible probe
     spec = lifted_spec(kind)
     eps = DEFAULT.feasibility_margin
     for alpha in (0.1, 0.5, 0.999):
         r, probes = lifted_solves[kind, alpha]
-        assert probes[0][:2] == (lc.BETA_FLOOR, lc.floor_start(spec, lc.BETA_FLOOR))
+        start = probes[0][0]
+        assert_at_direct_root(start, lc.threshold_bisect(alpha, kind, "direct").beta)
+        assert probes[0][1] == lc.floor_start(spec, start)
         assert len(probes) >= 3
         # the totals are differences of terms up to ~150 (nu2 (2 beta - 1)
         # at small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
@@ -668,6 +709,16 @@ def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
     for p, beta in starts:
         margin, _ = margin_fn(0.5, beta, p)
         assert margin <= closed_total(spec, p, 0.5, beta) + 1e-13
+
+
+@pytest.mark.parametrize("kind, alpha", [("sectional", 0.1), ("strong", 0.999),
+                                         ("strong_nonneg", 0.1)])
+def test_lifted_walk_skips_the_probes_below_the_direct_root(lifted_solves, kind, alpha):
+    # a walk from the floor makes 7, 12 and 7 probes at these points, one
+    # from the direct root 3, 5 and 4
+    _, probes = lifted_solves[kind, alpha]
+    assert_at_direct_root(probes[0][0], lc.threshold_bisect(alpha, kind, "direct").beta)
+    assert len(probes) <= 6
 
 
 def test_cold_lifted_probe_walks_past_the_small_c3_stall():
@@ -1006,4 +1057,13 @@ def test_sectional_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, al
     # 0.102246 and 0.307947 from this floor)
     monkeypatch.setattr(lc, "BETA_FLOOR", 1e-9)
     r = lc.threshold_bisect(alpha, "sectional", "lifted")
+    assert abs(r.beta - beta) <= DEFAULT.tol_beta
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.005, 0.000143), (0.1, 0.006035)])
+def test_strong_nonneg_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, alpha, beta):
+    # the strong-nonneg floor probe at 1e-9 ends infeasible at these alpha;
+    # a walk from the direct root does not make it
+    monkeypatch.setattr(lc, "BETA_FLOOR", 1e-9)
+    r = lc.threshold_bisect(alpha, "strong_nonneg", "lifted")
     assert abs(r.beta - beta) <= DEFAULT.tol_beta
