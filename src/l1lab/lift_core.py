@@ -51,7 +51,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import (ConstraintViolatedError, DomainError, L1LabError, NonConvergentError,
                      NoSignChangeError)
-from .numerics import Bracket, find_root, projected_bfgs
+from .numerics import find_root, projected_bfgs
 
 METHODS = ("direct", "lifted")
 
@@ -243,6 +243,14 @@ class LiftedKind:
         extras = (params.nu1, params.c3 * params.nu2)[:self.n_extra]
         return params.gamma + self.k_term(params.b, extras, beta)[0] / params.c3
 
+    def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
+        """(F, cap): the direct residual F(beta) = root - sqrt(alpha) + 2*eps,
+        root = direct(beta)[0], which crosses 0 where the direct margin
+        crosses -2*eps, and the largest beta searched.  Its root is both the
+        direct threshold and the lifted walk's first probe."""
+        sqrt_alpha = math.sqrt(alpha)
+        return (lambda beta: self.direct(beta)[0] - sqrt_alpha + 2.0 * eps), self.cap
+
 
 # --------------------------------------------------------------------------
 # inner minimization of the lifted total
@@ -421,7 +429,7 @@ def _root_on_range(residual: Callable[[float], float], hi: float, tol_beta: floa
     if not hi > BETA_FLOOR:
         return BETA_FLOOR
     try:
-        return find_root(residual, Bracket(BETA_FLOOR, hi), tol=tol_beta / 4.0)
+        return find_root(residual, BETA_FLOOR, hi, tol=tol_beta / 4.0)
     except NoSignChangeError:
         return hi if residual(BETA_FLOOR) < 0 else BETA_FLOOR
 
@@ -432,12 +440,11 @@ def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
 
     margin_fn(alpha, beta, warm) is the kind's lifted margin.  The lifted
     family contains the direct bound, so the walk starts where the direct
-    margin crosses -2*eps: at the root r of kind.direct(beta)[0] -
-    sqrt(alpha) + 2*eps on [BETA_FLOOR, kind.cap], solved as the direct
-    search solves it (_root_on_range), clipped to stop; for
-    stop <= BETA_FLOOR it starts at stop.  The first probe starts at
-    floor_start; if it is not below -eps and lies above the floor, the
-    walk starts over with a probe at BETA_FLOOR.  Each later probe is
+    margin crosses -2*eps: at the root r of kind.residual on
+    [BETA_FLOOR, kind.cap], the direct search's own root solve, clipped to
+    stop; for stop <= BETA_FLOOR it starts at stop.  The first probe
+    starts at floor_start; if it is not below -eps and lies above the
+    floor, the walk starts over with a probe at BETA_FLOOR.  Each later probe is
     warm-started at the previous optimum p.  The total is affine in beta at
     fixed p, so p certifies every beta up to where its total reaches
     -2*eps; the walk steps there, or tol_beta further if that is further,
@@ -448,10 +455,7 @@ def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
     """
     lo = stop
     if stop > BETA_FLOOR:
-        sqrt_alpha = math.sqrt(alpha)
-        root = _root_on_range(lambda beta: kind.direct(beta)[0] - sqrt_alpha + 2.0 * eps,
-                              kind.cap, tol_beta)
-        lo = min(root, stop)
+        lo = min(_root_on_range(*kind.residual(alpha, eps), tol_beta), stop)
     m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
     if not m_lo < -eps and lo > BETA_FLOOR:
         lo = BETA_FLOOR
@@ -527,16 +531,16 @@ class Kind:
         margin crosses -2*eps, and the upper end of the beta range to search;
         an F of one sign on [BETA_FLOOR, hi] puts the threshold at an end.
 
-        A direct F is the margin plus 2*eps.  A weak F is the weak
-        characterization at alpha - 2*eps, negated: its root is the beta
-        whose weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is
-        solved per probe, and the range stops at alpha - 2*eps, where
-        alpha_w >= beta makes the characterization -inf (no range is left
-        at alpha - 2*eps <= BETA_FLOOR).
+        A direct F is the margin plus 2*eps: LiftedKind.residual, which
+        reads the direct optimum without building the margin's parameters.
+        A weak F is the weak characterization at alpha - 2*eps, negated: its
+        root is the beta whose weak boundary alpha_w(beta) is alpha - 2*eps,
+        so no alpha_w is solved per probe, and the range stops at
+        alpha - 2*eps, where alpha_w >= beta makes the characterization -inf
+        (no range is left at alpha - 2*eps <= BETA_FLOOR).
         """
         if self.characterization is None:
-            margin = self.margins["direct"]
-            return (lambda beta: margin(alpha, beta)[0] + 2.0 * eps), self.cap
+            return self.lifted.residual(alpha, eps)
         a = alpha - 2.0 * eps
         return (lambda beta: -self.characterization(a, beta)), min(self.cap, a)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize as _opt
@@ -35,14 +35,6 @@ from .errors import DomainError, NonConvergentError, NoSignChangeError
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-class Bracket(NamedTuple):
-    """An interval [lo, hi] with lo < hi; for root finding the endpoints must
-    straddle a sign change."""
-
-    lo: float
-    hi: float
 
 
 @dataclass(frozen=True)
@@ -106,14 +98,15 @@ def erfinv(p):
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> float:
-    """Root of a continuous scalar function inside a sign-changing bracket.
+def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Root of a continuous scalar function inside a sign-changing bracket
+    [lo, hi], lo < hi.
 
     Brent's method: bisection with inverse-quadratic acceleration, never
     leaves the bracket.  Raises NoSignChangeError when f(lo) and f(hi) have
     the same (nonzero) sign.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     flo, fhi = f(lo), f(hi)

@@ -66,8 +66,9 @@ def weak_boundary(characterization, beta: float) -> float:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
     lo = max(beta + 1e-12 * (1.0 - beta), float(np.nextafter(beta, 1.0)))
     hi = 1.0 - 1e-13
-    f = lambda a: characterization(a, beta)
-    return nm.find_root(f, nm.Bracket(lo, hi), tol=1e-13)
+    # cached for the solve: brentq evaluates the ends find_root has checked
+    f = functools.cache(lambda a: characterization(a, beta))
+    return nm.find_root(f, lo, hi, tol=1e-13)
 
 
 def weak_alpha_of_beta(beta_w: float) -> float:

@@ -258,26 +258,33 @@ def test_clipped_params_are_plain_floats():
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
 
-def stub_table(monkeypatch, margin, spec=None):
+def stub_table(monkeypatch, margin, spec=None, direct=False):
     """Give every kind of the kind table `margin` for both methods, and
-    every lifted kind the LiftedKind `spec` when one is given."""
+    every lifted kind the LiftedKind `spec` when one is given.  With
+    `direct`, each lifted kind keeps its own spec (and so its cap) with the
+    direct optimum (margin at alpha 0.5 + sqrt(0.5), 0), so that the direct
+    residual at alpha 0.5 reads the stub margin."""
     table = lc.kind_table()
     for name, kind in table.items():
         lifted = kind.lifted if spec is None or kind.lifted is None else spec
+        if direct and lifted is not None:
+            lifted = dataclasses.replace(
+                lifted, direct=lambda beta: (margin(0.5, beta)[0] + math.sqrt(0.5), 0.0))
         monkeypatch.setitem(table, name, dataclasses.replace(
             kind, lifted=lifted, margins=dict.fromkeys(lc.METHODS, margin)))
 
 
-def stub_margins(monkeypatch, feasible, above=1.0):
-    """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs
-    and record each probe as (beta, warm)."""
+def stub_margins(monkeypatch, feasible, above=1.0, direct=False):
+    """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs,
+    passing `direct` on to stub_table, and record each probe as
+    (beta, warm)."""
     probes = []
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
         return (-1.0 if feasible(beta) else above), None
 
-    stub_table(monkeypatch, margin)
+    stub_table(monkeypatch, margin, direct=direct)
     return probes
 
 
@@ -365,7 +372,7 @@ def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkey
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
-    probes = stub_margins(monkeypatch, feasible=lambda b: True)
+    probes = stub_margins(monkeypatch, feasible=lambda b: True, direct=True)
     r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
     cap = lc.kind_table()["strong_nonneg"].cap
     assert r.beta == cap and r.condition_margin == -1.0
@@ -378,7 +385,7 @@ def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
     # the infeasible side of the jump at 0.3; the probe tol_beta/2 below it
     # is reported
     tol = DEFAULT.tol_beta
-    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3)
+    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3, direct=True)
     r = lc.threshold_bisect(0.5, "sectional", "direct")
     betas = [b for b, _ in probes]
     assert betas[:2] == [lc.BETA_FLOOR, lc.kind_table()["sectional"].cap]
@@ -389,11 +396,12 @@ def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
 
 def test_direct_root_route_raises_when_the_step_down_is_infeasible(monkeypatch):
     # the same solve with an infeasible point only where the step down lands
-    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3)
+    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3, direct=True)
     lc.threshold_bisect(0.5, "sectional", "direct")
     step = probes[-1][0]
     assert all(abs(b - step) > 1e-9 for b, _ in probes[:-1])
-    stub_margins(monkeypatch, feasible=lambda b: b < 0.3 and abs(b - step) > 1e-9, above=1e-3)
+    stub_margins(monkeypatch, feasible=lambda b: b < 0.3 and abs(b - step) > 1e-9, above=1e-3,
+                 direct=True)
     with pytest.raises(NonConvergentError, match="no feasible beta"):
         lc.threshold_bisect(0.5, "sectional", "direct")
 
@@ -408,7 +416,7 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
         probes.append(beta)
         return beta - lc.BETA_FLOOR - 1.5 * eps, None
 
-    stub_table(monkeypatch, margin)
+    stub_table(monkeypatch, margin, direct=True)
     r = lc.threshold_bisect(0.5, "strong", "direct")
     assert r.beta == lc.BETA_FLOOR and r.condition_margin == -1.5 * eps
     assert probes[-1] == lc.BETA_FLOOR
@@ -423,14 +431,15 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
     # besides the root solve's residual calls, a solve evaluates the margin
     # at the root and, if that is infeasible, tol_beta/2 below it: one exact
     # alpha_w solve each for a weak kind, one direct minimum each (on top of
-    # one per residual call) for a lifted kind
+    # one per residual call) for a lifted kind, whose direct lift parameters
+    # are built for these margins only
     from l1lab import thresholds_general as tg
     from l1lab import thresholds_nonneg as tn
 
     row = lc.kind_table()[kind]
     name = f"{kind}_{'direct_minimum' if row.lifted else 'alpha_of_beta'}"
     module = tn if "nonneg" in kind else tg
-    calls = {"counted": 0, "residual": 0}
+    calls = {"counted": 0, "residual": 0, "point": 0}
     roots = []
 
     def counted(original, key):
@@ -452,14 +461,16 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
     monkeypatch.setattr(module, name, counted(getattr(module, name), "counted"))
     monkeypatch.setattr(lc.Kind, "residual", residual)
     monkeypatch.setattr(lc, "find_root", find_root)
+    monkeypatch.setattr(lc, "_direct_point", counted(lc._direct_point, "point"))
     for alpha in CONTRACT_ALPHAS:
-        calls.update(counted=0, residual=0)
+        calls.update(counted=0, residual=0, point=0)
         roots.clear()
         r = lc.threshold_bisect(alpha, kind, "direct")
         [root] = roots
         margins = 1 + (r.beta != root)
         expected = margins + (0 if row.lifted is None else calls["residual"])
         assert calls["counted"] == expected, (alpha, calls, margins)
+        assert calls["point"] == (0 if row.lifted is None else margins), (alpha, calls)
 
 
 @pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])

@@ -45,6 +45,24 @@ def test_weak_strictly_increasing():
     assert np.all(np.diff(alphas) > 0)
 
 
+@pytest.mark.parametrize("nonneg", [False, True], ids=["weak", "weak_nonneg"])
+def test_weak_boundary_evaluates_each_alpha_once(nonneg):
+    # find_root checks the signs at the bracket ends and brentq evaluates
+    # them again; one alpha_w solve computes each characterization value once
+    from l1lab import thresholds_nonneg as tn
+
+    characterization = tn.weak_nonneg_characterization if nonneg else tg.weak_characterization
+    for beta in (0.01, 0.1, 0.5, 0.9, 0.99):
+        seen = []
+
+        def recorded(alpha, beta_w):
+            seen.append(alpha)
+            return characterization(alpha, beta_w)
+
+        assert tg.weak_boundary(recorded, beta) == tg.weak_boundary(characterization, beta)
+        assert len(seen) == len(set(seen)) > 2, (beta, seen)
+
+
 # ---------------------------------------------------------------------------
 # sectional bounds
 # ---------------------------------------------------------------------------

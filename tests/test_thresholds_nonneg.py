@@ -59,7 +59,7 @@ def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
                 / (SQRT2PI * (theta + beta)) - SQRT2 * e_t)
 
     hi = min(1.0 - beta, 0.5) - 1e-12
-    theta = nm.find_root(fix, nm.Bracket(1e-12, hi), tol=1e-13)
+    theta = nm.find_root(fix, 1e-12, hi, tol=1e-13)
     e_t = float(nm.erfinv(1.0 - 2.0 * theta))
 
     def s_term(x, e_x):
