@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, empirical
 from .config import Config, load_config
 from .errors import DimensionError, DomainError, L1LabError
-from .lift_core import kind_table, threshold_bisect
+from .lift_core import METHODS, kind_table, threshold_bisect
 from .parity import run_parity_audit
 from .reference_values import TABLES
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="compute one threshold beta(alpha)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--kind", choices=sorted(KIND_FLAGS), required=True)
-    p.add_argument("--method", choices=("direct", "lifted"), default="lifted")
+    p.add_argument("--method", choices=METHODS, default="lifted")
     p.add_argument("--tol", type=float, default=None, help="beta tolerance (>= 1e-5)")
     p.add_argument("--out", choices=("json", "csv", "text"), default="text")
     p.set_defaults(handler=cmd_threshold)
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="sweep beta(alpha) over a grid to a file")
     p.add_argument("--kind", choices=sorted(KIND_FLAGS), required=True)
-    p.add_argument("--method", choices=("direct", "lifted"), default="lifted")
+    p.add_argument("--method", choices=METHODS, default="lifted")
     p.add_argument("--alpha-grid", required=True, metavar="START:STOP:STEP")
     p.add_argument("--out-file", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

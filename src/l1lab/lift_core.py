@@ -42,6 +42,7 @@ decides their threshold and its range.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -250,6 +251,10 @@ class LiftedKind:
         direct threshold and the lifted walk's first probe."""
         sqrt_alpha = math.sqrt(alpha)
         return (lambda beta: self.direct(beta)[0] - sqrt_alpha + 2.0 * eps), self.cap
+
+    def method_for(self, method: str) -> str:
+        """The method a search of this kind runs when asked for `method`."""
+        return method
 
 
 # --------------------------------------------------------------------------
@@ -511,79 +516,49 @@ def lifted_margin(
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Kind:
-    """One row of the kind table: what threshold_bisect needs of a kind.
+class WeakKind:
+    """A weak kind: its one route is its exact weak boundary, reported as
+    method "direct".  characterization(alpha, beta) is its weak
+    characterization; cap is the largest beta searched."""
 
-    cap is the largest beta searched.  lifted is the kind's LiftedKind, or
-    None for a weak kind, whose one route is its exact weak boundary,
-    reported as method "direct".  margins maps each method the kind has to
-    fn(alpha, beta, warm=None) -> (margin, params or None).
-    characterization(alpha, beta) is a weak kind's weak characterization.
-    """
-
-    cap: float
-    lifted: LiftedKind | None
-    margins: dict[str, Callable]
-    characterization: Callable[[float, float], float] | None = None
+    characterization: Callable[[float, float], float]
+    cap: float = 1.0 - 1e-6
 
     def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
-        """(F, hi): an F(beta) increasing through 0 where the direct or weak
-        margin crosses -2*eps, and the upper end of the beta range to search;
-        an F of one sign on [BETA_FLOOR, hi] puts the threshold at an end.
-
-        A direct F is the margin plus 2*eps: LiftedKind.residual, which
-        reads the direct optimum without building the margin's parameters.
-        A weak F is the weak characterization at alpha - 2*eps, negated: its
-        root is the beta whose weak boundary alpha_w(beta) is alpha - 2*eps,
-        so no alpha_w is solved per probe, and the range stops at
-        alpha - 2*eps, where alpha_w >= beta makes the characterization -inf
-        (no range is left at alpha - 2*eps <= BETA_FLOOR).
-        """
-        if self.characterization is None:
-            return self.lifted.residual(alpha, eps)
+        """(F, hi): the weak characterization at alpha - 2*eps, negated, and
+        the upper end of the beta range to search.  Its root is the beta
+        whose weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is
+        solved per probe, and the range stops at alpha - 2*eps, where
+        alpha_w >= beta makes the characterization -inf (no range is left at
+        alpha - 2*eps <= BETA_FLOOR)."""
         a = alpha - 2.0 * eps
         return (lambda beta: -self.characterization(a, beta)), min(self.cap, a)
 
     def method_for(self, method: str) -> str:
         """The method a search of this kind runs when asked for `method`."""
-        return "direct" if self.lifted is None else method
+        return "direct"
 
 
-def _late(module, name: str) -> Callable:
-    """fn(*args) calling module.<name> as bound at call time, so that a
-    tracer's or a test's rebinding of the attribute is seen."""
-    return lambda *args: getattr(module, name)(*args)
+# the module holding each threshold kind <name>: its spec <NAME> (a
+# LiftedKind or a WeakKind) and its margin
+# <name>_margin_<method>(alpha, beta, warm=None) -> (margin, params or None)
+# for each method the spec has
+_KIND_MODULES = {"weak": "thresholds_general", "sectional": "thresholds_general",
+                 "strong": "thresholds_general", "weak_nonneg": "thresholds_nonneg",
+                 "strong_nonneg": "thresholds_nonneg"}
 
 
 @functools.cache
-def kind_table() -> dict[str, Kind]:
-    """name -> Kind of every threshold kind, built on first use because the
-    kind modules import this one.
+def kind_module(kind: str):
+    """The module of a threshold kind, imported on first use because the
+    kind modules import this one."""
+    return importlib.import_module(f".{_KIND_MODULES[kind]}", __package__)
 
-    A weak kind <name> is searched through <name>_alpha_of_beta and
-    <name>_characterization of its module; a lifted kind <name> through the
-    module's LiftedKind <NAME> and its margins <name>_margin_direct and
-    <name>_margin_lifted.
-    """
-    from . import thresholds_general as tg
-    from . import thresholds_nonneg as tn
 
-    def weak(module, name):
-        alpha_w = _late(module, f"{name}_alpha_of_beta")
-        return Kind(cap=1.0 - 1e-6, lifted=None,
-                    margins={"direct": lambda a, b, warm=None: (alpha_w(b) - a, None)},
-                    characterization=getattr(module, f"{name}_characterization"))
-
-    def lifted(module, name):
-        spec = getattr(module, name.upper())
-        return Kind(cap=spec.cap, lifted=spec,
-                    margins={m: _late(module, f"{name}_margin_{m}") for m in METHODS})
-
-    return {"weak": weak(tg, "weak"),
-            "sectional": lifted(tg, "sectional"),
-            "strong": lifted(tg, "strong"),
-            "weak_nonneg": weak(tn, "weak_nonneg"),
-            "strong_nonneg": lifted(tn, "strong_nonneg")}
+def kind_table() -> dict[str, LiftedKind | WeakKind]:
+    """name -> spec of every threshold kind, read from its module at call
+    time, so that a tracer's or a test's rebinding of a spec is seen."""
+    return {name: getattr(kind_module(name), name.upper()) for name in _KIND_MODULES}
 
 
 def threshold_bisect(
@@ -615,21 +590,21 @@ def threshold_bisect(
     max(r - tol_beta/2, BETA_FLOOR), which lies below the exact crossing
     (NonConvergentError if that is infeasible above the floor).
     """
-    table = kind_table()
-    if kind not in table:
-        raise DomainError(f"kind must be one of {tuple(table)}, got {kind!r}")
+    if kind not in _KIND_MODULES:
+        raise DomainError(f"kind must be one of {tuple(_KIND_MODULES)}, got {kind!r}")
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    row = table[kind]
-    method = row.method_for(method)
-    margin_fn = row.margins[method]
+    module = kind_module(kind)
+    spec = getattr(module, kind.upper())
+    method = spec.method_for(method)
+    margin_fn = getattr(module, f"{kind}_margin_{method}")
     eps, tol_beta = config.feasibility_margin, config.tol_beta
     if method == "lifted":
-        lo, m_lo, p_lo = walk(margin_fn, row.lifted, alpha, row.cap, eps, tol_beta)
+        lo, m_lo, p_lo = walk(margin_fn, spec, alpha, spec.cap, eps, tol_beta)
     else:
-        root = _root_on_range(*row.residual(alpha, eps), tol_beta)
+        root = _root_on_range(*spec.residual(alpha, eps), tol_beta)
         for lo in (root, max(root - tol_beta / 2.0, BETA_FLOOR)):
             m_lo, p_lo = margin_fn(alpha, lo)
             if m_lo < -eps or lo == BETA_FLOOR:

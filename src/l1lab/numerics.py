@@ -81,21 +81,15 @@ def erfc(x):
     return _sp.erfc(x)
 
 
-def erfinv(p):
-    """Inverse of erf on (-1, 1).
+def erfinv(p: float) -> float:
+    """Inverse of erf on (-1, 1) at one scalar p (NaN passes through).
 
     Raises DomainError for |p| >= 1 (the spec of this routine is total only
     on the open interval; infinities are never returned).
     """
-    if isinstance(p, float):  # Python floats and np.float64
-        if abs(p) >= 1.0:
-            raise DomainError("erfinv requires |p| < 1")
-        return float(_sp.erfinv(p))
-    arr = np.asarray(p, dtype=float)
-    if np.any(np.abs(arr) >= 1.0):
+    if abs(p) >= 1.0:
         raise DomainError("erfinv requires |p| < 1")
-    out = _sp.erfinv(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+    return float(_sp.erfinv(p))
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lift_core import SEARCH_BOX, LiftParams, exp_set_term_oracle, kind_table
+from .lift_core import SEARCH_BOX, LiftedKind, LiftParams, exp_set_term_oracle, kind_table
 
-AUDITED = {name: kind.lifted for name, kind in kind_table().items() if kind.lifted}
+AUDITED = {name: spec for name, spec in kind_table().items() if isinstance(spec, LiftedKind)}
 TOLERANCE = 1e-6
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError, NegativeRadicandError
-from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .lift_core import ExpPiece, LiftedKind, LiftParams, WeakKind, direct_margin, lifted_margin
 from .numerics import phi
 
 SQRT2 = nm.SQRT2
@@ -74,6 +74,13 @@ def weak_boundary(characterization, beta: float) -> float:
 def weak_alpha_of_beta(beta_w: float) -> float:
     """Exact weak threshold alpha_w(beta_w), solved to residual <= 1e-10."""
     return weak_boundary(weak_characterization, beta_w)
+
+
+WEAK = WeakKind(weak_characterization)
+
+
+def weak_margin_direct(alpha, beta, warm=None):
+    return weak_alpha_of_beta(beta) - alpha, None
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def strong_crossover(beta: float) -> float:
     strong integrals, chosen so the upper tail carries probability beta."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    return SQRT2 * float(nm.erfinv(1.0 - beta))
+    return SQRT2 * nm.erfinv(1.0 - beta)
 
 
 def _strong_direct_profile(beta: float):

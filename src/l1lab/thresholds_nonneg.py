@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DomainError
-from .lift_core import ExpPiece, LiftedKind, LiftParams, direct_margin, lifted_margin
+from .lift_core import ExpPiece, LiftedKind, LiftParams, WeakKind, direct_margin, lifted_margin
 from .numerics import phi
 from .thresholds_general import multiplier_k, weak_boundary
 
@@ -66,6 +66,13 @@ def weak_nonneg_alpha_of_beta(beta: float) -> float:
     return weak_boundary(weak_nonneg_characterization, beta)
 
 
+WEAK_NONNEG = WeakKind(weak_nonneg_characterization)
+
+
+def weak_nonneg_margin_direct(alpha, beta, warm=None):
+    return weak_nonneg_alpha_of_beta(beta) - alpha, None
+
+
 # --------------------------------------------------------------------------
 # direct strong bound (nonnegative)
 # --------------------------------------------------------------------------
@@ -75,7 +82,7 @@ def nonneg_crossover(beta: float) -> float:
     beta < 1/2) level with P(h <= c_nu_plus) = beta."""
     if not 0.0 < beta < 0.5:
         raise DomainError(f"nonnegative strong kinds require beta in (0, 0.5), got {beta}")
-    return -SQRT2 * float(nm.erfinv(1.0 - 2.0 * beta))
+    return -SQRT2 * nm.erfinv(1.0 - 2.0 * beta)
 
 
 def _nonneg_direct_profile(beta: float):

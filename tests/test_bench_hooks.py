@@ -53,7 +53,7 @@ def test_the_oracle_reaches_the_traced_quadrature_once_per_piece(monkeypatch, ki
         return quadrature(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "gauss_expectation", counted)
-    spec = lift_core.kind_table()[kind].lifted
+    spec = lift_core.kind_table()[kind]
     params = lift_core.LiftParams(c3=1.5, gamma=2.0, nu1=0.4, nu2=0.3)
     assert len(spec.integrand(params, 0.2)[1]) == pieces
     assert lift_core.exp_set_term_oracle(spec.integrand, params, 0.2) == pytest.approx(
@@ -88,7 +88,7 @@ def test_a_lifted_probe_reaches_the_traced_moment_once_per_evaluation(monkeypatc
     profile_objective = lift_core._profile_objective
     monkeypatch.setattr(lift_core, "_profile_objective", lambda *args: counting(
         "evaluations", profile_objective(*args)))
-    spec = lift_core.kind_table()[kind].lifted
+    spec = lift_core.kind_table()[kind]
     start = lift_core.LiftParams(c3=0.5, gamma=0.5, nu1=1.0, nu2=0.5)
     lift_core.minimize_lifted_total(spec, 0.5, 0.05, start)
     assert calls["evaluations"] > 2

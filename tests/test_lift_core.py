@@ -15,12 +15,19 @@ from l1lab.errors import ConstraintViolatedError, DomainError, NonConvergentErro
 from l1lab.reference_values import TABLE_ALPHAS_HIGH, TABLE_ALPHAS_LOW
 
 KINDS = tuple(lc.kind_table())
-LIFTED_KINDS = tuple(name for name, kind in lc.kind_table().items() if kind.lifted)
+LIFTED_KINDS = tuple(name for name, spec in lc.kind_table().items()
+                     if isinstance(spec, lc.LiftedKind))
 
 
 def lifted_spec(name):
     """The LiftedKind of a lifted kind."""
-    return lc.kind_table()[name].lifted
+    return lc.kind_table()[name]
+
+
+def margin_of(kind, method):
+    """The kind's margin fn(alpha, beta, warm=None) for `method`, as bound
+    on its module now."""
+    return getattr(lc.kind_module(kind), f"{kind}_margin_{method}")
 
 
 def assert_at_direct_root(beta, direct_beta):
@@ -259,19 +266,21 @@ def test_clipped_params_are_plain_floats():
 # ---------------------------------------------------------------------------
 
 def stub_table(monkeypatch, margin, spec=None, direct=False):
-    """Give every kind of the kind table `margin` for both methods, and
-    every lifted kind the LiftedKind `spec` when one is given.  With
+    """Give every kind `margin` for each method it has, and every lifted
+    kind with spec s the LiftedKind spec(s) when `spec` is given.  With
     `direct`, each lifted kind keeps its own spec (and so its cap) with the
     direct optimum (margin at alpha 0.5 + sqrt(0.5), 0), so that the direct
     residual at alpha 0.5 reads the stub margin."""
-    table = lc.kind_table()
-    for name, kind in table.items():
-        lifted = kind.lifted if spec is None or kind.lifted is None else spec
-        if direct and lifted is not None:
-            lifted = dataclasses.replace(
-                lifted, direct=lambda beta: (margin(0.5, beta)[0] + math.sqrt(0.5), 0.0))
-        monkeypatch.setitem(table, name, dataclasses.replace(
-            kind, lifted=lifted, margins=dict.fromkeys(lc.METHODS, margin)))
+    for name, kind in lc.kind_table().items():
+        module = lc.kind_module(name)
+        if isinstance(kind, lc.LiftedKind):
+            lifted = kind if spec is None else spec(kind)
+            if direct:
+                lifted = dataclasses.replace(
+                    lifted, direct=lambda beta: (margin(0.5, beta)[0] + math.sqrt(0.5), 0.0))
+            monkeypatch.setattr(module, name.upper(), lifted)
+        for method in {kind.method_for(m) for m in lc.METHODS}:
+            monkeypatch.setattr(module, f"{name}_margin_{method}", margin)
 
 
 def stub_margins(monkeypatch, feasible, above=1.0, direct=False):
@@ -289,30 +298,34 @@ def stub_margins(monkeypatch, feasible, above=1.0, direct=False):
 
 
 def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
-    """Replace every lifted kind by a stub whose set term at params p is
-    slope * beta - p.nu1, and every margin by slope * beta - root(beta);
-    a warm start at p caps the margin at the total p certifies, as a
-    minimization started there would.  The stub's direct optimum is
-    (direct_root(beta), 0); the default puts the direct threshold at no
-    alpha < 1, so the walk starts at the floor.  Records each probe as
-    (beta, warm)."""
+    """Replace every lifted kind by a stub with the kind's own cap whose set
+    term at params p is slope * beta - p.nu1, and every margin by
+    slope * beta - root(beta); a warm start at p caps the margin at the
+    total p certifies, as a minimization started there would.  The stub's
+    direct optimum is (direct_root(beta), 0); the default puts the direct
+    threshold at no alpha < 1, so the walk starts at the floor.  Records
+    each probe as (beta, warm)."""
     probes = []
+
+    def certified(beta, params):
+        return slope * beta - params.nu1
 
     class Stub(lc.LiftedKind):
         def set_term_at(self, beta, params):
-            return slope * beta - params.nu1
+            return certified(beta, params)
 
-    spec = Stub(k_term=None, integrand=None, direct=lambda beta: (direct_root(beta), 0.0),
-                cap=0.9)
+    def stub(spec):
+        return Stub(k_term=None, integrand=None, direct=lambda beta: (direct_root(beta), 0.0),
+                    cap=spec.cap)
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
         m = slope * beta - root(beta)
         if warm is not None:
-            m = min(m, spec.set_term_at(beta, warm))
+            m = min(m, certified(beta, warm))
         return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
 
-    stub_table(monkeypatch, margin, spec)
+    stub_table(monkeypatch, margin, stub)
     return probes
 
 
@@ -364,7 +377,7 @@ def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkey
     betas = [b for b, _ in probes]
     assert betas[0] == pytest.approx(0.2, abs=DEFAULT.tol_beta / 4)
     assert betas[1] == lc.BETA_FLOOR
-    assert probes[1][1] == lc.floor_start(lc.kind_table()["sectional"].lifted, lc.BETA_FLOOR)
+    assert probes[1][1] == lc.floor_start(lc.kind_table()["sectional"], lc.BETA_FLOOR)
     floor_probes = stub_lifted(monkeypatch, root=lambda beta: 0.1)
     assert lc.threshold_bisect(0.5, "sectional", "lifted") == r
     assert betas[1:] == [b for b, _ in floor_probes]
@@ -436,8 +449,8 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
     from l1lab import thresholds_general as tg
     from l1lab import thresholds_nonneg as tn
 
-    row = lc.kind_table()[kind]
-    name = f"{kind}_{'direct_minimum' if row.lifted else 'alpha_of_beta'}"
+    lifted = isinstance(lc.kind_table()[kind], lc.LiftedKind)
+    name = f"{kind}_{'direct_minimum' if lifted else 'alpha_of_beta'}"
     module = tn if "nonneg" in kind else tg
     calls = {"counted": 0, "residual": 0, "point": 0}
     roots = []
@@ -448,18 +461,21 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
             return original(*args, **kwargs)
         return fn
 
-    original_residual, original_find_root = lc.Kind.residual, lc.find_root
+    original_find_root = lc.find_root
 
-    def residual(self, alpha, eps):
-        f, hi = original_residual(self, alpha, eps)
-        return counted(f, "residual"), hi
+    def residual(original):
+        def fn(self, alpha, eps):
+            f, hi = original(self, alpha, eps)
+            return counted(f, "residual"), hi
+        return fn
 
     def find_root(*args, **kwargs):
         roots.append(original_find_root(*args, **kwargs))
         return roots[-1]
 
     monkeypatch.setattr(module, name, counted(getattr(module, name), "counted"))
-    monkeypatch.setattr(lc.Kind, "residual", residual)
+    for cls in (lc.LiftedKind, lc.WeakKind):
+        monkeypatch.setattr(cls, "residual", residual(cls.residual))
     monkeypatch.setattr(lc, "find_root", find_root)
     monkeypatch.setattr(lc, "_direct_point", counted(lc._direct_point, "point"))
     for alpha in CONTRACT_ALPHAS:
@@ -468,9 +484,9 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
         r = lc.threshold_bisect(alpha, kind, "direct")
         [root] = roots
         margins = 1 + (r.beta != root)
-        expected = margins + (0 if row.lifted is None else calls["residual"])
+        expected = margins + (calls["residual"] if lifted else 0)
         assert calls["counted"] == expected, (alpha, calls, margins)
-        assert calls["point"] == (0 if row.lifted is None else margins), (alpha, calls)
+        assert calls["point"] == (margins if lifted else 0), (alpha, calls)
 
 
 @pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
@@ -489,7 +505,7 @@ def test_direct_root_route_reports_beta_to_tol_beta(kind, tol):
     eps = DEFAULT.feasibility_margin
     config = DEFAULT if tol is None else Config(tol_beta=tol)
     step = config.tol_beta
-    margin_fn = lc.kind_table()[kind].margins["direct"]
+    margin_fn = margin_of(kind, "direct")
     cap = lc.kind_table()[kind].cap
     for alpha in CONTRACT_ALPHAS:
         r = lc.threshold_bisect(alpha, kind, "direct", config=config)
@@ -518,7 +534,7 @@ def test_threshold_cli_tol_reaches_the_root_route(capsys, monkeypatch):
         row = json.loads(capsys.readouterr().out)
         r = lc.threshold_bisect(0.5, kind, "direct", config=Config(tol_beta=1e-3))
         assert row["beta"] == float(cli.fmt(r.beta))
-        margin_fn = lc.kind_table()[kind].margins["direct"]
+        margin_fn = margin_of(kind, "direct")
         assert margin_fn(0.5, r.beta)[0] < -eps <= margin_fn(0.5, r.beta + 1e-3)[0]
     assert seen == [1e-3, 1e-3]
 
@@ -624,9 +640,34 @@ def test_rebound_margins_and_direct_minima_are_reached(monkeypatch):
         lc.threshold_bisect(0.5, kind, "direct")
     for kind in LIFTED_KINDS:
         lc.threshold_bisect(0.5, kind, "direct")
-        margin, _ = lc.kind_table()[kind].margins["lifted"](0.5, 0.02)
+        margin, _ = margin_of(kind, "lifted")(0.5, 0.02)
         assert margin < 0
     assert all(calls.values()), calls
+
+
+def test_every_kind_has_its_spec_and_a_margin_per_method():
+    # threshold_bisect and the bench's hooks read a kind <name> from its
+    # module by one rule: the spec <NAME> and <name>_margin_<method>
+    for name, spec in lc.kind_table().items():
+        module = lc.kind_module(name)
+        assert getattr(module, name.upper()) is spec
+        methods = {spec.method_for(m) for m in lc.METHODS}
+        assert methods == ({"direct"} if isinstance(spec, lc.WeakKind) else set(lc.METHODS))
+        for method in methods:
+            assert callable(getattr(module, f"{name}_margin_{method}")), (name, method)
+        assert math.isfinite(margin_of(name, "direct")(0.5, 0.05)[0])
+
+
+def test_the_spec_cap_bounds_the_direct_and_the_lifted_search(monkeypatch):
+    # a kind's cap lives on its spec alone: a spec with a lower cap stops
+    # both the direct root solve and the lifted walk there
+    from l1lab import thresholds_general as tg
+
+    monkeypatch.setattr(tg, "SECTIONAL", dataclasses.replace(tg.SECTIONAL, cap=0.2))
+    for method in lc.METHODS:
+        r = lc.threshold_bisect(0.999, "sectional", method)
+        assert r.beta <= 0.2, method
+        assert r.condition_margin < -DEFAULT.feasibility_margin
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +754,7 @@ def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
     # one search from p returns at most the closed-form total at p,
     # which is what lets a warm probe carry the certificate of p
     spec = lifted_spec(kind)
-    margin_fn = lc.kind_table()[kind].margins["lifted"]
+    margin_fn = margin_of(kind, "lifted")
     r, _ = lifted_solves[kind, 0.5]
     starts = [(r.params_at_optimum, beta) for beta in (r.beta - 0.01, r.beta + 0.001)]
     starts.append((lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2), 0.05))
