@@ -32,11 +32,11 @@ threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
 closed form.  walk steps along these certificates from the direct
-threshold, which the lifted one can only exceed, one minimization per step
-warm-started at the previous optimum; the lifted search walks up to the
-cap and a cold lifted margin walks up to its beta.  The direct and weak
-margins are increasing in beta, so one bracketed root solve on beta
-decides their threshold and its range.
+threshold, which the lifted one can only exceed, one warm-started
+minimization per step, and ends on a step below tol_beta at the crossing
+the last optimum certifies (Dinkelbach's method), up to the cap or a cold
+margin's beta.  The direct and weak margins are increasing in beta, so one
+bracketed root solve on beta decides their threshold and its range.
 """
 
 from __future__ import annotations
@@ -444,39 +444,42 @@ def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
     """Certificate steps on beta from the direct root towards stop.
 
     margin_fn(alpha, beta, warm) is the kind's lifted margin.  The lifted
-    family contains the direct bound, so the walk starts where the direct
-    margin crosses -2*eps: at the root r of kind.residual on
-    [BETA_FLOOR, kind.cap], the direct search's own root solve, clipped to
-    stop; for stop <= BETA_FLOOR it starts at stop.  The first probe
-    starts at floor_start; if it is not below -eps and lies above the
-    floor, the walk starts over with a probe at BETA_FLOOR.  Each later probe is
-    warm-started at the previous optimum p.  The total is affine in beta at
-    fixed p, so p certifies every beta up to where its total reaches
-    -2*eps; the walk steps there, or tol_beta further if that is further,
-    never past stop.  It ends at the first probe whose margin is not below
-    -eps or on reaching stop, and returns (beta, margin, params) of the
-    last feasible probe, or of the last starting probe when that one is
-    infeasible.
+    family contains the direct bound, so the first probe lies where the
+    direct margin crosses -2*eps: at the root of kind.residual on
+    [BETA_FLOOR, kind.cap] (the direct search's own root solve) clipped to
+    stop, or at stop <= BETA_FLOOR.  It starts at floor_start, and once
+    more from b = 1/4 (gamma = c3), keeping the lower total, if it ends
+    below twice its start's c3, where it can stall; if it is not below -eps
+    above the floor, the walk starts over at BETA_FLOOR, and ends on it if
+    it is not below -eps there.  At fixed parameters p the total is affine
+    in beta, so this is Dinkelbach's method on max_p (-2*eps - T(p, 0)) /
+    (T(p, 1) - T(p, 0)): p certifies beta up to lo + step, where its total
+    reaches -2*eps, and the walk probes there, warm-started at p, never
+    past stop.  Once step < tol_beta it returns, without a probe,
+    (min(lo + step, stop), lifted_total there, p): the certified crossing.
     """
+    def first_probe(beta):
+        start = floor_start(kind, beta)
+        m, p = margin_fn(alpha, beta, start)
+        if p is not None and p.c3 < 2.0 * start.c3:
+            rerun = margin_fn(alpha, beta, replace(start, gamma=start.c3))
+            m, p = min((m, p), rerun, key=lambda probe: probe[0])
+        return m, p
+
     lo = stop
     if stop > BETA_FLOOR:
         lo = min(_root_on_range(*kind.residual(alpha, eps), tol_beta), stop)
-    m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
+    m_lo, p_lo = first_probe(lo)
     if not m_lo < -eps and lo > BETA_FLOOR:
         lo = BETA_FLOOR
-        m_lo, p_lo = margin_fn(alpha, lo, floor_start(kind, lo))
-    if not m_lo < -eps:
-        return lo, m_lo, p_lo
-    while lo < stop:
+        m_lo, p_lo = first_probe(lo)
+    while m_lo < -eps and lo < stop:
         slope = kind.set_term_at(1.0, p_lo) - kind.set_term_at(0.0, p_lo)
         step = (-2.0 * eps - m_lo) / slope if slope > 0 else math.inf
-        beta = min(lo + max(step, tol_beta), stop)
-        # p_lo's total at beta is below -eps (up to rounding) unless the
-        # step was raised to tol_beta, so only such a probe can fail
-        m, p = margin_fn(alpha, beta, p_lo)
-        if not m < -eps:
-            break
-        lo, m_lo, p_lo = beta, m, p
+        beta = min(lo + step, stop)
+        if step < tol_beta:
+            return beta, lifted_total(kind, p_lo, alpha, beta), p_lo
+        lo, (m_lo, p_lo) = beta, margin_fn(alpha, beta, p_lo)
     return lo, m_lo, p_lo
 
 
@@ -488,18 +491,15 @@ def lifted_margin(
 ) -> tuple[float, LiftParams]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
-    With a warm start this is one minimize_lifted_total run from it: a
-    projected BFGS search over (b, nu1[, mu]) on analytic gradients, with c3
-    solved exactly at each point, which never ends above the total at the
-    start; threshold_bisect warm-starts each probe at the previous optimum.
-    Without one it walks the threshold search's certificate steps, from
-    the direct root up to beta (default eps and tol_beta), since a single
-    cold start can stall at small c3, and, if the walk stops short of beta,
-    makes one warm run at beta from the last feasible point.  The walk
-    solves the direct root on [BETA_FLOOR, kind.cap] as the search does,
-    so at the search's reported beta it ends on the search's own last
-    probe.  Such a margin (beta past the threshold) is the minimum of the
-    basin the walk ended in, so only its sign is meaningful.
+    With a warm start this is one minimize_lifted_total run from it, which
+    never ends above the total at the start; threshold_bisect warm-starts
+    each probe at the previous optimum.  Without one it walks the threshold
+    search's certificate steps up to beta (default eps and tol_beta), since
+    a single cold start can stall at small c3, so at the search's reported
+    beta it returns the search's own result.  If the walk ends short of
+    beta, one warm run at beta from its last optimum gives the margin; past
+    the threshold that is the minimum of the basin the walk ended in, so
+    only its sign is meaningful.
     """
     if warm is None:
         kind.direct(beta)  # DomainError outside the kind's beta range
@@ -578,17 +578,17 @@ def threshold_bisect(
 
     A lifted kind is searched by walk up to the cap: a first probe at the
     direct root (or at BETA_FLOOR if that probe is infeasible), then
-    certificate steps on beta, each re-minimized with one
-    minimize_lifted_total run warm-started at the previous optimum, until
-    the first infeasible probe (necessarily one tol_beta above the last
-    feasible one) or the cap.  The direct and weak margins are increasing
-    in beta, so their threshold is one bracketed root solve (xtol
-    tol_beta/4) on [BETA_FLOOR, hi] of the kind's residual, which crosses 0
-    where the margin is -2*eps; with no sign change the root is the floor
-    if the residual is positive there, else hi.  The margin is evaluated
-    only at the beta reported: the root r, or, if r is infeasible,
-    max(r - tol_beta/2, BETA_FLOOR), which lies below the exact crossing
-    (NonConvergentError if that is infeasible above the floor).
+    certificate steps on beta, each one minimize_lifted_total run
+    warm-started at the previous optimum, up to the cap or a step below
+    tol_beta, whose end is reported with the closed-form total there.  The
+    direct and weak margins are increasing in beta, so their threshold is
+    one bracketed root solve (xtol tol_beta/4) on [BETA_FLOOR, hi] of the
+    kind's residual, which crosses 0 where the margin is -2*eps; with no
+    sign change the root is the floor if the residual is positive there,
+    else hi.  The margin is evaluated only at the beta reported: the root
+    r, or, if r is infeasible, max(r - tol_beta/2, BETA_FLOOR), which lies
+    below the exact crossing (NonConvergentError if that is infeasible
+    above the floor).
     """
     if kind not in _KIND_MODULES:
         raise DomainError(f"kind must be one of {tuple(_KIND_MODULES)}, got {kind!r}")

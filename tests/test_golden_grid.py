@@ -83,6 +83,30 @@ def test_lifted_beta_is_non_decreasing_in_alpha(kind):
     assert all(a <= b for a, b in zip(betas, betas[1:]))
 
 
+# the ceiling on minimize_lifted_total runs over the lifted grid, whose
+# deterministic count is 260: a walk that again probes tol_beta past its
+# Newton step makes 331
+GRID_PROBE_CEILING = 270
+
+
+def test_lifted_grid_probe_count_stays_under_its_ceiling(monkeypatch):
+    calls = []
+    minimize = lc.minimize_lifted_total
+
+    def counted(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    monkeypatch.setattr(lc, "minimize_lifted_total", counted)
+    for kind in KINDS["lifted"]:
+        for alpha in ALPHAS:
+            try:
+                lc.threshold_bisect(alpha, kind, "lifted")
+            except lc.ThresholdRangeError:
+                pass
+    assert len(calls) <= GRID_PROBE_CEILING
+
+
 @pytest.mark.parametrize("alpha", ALPHAS, ids=repr)
 @pytest.mark.parametrize("kind", KINDS["direct"])
 def test_direct_result_matches_the_golden_grid_bit_for_bit(kind, alpha):

@@ -298,13 +298,14 @@ def stub_margins(monkeypatch, feasible, above=1.0, direct=False):
 
 
 def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
-    """Replace every lifted kind by a stub with the kind's own cap whose set
-    term at params p is slope * beta - p.nu1, and every margin by
-    slope * beta - root(beta); a warm start at p caps the margin at the
-    total p certifies, as a minimization started there would.  The stub's
-    direct optimum is (direct_root(beta), 0); the default puts the direct
-    threshold at no alpha < 1, so the walk starts at the floor.  Records
-    each probe as (beta, warm)."""
+    """Replace every lifted kind by a stub with the kind's own cap whose
+    total at params p (set term and lifted_total alike) is
+    slope * beta - p.nu1, and every margin by slope * beta - root(beta); a
+    warm start at p caps the margin at the total p certifies, as a
+    minimization started there would.  The stub's direct optimum is
+    (direct_root(beta), 0); the default puts the direct threshold at no
+    alpha < 1, so the walk starts at the floor.  Records each probe as
+    (beta, warm)."""
     probes = []
 
     def certified(beta, params):
@@ -326,22 +327,63 @@ def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
         return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
 
     stub_table(monkeypatch, margin, stub)
+    monkeypatch.setattr(lc, "lifted_total", lambda kind, p, alpha, beta: certified(beta, p))
     return probes
 
 
 def test_lifted_search_goes_on_after_a_feasible_thorough_confirm(monkeypatch):
-    # the certificates of the optimum with root 0.25 run out there; the
-    # probe tol_beta above it finds the better optimum with root 0.3, and
-    # the steps continue from its certificate
-    probes = stub_lifted(monkeypatch, root=lambda beta: 0.25 if beta < 0.25 else 0.3)
+    # the certificate of the optimum with root 0.25 runs out at its crossing
+    # 0.25 - 2 eps, where the probe finds the better optimum with root 0.3;
+    # the walk steps to that one's crossing and ends there on its Newton
+    # step, without a probe above it
+    eps = DEFAULT.feasibility_margin
+    probes = stub_lifted(monkeypatch, root=lambda beta: 0.25 if beta < 0.2 else 0.3)
     r = lc.threshold_bisect(0.5, "sectional", "lifted")
-    assert 0.3 - 2e-5 <= r.beta < 0.3
-    assert r.condition_margin < -DEFAULT.feasibility_margin
     betas = [b for b, _ in probes]
-    assert [round(b, 4) for b in betas] == [lc.BETA_FLOOR, 0.25, 0.25, 0.3, 0.3]
-    assert betas[2] - betas[1] == pytest.approx(DEFAULT.tol_beta, rel=1e-6)
-    assert betas[4] - betas[3] == pytest.approx(DEFAULT.tol_beta, rel=1e-6)
+    assert betas == pytest.approx([lc.BETA_FLOOR, 0.25 - 2 * eps, 0.3 - 2 * eps], abs=1e-15)
     assert all(warm is not None for _, warm in probes)
+    assert r.beta == pytest.approx(0.3 - 2 * eps, abs=1e-15) and r.beta >= betas[-1]
+    assert r.condition_margin == r.beta - r.params_at_optimum.nu1
+    assert r.condition_margin == pytest.approx(-2 * eps, abs=1e-15)
+
+
+CORNER_BETA = lc.BETA_FLOOR / 2.0
+
+
+def corner_walk(rerun_margin, end=lambda warm: warm):
+    """The walk's first probe alone (stop below the floor), on strong at
+    alpha 0.5 with a stub margin: -1 at the first call and rerun_margin
+    after, ending at end(warm).  Returns the walk's result and the warm
+    starts probed."""
+    warms = []
+
+    def margin(alpha, beta, warm):
+        warms.append(warm)
+        return (-1.0 if len(warms) == 1 else rerun_margin), end(warm)
+
+    eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
+    return lc.walk(margin, lifted_spec("strong"), 0.5, CORNER_BETA, eps, tol), warms
+
+
+@pytest.mark.parametrize("rerun_margin", [-2.0, -0.5])
+def test_a_first_probe_left_in_its_c3_corner_runs_once_more_from_mid_box(rerun_margin):
+    # a first probe ending below twice its start's c3 runs once more from
+    # b = 1/4 (gamma = c3), however the rerun ends, and the walk keeps the
+    # lower of the two totals
+    start = lc.floor_start(lifted_spec("strong"), CORNER_BETA)
+    mid = dataclasses.replace(start, gamma=start.c3)
+    result, warms = corner_walk(rerun_margin)
+    assert warms == [start, mid] and mid.b == 0.25
+    assert result == ((CORNER_BETA, -2.0, mid) if rerun_margin < -1.0
+                      else (CORNER_BETA, -1.0, start))
+
+
+@pytest.mark.parametrize("end", [lambda warm: dataclasses.replace(warm, c3=2.0 * warm.c3),
+                                 lambda warm: None], ids=["left-the-corner", "no-params"])
+def test_a_first_probe_out_of_its_c3_corner_is_not_rerun(end):
+    start = lc.floor_start(lifted_spec("strong"), CORNER_BETA)
+    result, warms = corner_walk(-2.0, end)
+    assert warms == [start] and result == (CORNER_BETA, -1.0, end(start))
 
 
 @pytest.mark.parametrize("slope", [1.0, 0.0])
@@ -716,25 +758,38 @@ def lifted_solves():
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
     # the first probe lies at the direct root, started from the direct
-    # optimum there; every later probe except the last lands where the
-    # previous optimum certifies it; the last, tol_beta above the result,
-    # ends the search as the one infeasible probe
+    # optimum there (and, if it ends in its start's c3 corner, once more
+    # from b = 1/4); every later probe lands where the previous optimum
+    # certifies it, so every probe is feasible.  The search ends on the
+    # Newton step: it reports, without a probe, the crossing of the last
+    # optimum's affine total with -2 eps, less than tol_beta above the
+    # last probe, with the closed-form total there as its margin
     spec = lifted_spec(kind)
     eps = DEFAULT.feasibility_margin
-    for alpha in (0.1, 0.5, 0.999):
+    for alpha in TABLE_ALPHAS:
         r, probes = lifted_solves[kind, alpha]
-        start = probes[0][0]
+        start, first = probes[0][:2]
         assert_at_direct_root(start, lc.threshold_bisect(alpha, kind, "direct").beta)
-        assert probes[0][1] == lc.floor_start(spec, start)
-        assert len(probes) >= 3
+        assert first == lc.floor_start(spec, start)
+        rest = probes[1:]
+        if rest and rest[0][0] == start:
+            assert rest[0][1] == dataclasses.replace(first, gamma=first.c3)
+            rest = rest[1:]
+        assert all(margin < -eps for _, _, margin in probes), alpha
         # the totals are differences of terms up to ~150 (nu2 (2 beta - 1)
         # at small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
-        for beta, warm, margin in probes[1:-1]:
-            assert closed_total(spec, warm, alpha, beta) <= -2.0 * eps + 1e-13
-            assert margin < -eps
-        beta, warm, margin = probes[-1]
-        assert beta == r.beta + DEFAULT.tol_beta and warm == r.params_at_optimum
-        assert not margin < -eps
+        for beta, warm, _ in rest:
+            assert closed_total(spec, warm, alpha, beta) <= -2.0 * eps + 1e-13, (alpha, beta)
+        # the crossing to 1e-12 relative, or to those totals' rounding over
+        # their slope where that is coarser (strong_nonneg at alpha 0.9999:
+        # totals of terms near 55, slope 8.7e-4)
+        p = r.params_at_optimum
+        t0, t1 = closed_total(spec, p, alpha, 0.0), closed_total(spec, p, alpha, 1.0)
+        crossing = (-2.0 * eps - t0) / (t1 - t0)
+        assert r.beta == spec.cap or (abs(r.beta - crossing)
+                                      <= max(1e-12 * r.beta, 1e-13 / (t1 - t0))), alpha
+        assert r.condition_margin == lc.lifted_total(spec, p, alpha, r.beta)
+        assert probes[-1][0] <= r.beta < probes[-1][0] + DEFAULT.tol_beta, alpha
 
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
@@ -766,11 +821,23 @@ def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
 @pytest.mark.parametrize("kind, alpha", [("sectional", 0.1), ("strong", 0.999),
                                          ("strong_nonneg", 0.1)])
 def test_lifted_walk_skips_the_probes_below_the_direct_root(lifted_solves, kind, alpha):
-    # a walk from the floor makes 7, 12 and 7 probes at these points, one
-    # from the direct root 3, 5 and 4
+    # a walk from the floor makes 6, 11 and 6 probes at these points, one
+    # from the direct root 2, 4 and 3
     _, probes = lifted_solves[kind, alpha]
     assert_at_direct_root(probes[0][0], lc.threshold_bisect(alpha, kind, "direct").beta)
     assert len(probes) <= 6
+
+
+def test_strong_first_probe_at_alpha_0_9999_runs_again_out_of_its_corner(lifted_solves):
+    # from floor_start the first probe stalls at c3 near 1e-3 with a margin
+    # near -8.9e-9, whose Newton step is below tol_beta; the rerun from
+    # b = 1/4 reaches about -3.2e-5, without which the walk would end there,
+    # 1.1e-3 below the golden beta
+    r, probes = lifted_solves["strong", 0.9999]
+    (beta, first, m_first), (rerun_beta, mid, m_mid) = probes[:2]
+    assert rerun_beta == beta and mid == dataclasses.replace(first, gamma=first.c3)
+    assert m_mid < -1e-5 < -DEFAULT.feasibility_margin and m_first > -1e-8
+    assert r.beta > beta + 1e-3
 
 
 def test_cold_lifted_probe_walks_past_the_small_c3_stall():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from bounded_brent import minimize_bounded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -438,57 +437,6 @@ def test_newton_minimum_on_a_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# minimize_bounded (tests/bounded_brent.py): a step-for-step replay of
-# scipy's bounded Brent
-# ---------------------------------------------------------------------------
-
-def _logged(f, log):
-    def g(x):
-        log.append(float(x).hex())
-        return f(x)
-    return g
-
-
-def _assert_replays_scipy(f, lo, hi, xatol):
-    seen_scipy, seen_ours = [], []
-    want = minimize_scalar(_logged(f, seen_scipy), bounds=(lo, hi), method="bounded",
-                           options={"xatol": xatol})
-    got = minimize_bounded(_logged(f, seen_ours), lo, hi, xatol=xatol)
-    assert seen_ours == seen_scipy
-    assert float(got.x).hex() == float(want.x).hex()
-    assert float(got.fun).hex() == float(want.fun).hex()
-    assert got.nfev == want.nfev == len(seen_ours)
-
-
-def _plateau(x):
-    # flat at 0 on [-1, 1]: most comparisons there are ties
-    return max(abs(x) - 1.0, 0.0) ** 2
-
-
-REPLAY_CASES = {
-    "smooth": (lambda x: math.cos(3.0 * x) + 0.1 * x * x, -2.0, 3.0),
-    "kink": (lambda x: abs(x - 0.3), -1.0, 2.0),
-    "kink-at-golden-point": (lambda x: abs(x - (0.5 * (3.0 - math.sqrt(5.0)))), 0.0, 1.0),
-    "plateau": (_plateau, -3.0, 2.0),
-    "staircase": (lambda x: math.floor(4.0 * x) / 4.0, -1.0, 1.0),
-    "min-on-lower-bound": (lambda x: x, 0.0, 1.0),
-    "min-on-upper-bound": (lambda x: -x * x * x, -1.0, 2.0),
-    "constant": (lambda x: 1.0, 0.0, 5.0),
-    "zero-width": (lambda x: x * x, 0.7, 0.7),
-    "nan-above-1": (lambda x: math.nan if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
-    "nan-below-1": (lambda x: math.nan if x < 1.0 else (x - 2.5) * (x - 2.5), 0.0, 3.0),
-    "inf-above-1": (lambda x: math.inf if x > 1.0 else (x - 0.5) * (x - 0.5), 0.0, 3.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
-@pytest.mark.parametrize("xatol", [1e-12])
-def test_minimize_bounded_replays_scipy(case, xatol):
-    f, lo, hi = REPLAY_CASES[case]
-    _assert_replays_scipy(f, lo, hi, xatol=xatol)
-
-
-# ---------------------------------------------------------------------------
 # gauss_expectation
 # ---------------------------------------------------------------------------
 
@@ -657,6 +605,7 @@ def test_gaussian_quadratic_integral_matches_quadrature(p, s, c, lo, width):
 
     def g(h):
         inside = (h >= lo) & (h <= hi)
+        h = np.clip(h, lo, hi)  # no exp overflow outside the window
         return np.where(inside, np.exp(p * h * h + s * h + c), 0.0)
 
     sig = 1.0 / math.sqrt(1.0 - 2.0 * max(p, 0.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from l1lab import numerics as nm
 from l1lab import thresholds_nonneg as tn
@@ -88,6 +89,39 @@ def test_weak_nonneg_monotone_spot():
 def test_weak_nonneg_needs_fewer_measurements():
     for beta in np.linspace(0.05, 0.9, 12):
         assert tn.weak_nonneg_alpha_of_beta(beta) <= weak_alpha_of_beta(beta) + 1e-12
+
+
+def statistical_dimension(beta: float, s: float) -> float:
+    """alpha_w(beta) as the statistical dimension of the l1 descent cone
+    (Amelunxen, Lotz, McCoy & Tropp, "Living on the edge", Information and
+    Inference 3(3), 2014): min over tau >= 0 of
+
+        beta (1 + tau^2) + (1 - beta) s E(g - tau)_+^2,
+
+    s = 2 for general signs and 1 for nonnegative ones, with
+    E(g - tau)_+^2 = (1 + tau^2) Q(tau) - tau phi(tau).  Its tau-slope is
+    2 (beta tau - (1 - beta) s E(g - tau)_+), E(g - tau)_+ =
+    phi(tau) - tau Q(tau), which rises from negative at 0 through one root."""
+    def phi(t):
+        return math.exp(-0.5 * t * t) / SQRT2PI
+
+    def q(t):
+        return 0.5 * math.erfc(t / SQRT2)
+
+    tau = brentq(lambda t: beta * t - (1.0 - beta) * s * (phi(t) - t * q(t)), 0.0, 40.0,
+                 xtol=1e-15)
+    return beta * (1.0 + tau * tau) + (1.0 - beta) * s * ((1.0 + tau * tau) * q(tau)
+                                                          - tau * phi(tau))
+
+
+@pytest.mark.parametrize("s, alpha_of_beta", [(2.0, weak_alpha_of_beta),
+                                              (1.0, tn.weak_nonneg_alpha_of_beta)],
+                         ids=["weak", "weak_nonneg"])
+def test_weak_boundary_is_the_statistical_dimension(s, alpha_of_beta):
+    # a second route to each weak curve: the erfinv characterization and the
+    # descent cone's statistical dimension agree to 2.5e-14 on this grid
+    for beta in np.arange(1, 1000) / 1000.0:
+        assert abs(alpha_of_beta(beta) - statistical_dimension(beta, s)) <= 1e-12, beta
 
 
 # ---------------------------------------------------------------------------
