@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, empirical
+from . import __version__
 from .config import Config, load_config
 from .errors import DimensionError, DomainError, L1LabError
 from .lift_core import METHODS, kind_table, threshold_bisect
@@ -291,6 +291,8 @@ def cmd_curve(args, config: Config) -> int:
 # --------------------------------------------------------------------------
 
 def _verify_weak(args, config: Config) -> dict:
+    from . import empirical  # here, so that no threshold command loads its LP solver
+
     rows = []
     for inst, out in empirical.weak_trials(args.alpha, args.beta, args.n, args.trials,
                                            nonneg=args.nonneg, seed=args.seed, config=config):
@@ -319,6 +321,8 @@ def _verify_weak(args, config: Config) -> dict:
 
 
 def _verify_nullspace(args, config: Config) -> dict:
+    from . import empirical
+
     n, trials = args.n, args.trials
     m = int(round(args.alpha * n))
     k = int(round(args.beta * n))

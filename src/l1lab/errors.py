@@ -13,14 +13,9 @@ class DimensionError(L1LabError, ValueError):
     """Problem dimensions are inconsistent or exceed an enforced size cap."""
 
 
-class NoSignChangeError(L1LabError):
-    """A root-finding bracket does not straddle a sign change."""
-
-
 class NonConvergentError(L1LabError):
-    """An iteration ended without its guarantee: panel doubling did not
-    stabilize a quadrature estimate, or a threshold root solve ended on no
-    feasible beta."""
+    """Panel doubling did not stabilize a quadrature estimate within its
+    panel cap."""
 
 
 class ConstraintViolatedError(L1LabError, ValueError):

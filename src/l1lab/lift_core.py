@@ -35,8 +35,11 @@ closed form.  walk steps along these certificates from the direct
 threshold, which the lifted one can only exceed, one warm-started
 minimization per step, and ends on a step below tol_beta at the crossing
 the last optimum certifies (Dinkelbach's method), up to the cap or a cold
-margin's beta.  The direct and weak margins are increasing in beta, so one
-bracketed root solve on beta decides their threshold and its range.
+margin's beta.  A direct or weak residual is a minimum over a multiplier
+of functions affine or concave in beta, so it is concave and increasing in
+beta, with its slope at the optimal multiplier (the envelope theorem): one
+Newton solve on it from BETA_FLOOR, whose iterates stay feasible, decides
+the direct and weak thresholds and the lifted walk's first probe.
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import (ConstraintViolatedError, DomainError, L1LabError, NonConvergentError,
-                     NoSignChangeError)
-from .numerics import find_root, projected_bfgs
+from .errors import ConstraintViolatedError, DomainError, L1LabError
+from .numerics import newton_root, projected_bfgs
 
 METHODS = ("direct", "lifted")
 
@@ -217,8 +219,9 @@ class LiftedKind:
     would cancel about 6 digits at b = 1e-6, which the division by c3 then
     magnifies.  integrand(params, beta) is its description for
     exp_set_term_oracle;
-    direct(beta) -> (root, nu1) is the direct (c3 -> 0) optimum, root being
-    the value compared with sqrt(alpha); cap is the largest beta searched;
+    direct(beta) -> (root, nu1, slope) is the direct (c3 -> 0) optimum,
+    root being the value compared with sqrt(alpha) and slope its
+    beta-derivative at the optimal nu1; cap is the largest beta searched;
     nu2(beta, nu1, gamma) is the second multiplier the direct optimum
     implies, None for a kind with one.
 
@@ -229,7 +232,7 @@ class LiftedKind:
 
     k_term: Callable[[float, Sequence[float], float], tuple[float, Sequence[float] | None]]
     integrand: Callable
-    direct: Callable[[float], tuple[float, float]]
+    direct: Callable[[float], tuple[float, float, float]]
     cap: float
     nu2: Callable[[float, float, float], float] | None = None
 
@@ -244,13 +247,18 @@ class LiftedKind:
         extras = (params.nu1, params.c3 * params.nu2)[:self.n_extra]
         return params.gamma + self.k_term(params.b, extras, beta)[0] / params.c3
 
-    def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
-        """(F, cap): the direct residual F(beta) = root - sqrt(alpha) + 2*eps,
-        root = direct(beta)[0], which crosses 0 where the direct margin
-        crosses -2*eps, and the largest beta searched.  Its root is both the
-        direct threshold and the lifted walk's first probe."""
+    def residual(self, alpha: float, eps: float) -> Callable[[float], tuple[float, float]]:
+        """beta -> (F, F'), the direct residual F = root - sqrt(alpha) + 2*eps
+        of direct(beta), which crosses 0 where the direct margin crosses
+        -2*eps, and its slope.  Its root is both the direct threshold and
+        the lifted walk's first probe."""
         sqrt_alpha = math.sqrt(alpha)
-        return (lambda beta: self.direct(beta)[0] - sqrt_alpha + 2.0 * eps), self.cap
+
+        def residual(beta):
+            root, _, slope = self.direct(beta)
+            return root - sqrt_alpha + 2.0 * eps, slope
+
+        return residual
 
     def method_for(self, method: str) -> str:
         """The method a search of this kind runs when asked for `method`."""
@@ -403,7 +411,7 @@ def minimize_lifted_total(
 def _direct_point(kind: LiftedKind, beta: float) -> tuple[float, LiftParams]:
     """(root, params): the direct (c3 -> 0) optimum at beta, root being
     compared with sqrt(alpha), as c3 = 0 lift parameters (gamma = root/2)."""
-    root, nu1 = kind.direct(beta)
+    root, nu1, _ = kind.direct(beta)
     gamma = max(root, 1e-12) / 2.0
     nu2 = 0.0 if kind.nu2 is None else kind.nu2(beta, nu1, gamma)
     return root, LiftParams(c3=0.0, gamma=gamma, nu1=nu1, nu2=nu2)
@@ -424,30 +432,14 @@ def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
     return replace(params, c3=1e-3, gamma=1e-3 / (4.0 * b))
 
 
-def _root_on_range(residual: Callable[[float], float], hi: float, tol_beta: float) -> float:
-    """The root (xtol tol_beta/4) on [BETA_FLOOR, hi] of a residual
-    increasing in beta; with no sign change the floor if the residual is
-    positive there, else hi, and the floor if hi <= BETA_FLOOR.  Each
-    residual value is computed once: brentq re-evaluates the ends, as does
-    the sign test."""
-    residual = functools.cache(residual)
-    if not hi > BETA_FLOOR:
-        return BETA_FLOOR
-    try:
-        return find_root(residual, BETA_FLOOR, hi, tol=tol_beta / 4.0)
-    except NoSignChangeError:
-        return hi if residual(BETA_FLOOR) < 0 else BETA_FLOOR
-
-
 def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
          eps: float, tol_beta: float) -> tuple[float, float, LiftParams]:
     """Certificate steps on beta from the direct root towards stop.
 
     margin_fn(alpha, beta, warm) is the kind's lifted margin.  The lifted
     family contains the direct bound, so the first probe lies where the
-    direct margin crosses -2*eps: at the root of kind.residual on
-    [BETA_FLOOR, kind.cap] (the direct search's own root solve) clipped to
-    stop, or at stop <= BETA_FLOOR.  It starts at floor_start, and once
+    direct margin crosses -2*eps: at the direct search's own root, clipped
+    to stop, or at stop <= BETA_FLOOR.  It starts at floor_start, and once
     more from b = 1/4 (gamma = c3), keeping the lower total, if it ends
     below twice its start's c3, where it can stall; if it is not below -eps
     above the floor, the walk starts over at BETA_FLOOR, and ends on it if
@@ -468,7 +460,8 @@ def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
 
     lo = stop
     if stop > BETA_FLOOR:
-        lo = min(_root_on_range(*kind.residual(alpha, eps), tol_beta), stop)
+        lo = min(newton_root(kind.residual(alpha, eps), BETA_FLOOR, kind.cap, tol_beta / 4.0),
+                 stop)
     m_lo, p_lo = first_probe(lo)
     if not m_lo < -eps and lo > BETA_FLOOR:
         lo = BETA_FLOOR
@@ -518,21 +511,21 @@ def lifted_margin(
 @dataclass(frozen=True)
 class WeakKind:
     """A weak kind: its one route is its exact weak boundary, reported as
-    method "direct".  characterization(alpha, beta) is its weak
-    characterization; cap is the largest beta searched."""
+    method "direct".  boundary(beta) -> (alpha_w, slope) is the boundary,
+    concave and increasing in beta, and its beta-derivative; cap is the
+    largest beta searched."""
 
-    characterization: Callable[[float, float], float]
+    boundary: Callable[[float], tuple[float, float]]
     cap: float = 1.0 - 1e-6
 
-    def residual(self, alpha: float, eps: float) -> tuple[Callable[[float], float], float]:
-        """(F, hi): the weak characterization at alpha - 2*eps, negated, and
-        the upper end of the beta range to search.  Its root is the beta
-        whose weak boundary alpha_w(beta) is alpha - 2*eps, so no alpha_w is
-        solved per probe, and the range stops at alpha - 2*eps, where
-        alpha_w >= beta makes the characterization -inf (no range is left at
-        alpha - 2*eps <= BETA_FLOOR)."""
-        a = alpha - 2.0 * eps
-        return (lambda beta: -self.characterization(a, beta)), min(self.cap, a)
+    def residual(self, alpha: float, eps: float) -> Callable[[float], tuple[float, float]]:
+        """beta -> (F, F'), the weak residual F = alpha_w(beta) - alpha + 2*eps,
+        which crosses 0 where the weak margin crosses -2*eps, and its slope."""
+        def residual(beta):
+            alpha_w, slope = self.boundary(beta)
+            return alpha_w - alpha + 2.0 * eps, slope
+
+        return residual
 
     def method_for(self, method: str) -> str:
         """The method a search of this kind runs when asked for `method`."""
@@ -580,15 +573,12 @@ def threshold_bisect(
     direct root (or at BETA_FLOOR if that probe is infeasible), then
     certificate steps on beta, each one minimize_lifted_total run
     warm-started at the previous optimum, up to the cap or a step below
-    tol_beta, whose end is reported with the closed-form total there.  The
-    direct and weak margins are increasing in beta, so their threshold is
-    one bracketed root solve (xtol tol_beta/4) on [BETA_FLOOR, hi] of the
-    kind's residual, which crosses 0 where the margin is -2*eps; with no
-    sign change the root is the floor if the residual is positive there,
-    else hi.  The margin is evaluated only at the beta reported: the root
-    r, or, if r is infeasible, max(r - tol_beta/2, BETA_FLOOR), which lies
-    below the exact crossing (NonConvergentError if that is infeasible
-    above the floor).
+    tol_beta, whose end is reported with the closed-form total there.  A
+    direct or weak kind is one numerics.newton_root solve from BETA_FLOOR
+    (steps below tol_beta/4 end it) on its residual, which crosses 0 where
+    the margin is -2*eps; no iterate passes that crossing, so the margin,
+    evaluated once at the beta reported, is at most -2*eps up to rounding
+    unless the residual is not negative at the floor.
     """
     if kind not in _KIND_MODULES:
         raise DomainError(f"kind must be one of {tuple(_KIND_MODULES)}, got {kind!r}")
@@ -604,15 +594,8 @@ def threshold_bisect(
     if method == "lifted":
         lo, m_lo, p_lo = walk(margin_fn, spec, alpha, spec.cap, eps, tol_beta)
     else:
-        root = _root_on_range(*spec.residual(alpha, eps), tol_beta)
-        for lo in (root, max(root - tol_beta / 2.0, BETA_FLOOR)):
-            m_lo, p_lo = margin_fn(alpha, lo)
-            if m_lo < -eps or lo == BETA_FLOOR:
-                break
-        else:
-            raise NonConvergentError(
-                f"no feasible beta at the root {root!r} of the {kind}/{method} "
-                f"margin or tol_beta/2 below it (margin {m_lo:.3e}) for alpha={alpha}")
+        lo = newton_root(spec.residual(alpha, eps), BETA_FLOOR, spec.cap, tol_beta / 4.0)
+        m_lo, p_lo = margin_fn(alpha, lo)
     if not m_lo < -eps:
         raise ThresholdRangeError(
             f"condition already infeasible at beta={lo} for alpha={alpha} "

@@ -2,9 +2,9 @@
 
 Everything here is pure and reentrant: no shared mutable state, safe for
 concurrent use.  Special functions delegate to scipy.special (double
-precision, accepts scalars or arrays).  The quadrature and the
-minimizers are implemented here because they carry contracts the generic
-library routines do not:
+precision, accepts scalars or arrays).  The quadrature, the minimizers
+and the root solve are implemented here because they carry contracts the
+generic library routines do not:
 
 * breakpoint-aligned quadrature panels with a doubling convergence
   certificate, each doubling step one vectorized Gauss-Legendre pass over
@@ -13,10 +13,13 @@ library routines do not:
 * a projected BFGS on Python floats for smooth objectives with analytic
   gradients over a box (the lifted probes);
 * a Newton search for the minimum of a convex function whose slope is
-  increasing and concave, given in closed form (the direct 1-D minima).
+  increasing and concave, given in closed form (the direct 1-D minima and
+  the weak boundary);
+* Newton from below on the root of an increasing concave function, whose
+  iterates never pass the root (the direct and weak thresholds).
 
-The minimizers skip scipy's per-call bookkeeping, which costs more than
-the closed-form objectives they minimize.
+These skip scipy's per-call bookkeeping, which costs more than the
+closed-form functions they work on.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize as _opt
 import scipy.special as _sp
 
-from .errors import DomainError, NonConvergentError, NoSignChangeError
+from .errors import DomainError, NonConvergentError
 
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -90,29 +92,6 @@ def erfinv(p: float) -> float:
     if abs(p) >= 1.0:
         raise DomainError("erfinv requires |p| < 1")
     return float(_sp.erfinv(p))
-
-
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Root of a continuous scalar function inside a sign-changing bracket
-    [lo, hi], lo < hi.
-
-    Brent's method: bisection with inverse-quadratic acceleration, never
-    leaves the bracket.  Raises NoSignChangeError when f(lo) and f(hi) have
-    the same (nonzero) sign.
-    """
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise DomainError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NoSignChangeError(
-            f"f has the same sign at both bracket ends: f({lo})={flo:.3e}, f({hi})={fhi:.3e}"
-        )
-    return float(_opt.brentq(f, lo, hi, xtol=tol, maxiter=300))
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -213,6 +192,29 @@ def newton_minimum(profile: Callable[[float], tuple[float, float, float]],
         x = nxt
         value, g, dg = profile(x)
     return value, x
+
+
+def newton_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
+                tol: float) -> float:
+    """Root on [lo, hi] of an increasing concave f, approached from below.
+
+    f(x) returns (f(x), f'(x)).  If f(lo) >= 0 the root is lo.  Otherwise
+    each step goes to the zero of the tangent at the last iterate, clipped
+    at hi (hi itself when the slope is not positive); each tangent lies above
+    the concave f, so no iterate passes the root and f <= 0 at every one.
+    The solve returns the tangent's zero, unevaluated, once the step to it
+    is below tol or it is hi.
+    """
+    x = lo
+    value, slope = f(x)
+    if value >= 0.0:
+        return lo
+    while True:
+        nxt = min(x - value / slope, hi) if slope > 0.0 else hi
+        if nxt - x < tol or nxt == hi:
+            return nxt
+        x = nxt
+        value, slope = f(x)
 
 
 def _exp_sat(x: float) -> float:

@@ -2,8 +2,9 @@
 
 Three families live here:
 
-* the weak characterization, an equation in (alpha, beta) whose root in
-  alpha is the exact weak phase-transition boundary;
+* the exact weak phase-transition boundary alpha_w(beta), the statistical
+  dimension of the l1 descent cone: a one-variable convex minimum, shared
+  with the nonnegative weak kind;
 * the sectional bounds: a one-variable direct condition
   min_nu sqrt(radicand(beta, nu)) < sqrt(alpha), and its lifted parent whose
   set term combines two per-coordinate exponential moments, one over the
@@ -42,41 +43,45 @@ def _gauss_upper_prob(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# weak threshold: fundamental characterization
+# weak threshold: the statistical dimension of the l1 descent cone
 # --------------------------------------------------------------------------
 
-def weak_characterization(alpha: float, beta_w: float) -> float:
-    """Residual of the weak-threshold characterization at (alpha, beta_w).
+def statistical_dimension(beta: float, s: float) -> tuple[float, float]:
+    """(alpha_w, slope): the exact weak boundary at beta and its beta-derivative.
 
-    (1-b) * sqrt(2/pi) * exp(-erfinv(u)^2) / a - sqrt(2) * erfinv(u),
-    u = (1-a)/(1-b).  The root in alpha on (beta_w, 1) is the exact weak
-    boundary: recovery succeeds w.h.p. above it and fails below it.
+    alpha_w is the statistical dimension of the l1 descent cone per
+    coordinate (Amelunxen, Lotz, McCoy & Tropp, "Living on the edge",
+    Information and Inference 3(3), 2014),
+
+        min over tau >= 0 of beta (1 + tau^2) + (1 - beta) s E(g - tau)_+^2,
+
+    s = 2 for general signs and 1 for nonnegative ones.  Half its tau-slope,
+    g = beta tau - (1 - beta) s (phi(tau) - tau Q(tau)), is increasing and
+    concave, so numerics.newton_minimum finds it, one math.erfc and one
+    math.exp per tau.  The objective is affine in beta at fixed tau, so
+    alpha_w is concave in beta, and its slope is the objective's at the
+    optimal tau, (1 + tau^2) - s E(g - tau)_+^2 = (1 + tau^2 - alpha_w)/(1 - beta).
     """
-    u = (1.0 - alpha) / (1.0 - beta_w)
-    if u >= 1.0:  # alpha at or below beta: the deep-failure limit
-        return -math.inf
-    e = nm.erfinv(u)
-    return (1.0 - beta_w) * SQRT_2_OVER_PI * math.exp(-e * e) / alpha - SQRT2 * e
-
-
-def weak_boundary(characterization, beta: float) -> float:
-    """The root in alpha on (beta, 1) of a weak characterization, solved to
-    residual <= 1e-10: the exact weak threshold alpha_w(beta)."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    lo = max(beta + 1e-12 * (1.0 - beta), float(np.nextafter(beta, 1.0)))
-    hi = 1.0 - 1e-13
-    # cached for the solve: brentq evaluates the ends find_root has checked
-    f = functools.cache(lambda a: characterization(a, beta))
-    return nm.find_root(f, lo, hi, tol=1e-13)
+    w = (1.0 - beta) * s
+
+    def at(tau):
+        q = 0.5 * math.erfc(tau / SQRT2)
+        p = math.exp(-0.5 * tau * tau) / SQRT2PI
+        on = 1.0 + tau * tau
+        return beta * on + w * (on * q - tau * p), beta * tau - w * (p - tau * q), beta + w * q
+
+    alpha_w, tau = nm.newton_minimum(at, 40.0)
+    return alpha_w, (1.0 + tau * tau - alpha_w) / (1.0 - beta)
 
 
 def weak_alpha_of_beta(beta_w: float) -> float:
-    """Exact weak threshold alpha_w(beta_w), solved to residual <= 1e-10."""
-    return weak_boundary(weak_characterization, beta_w)
+    """Exact weak threshold alpha_w(beta_w) for general signs."""
+    return statistical_dimension(beta_w, 2.0)[0]
 
 
-WEAK = WeakKind(weak_characterization)
+WEAK = WeakKind(functools.partial(statistical_dimension, s=2.0))
 
 
 def weak_margin_direct(alpha, beta, warm=None):
@@ -183,8 +188,12 @@ def _sectional_k(b, extra, beta):
 
 
 def _sectional_direct(beta):
-    # a call, not the minimum itself, so that a rebinding of that name is seen
-    return sectional_direct_minimum(beta)
+    # a call, not the minimum itself, so that a rebinding of that name is seen;
+    # at fixed nu the radicand is beta * on + (1 - beta) * off, on = E(|h| + nu)^2,
+    # so its beta-slope is on - off = (on - root^2)/(1 - beta)
+    root, nu = sectional_direct_minimum(beta)
+    on = nu * nu + 1.0 + 2.0 * SQRT_2_OVER_PI * nu
+    return root, nu, (on - root * root) / ((1.0 - beta) * 2.0 * root)
 
 
 SECTIONAL = LiftedKind(k_term=_sectional_k, integrand=sectional_integrand,
@@ -338,8 +347,10 @@ def strong_direct_minimum(beta: float) -> tuple[float, float]:
 
 
 def _strong_direct(beta):
+    # beta moves only c_nu, by -1/(2 phi(c_nu)), so W's beta-slope is 4 c_nu nu
     w, nu = strong_direct_minimum(beta)
-    return math.sqrt(max(w, 0.0)), nu
+    root = math.sqrt(max(w, 0.0))
+    return root, nu, 2.0 * strong_crossover(beta) * nu / root
 
 
 def _strong_nu2(beta, nu1, gamma):

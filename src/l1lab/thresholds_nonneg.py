@@ -3,7 +3,8 @@
 Sign knowledge shrinks the adversarial null-space set, so every bound here
 dominates its general-x counterpart.  The module mirrors thresholds_general:
 
-* the nonnegative weak characterization (exact boundary);
+* the exact nonnegative weak boundary, the general one's statistical
+  dimension with one tail in place of two;
 * the direct strong bound, two truncated Gaussian second moments split at
   c_nu_plus = -sqrt(2)*erfinv(1 - 2*beta), which is negative for beta < 1/2
   (the sum is compared against alpha directly, it is already the squared
@@ -30,7 +31,7 @@ from . import numerics as nm
 from .errors import DomainError
 from .lift_core import ExpPiece, LiftedKind, LiftParams, WeakKind, direct_margin, lifted_margin
 from .numerics import phi
-from .thresholds_general import multiplier_k, weak_boundary
+from .thresholds_general import multiplier_k, statistical_dimension
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -41,32 +42,16 @@ def _gauss_cdf(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# weak characterization, nonnegative variant
+# weak boundary, nonnegative variant
 # --------------------------------------------------------------------------
 
-def weak_nonneg_characterization(alpha: float, beta: float) -> float:
-    """Residual of the nonnegative weak characterization:
-    (1-b) sqrt(1/(2 pi)) exp(-erfinv(2(1-a)/(1-b) - 1)^2) / a
-      - sqrt(2) erfinv(2(1-a)/(1-b) - 1)."""
-    u = 2.0 * (1.0 - alpha) / (1.0 - beta) - 1.0
-    if u >= 1.0:   # alpha at or below beta: the deep-failure limit
-        return -math.inf
-    if u <= -1.0:  # alpha at or above 1: the deep-success limit
-        return math.inf
-    e = nm.erfinv(u)
-    return ((1.0 - beta) * math.exp(-e * e) / (SQRT2PI * alpha)) - SQRT2 * e
-
-
 def weak_nonneg_alpha_of_beta(beta: float) -> float:
-    """Exact nonnegative weak threshold alpha_w+(beta), residual <= 1e-10.
-
-    The erfinv argument stays inside (-1, 1) exactly for alpha in (beta, 1),
-    which is the scanned bracket.
-    """
-    return weak_boundary(weak_nonneg_characterization, beta)
+    """Exact nonnegative weak threshold alpha_w+(beta): the statistical
+    dimension with s = 1."""
+    return statistical_dimension(beta, 1.0)[0]
 
 
-WEAK_NONNEG = WeakKind(weak_nonneg_characterization)
+WEAK_NONNEG = WeakKind(functools.partial(statistical_dimension, s=1.0))
 
 
 def weak_nonneg_margin_direct(alpha, beta, warm=None):
@@ -184,8 +169,10 @@ def _nonneg_k(b, extra, beta):
 
 
 def _nonneg_direct(beta):
+    # beta moves only c_nu_plus, by 1/phi(c_nu_plus), so V's beta-slope is (c_nu_plus - nu1)^2
     v, nu = strong_nonneg_direct_minimum(beta)
-    return math.sqrt(max(v, 0.0)), nu
+    root = math.sqrt(max(v, 0.0))
+    return root, nu, (nonneg_crossover(beta) - nu) ** 2 / (2.0 * root)
 
 
 def _nonneg_nu2(beta, nu1, gamma):

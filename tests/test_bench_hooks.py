@@ -16,8 +16,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from l1bench import tracer, workloads  # noqa: E402
 
 # the null-space oracles enumerate vertices and solve no LP, so the bench's
-# empirical.linprog layer (calls, and empirical.nsp.lps_per_call) reads 0
-RETIRED = {("empirical", "linprog")}
+# empirical.linprog layer (calls, and empirical.nsp.lps_per_call) reads 0;
+# the direct and weak thresholds are Newton solves, so numerics.find_root
+# (the bracketed root solve they replaced) reads 0 too
+RETIRED = {("empirical", "linprog"), ("numerics", "find_root")}
 HOOKS = sorted(({(module, attr) for _layer, module, attr, _how in tracer.TARGETS}
                 | set(workloads.LiftedTable.margins)) - RETIRED)
 
@@ -34,7 +36,7 @@ def test_retired_linprog_hook_is_an_absent_layer():
     traced = tracer.Tracer()
     traced.install()
     try:
-        assert "empirical.linprog" in traced.absent
+        assert {"empirical.linprog", "numerics.find_root"} <= set(traced.absent)
     finally:
         traced.uninstall()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from l1lab import cli
+from l1lab import cli, empirical
 from l1lab.errors import DomainError
 
 
@@ -75,7 +75,7 @@ def test_bad_config_file_exits_2(tmp_path, monkeypatch, capsys, line, method):
 @pytest.mark.parametrize("line", ["bp_tol = 0", "bp_tol = nan", "recovery_tol = nan",
                                   "bp_max_iter = 0", "jobs = 2.5"])
 def test_bad_solver_config_exits_2(tmp_path, monkeypatch, capsys, line):
-    monkeypatch.setattr(cli.empirical, "solve_basis_pursuit", no_solve)
+    monkeypatch.setattr(empirical, "solve_basis_pursuit", no_solve)
     cfg = tmp_path / "l1lab.cfg"
     cfg.write_text(line + "\n")
     monkeypatch.setenv("L1LAB_CONFIG", str(cfg))
@@ -148,7 +148,7 @@ def test_verify_alpha_outside_unit_interval_exits_2(capsys, monkeypatch, mode, a
         raise AssertionError("an instance was drawn despite a bad --alpha")
 
     monkeypatch.setattr(cli.np.random, "default_rng", no_instance)
-    monkeypatch.setattr(cli.empirical, "generate_instance", no_instance)
+    monkeypatch.setattr(empirical, "generate_instance", no_instance)
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--mode", mode, "--alpha", alpha, "--beta", "0.1",
                   "--n", "10", "--trials", "1"])
@@ -164,7 +164,7 @@ def test_verify_not_finite_exits_2(capsys, monkeypatch, mode, value, flag):
         raise AssertionError("an instance was drawn despite a bad setting")
 
     monkeypatch.setattr(cli.np.random, "default_rng", no_instance)
-    monkeypatch.setattr(cli.empirical, "generate_instance", no_instance)
+    monkeypatch.setattr(empirical, "generate_instance", no_instance)
     args = {"--alpha": "0.5", "--beta": "0.1", flag: value}
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--mode", mode, "--n", "12",
@@ -191,6 +191,33 @@ def test_curve_grid_not_finite_exits_2(tmp_path, grid):
     assert proc.returncode == 2, proc.stderr
     assert "--alpha-grid parts must be finite" in proc.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+FRESH_THRESHOLD_RUN = """
+import contextlib, io, sys
+from l1lab import cli
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    for flag in sorted(cli.KIND_FLAGS):
+        for method in cli.METHODS:
+            assert cli.main(["threshold", "--alpha", "0.5", "--kind", flag,
+                             "--method", method]) == 0
+    assert cli.main(["table", "--which", "1"]) == 0
+    assert cli.main(["--jobs", "1", "curve", "--kind", "strong", "--alpha-grid",
+                     "0.1:0.5:0.2", "--out-file", out]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+"""
+
+
+def test_threshold_commands_never_load_scipy_optimize(tmp_path):
+    # every threshold, table and curve solve is closed-form Newton work on
+    # scipy.special alone; only the empirical checks load scipy.optimize
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", FRESH_THRESHOLD_RUN, str(tmp_path / "c.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _no_grid_point(*args):
@@ -497,7 +524,7 @@ def test_verify_weak_prints_the_decisions_of_weak_recovery_rate(capsys, alpha, b
                            + ["--nonneg"] * nonneg, capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["rate"] == rate == cli.empirical.weak_recovery_rate(
+    assert payload["rate"] == rate == empirical.weak_recovery_rate(
         float(alpha), float(beta), 100, 20, nonneg=nonneg, seed=seed)
     assert not any("error" in t for t in payload["per_trial"])
     stats = payload["solver_stats"]
@@ -517,7 +544,7 @@ def test_verify_weak_nonneg_below_the_curve_prints_no_error_rows(capsys):
                          ids=["k-rounds-to-zero", "m-rounds-to-n"])
 def test_verify_weak_refuses_the_shapes_weak_recovery_rate_refuses(capsys, monkeypatch,
                                                                   alpha, beta):
-    monkeypatch.setattr(cli.empirical, "solve_basis_pursuit", no_solve)
+    monkeypatch.setattr(empirical, "solve_basis_pursuit", no_solve)
     code, out, err = run_cli(["verify", "--mode", "weak", "--alpha", alpha, "--beta", beta,
                               "--n", "40"], capsys)
     assert code == 2 and out == ""
@@ -573,8 +600,6 @@ def test_verify_sectional_reports_support(capsys):
 
 def test_verify_sectional_nonneg_runs_the_nonnegative_oracle(capsys):
     import numpy as np
-
-    from l1lab import empirical
 
     args = ["verify", "--mode", "sectional", "--alpha", "0.5", "--beta", "0.25",
             "--n", "12", "--trials", "6", "--seed", "0"]

@@ -1,12 +1,13 @@
 """Golden bits of the direct and weak threshold solves.
 
-GOLDEN pins the bits of 20 direct and weak solves of the root route
-(Newton minima over nu, one bracketed root solve on beta), so that a later
-change that moves any of them by even one ulp fails here instead of
-drifting silently.  BISECTION_BETA keeps the betas of the bisection route
-it replaced: the root route must stay within tol_beta of them, with a
-margin below -eps.  The direct values themselves (the per-beta profiles)
-keep the bits of their original one-shot formulas.
+GOLDEN pins the bits of 20 direct and weak solves of the Newton route
+(Newton minima over the multiplier, one Newton solve on beta from the
+floor), so that a later change that moves any of them by even one ulp
+fails here instead of drifting silently.  BISECTION_BETA keeps the betas
+of the bisection route that the root solves replaced: the Newton route
+must stay within tol_beta of them, with a margin below -eps.  The direct
+values themselves (the per-beta profiles) keep the bits of their original
+one-shot formulas.
 """
 
 import numpy as np
@@ -19,52 +20,52 @@ from l1lab import thresholds_general as tg
 from l1lab import thresholds_nonneg as tn
 
 # (kind, alpha) -> (beta, condition_margin, (c3, gamma, nu1, nu2) or None), as float.hex,
-# from the root route (Newton minima, one bracketed root solve on beta)
+# from the Newton route (Newton minima, one Newton solve on beta)
 GOLDEN = {
-    ("weak", 0.1): ("0x1.365c6e5838dbap-6", "-0x1.23424fa000000p-28", None),
-    ("weak", 0.5): ("0x1.8af23aa4ada6bp-3", "-0x1.1e08bc2000000p-27", None),
-    ("weak", 0.9): ("0x1.387f7ad773a9bp-1", "-0x1.59e2671b80000p-19", None),
-    ("weak", 0.999): ("0x1.ebb565d96d72bp-1", "-0x1.0f364a0200000p-22", None),
-    ("weak_nonneg", 0.1): ("0x1.8ad04ec922185p-6", "-0x1.d886f46180000p-23", None),
-    ("weak_nonneg", 0.5): ("0x1.1dcfee3067eb4p-2", "-0x1.809f7c1a00000p-22", None),
-    ("weak_nonneg", 0.9): ("0x1.9ff1c7839f598p-1", "-0x1.54af810000000p-29", None),
-    ("weak_nonneg", 0.999): ("0x1.fefa01bf05d80p-1", "-0x1.06cc03f800000p-24", None),
-    ("sectional", 0.1): ("0x1.6f84c716cb4a4p-7", "-0x1.9eef50d000000p-26",
-        ("0x0.0p+0", "0x1.43d1348595402p-3",
-         "0x1.ca023eaebdfe1p+0", "0x0.0p+0")),
-    ("sectional", 0.5): ("0x1.a2ce540196311p-4", "-0x1.8aa9461200000p-21",
-        ("0x0.0p+0", "0x1.6a09cdbd5f5bbp-2",
-         "0x1.d4d1f4534fce1p-1", "0x0.0p+0")),
-    ("sectional", 0.9): ("0x1.3b55fbb7a57bdp-2", "-0x1.c25362f000000p-23",
-        ("0x0.0p+0", "0x1.e5b9ca2d794dap-2",
-         "0x1.59c2c820dfc0ep-2", "0x0.0p+0")),
-    ("sectional", 0.999): ("0x1.ebbf4fbb483bcp-2", "-0x1.09fdce1000000p-22",
-        ("0x0.0p+0", "0x1.ffbe6a467e5a5p-2",
-         "0x1.04436de148982p-5", "0x0.0p+0")),
-    ("strong", 0.1): ("0x1.c6225155a04aep-9", "-0x1.6d9b59e600000p-23",
-        ("0x0.0p+0", "0x1.43d12ab7a9c1cp-3",
-         "0x1.e5be8c0d2d2dep+0", "0x1.18a2d44099ec8p+4")),
-    ("strong", 0.5): ("0x1.22686672f3f3fp-5", "-0x1.eb45f00000000p-28",
-        ("0x0.0p+0", "0x1.6a09e62a8afedp-2",
-         "0x1.f3208d0907868p-1", "0x1.7324d6e42a24bp+1")),
-    ("strong", 0.9): ("0x1.02dd2e320c6a2p-3", "-0x1.e109912000000p-26",
-        ("0x0.0p+0", "0x1.e5b9d0464210dp-2",
-         "0x1.6676204e6d367p-2", "0x1.20c3f349d3388p-1")),
-    ("strong", 0.999): ("0x1.ce868df03b08bp-3", "-0x1.8f48034400000p-22",
-        ("0x0.0p+0", "0x1.ffbe661c2cb0bp-2",
-         "0x1.056098ccf7618p-5", "0x1.3cb8f584c09ccp-5")),
-    ("strong_nonneg", 0.1): ("0x1.039a5927ab8c2p-8", "-0x1.a965442c00000p-22",
-        ("0x0.0p+0", "0x1.43d11b8e304e3p-3",
-         "0x1.b232f4e2b668dp+0", "0x1.df065420a7150p+3")),
-    ("strong_nonneg", 0.5): ("0x1.6eb68311cd935p-5", "-0x1.cd9d290000000p-27",
-        ("0x0.0p+0", "0x1.6a09e5f48c729p-2",
-         "0x1.86167729c43acp-1", "0x1.11d0643fb4e2ep+1")),
-    ("strong_nonneg", 0.9): ("0x1.7e9ae8467d199p-3", "-0x1.16b3ed0000000p-29",
-        ("0x0.0p+0", "0x1.e5b9d1255b9a9p-2",
-         "0x1.9ce519f814d1cp-3", "0x1.415d575a319e9p-2")),
-    ("strong_nonneg", 0.999): ("0x1.b1bf6fc1cbe2bp-2", "-0x1.a5976c8000000p-28",
-        ("0x0.0p+0", "0x1.ffbe7261b9dd4p-2",
-         "0x1.04ec5303fe139p-7", "0x1.4a25bbc98b5bep-7")),
+    ("weak", 0.1): ("0x1.365c6ef280532p-6", "-0x1.12e0c00000000p-29", None),
+    ("weak", 0.5): ("0x1.8af23b2ee8516p-3", "-0x1.12e0bd8000000p-29", None),
+    ("weak", 0.9): ("0x1.38801d541e195p-1", "-0x1.12e0bf0000000p-29", None),
+    ("weak", 0.999): ("0x1.ebb60c6104794p-1", "-0x1.12e0c60000000p-29", None),
+    ("weak_nonneg", 0.1): ("0x1.8ad09d1cd63eap-6", "-0x1.12e0cac000000p-29", None),
+    ("weak_nonneg", 0.5): ("0x1.1dd004fb1273fp-2", "-0x1.12e0bf0000000p-29", None),
+    ("weak_nonneg", 0.9): ("0x1.9ff1c78ad71c5p-1", "-0x1.12e6b40000000p-29", None),
+    ("weak_nonneg", 0.999): ("0x1.fefa05b68a9d6p-1", "-0x1.12ffbc0000000p-29", None),
+    ("sectional", 0.1): ("0x1.6f84cb5dadcbfp-7", "-0x1.12e63c0000000p-29",
+        ("0x0.0p+0", "0x1.43d1360227c97p-3",
+         "0x1.ca023da44956fp+0", "0x0.0p+0")),
+    ("sectional", 0.5): ("0x1.a2cead403808ap-4", "-0x1.12e2240000000p-29",
+        ("0x0.0p+0", "0x1.6a09e656c59a9p-2",
+         "0x1.d4d1c24289a44p-1", "0x0.0p+0")),
+    ("sectional", 0.9): ("0x1.3b5614074cd4ep-2", "-0x1.12f9840000000p-29",
+        ("0x0.0p+0", "0x1.e5b9d12597412p-2",
+         "0x1.59c2974e1de83p-2", "0x0.0p+0")),
+    ("sectional", 0.999): ("0x1.ebc094d7c3af0p-2", "-0x1.1301d90000000p-29",
+        ("0x0.0p+0", "0x1.ffbe72853cad4p-2",
+         "0x1.0432fefff69fep-5", "0x0.0p+0")),
+    ("strong", 0.1): ("0x1.c62278c990b13p-9", "-0x1.39c2c2e000000p-27",
+        ("0x0.0p+0", "0x1.43d13587a32f8p-3",
+         "0x1.e5be8440d9ff2p+0", "0x1.18a2c3c7990b2p+4")),
+    ("strong", 0.5): ("0x1.226866ecfbab0p-5", "-0x1.12e0eb0000000p-29",
+        ("0x0.0p+0", "0x1.6a09e656c5ae2p-2",
+         "0x1.f3208ca7b444ep-1", "0x1.7324d6505ec4ep+1")),
+    ("strong", 0.9): ("0x1.02dd3149efc36p-3", "-0x1.1355160000000p-29",
+        ("0x0.0p+0", "0x1.e5b9d12591880p-2",
+         "0x1.667619cbed04cp-2", "0x1.20c3ec6027b75p-1")),
+    ("strong", 0.999): ("0x1.ce891008996bap-3", "-0x1.1440e70000000p-29",
+        ("0x0.0p+0", "0x1.ffbe728528bc6p-2",
+         "0x1.0547a90c8fc17p-5", "0x1.3c99e07c132b9p-5")),
+    ("strong_nonneg", 0.1): ("0x1.039a91b3f7d8bp-8", "-0x1.12e0c28000000p-29",
+        ("0x0.0p+0", "0x1.43d136022878ap-3",
+         "0x1.b232e13a4056ep+0", "0x1.df060be9bdafap+3")),
+    ("strong_nonneg", 0.5): ("0x1.6eb6848121997p-5", "-0x1.12e62d0000000p-29",
+        ("0x0.0p+0", "0x1.6a09e656c55a0p-2",
+         "0x1.86167656ea87bp-1", "0x1.11d0632ff8a85p+1")),
+    ("strong_nonneg", 0.9): ("0x1.7e9ae848031c4p-3", "-0x1.12e0bf0000000p-29",
+        ("0x0.0p+0", "0x1.e5b9d12598cd7p-2",
+         "0x1.9ce519f5578fcp-3", "0x1.415d57579dd23p-2")),
+    ("strong_nonneg", 0.999): ("0x1.b1bf7d86a2063p-2", "-0x1.12f6d10000000p-29",
+        ("0x0.0p+0", "0x1.ffbe72853d5dcp-2",
+         "0x1.04ebf2f045743p-7", "0x1.4a25411641d6bp-7")),
 }
 
 # (kind, alpha) -> beta as float.hex, from the bisection route that the root

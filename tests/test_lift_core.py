@@ -10,8 +10,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from l1lab import lift_core as lc
+from l1lab import numerics as nm
 from l1lab.config import DEFAULT, Config
-from l1lab.errors import ConstraintViolatedError, DomainError, NonConvergentError
+from l1lab.errors import ConstraintViolatedError, DomainError
 from l1lab.reference_values import TABLE_ALPHAS_HIGH, TABLE_ALPHAS_LOW
 
 KINDS = tuple(lc.kind_table())
@@ -31,9 +32,9 @@ def margin_of(kind, method):
 
 
 def assert_at_direct_root(beta, direct_beta):
-    """beta is the direct search's root: the direct search reports the root
-    itself or tol_beta/2 below it."""
-    assert direct_beta <= beta <= direct_beta + DEFAULT.tol_beta / 2.0 + 1e-15
+    """beta is the direct search's root, which the direct search reports
+    itself: one Newton solve, then the margin there."""
+    assert beta == direct_beta
 
 
 def sphere_objective(gamma, c3, alpha):
@@ -265,47 +266,48 @@ def test_clipped_params_are_plain_floats():
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
 
-def stub_table(monkeypatch, margin, spec=None, direct=False):
+def stub_table(monkeypatch, margin, spec=None, slope=None):
     """Give every kind `margin` for each method it has, and every lifted
     kind with spec s the LiftedKind spec(s) when `spec` is given.  With
-    `direct`, each lifted kind keeps its own spec (and so its cap) with the
-    direct optimum (margin at alpha 0.5 + sqrt(0.5), 0), so that the direct
-    residual at alpha 0.5 reads the stub margin."""
+    `slope`, the stub margin's beta-derivative, each lifted kind keeps its
+    own spec (and so its cap) with the direct optimum
+    (margin at alpha 0.5 + sqrt(0.5), 0, slope(beta)), so that the direct
+    residual at alpha 0.5 reads the stub margin, which must then be
+    increasing and concave in beta, as a direct margin is."""
     for name, kind in lc.kind_table().items():
         module = lc.kind_module(name)
         if isinstance(kind, lc.LiftedKind):
             lifted = kind if spec is None else spec(kind)
-            if direct:
-                lifted = dataclasses.replace(
-                    lifted, direct=lambda beta: (margin(0.5, beta)[0] + math.sqrt(0.5), 0.0))
+            if slope is not None:
+                lifted = dataclasses.replace(lifted, direct=lambda beta: (
+                    margin(0.5, beta)[0] + math.sqrt(0.5), 0.0, slope(beta)))
             monkeypatch.setattr(module, name.upper(), lifted)
         for method in {kind.method_for(m) for m in lc.METHODS}:
             monkeypatch.setattr(module, f"{name}_margin_{method}", margin)
 
 
-def stub_margins(monkeypatch, feasible, above=1.0, direct=False):
+def stub_margins(monkeypatch, feasible, above=1.0):
     """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs,
-    passing `direct` on to stub_table, and record each probe as
-    (beta, warm)."""
+    and record each probe as (beta, warm)."""
     probes = []
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
         return (-1.0 if feasible(beta) else above), None
 
-    stub_table(monkeypatch, margin, direct=direct)
+    stub_table(monkeypatch, margin)
     return probes
 
 
-def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
+def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0, direct_slope=0.0):
     """Replace every lifted kind by a stub with the kind's own cap whose
     total at params p (set term and lifted_total alike) is
     slope * beta - p.nu1, and every margin by slope * beta - root(beta); a
     warm start at p caps the margin at the total p certifies, as a
     minimization started there would.  The stub's direct optimum is
-    (direct_root(beta), 0); the default puts the direct threshold at no
-    alpha < 1, so the walk starts at the floor.  Records each probe as
-    (beta, warm)."""
+    (direct_root(beta), 0, direct_slope); the default puts the direct
+    threshold at no alpha < 1, so the walk starts at the floor.  Records
+    each probe as (beta, warm)."""
     probes = []
 
     def certified(beta, params):
@@ -316,8 +318,8 @@ def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0):
             return certified(beta, params)
 
     def stub(spec):
-        return Stub(k_term=None, integrand=None, direct=lambda beta: (direct_root(beta), 0.0),
-                    cap=spec.cap)
+        return Stub(k_term=None, integrand=None, cap=spec.cap,
+                    direct=lambda beta: (direct_root(beta), 0.0, direct_slope))
 
     def margin(alpha, beta, warm=None):
         probes.append((beta, warm))
@@ -414,7 +416,7 @@ def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkey
     eps = DEFAULT.feasibility_margin
     shift = math.sqrt(0.5) - 2.0 * eps - 0.2
     probes = stub_lifted(monkeypatch, root=lambda beta: 0.1,
-                         direct_root=lambda beta: beta + shift)
+                         direct_root=lambda beta: beta + shift, direct_slope=1.0)
     r = lc.threshold_bisect(0.5, "sectional", "lifted")
     betas = [b for b, _ in probes]
     assert betas[0] == pytest.approx(0.2, abs=DEFAULT.tol_beta / 4)
@@ -427,43 +429,24 @@ def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkey
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
-    probes = stub_margins(monkeypatch, feasible=lambda b: True, direct=True)
+    probes = []
+
+    def margin(alpha, beta, warm=None):
+        probes.append(beta)
+        return -1.0, None
+
+    stub_table(monkeypatch, margin, slope=lambda beta: 0.0)
     r = lc.threshold_bisect(0.5, "strong_nonneg", "direct")
     cap = lc.kind_table()["strong_nonneg"].cap
     assert r.beta == cap and r.condition_margin == -1.0
-    # the residual at both ends of the root solve, then the margin at the cap
-    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap, cap]
-
-
-def test_direct_root_probe_past_the_jump_steps_down_half_tol_beta(monkeypatch):
-    # with the infeasible margin the smaller in size, the root solve ends on
-    # the infeasible side of the jump at 0.3; the probe tol_beta/2 below it
-    # is reported
-    tol = DEFAULT.tol_beta
-    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3, direct=True)
-    r = lc.threshold_bisect(0.5, "sectional", "direct")
-    betas = [b for b, _ in probes]
-    assert betas[:2] == [lc.BETA_FLOOR, lc.kind_table()["sectional"].cap]
-    root = betas[-2]
-    assert 0.3 <= root <= 0.3 + tol / 4
-    assert r.beta == betas[-1] == root - tol / 2 and r.condition_margin == -1.0
-
-
-def test_direct_root_route_raises_when_the_step_down_is_infeasible(monkeypatch):
-    # the same solve with an infeasible point only where the step down lands
-    probes = stub_margins(monkeypatch, feasible=lambda b: b < 0.3, above=1e-3, direct=True)
-    lc.threshold_bisect(0.5, "sectional", "direct")
-    step = probes[-1][0]
-    assert all(abs(b - step) > 1e-9 for b, _ in probes[:-1])
-    stub_margins(monkeypatch, feasible=lambda b: b < 0.3 and abs(b - step) > 1e-9, above=1e-3,
-                 direct=True)
-    with pytest.raises(NonConvergentError, match="no feasible beta"):
-        lc.threshold_bisect(0.5, "sectional", "direct")
+    # the residual at the floor is negative and flat, so the Newton solve
+    # goes to the cap without evaluating it; then the margin at the cap
+    assert probes == [lc.BETA_FLOOR, cap]
 
 
 def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
     # the margin is -1.5 eps at the floor, so the residual (margin + 2 eps)
-    # has no sign change; the floor itself is the threshold to tol_beta
+    # is positive there; the floor itself is the threshold to tol_beta
     eps = DEFAULT.feasibility_margin
     probes = []
 
@@ -471,10 +454,11 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
         probes.append(beta)
         return beta - lc.BETA_FLOOR - 1.5 * eps, None
 
-    stub_table(monkeypatch, margin, direct=True)
+    stub_table(monkeypatch, margin, slope=lambda beta: 1.0)
     r = lc.threshold_bisect(0.5, "strong", "direct")
     assert r.beta == lc.BETA_FLOOR and r.condition_margin == -1.5 * eps
-    assert probes[-1] == lc.BETA_FLOOR
+    # the residual at the floor, then the margin there
+    assert probes == [lc.BETA_FLOOR, lc.BETA_FLOOR]
 
 
 CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
@@ -483,11 +467,11 @@ CONTRACT_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monkeypatch):
-    # besides the root solve's residual calls, a solve evaluates the margin
-    # at the root and, if that is infeasible, tol_beta/2 below it: one exact
-    # alpha_w solve each for a weak kind, one direct minimum each (on top of
-    # one per residual call) for a lifted kind, whose direct lift parameters
-    # are built for these margins only
+    # a solve is the Newton solve's residual calls, then the margin once at
+    # the root it returns: one exact alpha_w for a weak kind (its residual
+    # reads the statistical dimension, not alpha_of_beta), one direct minimum
+    # for a lifted kind on top of one per residual call, whose direct lift
+    # parameters are built for that margin only
     from l1lab import thresholds_general as tg
     from l1lab import thresholds_nonneg as tn
 
@@ -503,32 +487,28 @@ def test_direct_solve_evaluates_the_margin_only_at_the_reported_beta(kind, monke
             return original(*args, **kwargs)
         return fn
 
-    original_find_root = lc.find_root
-
     def residual(original):
         def fn(self, alpha, eps):
-            f, hi = original(self, alpha, eps)
-            return counted(f, "residual"), hi
+            return counted(original(self, alpha, eps), "residual")
         return fn
 
-    def find_root(*args, **kwargs):
-        roots.append(original_find_root(*args, **kwargs))
+    def newton_root(*args, **kwargs):
+        roots.append(nm.newton_root(*args, **kwargs))
         return roots[-1]
 
     monkeypatch.setattr(module, name, counted(getattr(module, name), "counted"))
     for cls in (lc.LiftedKind, lc.WeakKind):
         monkeypatch.setattr(cls, "residual", residual(cls.residual))
-    monkeypatch.setattr(lc, "find_root", find_root)
+    monkeypatch.setattr(lc, "newton_root", newton_root)
     monkeypatch.setattr(lc, "_direct_point", counted(lc._direct_point, "point"))
     for alpha in CONTRACT_ALPHAS:
         calls.update(counted=0, residual=0, point=0)
         roots.clear()
         r = lc.threshold_bisect(alpha, kind, "direct")
-        [root] = roots
-        margins = 1 + (r.beta != root)
-        expected = margins + (calls["residual"] if lifted else 0)
-        assert calls["counted"] == expected, (alpha, calls, margins)
-        assert calls["point"] == (margins if lifted else 0), (alpha, calls)
+        assert roots == [r.beta], alpha
+        assert 1 <= calls["residual"] <= 16, (alpha, calls)
+        assert calls["counted"] == 1 + (calls["residual"] if lifted else 0), (alpha, calls)
+        assert calls["point"] == (1 if lifted else 0), (alpha, calls)
 
 
 @pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
@@ -581,30 +561,53 @@ def test_threshold_cli_tol_reaches_the_root_route(capsys, monkeypatch):
     assert seen == [1e-3, 1e-3]
 
 
-@pytest.mark.parametrize("kind", ["weak", "weak_nonneg"])
-def test_weak_residual_changes_sign_once_below_alpha(kind):
-    # the weak root solve needs the characterization at alpha - 2 eps to be
-    # positive, then negative, on [BETA_FLOOR, alpha - 2 eps]; it is
-    # negative from the floor on exactly where the floor probe is infeasible
-    from l1lab.thresholds_general import weak_characterization
-    from l1lab.thresholds_nonneg import weak_nonneg_characterization
+@pytest.mark.parametrize("kind", KINDS)
+def test_residual_slope_is_its_central_difference(kind):
+    # the slope each residual carries, from the envelope theorem at the
+    # optimal multiplier, is the derivative the Newton solve needs; these
+    # betas keep every kind's optimal multiplier positive
+    residual = lc.kind_table()[kind].residual(0.5, DEFAULT.feasibility_margin)
+    for beta in np.geomspace(1e-3, 0.2, 8).tolist():
+        h = 1e-6 * beta
+        diff = (residual(beta + h)[0] - residual(beta - h)[0]) / (2.0 * h)
+        slope = residual(beta)[1]
+        assert slope > 0 and abs(slope - diff) <= 1e-6 * slope, (beta, slope, diff)
 
-    wc = weak_characterization if kind == "weak" else weak_nonneg_characterization
-    eps = DEFAULT.feasibility_margin
-    below_floor = 0
-    for alpha in np.arange(1, 1000).tolist():
-        alpha /= 1000.0
-        a = alpha - 2.0 * eps
-        grid = sorted({*np.geomspace(lc.BETA_FLOOR, a, 120).tolist(),
-                       *np.linspace(lc.BETA_FLOOR, a, 120).tolist()})
-        signs = [wc(a, b) > 0 for b in grid]
-        changes = sum(x != y for x, y in zip(signs, signs[1:]))
-        assert not signs[-1] and changes == signs[0], (alpha, changes)
-        if not signs[0]:
-            below_floor += 1
-            with pytest.raises(lc.ThresholdRangeError):
-                lc.threshold_bisect(alpha, kind, "direct")
-    assert below_floor >= 1
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_newton_solve_stays_on_the_feasible_side(kind, monkeypatch):
+    # each residual is concave and increasing in beta, so the Newton solve
+    # from the floor evaluates it only where it is not positive, at rising
+    # betas, apart from a first evaluation at the floor that ends the solve;
+    # the most evaluations a solve makes on this grid is 11
+    from test_golden_grid import ALPHAS
+
+    seen = []
+
+    def recorded(original):
+        def fn(self, alpha, eps):
+            f = original(self, alpha, eps)
+
+            def residual(beta):
+                value, slope = f(beta)
+                seen.append((beta, value))
+                return value, slope
+            return residual
+        return fn
+
+    for cls in (lc.LiftedKind, lc.WeakKind):
+        monkeypatch.setattr(cls, "residual", recorded(cls.residual))
+    for alpha in ALPHAS:
+        seen.clear()
+        try:
+            lc.threshold_bisect(alpha, kind, "direct")
+        except lc.ThresholdRangeError:
+            pass
+        betas = [beta for beta, _ in seen]
+        assert betas[0] == lc.BETA_FLOOR and betas == sorted(set(betas)), alpha
+        assert all(value <= 0.0 for _, value in seen[1:]), (alpha, seen)
+        assert len(seen) == 1 or seen[0][1] <= 0.0, (alpha, seen)
+        assert len(seen) <= 16, (alpha, len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +833,18 @@ def test_lifted_walk_skips_the_probes_below_the_direct_root(lifted_solves, kind,
 
 def test_strong_first_probe_at_alpha_0_9999_runs_again_out_of_its_corner(lifted_solves):
     # from floor_start the first probe stalls at c3 near 1e-3 with a margin
-    # near -8.9e-9, whose Newton step is below tol_beta; the rerun from
-    # b = 1/4 reaches about -3.2e-5, without which the walk would end there,
-    # 1.1e-3 below the golden beta
+    # near -2.0e-8, whose Newton step (7.7e-7) is below tol_beta; the rerun
+    # from b = 1/4 reaches about -3.2e-5, without which the walk would end
+    # there, 1.1e-3 below the golden beta
+    spec = lifted_spec("strong")
     r, probes = lifted_solves["strong", 0.9999]
     (beta, first, m_first), (rerun_beta, mid, m_mid) = probes[:2]
     assert rerun_beta == beta and mid == dataclasses.replace(first, gamma=first.c3)
-    assert m_mid < -1e-5 < -DEFAULT.feasibility_margin and m_first > -1e-8
+    assert m_mid < -1e-5 < -DEFAULT.feasibility_margin
+    m, p = margin_of("strong", "lifted")(0.9999, beta, first)
+    step = (-2.0 * DEFAULT.feasibility_margin - m) / (spec.set_term_at(1.0, p)
+                                                       - spec.set_term_at(0.0, p))
+    assert m == m_first and p.c3 < 2.0 * first.c3 and step < DEFAULT.tol_beta
     assert r.beta > beta + 1e-3
 
 

@@ -14,11 +14,7 @@ from l1lab import lift_core as lc
 from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
 from l1lab import thresholds_nonneg as tn
-from l1lab.errors import (
-    DomainError,
-    NonConvergentError,
-    NoSignChangeError,
-)
+from l1lab.errors import DomainError, NonConvergentError
 
 # ---------------------------------------------------------------------------
 # independent oracles (kept deliberately separate from the library routes)
@@ -130,30 +126,65 @@ def test_erfinv_nan_passes_through():
 
 
 # ---------------------------------------------------------------------------
-# find_root
+# newton_root: Newton from below on an increasing concave function
 # ---------------------------------------------------------------------------
 
-def test_find_root_linear():
-    assert abs(nm.find_root(lambda x: x - 2.0, 0.0, 5.0) - 2.0) <= 1e-10
+def test_newton_root_returns_lo_where_f_is_not_negative():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 1.0, 1.0
+
+    assert nm.newton_root(f, 1.0, 5.0, 1e-9) == 1.0
+    assert nm.newton_root(f, 2.0, 5.0, 1e-9) == 2.0
+    assert seen == [1.0, 2.0]
 
 
-def test_find_root_consistent_with_erfinv():
-    root = nm.find_root(lambda x: nm.erf(x) - 0.5, 0.0, 2.0)
-    assert abs(root - nm.erfinv(0.5)) <= 1e-9
+def test_newton_root_on_a_line_is_one_step():
+    # the tangent of a line is the line: one step to the root, whose step
+    # of 0 from there is never taken
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 2.0 * x - 1.0, 2.0
+
+    assert nm.newton_root(f, 0.0, 5.0, 1e-9) == 0.5
+    assert seen == [0.0, 0.5]
 
 
-def test_find_root_no_sign_change():
-    with pytest.raises(NoSignChangeError):
-        nm.find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_newton_root_clips_at_hi():
+    # a tangent zero past hi, or a slope of 0 below the root, ends on hi
+    # without evaluating it
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.log(x / 3.0), 1.0 / x
+
+    assert nm.newton_root(f, 1.0, 2.5, 1e-9) == 2.5
+    assert nm.newton_root(lambda x: (-1.0, 0.0), 1.0, 2.5, 1e-9) == 2.5
+    assert max(seen) < 2.5
 
 
-@settings(max_examples=40, deadline=None)
-@given(root=st.floats(-5, 5), width=st.floats(0.1, 10), tol=st.floats(1e-12, 1e-6))
-def test_find_root_stays_inside_bracket(root, width, tol):
-    lo, hi = root - width, root + width
-    got = nm.find_root(lambda x: (x - root) ** 3 + 0.1 * (x - root), lo, hi, tol=tol)
-    assert lo <= got <= hi
-    assert abs(got - root) <= max(10 * tol, 1e-9)
+@settings(max_examples=60, deadline=None)
+@given(root=st.floats(0.1, 5.0), rate=st.floats(0.1, 20.0), tol=st.floats(1e-12, 1e-4))
+def test_newton_root_never_passes_the_root(root, rate, tol):
+    # 1 - exp(-rate (x - root)) is increasing and concave: every iterate and
+    # the returned tangent zero lie at or below its root, up to rounding,
+    # within tol of it
+    seen = []
+
+    def f(x):
+        e = math.exp(-rate * (x - root))
+        seen.append((x, 1.0 - e))
+        return 1.0 - e, rate * e
+
+    got = nm.newton_root(f, 0.0, 10.0, tol)
+    assert all(value <= 1e-15 for _, value in seen)
+    assert seen == sorted(seen)
+    assert root - tol <= got <= root + 1e-14
 
 
 # ---------------------------------------------------------------------------

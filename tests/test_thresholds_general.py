@@ -1,4 +1,4 @@
-"""Weak characterization, sectional and strong bounds for general unknowns."""
+"""Weak boundary, sectional and strong bounds for general unknowns."""
 
 import math
 
@@ -12,12 +12,13 @@ from l1lab import numerics as nm
 from l1lab import thresholds_general as tg
 from l1lab.errors import DomainError
 from l1lab.lift_core import LiftParams, exp_set_term_oracle
+from weak_characterizations import weak_characterization
 
 SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# weak characterization
+# weak boundary
 # ---------------------------------------------------------------------------
 
 def test_weak_limits():
@@ -29,11 +30,11 @@ def test_weak_residual_and_uniqueness_on_grid():
     beta = 0.1
     alpha = tg.weak_alpha_of_beta(beta)
     assert beta < alpha < 1.0
-    assert abs(tg.weak_characterization(alpha, beta)) <= 1e-10
+    assert abs(weak_characterization(alpha, beta)) <= 1e-10
     # sign scan on a 1e-4 grid: negative strictly below the root, positive
     # strictly above; exactly one sign change over (beta, 1)
     grid = np.arange(beta + 1e-4, 1.0, 1e-4)
-    signs = np.sign([tg.weak_characterization(a, beta) for a in grid])
+    signs = np.sign([weak_characterization(a, beta) for a in grid])
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) == 1
     assert grid[flips[0]] <= alpha <= grid[flips[0] + 1]
@@ -43,24 +44,6 @@ def test_weak_strictly_increasing():
     betas = np.linspace(0.02, 0.95, 50)
     alphas = [tg.weak_alpha_of_beta(b) for b in betas]
     assert np.all(np.diff(alphas) > 0)
-
-
-@pytest.mark.parametrize("nonneg", [False, True], ids=["weak", "weak_nonneg"])
-def test_weak_boundary_evaluates_each_alpha_once(nonneg):
-    # find_root checks the signs at the bracket ends and brentq evaluates
-    # them again; one alpha_w solve computes each characterization value once
-    from l1lab import thresholds_nonneg as tn
-
-    characterization = tn.weak_nonneg_characterization if nonneg else tg.weak_characterization
-    for beta in (0.01, 0.1, 0.5, 0.9, 0.99):
-        seen = []
-
-        def recorded(alpha, beta_w):
-            seen.append(alpha)
-            return characterization(alpha, beta_w)
-
-        assert tg.weak_boundary(recorded, beta) == tg.weak_boundary(characterization, beta)
-        assert len(seen) == len(set(seen)) > 2, (beta, seen)
 
 
 # ---------------------------------------------------------------------------

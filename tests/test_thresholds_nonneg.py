@@ -1,4 +1,4 @@
-"""Nonnegative-unknown thresholds: weak characterization, strong bounds."""
+"""Nonnegative-unknown thresholds: weak boundary, strong bounds."""
 
 import math
 
@@ -13,6 +13,8 @@ from l1lab import thresholds_nonneg as tn
 from l1lab.errors import DomainError
 from l1lab.lift_core import ExpPiece, LiftParams, exp_set_term_oracle
 from l1lab.thresholds_general import weak_alpha_of_beta
+from weak_characterizations import (alpha_w, weak_characterization,
+                                     weak_nonneg_characterization)
 
 SQRT2 = nm.SQRT2
 SQRT2PI = nm.SQRT2PI
@@ -60,7 +62,7 @@ def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
                 / (SQRT2PI * (theta + beta)) - SQRT2 * e_t)
 
     hi = min(1.0 - beta, 0.5) - 1e-12
-    theta = nm.find_root(fix, 1e-12, hi, tol=1e-13)
+    theta = brentq(fix, 1e-12, hi, xtol=1e-13)
     e_t = float(nm.erfinv(1.0 - 2.0 * theta))
 
     def s_term(x, e_x):
@@ -71,7 +73,7 @@ def strong_nonneg_direct_alpha_fixedpoint(beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weak characterization (nonnegative)
+# weak boundary (nonnegative), and both weak boundaries by a second route
 # ---------------------------------------------------------------------------
 
 def test_weak_nonneg_limits_and_residual():
@@ -79,7 +81,7 @@ def test_weak_nonneg_limits_and_residual():
     beta = 0.3
     alpha = tn.weak_nonneg_alpha_of_beta(beta)
     assert beta < alpha < 1.0
-    assert abs(tn.weak_nonneg_characterization(alpha, beta)) <= 1e-10
+    assert abs(weak_nonneg_characterization(alpha, beta)) <= 1e-10
 
 
 def test_weak_nonneg_monotone_spot():
@@ -118,10 +120,20 @@ def statistical_dimension(beta: float, s: float) -> float:
                                               (1.0, tn.weak_nonneg_alpha_of_beta)],
                          ids=["weak", "weak_nonneg"])
 def test_weak_boundary_is_the_statistical_dimension(s, alpha_of_beta):
-    # a second route to each weak curve: the erfinv characterization and the
-    # descent cone's statistical dimension agree to 2.5e-14 on this grid
+    # the library's Newton minimum over tau against brentq on its tau-slope
     for beta in np.arange(1, 1000) / 1000.0:
         assert abs(alpha_of_beta(beta) - statistical_dimension(beta, s)) <= 1e-12, beta
+
+
+@pytest.mark.parametrize("characterization, alpha_of_beta", [
+    (weak_characterization, weak_alpha_of_beta),
+    (weak_nonneg_characterization, tn.weak_nonneg_alpha_of_beta)], ids=["weak", "weak_nonneg"])
+def test_weak_boundary_solves_the_erfinv_characterization(characterization, alpha_of_beta):
+    # a second route to each weak curve: the paper's erfinv characterization,
+    # solved in alpha by brentq, agrees with the statistical dimension to
+    # 2.5e-14 on this grid
+    for beta in np.arange(1, 1000) / 1000.0:
+        assert abs(alpha_of_beta(beta) - alpha_w(characterization, beta)) <= 1e-12, beta
 
 
 # ---------------------------------------------------------------------------
