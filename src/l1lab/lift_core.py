@@ -26,16 +26,18 @@ Golub & Pereyra, Inverse Problems 19, 2003), and reports LiftParams, the
 one form of a lifted point outside the search.  The kinds give K with its
 analytic gradient, so by the envelope theorem the profile's gradient is
 that of the total at the optimal c3, and the search is a projected BFGS
-on it (numerics.projected_bfgs).
+on it (numerics.projected_bfgs).  A walk's probes minimize nearby
+profiles, so each one hands the inverse Hessian estimate it ended with to
+the next, in a Curvature the walk passes explicitly to the kind's margin.
 
 threshold_bisect turns a feasibility condition into the threshold curve
 beta(alpha).  At fixed lift parameters every lifted set term is affine in
 beta, so each lifted probe's optimum certifies a whole interval of beta in
 closed form.  walk steps along these certificates from the direct
-threshold, which the lifted one can only exceed, one warm-started
-minimization per step, and ends on a step below tol_beta at the crossing
-the last optimum certifies (Dinkelbach's method), up to the cap or a cold
-margin's beta.  A direct or weak residual is a minimum over a multiplier
+threshold, which the lifted one can only exceed, one minimization per
+step warm-started at the last optimum and its curvature, and ends on a
+step below tol_beta at the crossing the last optimum certifies
+(Dinkelbach's method), up to the cap or a cold margin's beta.  A direct or weak residual is a minimum over a multiplier
 of functions affine or concave in beta, so it is concave and increasing in
 beta, with its slope at the optimal multiplier (the envelope theorem): one
 Newton solve on it from BETA_FLOOR, whose iterates stay feasible, decides
@@ -112,6 +114,17 @@ class LiftParams:
         c3, b, nu1, nu2 = (min(max(float(v), lo), hi) for v, (lo, hi) in
                            zip((self.c3, self.b, self.nu1, self.nu2), SEARCH_BOX))
         return LiftParams(c3=c3, gamma=c3 / (4.0 * b), nu1=nu1, nu2=nu2)
+
+
+@dataclass
+class Curvature:
+    """The inverse Hessian estimate over q = [b, nu1[, mu]] that one lifted
+    probe's projected BFGS run starts from and is replaced by the one it
+    ends with; None starts the run from forward differences.  A walk
+    creates one and passes it to each probe's margin, so the estimate
+    travels from a probe to the next one of the same walk only."""
+
+    inverse_hessian: list | None = None
 
 
 @dataclass(frozen=True)
@@ -375,18 +388,23 @@ def minimize_lifted_total(
     alpha: float,
     beta: float,
     start: LiftParams,
-) -> tuple[float, LiftParams]:
+    inverse_hessian: list | None = None,
+) -> tuple[float, LiftParams, list | None]:
     """One numerics.projected_bfgs run over q = [b, nu1[, mu]] (mu = c3*nu2)
     from start clipped into SEARCH_BOX, with c3 solved exactly at every q
     and the profile's analytic gradient (_profile_objective); returns
-    (total, params) at its end.
+    (total, params, estimate) at its end, estimate being the run's final
+    inverse Hessian over q.
 
-    The run stops on _FATOL and _MAX_ITER.  A start whose total is not
-    finite (K overflows at b near 1/2 and a large nu1) has its b halved
-    until it is.  The end point is reported as LiftParams in SEARCH_BOX
-    with the closed-form lifted_total there, so the margin is exactly what
-    the reported parameters certify.  If that total is above (or not below)
-    the total at the clipped start, the start and its total are returned
+    The run starts from inverse_hessian when it is given (the estimate of
+    the probe before, on a nearby profile), else from projected_bfgs's
+    forward differences, and stops on _FATOL and _MAX_ITER.  A start whose
+    total is not finite (K overflows at b near 1/2 and a large nu1) has its
+    b halved until it is, each rerun from forward differences.  The end
+    point is reported as LiftParams in SEARCH_BOX with the closed-form
+    lifted_total there, so the margin is exactly what the reported
+    parameters certify.  If that total is above (or not below) the total at
+    the clipped start, the start, its total and no estimate are returned
     instead: a probe never ends above its start, so a start that certifies
     beta yields a certificate.
     """
@@ -394,18 +412,18 @@ def minimize_lifted_total(
     q = [start.b, start.nu1, start.c3 * start.nu2][:1 + kind.n_extra]
     profile = _profile_objective(kind, alpha, beta, start.c3)
     while True:
-        q, (f, _, c3) = projected_bfgs(profile, q, _Q_BOX[:len(q)],
-                                       fatol=_FATOL, max_iter=_MAX_ITER)
+        q, (f, _, c3), h = projected_bfgs(profile, q, _Q_BOX[:len(q)], fatol=_FATOL,
+                                          max_iter=_MAX_ITER, inverse_hessian=inverse_hessian)
         if f < math.inf or q[0] <= B_MIN:
             break
-        q[0] = max(0.5 * q[0], B_MIN)
+        q[0], inverse_hessian = max(0.5 * q[0], B_MIN), None
     nu2 = min(q[2] / c3, NU2_MAX) if len(q) > 2 else 0.0
     end = LiftParams(c3=c3, gamma=c3 / (4.0 * q[0]), nu1=q[1], nu2=nu2)
     total = lifted_total(kind, end, alpha, beta) if f < math.inf else math.inf
     start_total = lifted_total(kind, start, alpha, beta)
     if not total <= start_total:
-        return start_total, start
-    return total, end
+        return start_total, start, None
+    return total, end, h
 
 
 def _direct_point(kind: LiftedKind, beta: float) -> tuple[float, LiftParams]:
@@ -433,29 +451,41 @@ def floor_start(kind: LiftedKind, beta: float) -> LiftParams:
 
 
 def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
-         eps: float, tol_beta: float) -> tuple[float, float, LiftParams]:
+         eps: float, tol_beta: float,
+         curvature: Curvature | None = None) -> tuple[float, float, LiftParams]:
     """Certificate steps on beta from the direct root towards stop.
 
-    margin_fn(alpha, beta, warm) is the kind's lifted margin.  The lifted
-    family contains the direct bound, so the first probe lies where the
-    direct margin crosses -2*eps: at the direct search's own root, clipped
-    to stop, or at stop <= BETA_FLOOR.  It starts at floor_start, and once
-    more from b = 1/4 (gamma = c3), keeping the lower total, if it ends
-    below twice its start's c3, where it can stall; if it is not below -eps
-    above the floor, the walk starts over at BETA_FLOOR, and ends on it if
-    it is not below -eps there.  At fixed parameters p the total is affine
+    margin_fn(alpha, beta, warm, curvature=...) is the kind's lifted
+    margin.  The lifted family contains the direct bound, so the first
+    probe lies where the direct margin crosses -2*eps: at the direct
+    search's own root, clipped to stop, or at stop <= BETA_FLOOR.  It
+    starts at floor_start, and once more from b = 1/4 (gamma = c3), keeping
+    the lower total, if it ends below twice its start's c3, where it can
+    stall; if it is not below -eps above the floor, the walk starts over at
+    BETA_FLOOR, and ends on it if it is not below -eps there.  At fixed parameters p the total is affine
     in beta, so this is Dinkelbach's method on max_p (-2*eps - T(p, 0)) /
     (T(p, 1) - T(p, 0)): p certifies beta up to lo + step, where its total
     reaches -2*eps, and the walk probes there, warm-started at p, never
     past stop.  Once step < tol_beta it returns, without a probe,
     (min(lo + step, stop), lifted_total there, p): the certified crossing.
+
+    The probes' estimates travel in curvature (a new Curvature when it is
+    None): each first probe, and the corner rerun in a Curvature of its
+    own, start from forward differences, and each certificate step from the
+    estimate of the probe that found p, which curvature holds when the walk
+    returns.
     """
+    carry = Curvature() if curvature is None else curvature
+
     def first_probe(beta):
         start = floor_start(kind, beta)
-        m, p = margin_fn(alpha, beta, start)
+        carry.inverse_hessian = None
+        m, p = margin_fn(alpha, beta, start, curvature=carry)
         if p is not None and p.c3 < 2.0 * start.c3:
-            rerun = margin_fn(alpha, beta, replace(start, gamma=start.c3))
-            m, p = min((m, p), rerun, key=lambda probe: probe[0])
+            corner = Curvature()
+            rerun = margin_fn(alpha, beta, replace(start, gamma=start.c3), curvature=corner)
+            if rerun[0] < m:
+                (m, p), carry.inverse_hessian = rerun, corner.inverse_hessian
         return m, p
 
     lo = stop
@@ -472,7 +502,7 @@ def walk(margin_fn: Callable, kind: LiftedKind, alpha: float, stop: float,
         beta = min(lo + step, stop)
         if step < tol_beta:
             return beta, lifted_total(kind, p_lo, alpha, beta), p_lo
-        lo, (m_lo, p_lo) = beta, margin_fn(alpha, beta, p_lo)
+        lo, (m_lo, p_lo) = beta, margin_fn(alpha, beta, p_lo, curvature=carry)
     return lo, m_lo, p_lo
 
 
@@ -481,27 +511,34 @@ def lifted_margin(
     alpha: float,
     beta: float,
     warm: LiftParams | None = None,
+    *,
+    curvature: Curvature | None = None,
 ) -> tuple[float, LiftParams]:
     """Minimized lifted total at (alpha, beta): the kind's condition margin.
 
     With a warm start this is one minimize_lifted_total run from it, which
     never ends above the total at the start; threshold_bisect warm-starts
-    each probe at the previous optimum.  Without one it walks the threshold
-    search's certificate steps up to beta (default eps and tol_beta), since
-    a single cold start can stall at small c3, so at the search's reported
-    beta it returns the search's own result.  If the walk ends short of
-    beta, one warm run at beta from its last optimum gives the margin; past
-    the threshold that is the minimum of the basin the walk ended in, so
-    only its sign is meaningful.
+    each probe at the previous optimum.  The run starts from the estimate
+    curvature holds, if any, and leaves there the one it ended with.
+    Without a warm start it walks the threshold search's certificate steps
+    up to beta (default eps and tol_beta) with curvature, since a single
+    cold start can stall at small c3, so at the search's reported beta it
+    returns the search's own result.  If the walk ends short of beta, one
+    warm run at beta from its last optimum and estimate gives the margin;
+    past the threshold that is the minimum of the basin the walk ended in,
+    so only its sign is meaningful.
     """
+    carry = Curvature() if curvature is None else curvature
     if warm is None:
         kind.direct(beta)  # DomainError outside the kind's beta range
         lo, m, p = walk(functools.partial(lifted_margin, kind), kind, alpha, beta,
-                        DEFAULT.feasibility_margin, DEFAULT.tol_beta)
+                        DEFAULT.feasibility_margin, DEFAULT.tol_beta, carry)
         if lo == beta:
             return m, p
         warm = p
-    return minimize_lifted_total(kind, alpha, beta, warm)
+    total, params, carry.inverse_hessian = minimize_lifted_total(
+        kind, alpha, beta, warm, carry.inverse_hessian)
+    return total, params
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +572,8 @@ class WeakKind:
 # the module holding each threshold kind <name>: its spec <NAME> (a
 # LiftedKind or a WeakKind) and its margin
 # <name>_margin_<method>(alpha, beta, warm=None) -> (margin, params or None)
-# for each method the spec has
+# for each method the spec has; a lifted margin also takes the keyword
+# curvature of lifted_margin, which walk passes to every probe
 _KIND_MODULES = {"weak": "thresholds_general", "sectional": "thresholds_general",
                  "strong": "thresholds_general", "weak_nonneg": "thresholds_nonneg",
                  "strong_nonneg": "thresholds_nonneg"}
@@ -572,8 +610,9 @@ def threshold_bisect(
     A lifted kind is searched by walk up to the cap: a first probe at the
     direct root (or at BETA_FLOOR if that probe is infeasible), then
     certificate steps on beta, each one minimize_lifted_total run
-    warm-started at the previous optimum, up to the cap or a step below
-    tol_beta, whose end is reported with the closed-form total there.  A
+    warm-started at the previous optimum and its inverse Hessian estimate,
+    up to the cap or a step below tol_beta, whose end is reported with the
+    closed-form total there.  A
     direct or weak kind is one numerics.newton_root solve from BETA_FLOOR
     (steps below tol_beta/4 end it) on its residual, which crosses 0 where
     the margin is -2*eps; no iterate passes that crossing, so the margin,

@@ -204,8 +204,8 @@ def sectional_margin_direct(alpha, beta, warm=None):
     return direct_margin(SECTIONAL, alpha, beta)
 
 
-def sectional_margin_lifted(alpha, beta, warm=None):
-    return lifted_margin(SECTIONAL, alpha, beta, warm)
+def sectional_margin_lifted(alpha, beta, warm=None, *, curvature=None):
+    return lifted_margin(SECTIONAL, alpha, beta, warm, curvature=curvature)
 
 
 # --------------------------------------------------------------------------
@@ -366,5 +366,5 @@ def strong_margin_direct(alpha, beta, warm=None):
     return direct_margin(STRONG, alpha, beta)
 
 
-def strong_margin_lifted(alpha, beta, warm=None):
-    return lifted_margin(STRONG, alpha, beta, warm)
+def strong_margin_lifted(alpha, beta, warm=None, *, curvature=None):
+    return lifted_margin(STRONG, alpha, beta, warm, curvature=curvature)

@@ -188,5 +188,5 @@ def strong_nonneg_margin_direct(alpha, beta, warm=None):
     return direct_margin(STRONG_NONNEG, alpha, beta)
 
 
-def strong_nonneg_margin_lifted(alpha, beta, warm=None):
-    return lifted_margin(STRONG_NONNEG, alpha, beta, warm)
+def strong_nonneg_margin_lifted(alpha, beta, warm=None, *, curvature=None):
+    return lifted_margin(STRONG_NONNEG, alpha, beta, warm, curvature=curvature)

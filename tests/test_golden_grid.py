@@ -83,6 +83,16 @@ def test_lifted_beta_is_non_decreasing_in_alpha(kind):
     assert all(a <= b for a, b in zip(betas, betas[1:]))
 
 
+def solve_lifted_grid():
+    """Solve every lifted point of the grid afresh, past solve's cache."""
+    for kind in KINDS["lifted"]:
+        for alpha in ALPHAS:
+            try:
+                lc.threshold_bisect(alpha, kind, "lifted")
+            except lc.ThresholdRangeError:
+                pass
+
+
 # the ceiling on minimize_lifted_total runs over the lifted grid, whose
 # deterministic count is 260: a walk that again probes tol_beta past its
 # Newton step makes 331
@@ -98,13 +108,47 @@ def test_lifted_grid_probe_count_stays_under_its_ceiling(monkeypatch):
         return minimize(*args)
 
     monkeypatch.setattr(lc, "minimize_lifted_total", counted)
-    for kind in KINDS["lifted"]:
-        for alpha in ALPHAS:
-            try:
-                lc.threshold_bisect(alpha, kind, "lifted")
-            except lc.ThresholdRangeError:
-                pass
+    solve_lifted_grid()
     assert len(calls) <= GRID_PROBE_CEILING
+
+
+# ceilings on profile evaluations (calls of a probe's _profile_objective),
+# whose deterministic counts are 195 over the three lifted-table solves and
+# 5,083 over the lifted grid: probes that each rebuild their inverse Hessian
+# estimate by forward differences, carrying none, make 259 and 6,574
+TABLE_EVALUATION_CEILING = 215
+GRID_EVALUATION_CEILING = 5300
+TABLE_PAIRS = (("sectional", 0.1), ("strong", 0.999), ("strong_nonneg", 0.1))
+
+
+def count_evaluations(monkeypatch):
+    """Count every profile evaluation from now on in the returned [count]."""
+    count = [0]
+    profile_objective = lc._profile_objective
+
+    def counted(*args):
+        profile = profile_objective(*args)
+
+        def evaluate(q):
+            count[0] += 1
+            return profile(q)
+        return evaluate
+
+    monkeypatch.setattr(lc, "_profile_objective", counted)
+    return count
+
+
+def test_lifted_table_evaluations_stay_under_their_ceiling(monkeypatch):
+    count = count_evaluations(monkeypatch)
+    for kind, alpha in TABLE_PAIRS:
+        lc.threshold_bisect(alpha, kind, "lifted")
+    assert count[0] <= TABLE_EVALUATION_CEILING
+
+
+def test_lifted_grid_evaluations_stay_under_their_ceiling(monkeypatch):
+    count = count_evaluations(monkeypatch)
+    solve_lifted_grid()
+    assert count[0] <= GRID_EVALUATION_CEILING
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=repr)

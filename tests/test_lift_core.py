@@ -291,7 +291,7 @@ def stub_margins(monkeypatch, feasible, above=1.0):
     and record each probe as (beta, warm)."""
     probes = []
 
-    def margin(alpha, beta, warm=None):
+    def margin(alpha, beta, warm=None, curvature=None):
         probes.append((beta, warm))
         return (-1.0 if feasible(beta) else above), None
 
@@ -321,7 +321,7 @@ def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0, dire
         return Stub(k_term=None, integrand=None, cap=spec.cap,
                     direct=lambda beta: (direct_root(beta), 0.0, direct_slope))
 
-    def margin(alpha, beta, warm=None):
+    def margin(alpha, beta, warm=None, curvature=None):
         probes.append((beta, warm))
         m = slope * beta - root(beta)
         if warm is not None:
@@ -359,7 +359,7 @@ def corner_walk(rerun_margin, end=lambda warm: warm):
     starts probed."""
     warms = []
 
-    def margin(alpha, beta, warm):
+    def margin(alpha, beta, warm, curvature):
         warms.append(warm)
         return (-1.0 if len(warms) == 1 else rerun_margin), end(warm)
 
@@ -744,8 +744,9 @@ def lifted_solves():
         for module_name, attr in LIFTED_MARGINS:
             module = importlib.import_module(f"l1lab.{module_name}")
 
-            def recording(alpha, beta, warm=None, _fn=getattr(module, attr)):
-                margin, params = _fn(alpha, beta, warm)
+            def recording(alpha, beta, warm=None, *, curvature=None,
+                          _fn=getattr(module, attr)):
+                margin, params = _fn(alpha, beta, warm, curvature=curvature)
                 probes.append((beta, warm, margin))
                 return margin, params
 
@@ -886,12 +887,70 @@ def test_cold_margin_outside_the_kind_range_raises():
 
 
 def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
+    # the warm run at beta starts from the walk's last optimum and from the
+    # inverse Hessian estimate of the probe that found it
     spec = lifted_spec("sectional")
     eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
-    lo, _, p = lc.walk(functools.partial(lc.lifted_margin, spec), spec, 0.5, 0.11, eps, tol)
-    assert lo < 0.11
+    carry = lc.Curvature()
+    lo, _, p = lc.walk(functools.partial(lc.lifted_margin, spec), spec, 0.5, 0.11, eps, tol,
+                       carry)
+    assert lo < 0.11 and carry.inverse_hessian is not None
     cold = lc.lifted_margin(spec, 0.5, 0.11)
-    assert cold == lc.lifted_margin(spec, 0.5, 0.11, p) and cold[0] > 0
+    assert cold == lc.lifted_margin(spec, 0.5, 0.11, p, curvature=carry) and cold[0] > 0
+
+
+def record_curvature(monkeypatch, kind):
+    """Rebind the kind's lifted margin to record each probe as (beta, the
+    estimate its curvature holds on entry, the one it holds on exit)."""
+    probes = []
+    margin = margin_of(kind, "lifted")
+
+    def recording(alpha, beta, warm=None, *, curvature=None):
+        before = curvature.inverse_hessian
+        out = margin(alpha, beta, warm, curvature=curvature)
+        probes.append((beta, before, curvature.inverse_hessian))
+        return out
+
+    monkeypatch.setattr(lc.kind_module(kind), f"{kind}_margin_lifted", recording)
+    return probes
+
+
+@pytest.mark.parametrize("kind, alpha", [("sectional", 0.1), ("strong", 0.999),
+                                         ("strong_nonneg", 0.1), ("strong", 0.9999)])
+def test_walk_hands_each_probe_the_estimate_of_the_one_before(monkeypatch, kind, alpha):
+    # the first probe and the corner rerun (strong at 0.9999, which probes
+    # the first beta again and keeps the rerun) start from forward
+    # differences; each certificate step starts from the estimate the probe
+    # before it ended with
+    probes = record_curvature(monkeypatch, kind)
+    lc.threshold_bisect(alpha, kind, "lifted")
+    first = 2 if probes[1][0] == probes[0][0] else 1
+    assert (first == 2) == ((kind, alpha) == ("strong", 0.9999))
+    assert len(probes) > first
+    assert all(before is None for _, before, _ in probes[:first])
+    size = 1 + lifted_spec(kind).n_extra
+    for (_, _, handed), (_, before, _) in zip(probes[first - 1:], probes[first:]):
+        assert before is handed and len(before) == size
+
+
+def test_a_solve_inside_another_kinds_probe_leaves_both_unchanged(monkeypatch):
+    # the estimate travels only in the walk's own Curvature: a strong solve
+    # made inside the second probe of a sectional walk, through a margin
+    # wrapper, and the sectional walk it interrupts both keep their bits
+    # (the two kinds' estimates differ in size, 2 x 2 and 3 x 3)
+    alone = lc.threshold_bisect(0.1, "sectional", "lifted")
+    inner_alone = lc.threshold_bisect(0.999, "strong", "lifted")
+    margin, inner, calls = margin_of("sectional", "lifted"), [], []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            inner.append(lc.threshold_bisect(0.999, "strong", "lifted"))
+        return margin(*args, **kwargs)
+
+    monkeypatch.setattr(lc.kind_module("sectional"), "sectional_margin_lifted", wrapper)
+    assert lc.threshold_bisect(0.1, "sectional", "lifted") == alone
+    assert len(calls) >= 2 and inner == [inner_alone]
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1145,8 @@ def test_probe_falls_back_to_its_start_when_the_end_is_worse(monkeypatch):
     spec = lifted_spec("strong")
     start = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
     worse = [0.45, 5.0, 30.0]
-    monkeypatch.setattr(lc, "projected_bfgs", lambda fg, x0, *a, **k: (worse, fg(worse)))
-    total, params = lc.minimize_lifted_total(spec, 0.5, 0.05, start)
+    monkeypatch.setattr(lc, "projected_bfgs", lambda fg, x0, *a, **k: (worse, fg(worse), None))
+    total, params, _ = lc.minimize_lifted_total(spec, 0.5, 0.05, start)
     assert params == start and total == lc.lifted_total(spec, start, 0.5, 0.05)
 
 
@@ -1097,7 +1156,7 @@ def test_probe_from_an_infinite_floor_start_ends_feasible():
     spec = lifted_spec("sectional")
     start = lc.floor_start(spec, 1e-9)
     assert lc.lifted_total(spec, start.clipped(), 0.1, 1e-9) == math.inf
-    total, params = lc.minimize_lifted_total(spec, 0.1, 1e-9, start)
+    total, params, _ = lc.minimize_lifted_total(spec, 0.1, 1e-9, start)
     assert math.isfinite(total) and total < -DEFAULT.feasibility_margin
     assert total == lc.lifted_total(spec, params, 0.1, 1e-9)
 

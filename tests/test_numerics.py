@@ -197,8 +197,33 @@ def rosen_fg(v):
             [-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
 
 
+def logged_fg(fg):
+    """fg that appends each point it is given to its list `seen`."""
+    def logged(v):
+        logged.seen.append(list(v))
+        return fg(v)
+    logged.seen = []
+    return logged
+
+
+def quadratic_4d(v):
+    """A strictly convex quadratic on 4 coordinates and its gradient; its
+    minimizer (0.3, 0.1, 0.5, 0.4) lies below QUADRATIC_4D_BOX in x[1]."""
+    diag, centre = (2.0, 1.0, 1.0, 0.5), (0.3, 0.1, 0.5, 0.4)
+    d = [vi - ci for vi, ci in zip(v, centre)]
+    grad = [2 * h * di for h, di in zip(diag, d)]
+    for i in range(3):
+        grad[i] += 0.3 * d[i + 1]
+        grad[i + 1] += 0.3 * d[i]
+    return (sum(h * di * di for h, di in zip(diag, d))
+            + 0.3 * sum(a * b for a, b in zip(d, d[1:])), grad)
+
+
+QUADRATIC_4D_BOX = [(-1.0, 1.0), (0.25, 1.0), (0.0, 1.0), (0.0, 3.0)]
+
+
 def test_minimize_quadratic_bowl():
-    x, (fun, _) = nm.projected_bfgs(
+    x, (fun, _), _ = nm.projected_bfgs(
         lambda v: ((v[0] - 1) ** 2 + (v[1] - 2) ** 2, [2 * (v[0] - 1), 2 * (v[1] - 2)]),
         [0.0, 0.0], [(-5.0, 5.0), (-5.0, 5.0)], fatol=1e-16, max_iter=200)
     assert abs(x[0] - 1.0) <= 1e-6 and abs(x[1] - 2.0) <= 1e-6
@@ -206,8 +231,8 @@ def test_minimize_quadratic_bowl():
 
 
 def test_minimize_respects_active_bound():
-    x, (fun, _) = nm.projected_bfgs(lambda v: ((v[0] - 1.0) ** 2, [2 * (v[0] - 1.0)]),
-                                    [4.0], [(3.0, 10.0)], fatol=1e-16, max_iter=200)
+    x, (fun, _), _ = nm.projected_bfgs(lambda v: ((v[0] - 1.0) ** 2, [2 * (v[0] - 1.0)]),
+                                       [4.0], [(3.0, 10.0)], fatol=1e-16, max_iter=200)
     assert x == [3.0] and fun == 4.0
 
 
@@ -219,8 +244,8 @@ def test_minimize_never_worse_than_start():
             seen.append(list(v))
             return rosen_fg(v)
 
-        x, (fun, _) = nm.projected_bfgs(logged, x0, [(-4.0, 4.0), (-4.0, 4.0)],
-                                        fatol=1e-20, max_iter=300)
+        x, (fun, _), _ = nm.projected_bfgs(logged, x0, [(-4.0, 4.0), (-4.0, 4.0)],
+                                           fatol=1e-20, max_iter=300)
         assert seen[0] == [min(max(v, -4.0), 4.0) for v in x0]
         assert all(-4.0 <= vi <= 4.0 for v in seen for vi in v)
         assert fun == rosen_fg(x)[0] <= rosen_fg(x0)[0]
@@ -228,34 +253,103 @@ def test_minimize_never_worse_than_start():
 
 
 def test_minimize_returns_an_infinite_start_unchanged():
-    x, (fun, grad) = nm.projected_bfgs(lambda v: (math.inf, None), [2.0, 7.0],
-                                       [(0.0, 1.0), (0.0, 5.0)], fatol=1e-14, max_iter=10)
-    assert x == [1.0, 5.0] and fun == math.inf and grad is None
+    x, (fun, grad), h = nm.projected_bfgs(lambda v: (math.inf, None), [2.0, 7.0],
+                                          [(0.0, 1.0), (0.0, 5.0)], fatol=1e-14, max_iter=10)
+    assert x == [1.0, 5.0] and fun == math.inf and grad is None and h is None
 
 
 def test_minimize_leaves_a_face_a_bounded_simplex_collapses_onto():
     # on this convex quadratic a bounded Nelder-Mead (scipy's, say) stops
     # at f = 0.1008 with x[3] pinned at its lower bound, where L-BFGS-B
     # finds 0.0217
-    diag, centre = (2.0, 1.0, 1.0, 0.5), (0.3, 0.1, 0.5, 0.4)
-    bounds = [(-1.0, 1.0), (0.25, 1.0), (0.0, 1.0), (0.0, 3.0)]
-
-    def fg(v):
-        d = [vi - ci for vi, ci in zip(v, centre)]
-        grad = [2 * h * di for h, di in zip(diag, d)]
-        for i in range(3):
-            grad[i] += 0.3 * d[i + 1]
-            grad[i + 1] += 0.3 * d[i]
-        return (sum(h * di * di for h, di in zip(diag, d))
-                + 0.3 * sum(a * b for a, b in zip(d, d[1:])), grad)
-
-    x, (fun, _) = nm.projected_bfgs(fg, [0.9, 0.9, 0.1, 2.9], bounds, fatol=1e-16,
-                                    max_iter=200)
+    fg, bounds = quadratic_4d, QUADRATIC_4D_BOX
+    x, (fun, _), _ = nm.projected_bfgs(fg, [0.9, 0.9, 0.1, 2.9], bounds, fatol=1e-16,
+                                       max_iter=200)
     ref = minimize(lambda v: fg(list(v))[0], [0.9, 0.9, 0.1, 2.9], jac=lambda v: fg(list(v))[1],
                    method="L-BFGS-B", bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-12})
     assert ref.fun == pytest.approx(0.0217, abs=1e-4)
     assert fun <= ref.fun + 1e-12
     assert x[1] == 0.25 and 0.0 < x[3]
+
+
+@pytest.mark.parametrize("fg, x0, box, fatol, max_iter, want", [
+    (rosen_fg, [-1.2, 1.0], [(-4.0, 4.0), (-2.0, 0.5)], 1e-20, 300,
+     (["0x1.6ac84fb00b05dp-1", "0x1.0000000000000p-1"], "0x1.5da2fbb2fca5bp-4", 613)),
+    (quadratic_4d, [0.9, 0.9, 0.1, 2.9], QUADRATIC_4D_BOX, 1e-16, 200,
+     (["0x1.27ae148268af4p-2", "0x1.0000000000000p-2", "0x1.e7dfd536d9bdep-2",
+       "0x1.a0d673420cc4dp-2"], "0x1.63cebc8a566b5p-6", 12)),
+], ids=["rosenbrock-on-a-face", "quadratic-4d"])
+def test_minimize_without_an_estimate_repeats_the_recorded_run(fg, x0, box, fatol,
+                                                               max_iter, want):
+    # the end point, its value and the number of evaluations that the
+    # forward-difference start gave before a start could be passed in,
+    # recorded as hex floats
+    logged = logged_fg(fg)
+    x, (fun, _), _ = nm.projected_bfgs(logged, x0, box, fatol=fatol, max_iter=max_iter)
+    assert ([v.hex() for v in x], fun.hex(), len(logged.seen)) == want
+
+
+def test_minimize_from_a_given_estimate_makes_no_forward_differences():
+    # handed the diagonal estimate its forward differences build, a run
+    # evaluates the start and then its line-search trials only: the points
+    # of the run without it, less the n forward differences
+    x0, box = [-1.2, 1.0], [(-4.0, 4.0), (-4.0, 4.0)]
+    cold_fg = logged_fg(rosen_fg)
+    cold = nm.projected_bfgs(cold_fg, x0, box, fatol=1e-20, max_iter=300)
+    start, differences, trials = cold_fg.seen[0], cold_fg.seen[1:3], cold_fg.seen[3:]
+    g = rosen_fg(start)[1]
+    h = [[0.0, 0.0], [0.0, 0.0]]
+    for i, e in enumerate(differences):
+        assert [v != s for v, s in zip(e, start)] == [j == i for j in range(2)]
+        curv = (rosen_fg(e)[1][i] - g[i]) / (e[i] - start[i])
+        assert curv > 0.0
+        h[i][i] = 1.0 / curv
+    warm_fg = logged_fg(rosen_fg)
+    warm = nm.projected_bfgs(warm_fg, x0, box, fatol=1e-20, max_iter=300, inverse_hessian=h)
+    assert warm_fg.seen == [start] + trials
+    assert warm == cold
+
+
+def test_minimize_from_the_exact_inverse_hessian_takes_one_step():
+    # f = (x - c)' A (x - c) / 2 on a box containing c: -A^-1 g is the whole
+    # way to c, so the unit step is taken and the next predicted decrease
+    # is at the rounding of f
+    a, c = ((3.0, 1.0), (1.0, 2.0)), (0.7, -1.3)
+
+    def fg(v):
+        d = [vi - ci for vi, ci in zip(v, c)]
+        grad = [sum(aij * dj for aij, dj in zip(row, d)) for row in a]
+        return 0.5 * sum(di * gi for di, gi in zip(d, grad)), grad
+
+    inverse = [[2.0 / 5.0, -1.0 / 5.0], [-1.0 / 5.0, 3.0 / 5.0]]
+    logged = logged_fg(fg)
+    x, (fun, _), _ = nm.projected_bfgs(logged, [-2.0, 2.0], [(-5.0, 5.0), (-5.0, 5.0)],
+                                       fatol=1e-16, max_iter=200, inverse_hessian=inverse)
+    assert len(logged.seen) == 2 and x == logged.seen[1]
+    assert x == pytest.approx(c, abs=1e-14) and fun <= 1e-28
+
+
+@pytest.mark.parametrize("fg, x0, box", [
+    (rosen_fg, [-1.2, 1.0], [(-4.0, 4.0), (-4.0, 4.0)]),
+    (quadratic_4d, [0.9, 0.9, 0.1, 2.9], QUADRATIC_4D_BOX),
+], ids=["rosenbrock", "quadratic-4d"])
+def test_minimize_returns_a_symmetric_estimate(fg, x0, box):
+    # each BFGS update of a symmetric estimate is symmetric up to the
+    # rounding of c * s_i * s_j, whose order of products differs
+    _, _, h = nm.projected_bfgs(fg, x0, box, fatol=1e-16, max_iter=200)
+    n = len(x0)
+    assert len(h) == n and all(len(row) == n for row in h)
+    scale = max(abs(v) for row in h for v in row)
+    assert any(h[i][j] != 0.0 for i in range(n) for j in range(n) if i != j)
+    assert all(abs(h[i][j] - h[j][i]) <= 1e-14 * scale for i in range(n) for j in range(i))
+
+
+def test_minimize_refuses_an_estimate_of_another_size():
+    square = lambda v: (sum(x * x for x in v), [2.0 * x for x in v])  # noqa: E731
+    box = [(-1.0, 1.0)] * 3
+    with pytest.raises(DomainError, match="3 x 3"):
+        nm.projected_bfgs(square, [0.5, 0.5, 0.5], box, fatol=1e-16, max_iter=10,
+                          inverse_hessian=[[1.0, 0.0], [0.0, 1.0]])
 
 
 def run_contract(kind, alpha, beta, start):
@@ -277,7 +371,7 @@ def run_contract(kind, alpha, beta, start):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lc, "_profile_objective", logged)
-        total, params = lc.minimize_lifted_total(spec, alpha, beta, start)
+        total, params, _ = lc.minimize_lifted_total(spec, alpha, beta, start)
     box = lc._Q_BOX[:1 + spec.n_extra]
     for q in seen:
         assert all(lo <= v <= hi for v, (lo, hi) in zip(q, box)), q
