@@ -19,7 +19,7 @@ ENV_VAR = "L1LAB_CONFIG"
 @dataclasses.dataclass(frozen=True)
 class Config:
     # threshold search
-    tol_beta: float = 1e-5
+    tol_beta: float = 1e-5   # a lifted solve uses it only for the direct root it starts from
     feasibility_margin: float = 1e-9   # strict margin: feasible iff total < -margin
     # empirical verification
     recovery_tol: float = 1e-5

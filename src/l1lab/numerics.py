@@ -11,9 +11,8 @@ generic library routines do not:
   the panels of every segment, in blocks of at most 512 panels per call
   of the integrand;
 * a projected BFGS on Python floats for smooth objectives with analytic
-  gradients over a box (the lifted probes), which starts from a given
-  inverse Hessian estimate, such as the one an earlier run returned, or
-  from forward differences;
+  gradients over a box (the lifted threshold's ratio), which starts from a
+  diagonal inverse Hessian by forward differences;
 * a Newton search for the minimum of a convex function whose slope is
   increasing and concave, given in closed form (the direct 1-D minima and
   the weak boundary);
@@ -107,25 +106,21 @@ def projected_bfgs(
     *,
     fatol: float,
     max_iter: int,
-    inverse_hessian: Sequence[Sequence[float]] | None = None,
-) -> tuple[list, tuple, list | None]:
+) -> tuple[list, tuple]:
     """Minimize f over a box by projected BFGS; returns the last accepted
-    point, fg there, whose f is never above f at the clipped start, and the
-    inverse Hessian estimate H the run ended with (as n lists of n floats).
+    point and fg there, whose f is never above f at the clipped start.
 
     fg(x) returns a tuple (f, gradient, ...) for a list of floats x, which
-    it must not mutate; the gradient is None where f is not finite.  The
-    run starts from inverse_hessian when it is given, an n x n matrix such
-    as the H of an earlier run on a nearby objective, which it copies and
-    does not evaluate fg to build; otherwise the start's H is diagonal,
-    from forward differences of the gradient (steps of 1e-4 times the
-    distance to the box, at least 1e-8), 1 where a curvature is not
-    positive.  An infinite start returns inverse_hessian as given.  Each
-    iteration fixes the coordinates on a face whose gradient points out of
-    the box, steps along -H g on the others, projects the step into the box
-    and halves it until the Armijo condition holds (slope fraction 1e-4, 40
-    halvings at most); H gets the BFGS update when the curvature s.y is
-    positive and is reset to the identity when -H g is not a descent
+    it must not mutate; the gradient is None where f is not finite, and an
+    infinite start is returned as it is.  The start's inverse Hessian
+    estimate H is diagonal, from forward differences of the gradient
+    (steps of 1e-4 times the distance to the box, at least 1e-8), 1 where a
+    curvature is not positive.  Each iteration fixes the coordinates on a
+    face whose gradient points out of the box, steps along -H g on the
+    others, projects the step into the box and halves it until the Armijo
+    condition holds (slope fraction 1e-4, 40 halvings at most); H gets the
+    BFGS update, which keeps it exactly symmetric, when the curvature s.y
+    is positive, and is reset to the identity when -H g is not a descent
     direction (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 6 and
     16.7).  The run stops when the predicted decrease -g.p/2 is at most
     fatol, when no halving decreases f, or after max_iter iterations.
@@ -136,21 +131,15 @@ def projected_bfgs(
     out = fg(x)
     f, g = out[:2]
     if g is None:
-        return x, out, inverse_hessian
-    if inverse_hessian is not None:
-        h = [[float(v) for v in row] for row in inverse_hessian]
-        if len(h) != n or any(len(row) != n for row in h):
-            raise DomainError(f"inverse_hessian must be {n} x {n} for a box of {n} "
-                              f"coordinates, got {[len(row) for row in h]}")
-    else:
-        h = [[0.0] * n for _ in range(n)]
-        for i, (lo, hi) in enumerate(box):
-            step = 1e-4 * max(min(x[i] - lo, hi - x[i]), 1e-4)
-            e = list(x)
-            e[i] = x[i] + step if x[i] + step <= hi else x[i] - step
-            ge = fg(e)[1]
-            curv = (ge[i] - g[i]) / (e[i] - x[i]) if ge is not None else 0.0
-            h[i][i] = 1.0 / curv if curv > 0.0 else 1.0
+        return x, out
+    h = [[0.0] * n for _ in range(n)]
+    for i, (lo, hi) in enumerate(box):
+        step = 1e-4 * max(min(x[i] - lo, hi - x[i]), 1e-4)
+        e = list(x)
+        e[i] = x[i] + step if x[i] + step <= hi else x[i] - step
+        ge = fg(e)[1]
+        curv = (ge[i] - g[i]) / (e[i] - x[i]) if ge is not None else 0.0
+        h[i][i] = 1.0 / curv if curv > 0.0 else 1.0
     for _ in range(max_iter):
         free = [not ((v <= lo and gi > 0.0) or (v >= hi and gi < 0.0))
                 for v, gi, (lo, hi) in zip(x, g, box)]
@@ -179,10 +168,10 @@ def projected_bfgs(
         if sy > 0.0:
             hy = [_dot(row, y) for row in h]
             c = (1.0 + _dot(y, hy) / sy) / sy
-            h = [[hij - (hyi * sj + si * hyj) / sy + c * si * sj
+            h = [[hij - (hyi * sj + si * hyj) / sy + c * (si * sj)
                   for hij, hyj, sj in zip(row, hy, s)] for row, hyi, si in zip(h, hy, s)]
         x, out, f, g = trial, out_t, ft, gt
-    return x, out, h
+    return x, out
 
 
 def newton_minimum(profile: Callable[[float], tuple[float, float, float]],

@@ -84,7 +84,7 @@ def weak_alpha_of_beta(beta_w: float) -> float:
 WEAK = WeakKind(functools.partial(statistical_dimension, s=2.0))
 
 
-def weak_margin_direct(alpha, beta, warm=None):
+def weak_margin_direct(alpha, beta):
     return weak_alpha_of_beta(beta) - alpha, None
 
 
@@ -173,18 +173,19 @@ def sectional_integrand(params: LiftParams, beta: float):
     return gamma, pieces
 
 
-def _sectional_k(b, extra, beta):
-    """(K, dK/d(b, nu)) with K = beta log(plus) + (1-beta) log(minus), so
-    that the set term is gamma + K/c3; K is inf for nu < 0."""
+def _sectional_k(b, extra):
+    """((K0, D), their gradients in (b, nu)) with K0 = log(minus) and
+    D = log(plus) - log(minus), so that the set term is
+    gamma + (K0 + beta*D)/c3; K0 is inf for nu < 0."""
     nu = extra[0]
     if nu < 0:
-        return math.inf, None
+        return (math.inf, 0.0), None
     (plus, minus), (d_plus, d_minus) = sectional_exp_moments(b, nu)
     if not (plus > 0 and minus > 0 and math.isfinite(plus) and math.isfinite(minus)):
-        return math.inf, None
-    return (beta * math.log(plus) + (1.0 - beta) * math.log(minus),
-            tuple(beta * dp / plus + (1.0 - beta) * dm / minus
-                  for dp, dm in zip(d_plus, d_minus)))
+        return (math.inf, 0.0), None
+    log_minus, d_k0 = math.log(minus), tuple(dm / minus for dm in d_minus)
+    return ((log_minus, math.log(plus) - log_minus),
+            (d_k0, tuple(dp / plus - dk for dp, dk in zip(d_plus, d_k0))))
 
 
 def _sectional_direct(beta):
@@ -200,12 +201,12 @@ SECTIONAL = LiftedKind(k_term=_sectional_k, integrand=sectional_integrand,
                        direct=_sectional_direct, cap=0.9999)
 
 
-def sectional_margin_direct(alpha, beta, warm=None):
+def sectional_margin_direct(alpha, beta):
     return direct_margin(SECTIONAL, alpha, beta)
 
 
-def sectional_margin_lifted(alpha, beta, warm=None, *, curvature=None):
-    return lifted_margin(SECTIONAL, alpha, beta, warm, curvature=curvature)
+def sectional_margin_lifted(alpha, beta):
+    return lifted_margin(SECTIONAL, alpha, beta)
 
 
 # --------------------------------------------------------------------------
@@ -278,24 +279,24 @@ def strong_integrand(params: LiftParams, beta: float):
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks))),)
 
 
-def multiplier_k(moment_and_grad, mu: float, beta: float):
-    """(K, dK/d(b, nu1, mu)) of a strong kind from its moment M and M's
-    gradient: K = mu*(2*beta - 1) + log M, so that the set term
-    nu2*(2*beta - 1) + gamma + log(M)/c3 is gamma + K/c3; K is inf where M
-    is not finite and positive."""
+def multiplier_k(moment_and_grad, mu: float):
+    """((K0, D), their gradients in (b, nu1, mu)) of a strong kind from its
+    moment M and M's gradient: K0 = log M - mu and D = 2*mu, so that the
+    set term nu2*(2*beta - 1) + gamma + log(M)/c3 is
+    gamma + (K0 + beta*D)/c3; K0 is inf where M is not finite and positive."""
     moment, grad = moment_and_grad
     if not (math.isfinite(moment) and moment > 0):
-        return math.inf, None
-    return mu * (2.0 * beta - 1.0) + math.log(moment), (
-        grad[0] / moment, grad[1] / moment, grad[2] / moment + 2.0 * beta - 1.0)
+        return (math.inf, 0.0), None
+    return (math.log(moment) - mu, 2.0 * mu), (
+        (grad[0] / moment, grad[1] / moment, grad[2] / moment - 1.0), (0.0, 0.0, 2.0))
 
 
-def _strong_k(b, extra, beta):
-    """multiplier_k of E exp(c3 t); K is inf for negative multipliers."""
+def _strong_k(b, extra):
+    """multiplier_k of E exp(c3 t); K0 is inf for negative multipliers."""
     nu1, mu = extra
     if nu1 < 0 or mu < 0:
-        return math.inf, None
-    return multiplier_k(strong_exp_moment(b, nu1, mu), mu, beta)
+        return (math.inf, 0.0), None
+    return multiplier_k(strong_exp_moment(b, nu1, mu), mu)
 
 
 def strong_crossover(beta: float) -> float:
@@ -362,9 +363,9 @@ STRONG = LiftedKind(k_term=_strong_k, integrand=strong_integrand,
                     direct=_strong_direct, cap=0.5 - 1e-9, nu2=_strong_nu2)
 
 
-def strong_margin_direct(alpha, beta, warm=None):
+def strong_margin_direct(alpha, beta):
     return direct_margin(STRONG, alpha, beta)
 
 
-def strong_margin_lifted(alpha, beta, warm=None, *, curvature=None):
-    return lifted_margin(STRONG, alpha, beta, warm, curvature=curvature)
+def strong_margin_lifted(alpha, beta):
+    return lifted_margin(STRONG, alpha, beta)

@@ -54,7 +54,7 @@ def weak_nonneg_alpha_of_beta(beta: float) -> float:
 WEAK_NONNEG = WeakKind(functools.partial(statistical_dimension, s=1.0))
 
 
-def weak_nonneg_margin_direct(alpha, beta, warm=None):
+def weak_nonneg_margin_direct(alpha, beta):
     return weak_nonneg_alpha_of_beta(beta) - alpha, None
 
 
@@ -160,12 +160,12 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
     return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks),)
 
 
-def _nonneg_k(b, extra, beta):
-    """multiplier_k of E exp(c3 t_plus); K is inf for negative multipliers."""
+def _nonneg_k(b, extra):
+    """multiplier_k of E exp(c3 t_plus); K0 is inf for negative multipliers."""
     nu1, mu = extra
     if nu1 < 0 or mu < 0:
-        return math.inf, None
-    return multiplier_k(nonneg_exp_moment(b, nu1, mu), mu, beta)
+        return (math.inf, 0.0), None
+    return multiplier_k(nonneg_exp_moment(b, nu1, mu), mu)
 
 
 def _nonneg_direct(beta):
@@ -184,9 +184,9 @@ STRONG_NONNEG = LiftedKind(k_term=_nonneg_k, integrand=nonneg_strong_integrand,
                            direct=_nonneg_direct, cap=0.5 - 1e-9, nu2=_nonneg_nu2)
 
 
-def strong_nonneg_margin_direct(alpha, beta, warm=None):
+def strong_nonneg_margin_direct(alpha, beta):
     return direct_margin(STRONG_NONNEG, alpha, beta)
 
 
-def strong_nonneg_margin_lifted(alpha, beta, warm=None, *, curvature=None):
-    return lifted_margin(STRONG_NONNEG, alpha, beta, warm, curvature=curvature)
+def strong_nonneg_margin_lifted(alpha, beta):
+    return lifted_margin(STRONG_NONNEG, alpha, beta)

@@ -18,8 +18,11 @@ from l1bench import tracer, workloads  # noqa: E402
 # the null-space oracles enumerate vertices and solve no LP, so the bench's
 # empirical.linprog layer (calls, and empirical.nsp.lps_per_call) reads 0;
 # the direct and weak thresholds are Newton solves, so numerics.find_root
-# (the bracketed root solve they replaced) reads 0 too
-RETIRED = {("empirical", "linprog"), ("numerics", "find_root")}
+# (the bracketed root solve they replaced) reads 0 too; a lifted threshold
+# is one ratio maximization, so lift_core.minimize_lifted_total (the
+# certificate walk's probe) reads 0
+RETIRED = {("empirical", "linprog"), ("numerics", "find_root"),
+           ("lift_core", "minimize_lifted_total")}
 HOOKS = sorted(({(module, attr) for _layer, module, attr, _how in tracer.TARGETS}
                 | set(workloads.LiftedTable.margins)) - RETIRED)
 
@@ -36,7 +39,8 @@ def test_retired_linprog_hook_is_an_absent_layer():
     traced = tracer.Tracer()
     traced.install()
     try:
-        assert {"empirical.linprog", "numerics.find_root"} <= set(traced.absent)
+        assert {"empirical.linprog", "numerics.find_root",
+                "lift_core.minimize_lifted_total"} <= set(traced.absent)
     finally:
         traced.uninstall()
 
@@ -71,8 +75,9 @@ def test_the_oracle_reaches_the_traced_quadrature_once_per_piece(monkeypatch, ki
 def test_a_lifted_probe_reaches_the_traced_moment_once_per_evaluation(monkeypatch, kind,
                                                                       module, attr):
     # the traced lifted-table run counts the moment and quadratic-integral
-    # calls: a probe must look both attributes up at call time, the moment
-    # once per evaluation of the search and of the two reported totals
+    # calls: a lifted solve must look both attributes up at call time, the
+    # moment once per evaluation of the ratio profile and once more for the
+    # reported total
     numerics = importlib.import_module("l1lab.numerics")
     lift_core = importlib.import_module("l1lab.lift_core")
     target = importlib.import_module(f"l1lab.{module}")
@@ -87,12 +92,10 @@ def test_a_lifted_probe_reaches_the_traced_moment_once_per_evaluation(monkeypatc
     monkeypatch.setattr(target, attr, counting("moment", getattr(target, attr)))
     monkeypatch.setattr(numerics, "gaussian_quadratic_integral",
                         counting("integral", numerics.gaussian_quadratic_integral))
-    profile_objective = lift_core._profile_objective
-    monkeypatch.setattr(lift_core, "_profile_objective", lambda *args: counting(
-        "evaluations", profile_objective(*args)))
-    spec = lift_core.kind_table()[kind]
-    start = lift_core.LiftParams(c3=0.5, gamma=0.5, nu1=1.0, nu2=0.5)
-    lift_core.minimize_lifted_total(spec, 0.5, 0.05, start)
+    ratio_profile = lift_core._ratio_profile
+    monkeypatch.setattr(lift_core, "_ratio_profile", lambda *args: counting(
+        "evaluations", ratio_profile(*args)))
+    lift_core.threshold_bisect(0.5, kind, "lifted")
     assert calls["evaluations"] > 2
-    assert calls["moment"] == calls["evaluations"] + 2
+    assert calls["moment"] == calls["evaluations"] + 1
     assert calls["integral"] >= calls["moment"]

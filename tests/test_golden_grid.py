@@ -16,7 +16,9 @@ A change that moves beta on purpose regenerates both fixtures by running
 
     PYTHONPATH=src python tests/test_golden_grid.py
 
-and states its largest |delta beta| in CHANGES.md.
+which prints, per method and kind, the largest |delta beta| against the
+committed fixture before it overwrites it, and states that number in
+CHANGES.md.
 """
 
 import dataclasses
@@ -93,62 +95,51 @@ def solve_lifted_grid():
                 pass
 
 
-# the ceiling on minimize_lifted_total runs over the lifted grid, whose
-# deterministic count is 260: a walk that again probes tol_beta past its
-# Newton step makes 331
-GRID_PROBE_CEILING = 270
-
-
-def test_lifted_grid_probe_count_stays_under_its_ceiling(monkeypatch):
-    calls = []
-    minimize = lc.minimize_lifted_total
-
-    def counted(*args):
-        calls.append(args)
-        return minimize(*args)
-
-    monkeypatch.setattr(lc, "minimize_lifted_total", counted)
-    solve_lifted_grid()
-    assert len(calls) <= GRID_PROBE_CEILING
-
-
-# ceilings on profile evaluations (calls of a probe's _profile_objective),
-# whose deterministic counts are 195 over the three lifted-table solves and
-# 5,083 over the lifted grid: probes that each rebuild their inverse Hessian
-# estimate by forward differences, carrying none, make 259 and 6,574
-TABLE_EVALUATION_CEILING = 215
-GRID_EVALUATION_CEILING = 5300
-TABLE_PAIRS = (("sectional", 0.1), ("strong", 0.999), ("strong_nonneg", 0.1))
-
-
 def count_evaluations(monkeypatch):
-    """Count every profile evaluation from now on in the returned [count]."""
-    count = [0]
-    profile_objective = lc._profile_objective
+    """Count, from now on, the lifted ratio profiles built in count[0] and
+    their evaluations in count[1]."""
+    count = [0, 0]
+    ratio_profile = lc._ratio_profile
 
     def counted(*args):
-        profile = profile_objective(*args)
+        count[0] += 1
+        profile = ratio_profile(*args)
 
         def evaluate(q):
-            count[0] += 1
+            count[1] += 1
             return profile(q)
         return evaluate
 
-    monkeypatch.setattr(lc, "_profile_objective", counted)
+    monkeypatch.setattr(lc, "_ratio_profile", counted)
     return count
+
+
+def test_lifted_grid_probe_count_stays_under_its_ceiling(monkeypatch):
+    # one ratio maximization per lifted solve, range errors included
+    count = count_evaluations(monkeypatch)
+    solve_lifted_grid()
+    assert count[0] == len(KINDS["lifted"]) * len(ALPHAS)
+
+
+# ceilings on ratio profile evaluations, whose deterministic counts are 99
+# over the three lifted-table solves and 2,151 over the lifted grid; the
+# certificate walk that the one ratio maximization replaced made 195 and 5,083
+TABLE_EVALUATION_CEILING = 110
+GRID_EVALUATION_CEILING = 2300
+TABLE_PAIRS = (("sectional", 0.1), ("strong", 0.999), ("strong_nonneg", 0.1))
 
 
 def test_lifted_table_evaluations_stay_under_their_ceiling(monkeypatch):
     count = count_evaluations(monkeypatch)
     for kind, alpha in TABLE_PAIRS:
         lc.threshold_bisect(alpha, kind, "lifted")
-    assert count[0] <= TABLE_EVALUATION_CEILING
+    assert count[1] <= TABLE_EVALUATION_CEILING
 
 
 def test_lifted_grid_evaluations_stay_under_their_ceiling(monkeypatch):
     count = count_evaluations(monkeypatch)
     solve_lifted_grid()
-    assert count[0] <= GRID_EVALUATION_CEILING
+    assert count[1] <= GRID_EVALUATION_CEILING
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=repr)
@@ -157,10 +148,30 @@ def test_direct_result_matches_the_golden_grid_bit_for_bit(kind, alpha):
     assert record(solve(kind, alpha, "direct")) == golden("direct")[kind][repr(alpha)]
 
 
+def largest_beta_moves(old, new):
+    """kind -> the largest |delta beta| between two fixtures' points that
+    are solved in both, and the points raising in one of them only."""
+    moves = {}
+    for kind, points in new.items():
+        deltas, flipped = [0.0], []
+        for alpha, entry in points.items():
+            before = old.get(kind, {}).get(alpha, RANGE_ERROR)
+            if RANGE_ERROR in (before, entry):
+                if before != entry:
+                    flipped.append(alpha)
+                continue
+            deltas.append(abs(float.fromhex(entry["beta"]) - float.fromhex(before["beta"])))
+        moves[kind] = max(deltas), flipped
+    return moves
+
+
 def main():
     for method, path in FIXTURES.items():
         grid = {kind: {repr(alpha): record(solve(kind, alpha, method)) for alpha in ALPHAS}
                 for kind in KINDS[method]}
+        for kind, (delta, flipped) in largest_beta_moves(golden(method), grid).items():
+            print(f"{method} {kind}: largest |delta beta| {delta:.3g}"
+                  + (f", range errors changed at alpha {', '.join(flipped)}" if flipped else ""))
         path.write_text(json.dumps(grid, indent=1) + "\n")
         print(f"wrote {path}")
 

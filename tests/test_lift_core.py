@@ -26,8 +26,8 @@ def lifted_spec(name):
 
 
 def margin_of(kind, method):
-    """The kind's margin fn(alpha, beta, warm=None) for `method`, as bound
-    on its module now."""
+    """The kind's margin fn(alpha, beta) for `method`, as bound on its
+    module now."""
     return getattr(lc.kind_module(kind), f"{kind}_margin_{method}")
 
 
@@ -215,7 +215,15 @@ _, (B_MIN, B_MAX), _, (_, NU2_MAX) = lc.SEARCH_BOX
 MU_MAX = lc.C3_MAX * NU2_MAX
 
 
-# x = [b, nu1, mu] with mu = c3 nu2, the search coordinates of a lifted probe
+EPS = DEFAULT.feasibility_margin
+
+
+def ratio_profile(kind, alpha):
+    """The kind's lifted ratio objective at alpha and the default eps."""
+    return lc._ratio_profile(lifted_spec(kind), alpha, EPS)
+
+
+# x = [b, nu1, mu] with mu = c3 nu2, the search coordinates of a lifted search
 @pytest.mark.parametrize("kind, x", [
     # mu >= 700: the flat branch exp(mu) saturates
     ("strong", [0.3, 1.0, 800.0]),
@@ -234,204 +242,84 @@ MU_MAX = lc.C3_MAX * NU2_MAX
     ("strong_nonneg", [0.3, -1e-3, 1.0]),
 ])
 def test_lifted_objective_edges_return_inf(kind, x):
-    for alpha, beta in [(0.5, 0.1), (0.999, 0.45)]:
-        val, _, _ = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)(x)
-        assert type(val) is float and val == math.inf
+    for alpha in (0.5, 0.999):
+        val, grad, _ = ratio_profile(kind, alpha)(x)
+        assert type(val) is float and val == math.inf and grad is None
+
+
+@pytest.mark.parametrize("kind", ["strong", "strong_nonneg"])
+def test_ratio_is_inf_where_its_beta_slope_is_not_positive(kind):
+    # a strong kind's D is 2 mu: at mu = 0 the total does not move with
+    # beta, so it certifies no ratio; off b in (0, 1/2) there is no total
+    for q in ([0.3, 1.0, 0.0], [0.0, 1.0, 1.0], [0.5, 1.0, 1.0]):
+        val, grad, _ = ratio_profile(kind, 0.5)(q)
+        assert val == math.inf and grad is None, q
 
 
 def test_lifted_objective_finite_far_from_the_edges():
     # a very negative entry point (about -2.8e3) whose left tail underflows
-    profile = lc._profile_objective(lifted_spec("strong_nonneg"), 0.5, 0.1, 1e-3)
-    val, _, c3 = profile([B_MIN, 0.0, 1e-3 * NU2_MAX])
+    val, _, c3 = ratio_profile("strong_nonneg", 0.5)([B_MIN, 0.0, 1e-3 * NU2_MAX])
     assert type(val) is float and math.isfinite(val)
     assert 1e-3 <= c3 <= lc.C3_MAX  # mu / c3 stays within NU2_MAX
-
-
-def test_clipped_params_are_plain_floats():
-    c3 = np.exp(np.float64(0.3))
-    p = lc.LiftParams(c3=c3, gamma=c3, nu1=np.float64(1.5), nu2=np.float64(2.0)).clipped()
-    assert all(type(v) is float for v in dataclasses.astuple(p))
-    assert p.b == pytest.approx(0.25, rel=1e-15)
-    # each of c3, b, nu1 and nu2 goes to the nearer end of SEARCH_BOX
-    (c3_lo, c3_hi), (b_lo, b_hi), (nu1_lo, nu1_hi), (nu2_lo, nu2_hi) = lc.SEARCH_BOX
-    high = lc.LiftParams(c3=1e3, gamma=1.0, nu1=20.0, nu2=1e3).clipped()
-    assert (high.c3, high.nu1, high.nu2) == (c3_hi, nu1_hi, nu2_hi)
-    assert high.b == pytest.approx(b_hi, rel=1e-15)
-    low = lc.LiftParams(c3=0.0, gamma=1.0, nu1=-1.0, nu2=-1.0).clipped()
-    assert (low.c3, low.nu1, low.nu2) == (c3_lo, nu1_lo, nu2_lo)
-    assert low.b == pytest.approx(b_lo, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # rarely taken branches of threshold_bisect, driven by stub margins
 # ---------------------------------------------------------------------------
 
-def stub_table(monkeypatch, margin, spec=None, slope=None):
+def stub_table(monkeypatch, margin, slope):
     """Give every kind `margin` for each method it has, and every lifted
-    kind with spec s the LiftedKind spec(s) when `spec` is given.  With
-    `slope`, the stub margin's beta-derivative, each lifted kind keeps its
-    own spec (and so its cap) with the direct optimum
-    (margin at alpha 0.5 + sqrt(0.5), 0, slope(beta)), so that the direct
-    residual at alpha 0.5 reads the stub margin, which must then be
-    increasing and concave in beta, as a direct margin is."""
+    kind the direct optimum (margin at alpha 0.5 + sqrt(0.5), 0,
+    slope(beta)), where `slope` is the stub margin's beta-derivative, so
+    that the direct residual at alpha 0.5 reads the stub margin, which must
+    then be increasing and concave in beta, as a direct margin is."""
     for name, kind in lc.kind_table().items():
         module = lc.kind_module(name)
         if isinstance(kind, lc.LiftedKind):
-            lifted = kind if spec is None else spec(kind)
-            if slope is not None:
-                lifted = dataclasses.replace(lifted, direct=lambda beta: (
-                    margin(0.5, beta)[0] + math.sqrt(0.5), 0.0, slope(beta)))
-            monkeypatch.setattr(module, name.upper(), lifted)
+            monkeypatch.setattr(module, name.upper(), dataclasses.replace(
+                kind, direct=lambda beta: (margin(0.5, beta)[0] + math.sqrt(0.5), 0.0,
+                                           slope(beta))))
         for method in {kind.method_for(m) for m in lc.METHODS}:
             monkeypatch.setattr(module, f"{name}_margin_{method}", margin)
 
 
-def stub_margins(monkeypatch, feasible, above=1.0):
-    """Replace every kind's margin by feasible(beta) -> -1 / `above` stubs,
-    and record each probe as (beta, warm)."""
-    probes = []
-
-    def margin(alpha, beta, warm=None, curvature=None):
-        probes.append((beta, warm))
-        return (-1.0 if feasible(beta) else above), None
-
-    stub_table(monkeypatch, margin)
-    return probes
+def stub_k_term(monkeypatch, name, k0, d):
+    """Give the lifted kind `name` the constant c3-free set term
+    K = k0 + beta*d; returns its spec."""
+    spec = dataclasses.replace(lifted_spec(name), k_term=lambda b, extra: (
+        (k0, d), ((0.0,) * (1 + len(extra)), (0.0,) * (1 + len(extra)))))
+    monkeypatch.setattr(lc.kind_module(name), name.upper(), spec)
+    return spec
 
 
-def stub_lifted(monkeypatch, root, slope=1.0, direct_root=lambda beta: 1.0, direct_slope=0.0):
-    """Replace every lifted kind by a stub with the kind's own cap whose
-    total at params p (set term and lifted_total alike) is
-    slope * beta - p.nu1, and every margin by slope * beta - root(beta); a
-    warm start at p caps the margin at the total p certifies, as a
-    minimization started there would.  The stub's direct optimum is
-    (direct_root(beta), 0, direct_slope); the default puts the direct
-    threshold at no alpha < 1, so the walk starts at the floor.  Records
-    each probe as (beta, warm)."""
-    probes = []
-
-    def certified(beta, params):
-        return slope * beta - params.nu1
-
-    class Stub(lc.LiftedKind):
-        def set_term_at(self, beta, params):
-            return certified(beta, params)
-
-    def stub(spec):
-        return Stub(k_term=None, integrand=None, cap=spec.cap,
-                    direct=lambda beta: (direct_root(beta), 0.0, direct_slope))
-
-    def margin(alpha, beta, warm=None, curvature=None):
-        probes.append((beta, warm))
-        m = slope * beta - root(beta)
-        if warm is not None:
-            m = min(m, certified(beta, warm))
-        return m, lc.LiftParams(c3=1.0, gamma=1.0, nu1=slope * beta - m)
-
-    stub_table(monkeypatch, margin, stub)
-    monkeypatch.setattr(lc, "lifted_total", lambda kind, p, alpha, beta: certified(beta, p))
-    return probes
-
-
-def test_lifted_search_goes_on_after_a_feasible_thorough_confirm(monkeypatch):
-    # the certificate of the optimum with root 0.25 runs out at its crossing
-    # 0.25 - 2 eps, where the probe finds the better optimum with root 0.3;
-    # the walk steps to that one's crossing and ends there on its Newton
-    # step, without a probe above it
-    eps = DEFAULT.feasibility_margin
-    probes = stub_lifted(monkeypatch, root=lambda beta: 0.25 if beta < 0.2 else 0.3)
-    r = lc.threshold_bisect(0.5, "sectional", "lifted")
-    betas = [b for b, _ in probes]
-    assert betas == pytest.approx([lc.BETA_FLOOR, 0.25 - 2 * eps, 0.3 - 2 * eps], abs=1e-15)
-    assert all(warm is not None for _, warm in probes)
-    assert r.beta == pytest.approx(0.3 - 2 * eps, abs=1e-15) and r.beta >= betas[-1]
-    assert r.condition_margin == r.beta - r.params_at_optimum.nu1
-    assert r.condition_margin == pytest.approx(-2 * eps, abs=1e-15)
-
-
-CORNER_BETA = lc.BETA_FLOOR / 2.0
-
-
-def corner_walk(rerun_margin, end=lambda warm: warm):
-    """The walk's first probe alone (stop below the floor), on strong at
-    alpha 0.5 with a stub margin: -1 at the first call and rerun_margin
-    after, ending at end(warm).  Returns the walk's result and the warm
-    starts probed."""
-    warms = []
-
-    def margin(alpha, beta, warm, curvature):
-        warms.append(warm)
-        return (-1.0 if len(warms) == 1 else rerun_margin), end(warm)
-
-    eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
-    return lc.walk(margin, lifted_spec("strong"), 0.5, CORNER_BETA, eps, tol), warms
-
-
-@pytest.mark.parametrize("rerun_margin", [-2.0, -0.5])
-def test_a_first_probe_left_in_its_c3_corner_runs_once_more_from_mid_box(rerun_margin):
-    # a first probe ending below twice its start's c3 runs once more from
-    # b = 1/4 (gamma = c3), however the rerun ends, and the walk keeps the
-    # lower of the two totals
-    start = lc.floor_start(lifted_spec("strong"), CORNER_BETA)
-    mid = dataclasses.replace(start, gamma=start.c3)
-    result, warms = corner_walk(rerun_margin)
-    assert warms == [start, mid] and mid.b == 0.25
-    assert result == ((CORNER_BETA, -2.0, mid) if rerun_margin < -1.0
-                      else (CORNER_BETA, -1.0, start))
-
-
-@pytest.mark.parametrize("end", [lambda warm: dataclasses.replace(warm, c3=2.0 * warm.c3),
-                                 lambda warm: None], ids=["left-the-corner", "no-params"])
-def test_a_first_probe_out_of_its_c3_corner_is_not_rerun(end):
-    start = lc.floor_start(lifted_spec("strong"), CORNER_BETA)
-    result, warms = corner_walk(-2.0, end)
-    assert warms == [start] and result == (CORNER_BETA, -1.0, end(start))
-
-
-@pytest.mark.parametrize("slope", [1.0, 0.0])
+@pytest.mark.parametrize("slope", [1.0])
 def test_lifted_certificate_reaching_the_cap_returns_the_cap(monkeypatch, slope):
-    probes = stub_lifted(monkeypatch, root=lambda beta: 0.7, slope=slope)
+    # with K = -100 + slope*beta the ratio certifies beta near 100, past the
+    # cap: the cap is reported, with the closed-form total there as its margin
+    spec = stub_k_term(monkeypatch, "strong_nonneg", -100.0, slope)
+    assert lc.lifted_threshold(spec, 0.5, EPS, DEFAULT.tol_beta)[0] > 50.0
     r = lc.threshold_bisect(0.5, "strong_nonneg", "lifted")
-    cap = lc.kind_table()["strong_nonneg"].cap
-    assert r.beta == cap and r.condition_margin == slope * cap - 0.7
-    assert [b for b, _ in probes] == [lc.BETA_FLOOR, cap]
+    assert r.beta == spec.cap
+    assert r.condition_margin == lc.lifted_total(spec, r.params_at_optimum, 0.5, spec.cap)
+    assert r.condition_margin < -EPS
 
 
 def test_bisect_floor_infeasible_raises_range_error(monkeypatch):
-    # the walk's probe at the direct root fails, and so does the floor
-    # probe it starts over from
-    direct = lc.threshold_bisect(0.5, "strong", "direct")
-    probes = stub_margins(monkeypatch, feasible=lambda b: False)
+    # with K = 100 + beta the ratio is negative everywhere: the total at
+    # the floor is far above -eps, as it is for the real strong kind at
+    # alpha 0.003, whose ratio ends at 7.5e-5
+    with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
+        lc.threshold_bisect(0.003, "strong", "lifted")
+    spec = stub_k_term(monkeypatch, "strong", 100.0, 1.0)
+    assert lc.lifted_threshold(spec, 0.5, EPS, DEFAULT.tol_beta)[0] < 0.0
     with pytest.raises(lc.ThresholdRangeError, match="bisection floor"):
         lc.threshold_bisect(0.5, "strong", "lifted")
-    [root, floor] = [b for b, _ in probes]
-    assert_at_direct_root(root, direct.beta)
-    assert floor == lc.BETA_FLOOR
-
-
-def test_walk_starts_over_from_the_floor_when_the_direct_root_probe_fails(monkeypatch):
-    # the stub's direct threshold is 0.2 (its residual is beta - 0.2) and
-    # its margin beta - 0.1, so the probe at the direct root is infeasible;
-    # the walk from the floor then ends as a walk with no direct root does
-    eps = DEFAULT.feasibility_margin
-    shift = math.sqrt(0.5) - 2.0 * eps - 0.2
-    probes = stub_lifted(monkeypatch, root=lambda beta: 0.1,
-                         direct_root=lambda beta: beta + shift, direct_slope=1.0)
-    r = lc.threshold_bisect(0.5, "sectional", "lifted")
-    betas = [b for b, _ in probes]
-    assert betas[0] == pytest.approx(0.2, abs=DEFAULT.tol_beta / 4)
-    assert betas[1] == lc.BETA_FLOOR
-    assert probes[1][1] == lc.floor_start(lc.kind_table()["sectional"], lc.BETA_FLOOR)
-    floor_probes = stub_lifted(monkeypatch, root=lambda beta: 0.1)
-    assert lc.threshold_bisect(0.5, "sectional", "lifted") == r
-    assert betas[1:] == [b for b, _ in floor_probes]
-    assert 0.1 - 2e-5 <= r.beta < 0.1 and r.condition_margin < -eps
 
 
 def test_bisect_whole_range_feasible_returns_the_cap(monkeypatch):
     probes = []
 
-    def margin(alpha, beta, warm=None):
+    def margin(alpha, beta):
         probes.append(beta)
         return -1.0, None
 
@@ -450,7 +338,7 @@ def test_direct_floor_within_two_eps_of_the_boundary_is_reported(monkeypatch):
     eps = DEFAULT.feasibility_margin
     probes = []
 
-    def margin(alpha, beta, warm=None):
+    def margin(alpha, beta):
         probes.append(beta)
         return beta - lc.BETA_FLOOR - 1.5 * eps, None
 
@@ -614,31 +502,53 @@ def test_newton_solve_stays_on_the_feasible_side(kind, monkeypatch):
 # the shared lifted route (one LiftedKind per kind)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
-def test_floor_start_carries_the_direct_optimum(name, monkeypatch):
+@pytest.mark.parametrize("name", LIFTED_KINDS)
+@pytest.mark.parametrize("alpha", [0.005, 0.5, 0.9999])
+def test_lifted_search_starts_at_b_quarter_on_the_direct_optimum(name, alpha, monkeypatch):
+    # the one search starts at b = 1/4 with the direct optimum at the
+    # direct root: its nu1, and mu = c3 nu2 at c3 = sqrt(alpha/2), the best
+    # c3 at b = 1/4 as eps -> 0 (at alpha 0.005 the direct root is the
+    # floor, where the direct route raises ThresholdRangeError)
     kind = lifted_spec(name)
-    alpha, beta = 0.5, lc.BETA_FLOOR
-    _, direct = lc.direct_margin(kind, alpha, beta)
-    assert direct.c3 == 0.0 and direct.gamma > 1e-6
-    lifted = lc.floor_start(kind, beta)
-    assert (lifted.nu1, lifted.nu2) == (direct.nu1, direct.nu2)
-    start = lifted.clipped()
-    expected = [1e-3, min(max(1e-3 / (4.0 * direct.gamma), 1e-6), 0.49), direct.nu1]
-    if kind.nu2 is None:
-        assert direct.nu2 == 0.0
-    else:
-        expected.append(min(direct.nu2, NU2_MAX))
-    assert [start.c3, start.b, start.nu1, start.nu2][:2 + kind.n_extra] == expected
-    # the lifted search's probe at the direct root is warm-started there,
-    # and so is the floor probe it starts over from when that one fails
-    direct_beta = lc.threshold_bisect(alpha, name, "direct").beta
-    probes = stub_margins(monkeypatch, feasible=lambda b: False)
-    with pytest.raises(lc.ThresholdRangeError):
-        lc.threshold_bisect(alpha, name, "lifted")
-    [(root, warm_root), (floor, warm)] = probes
-    assert_at_direct_root(root, direct_beta)
-    assert warm_root == lc.floor_start(kind, root)
-    assert floor == beta and warm == lc.floor_start(kind, beta)
+    root = lc.newton_root(kind.residual(alpha, EPS), lc.BETA_FLOOR, kind.cap,
+                          DEFAULT.tol_beta / 4.0)
+    _, direct = lc.direct_margin(kind, alpha, root)
+    starts = []
+    projected_bfgs = lc.projected_bfgs
+
+    def recording(fg, x0, *args, **kwargs):
+        starts.append(list(x0))
+        return projected_bfgs(fg, x0, *args, **kwargs)
+
+    monkeypatch.setattr(lc, "projected_bfgs", recording)
+    lc.threshold_bisect(alpha, name, "lifted")
+    want = [0.25, direct.nu1, math.sqrt(alpha / 2.0) * direct.nu2][:1 + kind.n_extra]
+    assert starts == [want]
+    assert lc._ratio_profile(kind, alpha, 0.0)(want)[2] == pytest.approx(
+        math.sqrt(alpha / 2.0), rel=1e-15)
+
+
+def test_an_infinite_start_has_its_b_halved(monkeypatch):
+    # a set term that overflows for b > 0.1 makes the start at b = 1/4
+    # infinite: b is halved to 0.125, and again to 0.0625, where the one
+    # search runs and ends feasible below b = 0.1
+    from l1lab import thresholds_general as tg
+
+    k_term = tg.SECTIONAL.k_term
+    spec = dataclasses.replace(tg.SECTIONAL, k_term=lambda b, extra: (
+        ((math.inf, 0.0), None) if b > 0.1 else k_term(b, extra)))
+    monkeypatch.setattr(tg, "SECTIONAL", spec)
+    starts = []
+    projected_bfgs = lc.projected_bfgs
+
+    def recording(fg, x0, *args, **kwargs):
+        starts.append(x0[0])
+        return projected_bfgs(fg, x0, *args, **kwargs)
+
+    monkeypatch.setattr(lc, "projected_bfgs", recording)
+    r = lc.threshold_bisect(0.5, "sectional", "lifted")
+    assert starts == [0.25, 0.125, 0.0625]
+    assert r.params_at_optimum.b <= 0.1 and r.condition_margin < -EPS
 
 
 @pytest.mark.parametrize("name", ["sectional", "strong", "strong_nonneg"])
@@ -705,7 +615,7 @@ def test_every_kind_has_its_spec_and_a_margin_per_method():
 
 def test_the_spec_cap_bounds_the_direct_and_the_lifted_search(monkeypatch):
     # a kind's cap lives on its spec alone: a spec with a lower cap stops
-    # both the direct root solve and the lifted walk there
+    # both the direct root solve and the lifted search there
     from l1lab import thresholds_general as tg
 
     monkeypatch.setattr(tg, "SECTIONAL", dataclasses.replace(tg.SECTIONAL, cap=0.2))
@@ -716,13 +626,8 @@ def test_the_spec_cap_bounds_the_direct_and_the_lifted_search(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the lifted search on the real kinds: every step is a closed-form certificate
+# the lifted search on the real kinds: one ratio maximization per solve
 # ---------------------------------------------------------------------------
-
-LIFTED_MARGINS = (("thresholds_general", "sectional_margin_lifted"),
-                  ("thresholds_general", "strong_margin_lifted"),
-                  ("thresholds_nonneg", "strong_nonneg_margin_lifted"))
-
 
 def closed_total(spec, params, alpha, beta):
     """The master-condition total at explicit lift parameters, in the
@@ -735,72 +640,36 @@ TABLE_ALPHAS = TABLE_ALPHAS_LOW + TABLE_ALPHAS_HIGH
 
 @pytest.fixture(scope="module")
 def lifted_solves():
-    """(kind, alpha) -> (result, [(beta, warm, margin), ...]) for the three
-    lifted kinds at the 15 table alphas."""
-    import importlib
-
-    probes = []
-    with pytest.MonkeyPatch.context() as mp:
-        for module_name, attr in LIFTED_MARGINS:
-            module = importlib.import_module(f"l1lab.{module_name}")
-
-            def recording(alpha, beta, warm=None, *, curvature=None,
-                          _fn=getattr(module, attr)):
-                margin, params = _fn(alpha, beta, warm, curvature=curvature)
-                probes.append((beta, warm, margin))
-                return margin, params
-
-            mp.setattr(module, attr, recording)
-        solves = {}
-        for kind in LIFTED_KINDS:
-            for alpha in TABLE_ALPHAS:
-                probes.clear()
-                solves[kind, alpha] = lc.threshold_bisect(alpha, kind, "lifted"), list(probes)
-    return solves
+    """(kind, alpha) -> the lifted ThresholdResult, for the three lifted
+    kinds at the 15 table alphas."""
+    return {(kind, alpha): lc.threshold_bisect(alpha, kind, "lifted")
+            for kind in LIFTED_KINDS for alpha in TABLE_ALPHAS}
 
 
-@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
-def test_lifted_quick_probes_land_on_certified_betas(lifted_solves, kind):
-    # the first probe lies at the direct root, started from the direct
-    # optimum there (and, if it ends in its start's c3 corner, once more
-    # from b = 1/4); every later probe lands where the previous optimum
-    # certifies it, so every probe is feasible.  The search ends on the
-    # Newton step: it reports, without a probe, the crossing of the last
-    # optimum's affine total with -2 eps, less than tol_beta above the
-    # last probe, with the closed-form total there as its margin
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_reported_beta_is_the_ratio_at_the_reported_params(lifted_solves, kind):
+    # the reported parameters' affine total crosses -2 eps at the reported
+    # beta: to 1e-12 relative, or to those totals' rounding over their
+    # slope where that is coarser (totals of terms up to ~150, nu2 (2 beta
+    # - 1) at small beta, whose doubles lie 2.8e-14 apart); the margin is
+    # the closed-form total there, and the search's own ratio is that beta
     spec = lifted_spec(kind)
-    eps = DEFAULT.feasibility_margin
     for alpha in TABLE_ALPHAS:
-        r, probes = lifted_solves[kind, alpha]
-        start, first = probes[0][:2]
-        assert_at_direct_root(start, lc.threshold_bisect(alpha, kind, "direct").beta)
-        assert first == lc.floor_start(spec, start)
-        rest = probes[1:]
-        if rest and rest[0][0] == start:
-            assert rest[0][1] == dataclasses.replace(first, gamma=first.c3)
-            rest = rest[1:]
-        assert all(margin < -eps for _, _, margin in probes), alpha
-        # the totals are differences of terms up to ~150 (nu2 (2 beta - 1)
-        # at small beta), whose doubles lie 2.8e-14 apart; eps is 1e-9
-        for beta, warm, _ in rest:
-            assert closed_total(spec, warm, alpha, beta) <= -2.0 * eps + 1e-13, (alpha, beta)
-        # the crossing to 1e-12 relative, or to those totals' rounding over
-        # their slope where that is coarser (strong_nonneg at alpha 0.9999:
-        # totals of terms near 55, slope 8.7e-4)
+        r = lifted_solves[kind, alpha]
         p = r.params_at_optimum
         t0, t1 = closed_total(spec, p, alpha, 0.0), closed_total(spec, p, alpha, 1.0)
-        crossing = (-2.0 * eps - t0) / (t1 - t0)
-        assert r.beta == spec.cap or (abs(r.beta - crossing)
-                                      <= max(1e-12 * r.beta, 1e-13 / (t1 - t0))), alpha
+        crossing = (-2.0 * EPS - t0) / (t1 - t0)
+        assert abs(r.beta - crossing) <= max(1e-12 * r.beta, 1e-13 / (t1 - t0)), alpha
         assert r.condition_margin == lc.lifted_total(spec, p, alpha, r.beta)
-        assert probes[-1][0] <= r.beta < probes[-1][0] + DEFAULT.tol_beta, alpha
+        assert r.condition_margin == pytest.approx(-2.0 * EPS, abs=1e-13)
+        assert lc.lifted_threshold(spec, alpha, EPS, DEFAULT.tol_beta) == (r.beta, p)
 
 
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 @pytest.mark.parametrize("alpha", TABLE_ALPHAS)
 def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     spec = lifted_spec(kind)
-    r, _ = lifted_solves[kind, alpha]
+    r = lifted_solves[kind, alpha]
     p = r.params_at_optimum
     assert closed_total(spec, p, alpha, r.beta) == r.condition_margin
     oracle = (lc.exp_set_term_oracle(spec.integrand, p, r.beta)
@@ -808,51 +677,65 @@ def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     assert oracle < -DEFAULT.feasibility_margin
 
 
-@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
-def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
-    # one search from p returns at most the closed-form total at p,
-    # which is what lets a warm probe carry the certificate of p
+def polished_ratio(spec, p, alpha):
+    """The largest ratio (-2 eps - T(p', 0)) / (T(p', 1) - T(p', 0)) that
+    scipy's Nelder-Mead reaches from p over p' = (log c3, b, nu1[, log nu2])
+    (c3 and nu2 in SEARCH_BOX), with T the closed-form lifted_total alone."""
+    from scipy.optimize import minimize
+
+    (c3_lo, c3_hi), _, (_, nu1_hi), (_, nu2_hi) = lc.SEARCH_BOX
+
+    def params(x):
+        c3, b, nu1 = math.exp(x[0]), x[1], x[2]
+        nu2 = math.exp(x[3]) if len(x) > 3 else 0.0
+        if not (c3_lo <= c3 <= c3_hi and 0.0 < b < 0.5 and 0.0 <= nu1 <= nu1_hi
+                and nu2 <= nu2_hi):
+            return None
+        return lc.LiftParams(c3=c3, gamma=c3 / (4.0 * b), nu1=nu1, nu2=nu2)
+
+    def negative_ratio(x):
+        q = params(x)
+        if q is None:
+            return math.inf
+        t0, t1 = lc.lifted_total(spec, q, alpha, 0.0), lc.lifted_total(spec, q, alpha, 1.0)
+        ratio = (-2.0 * EPS - t0) / (t1 - t0) if t1 > t0 else -math.inf
+        return -ratio if math.isfinite(ratio) else math.inf
+
+    x0 = [math.log(p.c3), p.b, p.nu1] + ([math.log(p.nu2)] if spec.n_extra > 1 else [])
+    res = minimize(negative_ratio, x0, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000})
+    return -min(res.fun, negative_ratio(x0))
+
+
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+@pytest.mark.parametrize("alpha", TABLE_ALPHAS)
+def test_reported_beta_is_tight_against_a_simplex_polish(lifted_solves, kind, alpha):
+    # the reported beta is, to tol_beta, the best the lifted family
+    # certifies near the reported parameters, by a second route: a
+    # derivative-free polish of the ratio over all four lift parameters,
+    # with no closed-form c3 and no projected BFGS
     spec = lifted_spec(kind)
-    margin_fn = margin_of(kind, "lifted")
-    r, _ = lifted_solves[kind, 0.5]
-    starts = [(r.params_at_optimum, beta) for beta in (r.beta - 0.01, r.beta + 0.001)]
-    starts.append((lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2), 0.05))
-    for p, beta in starts:
-        margin, _ = margin_fn(0.5, beta, p)
-        assert margin <= closed_total(spec, p, 0.5, beta) + 1e-13
+    r = lifted_solves[kind, alpha]
+    assert r.beta >= polished_ratio(spec, r.params_at_optimum, alpha) - DEFAULT.tol_beta
 
 
-@pytest.mark.parametrize("kind, alpha", [("sectional", 0.1), ("strong", 0.999),
-                                         ("strong_nonneg", 0.1)])
-def test_lifted_walk_skips_the_probes_below_the_direct_root(lifted_solves, kind, alpha):
-    # a walk from the floor makes 6, 11 and 6 probes at these points, one
-    # from the direct root 2, 4 and 3
-    _, probes = lifted_solves[kind, alpha]
-    assert_at_direct_root(probes[0][0], lc.threshold_bisect(alpha, kind, "direct").beta)
-    assert len(probes) <= 6
-
-
-def test_strong_first_probe_at_alpha_0_9999_runs_again_out_of_its_corner(lifted_solves):
-    # from floor_start the first probe stalls at c3 near 1e-3 with a margin
-    # near -2.0e-8, whose Newton step (7.7e-7) is below tol_beta; the rerun
-    # from b = 1/4 reaches about -3.2e-5, without which the walk would end
-    # there, 1.1e-3 below the golden beta
+def test_a_start_at_a_thousandth_of_nu2_falls_short_at_strong_0_9999(lifted_solves):
+    # from mu = 1e-3 nu2 (the direct optimum lifted to c3 = 1e-3) the ratio
+    # climbs into the small-c3 corner basin at strong alpha 0.9999 and ends
+    # about 1.09e-3 below the search from mu = sqrt(alpha/2) nu2
     spec = lifted_spec("strong")
-    r, probes = lifted_solves["strong", 0.9999]
-    (beta, first, m_first), (rerun_beta, mid, m_mid) = probes[:2]
-    assert rerun_beta == beta and mid == dataclasses.replace(first, gamma=first.c3)
-    assert m_mid < -1e-5 < -DEFAULT.feasibility_margin
-    m, p = margin_of("strong", "lifted")(0.9999, beta, first)
-    step = (-2.0 * DEFAULT.feasibility_margin - m) / (spec.set_term_at(1.0, p)
-                                                       - spec.set_term_at(0.0, p))
-    assert m == m_first and p.c3 < 2.0 * first.c3 and step < DEFAULT.tol_beta
-    assert r.beta > beta + 1e-3
+    alpha = 0.9999
+    root = lc.threshold_bisect(alpha, "strong", "direct").beta
+    _, direct = lc.direct_margin(spec, alpha, root)
+    _, (f, _, _) = lc.projected_bfgs(lc._ratio_profile(spec, alpha, EPS),
+                                     [0.25, direct.nu1, 1e-3 * direct.nu2],
+                                     lc._Q_BOX, fatol=lc._FATOL, max_iter=lc._MAX_ITER)
+    assert lifted_solves["strong", alpha].beta - (-f) > 1e-3
 
 
 def test_cold_lifted_probe_walks_past_the_small_c3_stall():
     # a single start at c3 = 1e-3 stalls at small c3 here with a margin near
-    # +4.7e-4; walking the certificate steps up to beta reaches the optimum
-    # at c3 ~ 52
+    # +4.7e-4; the ratio search's parameters reach the optimum at c3 ~ 52
     from l1lab.thresholds_nonneg import strong_nonneg_margin_lifted
 
     margin, params = strong_nonneg_margin_lifted(0.999, 0.4694)
@@ -863,92 +746,58 @@ def test_cold_lifted_probe_walks_past_the_small_c3_stall():
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
 def test_cold_margin_at_the_reported_beta_is_the_search_result(lifted_solves, kind, alpha):
-    # a cold margin walks the search's own steps, so at the reported beta it
-    # ends on the same probe
-    r, _ = lifted_solves[kind, alpha]
+    # a margin is the total at the search's own parameters, so at the
+    # reported beta it is the search's margin
+    r = lifted_solves[kind, alpha]
     margin, params = lc.lifted_margin(lifted_spec(kind), alpha, r.beta)
     assert margin == r.condition_margin and params == r.params_at_optimum
 
 
 def test_cold_margin_below_the_floor_is_one_probe_at_beta():
-    # the search raises ThresholdRangeError at this alpha: its floor probe
-    # has a margin near +6.7e-3, so a walk must not start there
+    # the search raises ThresholdRangeError at this alpha, where its ratio
+    # ends at 7.5e-5, below the floor; the margin at 5e-5 is the total there
     spec = lifted_spec("strong")
     cold = lc.lifted_margin(spec, 0.003, 5e-5)
     assert cold[0] < -DEFAULT.feasibility_margin
-    assert cold == lc.lifted_margin(spec, 0.003, 5e-5, lc.floor_start(spec, 5e-5))
+    beta, p = lc.lifted_threshold(spec, 0.003, EPS, DEFAULT.tol_beta)
+    assert 5e-5 < beta < lc.BETA_FLOOR
+    assert cold == (lc.lifted_total(spec, p, 0.003, 5e-5), p)
 
 
 def test_cold_margin_outside_the_kind_range_raises():
-    # nonnegative strong sets need beta < 1/2; the walk alone would stop
-    # short and return the margin of a warm run at this beta
+    # nonnegative strong sets need beta < 1/2; the total alone would be finite
     with pytest.raises(DomainError):
         lc.lifted_margin(lifted_spec("strong_nonneg"), 0.999, 0.55)
 
 
-def test_cold_margin_past_the_threshold_ends_with_a_warm_run_at_beta():
-    # the warm run at beta starts from the walk's last optimum and from the
-    # inverse Hessian estimate of the probe that found it
-    spec = lifted_spec("sectional")
-    eps, tol = DEFAULT.feasibility_margin, DEFAULT.tol_beta
-    carry = lc.Curvature()
-    lo, _, p = lc.walk(functools.partial(lc.lifted_margin, spec), spec, 0.5, 0.11, eps, tol,
-                       carry)
-    assert lo < 0.11 and carry.inverse_hessian is not None
-    cold = lc.lifted_margin(spec, 0.5, 0.11)
-    assert cold == lc.lifted_margin(spec, 0.5, 0.11, p, curvature=carry) and cold[0] > 0
-
-
-def record_curvature(monkeypatch, kind):
-    """Rebind the kind's lifted margin to record each probe as (beta, the
-    estimate its curvature holds on entry, the one it holds on exit)."""
-    probes = []
-    margin = margin_of(kind, "lifted")
-
-    def recording(alpha, beta, warm=None, *, curvature=None):
-        before = curvature.inverse_hessian
-        out = margin(alpha, beta, warm, curvature=curvature)
-        probes.append((beta, before, curvature.inverse_hessian))
-        return out
-
-    monkeypatch.setattr(lc.kind_module(kind), f"{kind}_margin_lifted", recording)
-    return probes
-
-
-@pytest.mark.parametrize("kind, alpha", [("sectional", 0.1), ("strong", 0.999),
-                                         ("strong_nonneg", 0.1), ("strong", 0.9999)])
-def test_walk_hands_each_probe_the_estimate_of_the_one_before(monkeypatch, kind, alpha):
-    # the first probe and the corner rerun (strong at 0.9999, which probes
-    # the first beta again and keeps the rerun) start from forward
-    # differences; each certificate step starts from the estimate the probe
-    # before it ended with
-    probes = record_curvature(monkeypatch, kind)
-    lc.threshold_bisect(alpha, kind, "lifted")
-    first = 2 if probes[1][0] == probes[0][0] else 1
-    assert (first == 2) == ((kind, alpha) == ("strong", 0.9999))
-    assert len(probes) > first
-    assert all(before is None for _, before, _ in probes[:first])
-    size = 1 + lifted_spec(kind).n_extra
-    for (_, _, handed), (_, before, _) in zip(probes[first - 1:], probes[first:]):
-        assert before is handed and len(before) == size
+@pytest.mark.parametrize("kind", LIFTED_KINDS)
+def test_cold_margin_sign_decides_beta(lifted_solves, kind):
+    # the total at fixed parameters is affine and increasing in beta, so its
+    # sign at 1e-4 either side of the reported beta decides both
+    for alpha in (0.1, 0.5):
+        r = lifted_solves[kind, alpha]
+        below, _ = lc.lifted_margin(lifted_spec(kind), alpha, r.beta - 1e-4)
+        above, _ = lc.lifted_margin(lifted_spec(kind), alpha, r.beta + 1e-4)
+        assert below < -EPS and above > 0.0, alpha
 
 
 def test_a_solve_inside_another_kinds_probe_leaves_both_unchanged(monkeypatch):
-    # the estimate travels only in the walk's own Curvature: a strong solve
-    # made inside the second probe of a sectional walk, through a margin
-    # wrapper, and the sectional walk it interrupts both keep their bits
-    # (the two kinds' estimates differ in size, 2 x 2 and 3 x 3)
+    # a search holds no shared state: a strong solve made inside the second
+    # sectional moment evaluation of a sectional solve, and the sectional
+    # solve it interrupts, both keep their bits
+    from l1lab import thresholds_general as tg
+
     alone = lc.threshold_bisect(0.1, "sectional", "lifted")
     inner_alone = lc.threshold_bisect(0.999, "strong", "lifted")
-    margin, inner, calls = margin_of("sectional", "lifted"), [], []
+    moments, inner, calls = tg.sectional_exp_moments, [], []
 
-    def wrapper(*args, **kwargs):
-        calls.append(args[1])
+    def wrapper(*args):
+        calls.append(args)
         if len(calls) == 2:
             inner.append(lc.threshold_bisect(0.999, "strong", "lifted"))
-        return margin(*args, **kwargs)
+        return moments(*args)
 
-    monkeypatch.setattr(lc.kind_module("sectional"), "sectional_margin_lifted", wrapper)
+    monkeypatch.setattr(tg, "sectional_exp_moments", wrapper)
     assert lc.threshold_bisect(0.1, "sectional", "lifted") == alone
     assert len(calls) >= 2 and inner == [inner_alone]
 
@@ -1073,92 +922,63 @@ def test_b_nu1_mu_moments_equal_the_old_moments(kind):
         assert abs(got - want) <= 1e-14 * abs(want), (p, got, want)
 
 
-def _phi(a, k, alpha, c3):
-    return a * c3 + k / c3 + lc.i_sph(c3, alpha)
+def _h(b, alpha, c3):
+    """h(c3) = -c3 (2 eps + A c3 + I_sph(c3, alpha)), A = 1/(4b) - 1/2: the
+    part of the ratio's numerator that c3 moves."""
+    return -c3 * (2.0 * EPS + (0.25 / b - 0.5) * c3 + lc.i_sph(c3, alpha))
 
 
-def _grid_minimum(a, k, alpha, lo, hi):
+def _grid_argmax(b, alpha, lo, hi):
     grid = np.geomspace(lo, hi, 2000)
-    vals = [_phi(a, k, alpha, float(c)) for c in grid]
-    i = int(np.argmin(vals))
+    vals = [_h(b, alpha, float(c)) for c in grid]
+    i = int(np.argmax(vals))
     return vals[i], float(grid[i]), grid
 
 
-def _slope_root_k(a, alpha, c3):
-    """The K whose minimum over c3 lies at c3: c3**2 phi'(c3) = 0 there."""
-    g = lc.sphere_gamma_hat(c3, alpha)
-    return a * c3 * c3 + g * c3 + 0.5 * alpha * math.log1p(-c3 / (2.0 * g))
-
-
 def test_inner_c3_solve_matches_a_dense_log_grid():
+    # the closed-form c3 of the ratio profile is the argmax of h over
+    # [max(C3_MIN, mu/NU2_MAX), C3_MAX], inside and on both ends
     rng = np.random.default_rng(11)
-    lo, hi = lc.C3_MIN, lc.C3_MAX
-    ends = {"lo": 0, "hi": 0, "inside": 0}
-    for _ in range(60):
-        b = 0.5 - math.exp(rng.uniform(math.log(5e-7), math.log(0.5 - 1e-7)))
-        a, alpha = 0.25 / b - 0.5, float(rng.uniform(0.001, 0.9999))
-        # minima from below the bracket to past its top
-        k = _slope_root_k(a, alpha, math.exp(rng.uniform(math.log(1e-5), math.log(4e3))))
-        start = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        val, c3, _ = lc._c3_minimum(a, k, alpha, start, lo, hi)
-        best, at, grid = _grid_minimum(a, k, alpha, lo, hi)
-        assert val <= best + 1e-12 * max(1.0, abs(best))
-        assert val == pytest.approx(_phi(a, k, alpha, c3), rel=1e-12, abs=1e-12)
+    profile = {alpha: ratio_profile("strong", alpha) for alpha in (0.001, 0.3, 0.9999)}
+    ends = {"lo": 0, "edge": 0, "hi": 0, "inside": 0}
+    for i in range(90):
+        # b log-uniform towards 0 or towards 1/2
+        b = math.exp(rng.uniform(math.log(1e-7), math.log(0.5 - 1e-7)))
+        b = b if i % 2 else 0.5 - b
+        alpha = float(rng.choice(list(profile)))
+        mu = math.exp(rng.uniform(math.log(1e-6), math.log(300.0)))
+        c3 = profile[alpha]([b, 1.0, mu])[2]
+        lo = max(lc.C3_MIN, mu / NU2_MAX)
+        best, at, grid = _grid_argmax(b, alpha, lo, lc.C3_MAX)
+        assert _h(b, alpha, c3) >= best - 1e-12 * max(1.0, abs(best))
         step = grid[1] / grid[0]
         assert at / step <= c3 <= at * step
-        ends["lo" if c3 == lo else "hi" if c3 == hi else "inside"] += 1
+        ends["hi" if c3 == lc.C3_MAX else "edge" if c3 == lo > lc.C3_MIN
+             else "lo" if c3 == lo else "inside"] += 1
     assert all(ends.values()), ends
 
 
 def test_inner_c3_solve_binds_at_mu_over_nu2_max():
-    # with mu = c3 nu2 the bracket starts at mu/400, so nu2 <= 400; a
-    # minimum below that edge is reported on it
-    a, alpha, mu = 0.25 / 0.3 - 0.5, 0.5, 2.0
-    lo = mu / lc.NU2_MAX
-    k = _slope_root_k(a, alpha, lo / 3.0)
-    val, c3, _ = lc._c3_minimum(a, k, alpha, 1.0, lo, lc.C3_MAX)
-    best, at, _ = _grid_minimum(a, k, alpha, lo, lc.C3_MAX)
-    assert c3 == lo == at and val <= best + 1e-12
-    # the same edge through a probe's objective: strong at beta = 1e-4
-    spec = lifted_spec("strong")
+    # with mu = c3 nu2 the c3 range starts at mu/400, so nu2 <= 400; a
+    # maximum of h below that edge is reported on it: strong at b = 1e-4,
+    # where the unconstrained best c3 is about 1.4e-4
     b, nu1, mu = 1e-4, 0.5, 0.5
-    val, _, c3 = lc._profile_objective(spec, 0.5, 1e-4, 1.0)([b, nu1, mu])
-    assert c3 == mu / lc.NU2_MAX
-    best, _, _ = _grid_minimum(0.25 / b - 0.5, spec.k_term(b, (nu1, mu), 1e-4)[0], 0.5,
-                               c3, lc.C3_MAX)
-    assert math.isfinite(val) and val <= best + 1e-12
+    val, _, c3 = ratio_profile("strong", 0.5)([b, nu1, mu])
+    assert c3 == mu / lc.NU2_MAX and math.isfinite(val)
+    best, at, _ = _grid_argmax(b, 0.5, 1e-6, lc.C3_MAX)
+    assert at < c3 / 5.0
+    best, at, _ = _grid_argmax(b, 0.5, c3, lc.C3_MAX)
+    assert at == c3 and _h(b, 0.5, c3) >= best
 
 
 @pytest.mark.parametrize("kind", LIFTED_KINDS)
 def test_reported_params_lie_in_the_search_box(lifted_solves, kind):
     (c3_lo, c3_hi), (b_lo, b_hi), (_, nu1_hi), (_, nu2_hi) = lc.SEARCH_BOX
     for alpha in TABLE_ALPHAS:
-        p = lifted_solves[kind, alpha][0].params_at_optimum
+        p = lifted_solves[kind, alpha].params_at_optimum
         assert c3_lo <= p.c3 <= c3_hi, (alpha, p)
         assert b_lo <= p.b <= b_hi, (alpha, p)
         assert 0.0 <= p.nu1 <= nu1_hi and 0.0 <= p.nu2 <= nu2_hi, (alpha, p)
-
-
-def test_probe_falls_back_to_its_start_when_the_end_is_worse(monkeypatch):
-    # the guard behind "a probe never ends above its start": a search
-    # ending on a worse point yields the (clipped) start and its total
-    spec = lifted_spec("strong")
-    start = lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2)
-    worse = [0.45, 5.0, 30.0]
-    monkeypatch.setattr(lc, "projected_bfgs", lambda fg, x0, *a, **k: (worse, fg(worse), None))
-    total, params, _ = lc.minimize_lifted_total(spec, 0.5, 0.05, start)
-    assert params == start and total == lc.lifted_total(spec, start, 0.5, 0.05)
-
-
-def test_probe_from_an_infinite_floor_start_ends_feasible():
-    # floor_start at beta = 1e-9 puts b at 0.49 with nu1 near 5.5, where the
-    # sectional moments overflow; the probe halves b until the total is finite
-    spec = lifted_spec("sectional")
-    start = lc.floor_start(spec, 1e-9)
-    assert lc.lifted_total(spec, start.clipped(), 0.1, 1e-9) == math.inf
-    total, params, _ = lc.minimize_lifted_total(spec, 0.1, 1e-9, start)
-    assert math.isfinite(total) and total < -DEFAULT.feasibility_margin
-    assert total == lc.lifted_total(spec, params, 0.1, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,14 +1026,25 @@ GRADIENT_POINTS = {
 
 @pytest.mark.parametrize("kind", LIFTED_KINDS)
 def test_k_gradient_matches_differences_of_the_closed_form(kind):
+    # K = K0 + beta D from one moment evaluation: the gradient of K at two
+    # betas, which fix both pieces', and the set term it gives
     spec = lifted_spec(kind)
-    for beta in (0.01, 0.3):
-        for q in GRADIENT_POINTS[kind]:
-            k, grad = spec.k_term(q[0], q[1:], beta)
-            assert math.isfinite(k)
-            want = fd_gradient(lambda x: spec.k_term(x[0], x[1:], beta)[0], q,
-                               [0.0] * len(q), fd_steps(q))
+
+    def k_at(beta, x):
+        (k0, d), _ = spec.k_term(x[0], x[1:])
+        return k0 + beta * d
+
+    for q in GRADIENT_POINTS[kind]:
+        (k0, d), (grad_k0, grad_d) = spec.k_term(q[0], q[1:])
+        assert math.isfinite(k0) and math.isfinite(d)
+        for beta in (0.01, 0.3):
+            grad = [a + beta * b for a, b in zip(grad_k0, grad_d)]
+            want = fd_gradient(functools.partial(k_at, beta), q, [0.0] * len(q), fd_steps(q))
             assert grad == pytest.approx(want, rel=1e-6, abs=1e-9), (beta, q)
+            p = lc.LiftParams(c3=1.0, gamma=0.25 / q[0], nu1=q[1],
+                              nu2=q[2] if len(q) > 2 else 0.0)
+            assert spec.set_term_at(beta, p) == pytest.approx(
+                p.gamma + k0 + beta * d, rel=1e-12), (beta, q)
 
 
 @pytest.mark.parametrize("kind, alpha, beta, q", [
@@ -1227,20 +1058,28 @@ def test_k_gradient_matches_differences_of_the_closed_form(kind):
     ("strong", 0.5, 1e-4, [1e-4, 0.5, 0.5]),
 ])
 def test_profile_gradient_matches_differences_of_the_profile(kind, alpha, beta, q):
-    profile = lc._profile_objective(lifted_spec(kind), alpha, beta, 1.0)
+    # the ratio's analytic gradient against differences, at q near the
+    # optimum of (alpha, beta); the total of q's parameters at beta is
+    # below -2 eps exactly where beta is below the ratio R
+    spec = lifted_spec(kind)
+    profile = lc._ratio_profile(spec, alpha, EPS)
     val, grad, c3 = profile(q)
     assert math.isfinite(val)
     if q[0] == 1e-4:
         assert c3 == q[2] / NU2_MAX
     want = fd_gradient(lambda x: profile(x)[0], q, [0.0] * len(q), fd_steps(q))
     assert grad == pytest.approx(want, rel=1e-6, abs=1e-9)
+    p = lc.LiftParams(c3=c3, gamma=c3 / (4.0 * q[0]), nu1=q[1],
+                      nu2=q[2] / c3 if len(q) > 2 else 0.0)
+    assert (lc.lifted_total(spec, p, alpha, beta) < -2.0 * EPS) == (beta < -val)
+    assert lc.lifted_total(spec, p, alpha, -val) == pytest.approx(-2.0 * EPS, abs=1e-10)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.1, 0.011467), (0.5, 0.104482), (0.9, 0.311332)])
 def test_sectional_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, alpha, beta):
-    # the walk must not depend on where it starts: a probe stalled on the
-    # c3 = 1e-4 face would end near the direct threshold instead (0.011214,
-    # 0.102246 and 0.307947 from this floor)
+    # the search must not depend on the floor, which moves only the direct
+    # root it starts from: a search stalled on the c3 = 1e-4 face would end
+    # near the direct threshold instead (0.011214, 0.102246 and 0.307947)
     monkeypatch.setattr(lc, "BETA_FLOOR", 1e-9)
     r = lc.threshold_bisect(alpha, "sectional", "lifted")
     assert abs(r.beta - beta) <= DEFAULT.tol_beta
@@ -1248,8 +1087,7 @@ def test_sectional_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, al
 
 @pytest.mark.parametrize("alpha, beta", [(0.005, 0.000143), (0.1, 0.006035)])
 def test_strong_nonneg_walk_from_a_lower_floor_reaches_the_same_beta(monkeypatch, alpha, beta):
-    # the strong-nonneg floor probe at 1e-9 ends infeasible at these alpha;
-    # a walk from the direct root does not make it
+    # the floor moves only the direct root the search starts from
     monkeypatch.setattr(lc, "BETA_FLOOR", 1e-9)
     r = lc.threshold_bisect(alpha, "strong_nonneg", "lifted")
     assert abs(r.beta - beta) <= DEFAULT.tol_beta

@@ -223,7 +223,7 @@ QUADRATIC_4D_BOX = [(-1.0, 1.0), (0.25, 1.0), (0.0, 1.0), (0.0, 3.0)]
 
 
 def test_minimize_quadratic_bowl():
-    x, (fun, _), _ = nm.projected_bfgs(
+    x, (fun, _) = nm.projected_bfgs(
         lambda v: ((v[0] - 1) ** 2 + (v[1] - 2) ** 2, [2 * (v[0] - 1), 2 * (v[1] - 2)]),
         [0.0, 0.0], [(-5.0, 5.0), (-5.0, 5.0)], fatol=1e-16, max_iter=200)
     assert abs(x[0] - 1.0) <= 1e-6 and abs(x[1] - 2.0) <= 1e-6
@@ -231,8 +231,8 @@ def test_minimize_quadratic_bowl():
 
 
 def test_minimize_respects_active_bound():
-    x, (fun, _), _ = nm.projected_bfgs(lambda v: ((v[0] - 1.0) ** 2, [2 * (v[0] - 1.0)]),
-                                       [4.0], [(3.0, 10.0)], fatol=1e-16, max_iter=200)
+    x, (fun, _) = nm.projected_bfgs(lambda v: ((v[0] - 1.0) ** 2, [2 * (v[0] - 1.0)]),
+                                    [4.0], [(3.0, 10.0)], fatol=1e-16, max_iter=200)
     assert x == [3.0] and fun == 4.0
 
 
@@ -244,8 +244,8 @@ def test_minimize_never_worse_than_start():
             seen.append(list(v))
             return rosen_fg(v)
 
-        x, (fun, _), _ = nm.projected_bfgs(logged, x0, [(-4.0, 4.0), (-4.0, 4.0)],
-                                           fatol=1e-20, max_iter=300)
+        x, (fun, _) = nm.projected_bfgs(logged, x0, [(-4.0, 4.0), (-4.0, 4.0)],
+                                        fatol=1e-20, max_iter=300)
         assert seen[0] == [min(max(v, -4.0), 4.0) for v in x0]
         assert all(-4.0 <= vi <= 4.0 for v in seen for vi in v)
         assert fun == rosen_fg(x)[0] <= rosen_fg(x0)[0]
@@ -253,9 +253,11 @@ def test_minimize_never_worse_than_start():
 
 
 def test_minimize_returns_an_infinite_start_unchanged():
-    x, (fun, grad), h = nm.projected_bfgs(lambda v: (math.inf, None), [2.0, 7.0],
-                                          [(0.0, 1.0), (0.0, 5.0)], fatol=1e-14, max_iter=10)
-    assert x == [1.0, 5.0] and fun == math.inf and grad is None and h is None
+    logged = logged_fg(lambda v: (math.inf, None))
+    x, (fun, grad) = nm.projected_bfgs(logged, [2.0, 7.0], [(0.0, 1.0), (0.0, 5.0)],
+                                       fatol=1e-14, max_iter=10)
+    assert x == [1.0, 5.0] and fun == math.inf and grad is None
+    assert logged.seen == [[1.0, 5.0]]
 
 
 def test_minimize_leaves_a_face_a_bounded_simplex_collapses_onto():
@@ -263,8 +265,8 @@ def test_minimize_leaves_a_face_a_bounded_simplex_collapses_onto():
     # at f = 0.1008 with x[3] pinned at its lower bound, where L-BFGS-B
     # finds 0.0217
     fg, bounds = quadratic_4d, QUADRATIC_4D_BOX
-    x, (fun, _), _ = nm.projected_bfgs(fg, [0.9, 0.9, 0.1, 2.9], bounds, fatol=1e-16,
-                                       max_iter=200)
+    x, (fun, _) = nm.projected_bfgs(fg, [0.9, 0.9, 0.1, 2.9], bounds, fatol=1e-16,
+                                    max_iter=200)
     ref = minimize(lambda v: fg(list(v))[0], [0.9, 0.9, 0.1, 2.9], jac=lambda v: fg(list(v))[1],
                    method="L-BFGS-B", bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-12})
     assert ref.fun == pytest.approx(0.0217, abs=1e-4)
@@ -281,148 +283,73 @@ def test_minimize_leaves_a_face_a_bounded_simplex_collapses_onto():
 ], ids=["rosenbrock-on-a-face", "quadratic-4d"])
 def test_minimize_without_an_estimate_repeats_the_recorded_run(fg, x0, box, fatol,
                                                                max_iter, want):
-    # the end point, its value and the number of evaluations that the
-    # forward-difference start gave before a start could be passed in,
-    # recorded as hex floats
+    # the end point, its value and the number of evaluations of the
+    # forward-difference start, recorded as hex floats
     logged = logged_fg(fg)
-    x, (fun, _), _ = nm.projected_bfgs(logged, x0, box, fatol=fatol, max_iter=max_iter)
+    x, (fun, _) = nm.projected_bfgs(logged, x0, box, fatol=fatol, max_iter=max_iter)
     assert ([v.hex() for v in x], fun.hex(), len(logged.seen)) == want
 
 
-def test_minimize_from_a_given_estimate_makes_no_forward_differences():
-    # handed the diagonal estimate its forward differences build, a run
-    # evaluates the start and then its line-search trials only: the points
-    # of the run without it, less the n forward differences
-    x0, box = [-1.2, 1.0], [(-4.0, 4.0), (-4.0, 4.0)]
-    cold_fg = logged_fg(rosen_fg)
-    cold = nm.projected_bfgs(cold_fg, x0, box, fatol=1e-20, max_iter=300)
-    start, differences, trials = cold_fg.seen[0], cold_fg.seen[1:3], cold_fg.seen[3:]
-    g = rosen_fg(start)[1]
-    h = [[0.0, 0.0], [0.0, 0.0]]
-    for i, e in enumerate(differences):
-        assert [v != s for v, s in zip(e, start)] == [j == i for j in range(2)]
-        curv = (rosen_fg(e)[1][i] - g[i]) / (e[i] - start[i])
-        assert curv > 0.0
-        h[i][i] = 1.0 / curv
-    warm_fg = logged_fg(rosen_fg)
-    warm = nm.projected_bfgs(warm_fg, x0, box, fatol=1e-20, max_iter=300, inverse_hessian=h)
-    assert warm_fg.seen == [start] + trials
-    assert warm == cold
-
-
-def test_minimize_from_the_exact_inverse_hessian_takes_one_step():
-    # f = (x - c)' A (x - c) / 2 on a box containing c: -A^-1 g is the whole
-    # way to c, so the unit step is taken and the next predicted decrease
-    # is at the rounding of f
-    a, c = ((3.0, 1.0), (1.0, 2.0)), (0.7, -1.3)
-
-    def fg(v):
-        d = [vi - ci for vi, ci in zip(v, c)]
-        grad = [sum(aij * dj for aij, dj in zip(row, d)) for row in a]
-        return 0.5 * sum(di * gi for di, gi in zip(d, grad)), grad
-
-    inverse = [[2.0 / 5.0, -1.0 / 5.0], [-1.0 / 5.0, 3.0 / 5.0]]
-    logged = logged_fg(fg)
-    x, (fun, _), _ = nm.projected_bfgs(logged, [-2.0, 2.0], [(-5.0, 5.0), (-5.0, 5.0)],
-                                       fatol=1e-16, max_iter=200, inverse_hessian=inverse)
-    assert len(logged.seen) == 2 and x == logged.seen[1]
-    assert x == pytest.approx(c, abs=1e-14) and fun <= 1e-28
-
-
-@pytest.mark.parametrize("fg, x0, box", [
-    (rosen_fg, [-1.2, 1.0], [(-4.0, 4.0), (-4.0, 4.0)]),
-    (quadratic_4d, [0.9, 0.9, 0.1, 2.9], QUADRATIC_4D_BOX),
-], ids=["rosenbrock", "quadratic-4d"])
-def test_minimize_returns_a_symmetric_estimate(fg, x0, box):
-    # each BFGS update of a symmetric estimate is symmetric up to the
-    # rounding of c * s_i * s_j, whose order of products differs
-    _, _, h = nm.projected_bfgs(fg, x0, box, fatol=1e-16, max_iter=200)
-    n = len(x0)
-    assert len(h) == n and all(len(row) == n for row in h)
-    scale = max(abs(v) for row in h for v in row)
-    assert any(h[i][j] != 0.0 for i in range(n) for j in range(n) if i != j)
-    assert all(abs(h[i][j] - h[j][i]) <= 1e-14 * scale for i in range(n) for j in range(i))
-
-
-def test_minimize_refuses_an_estimate_of_another_size():
-    square = lambda v: (sum(x * x for x in v), [2.0 * x for x in v])  # noqa: E731
-    box = [(-1.0, 1.0)] * 3
-    with pytest.raises(DomainError, match="3 x 3"):
-        nm.projected_bfgs(square, [0.5, 0.5, 0.5], box, fatol=1e-16, max_iter=10,
-                          inverse_hessian=[[1.0, 0.0], [0.0, 1.0]])
-
-
-def run_contract(kind, alpha, beta, start):
-    """One lifted probe from start that checks the contract: every q the
-    search evaluates lies in the probe's box, the end is reported in
-    SEARCH_BOX with the closed-form total there, never above the total at
-    the clipped start.  Returns (total, params, number of evaluations)."""
+def run_contract(kind, alpha, q0):
+    """One projected BFGS run on the lifted ratio objective of a kind from
+    q0 = [b, nu1(, mu)] (which may lie past the box), as lifted_threshold
+    runs it, checking the contract: every q it evaluates lies in the box,
+    and the value it ends with is that of its end point and never above
+    the value at the clipped start.  Returns (end value, start value,
+    number of evaluations)."""
     spec = lc.kind_table()[kind]
-    seen = []
-    profile_objective = lc._profile_objective
-
-    def logged(*args):
-        profile = profile_objective(*args)
-
-        def evaluate(q):
-            seen.append(list(q))
-            return profile(q)
-        return evaluate
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lc, "_profile_objective", logged)
-        total, params, _ = lc.minimize_lifted_total(spec, alpha, beta, start)
     box = lc._Q_BOX[:1 + spec.n_extra]
-    for q in seen:
+    profile = logged_fg(lc._ratio_profile(spec, alpha, 1e-9))
+    x, (fun, _, c3) = nm.projected_bfgs(profile, q0, box, fatol=lc._FATOL,
+                                        max_iter=lc._MAX_ITER)
+    for q in profile.seen:
         assert all(lo <= v <= hi for v, (lo, hi) in zip(q, box)), q
-    assert params == params.clipped()
-    assert total == lc.lifted_total(spec, params, alpha, beta)
-    assert total <= lc.lifted_total(spec, start.clipped(), alpha, beta)
-    return total, params, len(seen)
+    start = profile.seen[0]
+    assert start == [min(max(v, lo), hi) for v, (lo, hi) in zip(q0, box)]
+    assert (fun, c3) == lc._ratio_profile(spec, alpha, 1e-9)(x)[::2]
+    start_value = lc._ratio_profile(spec, alpha, 1e-9)(start)[0]
+    assert fun <= start_value
+    return fun, start_value, len(profile.seen)
 
 
-def lift_start(x):
-    """LiftParams from x = [c3, b, nu1(, nu2)], which may lie past SEARCH_BOX."""
-    return lc.LiftParams(c3=x[0], gamma=x[0] / (4.0 * x[1]), nu1=x[2],
-                         nu2=x[3] if len(x) > 3 else 0.0)
-
-
-# these contract tests keep the names they had when a simplex ran the probes
+# these contract tests keep the names they had when a simplex ran the searches
 @pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
 def test_nelder_mead_never_above_start_on_lifted_objectives(kind):
     rng = np.random.default_rng({"sectional": 3, "strong": 4, "strong_nonneg": 5}[kind])
     for _ in range(4):
-        alpha, beta = rng.uniform(0.05, 0.999), rng.uniform(1e-3, 0.45)
+        alpha = rng.uniform(0.05, 0.999)
         # starts inside the box and, for the clip, past its edges
-        x = [math.exp(rng.uniform(-12.0, 9.0)), rng.uniform(0.05, 0.6)]
-        x += [rng.uniform(-1.0, 3.0) for _ in range(1 if kind == "sectional" else 2)]
-        run_contract(kind, alpha, beta, lift_start(x))
+        q = [rng.uniform(0.05, 0.6), rng.uniform(-1.0, 3.0)]
+        if kind != "sectional":
+            q.append(rng.uniform(-1.0, 3.0) * math.exp(rng.uniform(-3.0, 3.0)))
+        run_contract(kind, alpha, q)
 
 
 def test_nelder_mead_never_above_start_on_the_c3_and_b_corner():
-    # starts on C3_MAX and at or near B_MAX
+    # starts at or near B_MAX (on B_MAX the best c3 is C3_MAX), and one at
+    # mu = 600, near the overflow of exp(mu)
     cases = [
-        ("sectional", 0.999, 0.48, [lc.C3_MAX, 0.49, 0.03]),
-        ("strong", 0.999, 0.23, [lc.C3_MAX, 0.49, 0.03, 0.04]),
-        ("strong_nonneg", 0.999, 0.47, [lc.C3_MAX, lc.B_MAX, 0.002, 0.0026]),
+        ("sectional", 0.999, [0.49, 0.03]),
+        ("strong", 0.999, [0.49, 0.03, 16.0]),
+        ("strong_nonneg", 0.999, [lc.B_MAX, 0.002, 1.04]),
+        ("strong_nonneg", 0.9, [0.3, 1.0, 600.0]),
     ]
-    for kind, alpha, beta, x in cases:
-        start = lift_start(x)
-        total, _, _ = run_contract(kind, alpha, beta, start)
-        spec = lc.kind_table()[kind]
-        assert total < lc.lifted_total(spec, start.clipped(), alpha, beta)
+    for kind, alpha, q in cases:
+        fun, start_value, _ = run_contract(kind, alpha, q)
+        assert fun < start_value
 
 
 def test_nelder_mead_never_above_start_on_the_inf_plateau_past_b_half():
     # starts at b past 1/2 (clipped to B_MAX) with a moment that overflows
-    # there: the probe halves b until the total is finite
-    cases = [("sectional", [0.5, 0.6, 12.0]), ("strong", [1.0, 0.7, 12.0, 2.0]),
-             ("strong_nonneg", [1.0, 0.7, 12.0, 2.0])]
-    for kind, x in cases:
-        spec = lc.kind_table()[kind]
-        assert lc.lifted_total(spec, lift_start(x).clipped(), 0.7, 0.1) == math.inf
-        total, _, _ = run_contract(kind, 0.7, 0.1, lift_start(x))
-        assert math.isfinite(total)
+    # there: the run returns the start after one evaluation, and from b
+    # halved, as lifted_threshold halves it, the value is finite
+    cases = [("sectional", [0.6, 12.0]), ("strong", [0.7, 12.0, 2.0]),
+             ("strong_nonneg", [0.7, 12.0, 2.0])]
+    for kind, q in cases:
+        fun, start_value, evaluations = run_contract(kind, 0.7, q)
+        assert fun == start_value == math.inf and evaluations == 1
+        fun, _, _ = run_contract(kind, 0.7, [0.5 * lc.B_MAX] + q[1:])
+        assert math.isfinite(fun)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_sectional_direct_trivials():
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.2, 1.5, -0.1, math.nan])
 def test_sectional_margins_refuse_beta_outside_the_unit_interval(beta):
     # as the strong kinds do through their crossovers; the cold lifted
-    # margin refuses before its walk starts
+    # margin refuses before its search starts
     for margin in (tg.sectional_margin_direct, tg.sectional_margin_lifted):
         with pytest.raises(DomainError, match="beta must lie in"):
             margin(0.5, beta)
