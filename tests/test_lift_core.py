@@ -677,6 +677,33 @@ def test_reported_beta_is_certified_by_two_routes(lifted_solves, kind, alpha):
     assert oracle < -DEFAULT.feasibility_margin
 
 
+def q_of(spec, p):
+    """The search point q = [b, nu1(, mu = c3*nu2)] of lift parameters p."""
+    return [p.b, p.nu1, p.c3 * p.nu2][:1 + spec.n_extra]
+
+
+@pytest.mark.parametrize("kind", ["sectional", "strong", "strong_nonneg"])
+def test_warm_lifted_probe_never_ends_above_its_start(lifted_solves, kind):
+    # one search warm-started from lift parameters ends with a beta at
+    # least the ratio there, which is what lets a search from reported
+    # parameters keep their certificate; lifted_threshold's own search,
+    # warm-started from the direct optimum, reports at least its start's
+    alpha = 0.5
+    spec = lifted_spec(kind)
+    profile = lc._ratio_profile(spec, alpha, EPS)
+    r = lifted_solves[kind, alpha]
+    starts = [q_of(spec, r.params_at_optimum),
+              q_of(spec, lc.LiftParams(c3=0.5, gamma=1.0, nu1=0.4, nu2=0.2))]
+    for q in starts:
+        _, (f, _, _) = lc.projected_bfgs(profile, q, lc._Q_BOX[:len(q)],
+                                         fatol=lc._FATOL, max_iter=lc._MAX_ITER)
+        assert f <= profile(q)[0] < math.inf, q
+    root = lc.threshold_bisect(alpha, kind, "direct").beta
+    _, direct = lc.direct_margin(spec, alpha, root)
+    start = [0.25, direct.nu1, math.sqrt(0.5 * alpha) * direct.nu2][:1 + spec.n_extra]
+    assert r.beta >= -profile(start)[0]
+
+
 def polished_ratio(spec, p, alpha):
     """The largest ratio (-2 eps - T(p', 0)) / (T(p', 1) - T(p', 0)) that
     scipy's Nelder-Mead reaches from p over p' = (log c3, b, nu1[, log nu2])
@@ -979,6 +1006,27 @@ def test_reported_params_lie_in_the_search_box(lifted_solves, kind):
         assert c3_lo <= p.c3 <= c3_hi, (alpha, p)
         assert b_lo <= p.b <= b_hi, (alpha, p)
         assert 0.0 <= p.nu1 <= nu1_hi and 0.0 <= p.nu2 <= nu2_hi, (alpha, p)
+
+
+def test_clipped_params_are_plain_floats(lifted_solves, monkeypatch):
+    # the ratio's c3 is clipped to the ends of SEARCH_BOX (C3_MIN, C3_MAX
+    # and, with mu, mu/NU2_MAX), and every reported parameter is a plain
+    # float, also where nu2 = mu/c3 is clipped to NU2_MAX
+    for r in lifted_solves.values():
+        assert all(type(v) is float for v in dataclasses.astuple(r.params_at_optimum))
+    strong = lifted_spec("strong")
+    c3_hi = lc._ratio_profile(strong, 0.5, EPS)([lc.B_MAX, 1.0, 1.0])[2]
+    c3_lo = lc._ratio_profile(strong, 0.001, EPS)([lc.B_MIN, 1.0, 0.0])[2]
+    assert (c3_lo, c3_hi) == (lc.C3_MIN, lc.C3_MAX)
+    assert type(c3_lo) is float and type(c3_hi) is float
+    # the best c3 here (about 0.5) is below mu/NU2_MAX, and mu/c3 rounds
+    # to one ulp above NU2_MAX
+    edge = [0.25, 1.0, 250.7]
+    monkeypatch.setattr(lc, "projected_bfgs", lambda fg, q, box, **kw: (edge, fg(edge)))
+    beta, p = lc.lifted_threshold(strong, 0.5, EPS, DEFAULT.tol_beta)
+    assert math.isfinite(beta) and all(type(v) is float for v in dataclasses.astuple(p))
+    assert p.c3 == 250.7 / lc.NU2_MAX and 250.7 / p.c3 > lc.NU2_MAX
+    assert (p.nu1, p.nu2) == (1.0, lc.NU2_MAX)
 
 
 # ---------------------------------------------------------------------------
