@@ -74,7 +74,7 @@ class ThresholdRangeError(L1LabError):
     """The threshold lies outside the search range [BETA_FLOOR, cap]."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftParams:
     """Free variables of a lifted bound at one parameter point.
 
@@ -138,16 +138,21 @@ def i_sph(c3: float, alpha: float) -> float:
 # quadrature oracle for exponential set terms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpPiece:
-    """One weighted log-expectation (weight/c3) * log E exp(c3 * t(h)).
+    """One weighted log-expectation (weight/c3) * log E exp(c3 * t(h, params)).
 
-    t must be vectorized; breakpoints list the kinks of t so quadrature
-    panels can be aligned to them.
+    t is a module-level function of the nodes h and the lift parameters,
+    vectorized in h, whose params are either LiftParams of floats or, in a
+    batched oracle call, LiftParams of columns gathered once per panel row
+    of 16 nodes, which broadcast against h; breakpoints list the kinks of t
+    at the tuple's parameters, so quadrature panels can be aligned to them.
+    Every tuple of a kind names the same t for a piece, which is what lets
+    one quadrature call integrate that piece for a whole batch.
     """
 
     weight: float
-    t: Callable[[np.ndarray], np.ndarray]
+    t: Callable[[np.ndarray, LiftParams], np.ndarray]
     breakpoints: tuple[float, ...]
 
 
@@ -166,28 +171,54 @@ def window_half_width(params: LiftParams) -> float:
     return reach + drift + 13.0 * sig + 2.0
 
 
-def exp_set_term_oracle(integrand_spec, params: LiftParams, beta: float) -> float:
-    """Set term evaluated by quadrature straight from the exponent definition.
+def exp_set_term_oracle(integrand_spec, params, beta):
+    """Set term evaluated by quadrature straight from the exponent definition,
+    as a float at one LiftParams and beta, or as a list at a sequence of
+    LiftParams of one kind and the sequence of their betas.
 
     integrand_spec(params, beta) must return (linear, pieces) where linear
     collects the terms outside the expectations (gamma, multiples of nu) and
     pieces is a sequence of ExpPiece, all integrated over one window
     window_half_width(params): the authoritative evaluation of the set term.
+    A batch makes one numerics.gauss_expectation call per piece for all its
+    tuples, each keeping its own window, breakpoints and convergence test,
+    so a tuple's value in a batch is its value alone up to the order of
+    the quadrature sums (1e-14 relative).  What the batch
+    keeps per tuple is a few floats and each piece's breakpoints; the
+    quadrature specs are made one at a time as each call reads them.
     """
     from .numerics import QuadratureSpec, gauss_expectation
 
-    params.require_convergent()
-    spec = QuadratureSpec(half_width=max(window_half_width(params), 6.0))
-    linear, pieces = integrand_spec(params, beta)
-    total = float(linear)
-    c3 = params.c3
-    for piece in pieces:
-        ev = gauss_expectation(
-            lambda h: c3 * piece.t(h), spec, breakpoints=piece.breakpoints,
-            g_is_log=True,
-        )
-        total += piece.weight / c3 * math.log(ev)
-    return total
+    one = isinstance(params, LiftParams)
+    params, beta = ([params], [beta]) if one else (params, beta)
+    cols = np.empty((5, len(params)))
+    totals, ts = [], None
+    for i, (p, b) in enumerate(zip(params, beta, strict=True)):
+        p.require_convergent()
+        cols[:, i] = p.c3, p.gamma, p.nu1, p.nu2, max(window_half_width(p), 6.0)
+        linear, pieces = integrand_spec(p, b)
+        if ts is None:
+            ts, weights = [pc.t for pc in pieces], np.empty((len(pieces), len(params)))
+            breaks = [[] for _ in pieces]
+        elif [pc.t for pc in pieces] != ts:
+            raise DomainError("a batch of oracle tuples must share each piece's exponent t")
+        totals.append(float(linear))
+        weights[:, i] = [pc.weight / p.c3 for pc in pieces]
+        for bps, pc in zip(breaks, pieces):
+            bps.append(pc.breakpoints)
+    c3, gamma, nu1, nu2, windows = cols
+    for j, t in enumerate(ts or ()):
+        def g(h, item, t=t):
+            if item[0, 0] == item[-1, 0]:  # one tuple: its scalars broadcast fastest
+                item = item[0, 0]
+            at = LiftParams(c3[item], gamma[item], nu1[item], nu2[item])
+            return at.c3 * t(h, at)
+
+        evs = gauss_expectation(g, (QuadratureSpec(half_width=float(w)) for w in windows),
+                                breaks[j], g_is_log=True)
+        for i, (w, ev) in enumerate(zip(weights[j].tolist(), evs)):
+            totals[i] += w * math.log(ev)
+    return totals[0] if one else totals
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ and the root solve are implemented here because they carry contracts the
 generic library routines do not:
 
 * breakpoint-aligned quadrature panels with a doubling convergence
-  certificate, each doubling step one vectorized Gauss-Legendre pass over
-  the panels of every segment, in blocks of at most 512 panels per call
-  of the integrand;
+  certificate per integrand, for one integrand or a batch of them: each
+  doubling step is one vectorized Gauss-Legendre pass over the panels of
+  every segment of every integrand not yet converged, in blocks of at
+  most 512 panels per call of the integrand that span integrands;
 * a projected BFGS on Python floats for smooth objectives with analytic
   gradients over a box (the lifted threshold's ratio), which starts from a
   diagonal inverse Hessian by forward differences;
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.special as _sp
@@ -40,7 +42,7 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Controls Gaussian-weight quadrature.
 
@@ -290,59 +292,85 @@ def gaussian_quadratic_moments(b: float, x0: float, c: float, lo: float,
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 # panels per call of the integrand: bounds the transient node arrays at
-# 8192 values however many panels the doubling reaches
+# 8192 values however many panels the doubling reaches or items a batch holds
 _GL_BLOCK = 512
 
 
-def _panel_edges(segments, panels):
-    """(left, right) edges of every panel, segment after segment, with
-    panels[i] equal panels on segment i: edge j of [lo, hi] is
-    lo + j * ((hi - lo) / panels[i]) as np.linspace places it, and the last
-    one is hi itself, so panels start and end on the segment boundaries."""
-    counts = np.asarray(panels)
-    ends = np.cumsum(counts)
-    seg = np.repeat(np.arange(len(counts)), counts)
-    j = np.arange(ends[-1]) - (ends - counts)[seg]
-    lo, hi = np.asarray(segments, dtype=float).T
-    start, step = lo[seg], ((hi - lo) / counts)[seg]
-    right = start + (j + 1) * step
-    right[ends - 1] = hi
-    return start + j * step, right
+def _panel_blocks(lo, hi, panels):
+    """The panels of every segment [lo[i], hi[i]], segment after segment,
+    with panels[i] equal panels on segment i, as (seg, left, right) blocks
+    of at most _GL_BLOCK panels, seg the segment of each panel: edge j of
+    [lo, hi] is lo + j * ((hi - lo) / panels[i]) as np.linspace places it,
+    and the last one is hi itself, so panels start and end on the segment
+    boundaries."""
+    lo, hi, panels = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), np.asarray(panels)
+    ends = np.cumsum(panels)
+    for first in range(0, int(ends[-1]), _GL_BLOCK):
+        k = np.arange(first, min(first + _GL_BLOCK, int(ends[-1])))
+        seg = np.searchsorted(ends, k, side="right")
+        start, end, count = lo[seg], hi[seg], panels[seg]
+        j = k - (ends[seg] - count)
+        width = (end - start) / count
+        right = start + (j + 1) * width
+        last = np.flatnonzero(j == count - 1)
+        right[last] = end[last]
+        yield seg, start + j * width, right
 
 
-def _composite_gl(f, segments, panels):
-    """Composite Gauss-Legendre sum of f over the given segments, with
-    panels[i] equal panels on segment i, so that panel edges always sit on
-    segment boundaries.  f sees the nodes of at most _GL_BLOCK panels per
-    call, the panels of all segments in one sequence."""
-    left, right = _panel_edges(segments, panels)
-    half = 0.5 * (right - left)
-    mid = 0.5 * (right + left)
-    total = 0.0
-    for b in range(0, len(half), _GL_BLOCK):
-        h = half[b:b + _GL_BLOCK, None]
-        nodes = mid[b:b + _GL_BLOCK, None] + h * _GL_NODES
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        total += float(np.sum(h * _GL_WEIGHTS * vals))
-    return total
+def _composite_gl(f, lo, hi, panels, owner, n_items):
+    """Composite Gauss-Legendre sums of f, one per item: segment
+    [lo[i], hi[i]] carries panels[i] equal panels, so that panel edges sit
+    on segment boundaries, and belongs to item owner[i], the segments of
+    one item next to each other.  f(nodes, item) gets the 16 nodes of one
+    panel per row, at most _GL_BLOCK rows per call with the panels of all
+    segments and items in one sequence, and item, the item of each row as
+    a column.  An item's share of a block is summed in one np.sum and the
+    shares are added in order, so a lone item is summed block by block
+    from its first panel."""
+    owner = np.asarray(owner)
+    sums = [0.0] * n_items
+    for seg, left, right in _panel_blocks(lo, hi, panels):
+        half = 0.5 * (right - left)[:, None]
+        item = owner[seg]
+        nodes = half * _GL_NODES
+        nodes += 0.5 * (right + left)[:, None]
+        terms = f(nodes, item[:, None]) * (half * _GL_WEIGHTS)
+        runs = [] if item[0] == item[-1] else (np.flatnonzero(item[1:] != item[:-1]) + 1).tolist()
+        cuts = [0, *runs, len(item)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            sums[item[a]] += float(terms[a:b].sum())
+    return np.array(sums)
 
 
 def gauss_expectation(
-    g: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec | None = None,
-    breakpoints: Sequence[float] = (),
+    g: Callable,
+    spec: QuadratureSpec | Iterable[QuadratureSpec] | None = None,
+    breakpoints: Iterable = (),
     g_is_log: bool = False,
-) -> float:
-    """E[g(h)] for h ~ N(0,1), by breakpoint-aligned composite quadrature.
+):
+    """E[g(h)] for h ~ N(0,1), by breakpoint-aligned composite quadrature;
+    or, for a batch of integrands ("items"), the list of E[g(h, i)].
+
+    With spec a QuadratureSpec (or None for the default), g(h) takes an
+    array of nodes and breakpoints is one sequence.  With spec an iterable
+    of QuadratureSpec, one per item, breakpoints is an iterable of the same
+    length holding each item's breakpoints, and g(h, item) takes the nodes,
+    one panel per row, with item, the item of each row (its index in the
+    batch) as an integer column; one integrand is the batch of one.  Both
+    iterables are read once, item by item, into flat arrays, so a caller
+    may pass generators and keep no object per item.
 
     g must be vectorized and integrable against the standard normal density;
     the caller guarantees that g(h)*exp(-h**2/2) has decayed at
     +-spec.half_width (for exponential-moment integrands this is the
-    b < 1/2 style constraint plus a wide enough window).  Panel counts are
-    doubled until two successive estimates agree to spec.rel_tol relative;
-    NonConvergentError is raised if the doubling cap is reached first.  Each
-    estimate calls g once per block of up to 512 panels (8192 nodes), the
-    panels of all segments together: one call per estimate below that size.
+    b < 1/2 style constraint plus a wide enough window).  Each item's panel
+    counts are doubled until two successive estimates agree to its
+    spec.rel_tol relative; NonConvergentError, naming the first item that
+    failed, is raised if an item reaches its doubling cap first.  Each
+    doubling step lays out the panels of every unconverged item together
+    and calls g once per block of up to 512 panels (8192 nodes), so a
+    block spans items and the arrays a call makes are bounded by the
+    block, not by the batch.
 
     With g_is_log=True, g returns log-values and E[exp(g(h))] is computed;
     the exponents are combined with the Gaussian weight before
@@ -350,37 +378,80 @@ def gauss_expectation(
     the weight evaluate cleanly; at the doubling cap it accepts estimates that
     agree to the rounding of the exponents, above rel_tol for mass past |h| ~ 2e3.
     """
-    spec = spec or QuadratureSpec()
-    hw = spec.half_width
-    cuts = sorted({-hw, hw, *(float(b) for b in breakpoints if -hw < float(b) < hw)})
-    segments = list(zip(cuts[:-1], cuts[1:]))
+    one = spec is None or isinstance(spec, QuadratureSpec)
+    if one:
+        spec, breakpoints, f = [spec or QuadratureSpec()], [breakpoints], (lambda h, item: g(h))
+    else:
+        f = g
 
     if g_is_log:
-        def weighted(h):
-            return np.exp(g(h) - 0.5 * h * h) / SQRT2PI
+        def weighted(h, item):  # exp(g - h*h/2) / sqrt(2 pi), in place
+            w = h * h
+            w *= -0.5
+            w += f(h, item)
+            np.exp(w, out=w)
+            w /= SQRT2PI
+            return w
     else:
-        def weighted(h):
-            return g(h) * np.exp(-0.5 * h * h) / SQRT2PI
+        def weighted(h, item):  # g * exp(-h*h/2) / sqrt(2 pi), in place
+            w = h * h
+            w *= -0.5
+            np.exp(w, out=w)
+            w *= f(h, item)
+            w /= SQRT2PI
+            return w
 
-    # spec.panels shared by segment length (at least one each); every segment
-    # doubles at each step, so none sits on one panel while the rest converge
-    seg_panels = [max(1, round(spec.panels * (hi - lo) / (2.0 * hw))) for lo, hi in segments]
-    prev = est = math.inf
-    for _ in range(int(spec.max_panels // spec.panels).bit_length()):
-        prev, est = est, _composite_gl(weighted, segments, seg_panels)
-        if abs(est - prev) <= spec.rel_tol * max(abs(est), 1e-12):
-            return est
-        est_panels, seg_panels = seg_panels, [2 * n for n in seg_panels]
+    lo, hi, counts = array("d"), array("d"), array("q")
+    reals, ints = array("d"), array("q")
+    for s, bps in zip(spec, breakpoints, strict=True):
+        hw = s.half_width
+        cuts = sorted({-hw, hw, *(float(b) for b in bps if -hw < float(b) < hw)})
+        lo.extend(cuts[:-1])
+        hi.extend(cuts[1:])
+        counts.append(len(cuts) - 1)
+        reals.extend((hw, s.rel_tol))
+        ints.extend((s.panels, s.max_panels, int(s.max_panels // s.panels).bit_length()))
+    n = len(counts)
+    if n == 0:
+        return []
+    lo, hi = np.frombuffer(lo), np.frombuffer(hi)
+    hw, rel_tol = np.frombuffer(reals).reshape(n, 2).T
+    first, max_panels, steps = np.frombuffer(ints, dtype=np.int64).reshape(n, 3).T
+    owner = np.repeat(np.arange(n), counts)
+    # each item's spec.panels shared by segment length (at least one each);
+    # every segment doubles at each step, so none sits on one panel while
+    # the rest converge
+    panels = np.maximum(1, np.round(first[owner] * (hi - lo) / (2.0 * hw[owner]))).astype(np.int64)
+
+    prev = np.full(n, math.inf)
+    est = np.full(n, math.inf)
+    done = np.zeros(n, dtype=bool)        # converged
+    capped = np.zeros(n, dtype=bool)      # reached the doubling cap unconverged
+    for step in range(int(steps.max())):
+        active = ~(done | capped)
+        if not active.any():
+            break
+        live = slice(None) if active.all() else active[owner]
+        sums = _composite_gl(weighted, lo[live], hi[live], panels[live] << step, owner[live], n)
+        prev[active], est[active] = est[active], sums[active]
+        done |= active & (np.abs(est - prev) <= rel_tol * np.maximum(np.abs(est), 1e-12))
+        capped |= active & ~done & (steps == step + 1)
     # each exp(g - h**2/2) is rounded to eps * (|g| + h**2/2) relative; the
     # rounding is integrated on the panels of the estimate it judges
-    if g_is_log:
-        def rounding(h):
-            gh = g(h)
+    if g_is_log and capped.any():
+        def rounding(h, item):
+            gh = f(h, item)
             return np.exp(gh - 0.5 * h * h) / SQRT2PI * (np.abs(gh) + 0.5 * h * h)
 
-        if abs(est - prev) <= 2.2e-16 * _composite_gl(rounding, segments, est_panels):
-            return est
-    raise NonConvergentError(
-        f"quadrature did not stabilize to rel_tol={spec.rel_tol} "
-        f"within {spec.max_panels} panels (last delta {abs(est - prev):.3e})"
-    )
+        on = capped[owner]
+        floor = _composite_gl(rounding, lo[on], hi[on], panels[on] << (steps - 1)[owner[on]],
+                              owner[on], n)
+        capped &= ~(np.abs(est - prev) <= 2.2e-16 * floor)
+    if capped.any():
+        i = int(np.argmax(capped))
+        raise NonConvergentError(
+            f"quadrature{'' if one else f' of item {i}'} did not stabilize to "
+            f"rel_tol={float(rel_tol[i])} within {int(max_panels[i])} panels "
+            f"(last delta {abs(est[i] - prev[i]):.3e})"
+        )
+    return float(est[0]) if one else est.tolist()

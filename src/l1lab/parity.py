@@ -4,10 +4,14 @@ Every lifted set term has two evaluation routes: the analytic closed form
 (fast, used by the optimizers) and the quadrature oracle that integrates
 the exponent definition directly (slow, authoritative).  The audit samples
 random parameter tuples per threshold kind over the optimizer's search box,
-redrawing the fifth to quarter whose moments overflow a double (about 4 %
-of its time), and reports the worst relative deviation between the two
-routes.  A deviation beyond TOLERANCE, or a NaN one, is a failure; there
-is no registry of tolerated deviations.
+redrawing the fifth to quarter whose moments overflow a double, and
+reports the worst relative deviation between the two routes.  All tuples
+of a kind are drawn, with their closed forms, before one batched oracle
+call evaluates them, one quadrature pass per exponent piece serving the
+whole batch; each tuple keeps its own window, breakpoints and convergence
+test there, so its oracle value is the one it gets alone up to the order
+of the quadrature sums.  A deviation beyond TOLERANCE, or a NaN one, is a
+failure; there is no registry of tolerated deviations.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ AUDITED = {name: spec for name, spec in kind_table().items() if isinstance(spec,
 TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParityRecord:
     kind: str
     beta: float
@@ -84,20 +88,25 @@ def sample_params(kind: str, rng: np.random.Generator) -> tuple[float, LiftParam
 def run_parity_audit(samples: int = 100, seed: int = 0) -> ParityReport:
     """Compare closed forms against the quadrature oracle on `samples`
     random tuples per kind, redrawing any whose closed form is inf; `seed`
-    is an integer >= 0."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    is an integer >= 0 (a bool is refused).  Every tuple of a kind is drawn
+    before one batched oracle call evaluates them all."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    samples, seed = int(samples), int(seed)
     rng = np.random.default_rng(seed)
     records = []
     for kind, spec in AUDITED.items():
+        betas, params, closed = [], [], []
         for _ in range(samples):
-            beta, params = sample_params(kind, rng)
-            while (closed := spec.set_term_at(beta, params)) == math.inf:
-                beta, params = sample_params(kind, rng)
-            records.append(ParityRecord(
-                kind=kind, beta=beta, params=params, closed=closed,
-                oracle=exp_set_term_oracle(spec.integrand, params, beta)))
+            beta, p = sample_params(kind, rng)
+            while (value := spec.set_term_at(beta, p)) == math.inf:
+                beta, p = sample_params(kind, rng)
+            betas.append(beta)
+            params.append(p)
+            closed.append(value)
+        oracles = exp_set_term_oracle(spec.integrand, params, betas)
+        records += [ParityRecord(kind, *row) for row in zip(betas, params, closed, oracles)]
     return ParityReport(seed=seed, samples_per_kind=samples,
                         tolerance=TOLERANCE, records=tuple(records))

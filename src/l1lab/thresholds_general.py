@@ -156,21 +156,24 @@ def sectional_exp_moments(b: float, nu: float) -> tuple[tuple[float, float], tup
     return (plus, minus), ((2.0 * p2, 4.0 * b * p1), (2.0 * m2, -4.0 * b * m1))
 
 
+def sectional_t_plus(h, params: LiftParams):
+    """The sectional exponent on the support, (|h| + nu)^2/(4 gamma)."""
+    return (np.abs(h) + params.nu1) ** 2 / (4.0 * params.gamma)
+
+
+def sectional_t_minus(h, params: LiftParams):
+    """The sectional exponent off the support, max(|h| - nu, 0)^2/(4 gamma)."""
+    return np.maximum(np.abs(h) - params.nu1, 0.0) ** 2 / (4.0 * params.gamma)
+
+
 def sectional_integrand(params: LiftParams, beta: float):
     """Oracle description of the sectional set term (linear part + pieces)."""
-    gamma, nu = params.gamma, params.nu1
-
-    def t_plus(h):
-        return (np.abs(h) + nu) ** 2 / (4.0 * gamma)
-
-    def t_minus(h):
-        return np.maximum(np.abs(h) - nu, 0.0) ** 2 / (4.0 * gamma)
-
+    nu = params.nu1
     pieces = (
-        ExpPiece(weight=beta, t=t_plus, breakpoints=(0.0,)),
-        ExpPiece(weight=1.0 - beta, t=t_minus, breakpoints=(-nu, 0.0, nu)),
+        ExpPiece(weight=beta, t=sectional_t_plus, breakpoints=(0.0,)),
+        ExpPiece(weight=1.0 - beta, t=sectional_t_minus, breakpoints=(-nu, 0.0, nu)),
     )
-    return gamma, pieces
+    return params.gamma, pieces
 
 
 def _sectional_k(b, extra):
@@ -219,7 +222,7 @@ def strong_t_integrand(h, params: LiftParams):
     (h^2 + nu1^2)/(4 gamma) + | |h| nu1 / (2 gamma) - nu2 |; otherwise
     max((|h| + nu1)^2/(4 gamma) - nu2, nu2).  Continuous at |h| = nu1."""
     nu1, nu2, gamma = params.nu1, params.nu2, params.gamma
-    if nu1 < 0 or nu2 < 0:
+    if np.any(nu1 < 0) or np.any(nu2 < 0):
         raise DomainError("need nu1, nu2 >= 0")
     h = np.asarray(h, dtype=float)
     ah = np.abs(h)
@@ -274,9 +277,9 @@ def strong_integrand(params: LiftParams, beta: float):
     if start > 0:
         breaks.update((start, -start))
 
-    t = functools.partial(strong_t_integrand, params=params)
     linear = nu2 * (2.0 * beta - 1.0) + gamma
-    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=tuple(sorted(breaks))),)
+    return linear, (ExpPiece(weight=1.0, t=strong_t_integrand,
+                             breakpoints=tuple(sorted(breaks))),)
 
 
 def multiplier_k(moment_and_grad, mu: float):

@@ -123,11 +123,11 @@ def nonneg_t_integrand(h, params: LiftParams):
         (h - nu1)^2/(4 gamma) + nu2    for h >= nu1.
     Both crossings are continuous."""
     nu1, nu2 = params.nu1, params.nu2
-    if nu1 < 0 or nu2 < 0:
+    if np.any(nu1 < 0) or np.any(nu2 < 0):
         raise DomainError("need nu1, nu2 >= 0")
     h = np.asarray(h, dtype=float)
     quad = (h - nu1) ** 2 / (4.0 * params.gamma)
-    entry = nu1 - math.sqrt(8.0 * params.gamma * nu2)  # left edge of the plateau
+    entry = nu1 - np.sqrt(8.0 * params.gamma * nu2)  # left edge of the plateau
     out = np.where(h >= nu1, quad + nu2, np.where(h <= entry, quad - nu2, nu2))
     return float(out) if out.ndim == 0 else out
 
@@ -156,8 +156,7 @@ def nonneg_strong_integrand(params: LiftParams, beta: float):
     gamma, nu1, nu2 = params.gamma, params.nu1, params.nu2
     linear = nu2 * (2.0 * beta - 1.0) + gamma
     breaks = (nu1 - math.sqrt(8.0 * gamma * nu2), nu1)
-    t = functools.partial(nonneg_t_integrand, params=params)
-    return linear, (ExpPiece(weight=1.0, t=t, breakpoints=breaks),)
+    return linear, (ExpPiece(weight=1.0, t=nonneg_t_integrand, breakpoints=breaks),)
 
 
 def _nonneg_k(b, extra):

@@ -3,8 +3,10 @@ references the ADMM solver and the vertex enumeration of l1lab.empirical
 are checked against.
 
 lp_basis_pursuit solves the l1 program itself; lp_support_holds decides one
-support by one LP on A per sign pattern, basis_support_holds by LPs over a
-null-space basis; none shares code with the library.
+support by one LP on A per sign pattern, lp_support_holds_many many
+supports by the same LPs stacked into block-diagonal calls,
+basis_support_holds by LPs over a null-space basis; none shares code with
+the library.
 """
 
 import itertools
@@ -12,8 +14,13 @@ import itertools
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 _LP_SLACK = 1e-9
+# lp_support_holds_many: sign-pattern LPs per linprog call, and the band
+# around _LP_SLACK in which a block's value is checked by a solve of its own
+_LPS_PER_CALL = 32
+_RESOLVE_BAND = 1e-7
 
 
 def lp_basis_pursuit(A, y, nonneg=False):
@@ -31,6 +38,31 @@ def lp_basis_pursuit(A, y, nonneg=False):
     return res.x[:n] - res.x[n:]
 
 
+def _support_lps(A: np.ndarray, support, nonneg: bool):
+    """The LPs lp_support_holds solves on one sorted support, as (cost,
+    A_eq, bounds) per sign pattern, maximizing b . w_support - sum(p + q)
+    as a minimization of the cost; none when the property is vacuous."""
+    m, n = A.shape
+    k = len(support)
+    if k == 0 or m == n:  # vacuous, or null(A) = {0} at full row rank
+        return []
+    A_off = np.delete(A, support, axis=1)
+    A_eq = np.hstack([A[:, support], A_off] if nonneg else [A[:, support], A_off, -A_off])
+    bounds = [(-1, 1)] * k + [(0, 1)] * (A_eq.shape[1] - k)
+    # b and -b give the same optimum (w -> -w), so fix the first sign
+    patterns = ([(-1.0,) * k] if nonneg else
+                [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)])
+    return [(np.concatenate([-np.array(b), np.ones(A_eq.shape[1] - k)]), A_eq, bounds)
+            for b in patterns]
+
+
+def _lp_value(cost, A_eq, bounds) -> float:
+    res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]), bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"null-space LP failed with status {res.status}: {res.message}")
+    return -float(res.fun)
+
+
 def lp_support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:
     """Exact support-level null-space property of A on one sorted support.
 
@@ -43,30 +75,41 @@ def lp_support_holds(A: np.ndarray, support: np.ndarray, nonneg: bool) -> bool:
     single pattern b = -1: no null-space w that is nonnegative off the
     support has a negative sum.
     """
-    m, n = A.shape
-    k = len(support)
-    if k == 0 or m == n:  # vacuous, or null(A) = {0} at full row rank
-        return True
-    A_off = np.delete(A, support, axis=1)
-    A_eq = np.hstack([A[:, support], A_off] if nonneg else [A[:, support], A_off, -A_off])
-    bounds = [(-1, 1)] * k + [(0, 1)] * (A_eq.shape[1] - k)
-    # b and -b give the same optimum (w -> -w), so fix the first sign
-    patterns = ([(-1.0,) * k] if nonneg else
-                [(1.0,) + rest for rest in itertools.product((1.0, -1.0), repeat=k - 1)])
-    for b in patterns:
-        cost = np.concatenate([-np.array(b), np.ones(A_eq.shape[1] - k)])
-        res = linprog(cost, A_eq=A_eq, b_eq=np.zeros(m), bounds=bounds, method="highs")
+    return all(_lp_value(*lp) <= _LP_SLACK for lp in _support_lps(A, support, nonneg))
+
+
+def lp_support_holds_many(A: np.ndarray, supports, nonneg: bool) -> list[bool]:
+    """lp_support_holds on each of several sorted supports of A, with the
+    sign-pattern LPs of all of them solved _LPS_PER_CALL at a time as the
+    blocks of one block-diagonal linprog call.  The blocks share no
+    variable, so each block of a joint optimum is an optimum of its own LP;
+    a block value other than the exact zero of the w = 0 vertex that lies
+    within _RESOLVE_BAND of _LP_SLACK, where the joint solve's tolerance
+    could move the decision, is solved again alone."""
+    lps = [(i, lp) for i, support in enumerate(supports)
+           for lp in _support_lps(A, support, nonneg)]
+    holds = [True] * len(supports)
+    for first in range(0, len(lps), _LPS_PER_CALL):
+        chunk = lps[first:first + _LPS_PER_CALL]
+        res = linprog(np.concatenate([cost for _, (cost, _, _) in chunk]),
+                      A_eq=block_diag([A_eq for _, (_, A_eq, _) in chunk], format="csc"),
+                      b_eq=np.zeros(sum(A_eq.shape[0] for _, (_, A_eq, _) in chunk)),
+                      bounds=[b for _, (_, _, bounds) in chunk for b in bounds], method="highs")
         if res.status != 0:
             raise RuntimeError(f"null-space LP failed with status {res.status}: {res.message}")
-        if -float(res.fun) > _LP_SLACK:
-            return False
-    return True
+        ends = np.cumsum([len(cost) for _, (cost, _, _) in chunk])
+        for (i, lp), x in zip(chunk, np.split(res.x, ends[:-1])):
+            value = -float(lp[0] @ x)
+            if value != 0.0 and abs(value - _LP_SLACK) <= _RESOLVE_BAND:
+                value = _lp_value(*lp)
+            holds[i] = holds[i] and value <= _LP_SLACK
+    return holds
 
 
 def lp_strong_holds(A: np.ndarray, k: int, nonneg: bool = False) -> bool:
     """The support-level LP property on every support of size k."""
-    return all(lp_support_holds(A, np.array(support), nonneg)
-               for support in itertools.combinations(range(A.shape[1]), k))
+    supports = [np.array(s) for s in itertools.combinations(range(A.shape[1]), k)]
+    return all(lp_support_holds_many(A, supports, nonneg))
 
 
 def basis_lp_max(c_max, A_ub, b_ub, bounds):

@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from lp_oracles import lp_support_holds
+from lp_oracles import lp_support_holds_many
 
 from l1lab import empirical as emp
 from l1lab import threshold_bisect
@@ -295,8 +295,9 @@ def test_criterion_8_exhaustive_oracle_consistency():
             held[k] += 1
             # strong => sectional for every size-k support, the sectional
             # decisions taken from the LP form so the two are independent
-            bad = [S for S in combinations(range(n), k)
-                   if not lp_support_holds(A, np.array(S), nonneg=False)]
+            supports = list(combinations(range(n), k))
+            decisions = lp_support_holds_many(A, [np.array(S) for S in supports], nonneg=False)
+            bad = [S for S, holds in zip(supports, decisions) if not holds]
             if bad:
                 failures.append(f"matrix {idx}: strong k={k} but sectional fails at {bad[:3]}")
                 continue

@@ -67,6 +67,32 @@ def test_the_oracle_reaches_the_traced_quadrature_once_per_piece(monkeypatch, ki
     assert len(calls) == pieces
 
 
+@pytest.mark.parametrize("kind, pieces", [("sectional", 2), ("strong", 1), ("strong_nonneg", 1)])
+def test_a_batched_oracle_call_reaches_the_traced_quadrature_once_per_piece(monkeypatch, kind,
+                                                                            pieces):
+    # the parity audit makes one oracle call per kind: over its 60 tuples
+    # that call must still reach numerics.gauss_expectation through the
+    # module attribute, once per ExpPiece for the whole batch
+    numerics = importlib.import_module("l1lab.numerics")
+    lift_core = importlib.import_module("l1lab.lift_core")
+    parity = importlib.import_module("l1lab.parity")
+    records = [r for r in parity.run_parity_audit(samples=60, seed=0).records if r.kind == kind]
+    quadrature = numerics.gauss_expectation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kind)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "gauss_expectation", counted)
+    spec = lift_core.kind_table()[kind]
+    values = lift_core.exp_set_term_oracle(spec.integrand, [r.params for r in records],
+                                           [r.beta for r in records])
+    assert len(values) == len(records) == 60
+    assert values == [r.oracle for r in records]
+    assert len(calls) == pieces
+
+
 @pytest.mark.parametrize("kind, module, attr", [
     ("sectional", "thresholds_general", "sectional_exp_moments"),
     ("strong", "thresholds_general", "strong_exp_moment"),

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from lp_oracles import (basis_support_holds, lp_basis_pursuit, lp_strong_holds,
-                        lp_support_holds)
+                        lp_support_holds, lp_support_holds_many)
 from scipy.linalg import null_space
 
 from l1lab import empirical as emp
@@ -704,8 +704,8 @@ def test_enumeration_decisions_equal_the_lp_form():
             for nonneg in (False, True):
                 checks = [("strong", emp.strong_nullspace_holds(A, k, nonneg=nonneg),
                            lp_strong_holds(A, k, nonneg))]
-                checks += [("sectional", emp.sectional_nullspace_holds(A, S, nonneg=nonneg),
-                            lp_support_holds(A, S, nonneg)) for S in supports]
+                checks += [("sectional", emp.sectional_nullspace_holds(A, S, nonneg=nonneg), want)
+                           for S, want in zip(supports, lp_support_holds_many(A, supports, nonneg))]
                 for kind, got, want in checks:
                     assert got == want, ((m, n), seed, kind, nonneg)
                     answers.setdefault((kind, nonneg), set()).add(got)

@@ -118,7 +118,7 @@ def test_exp_set_term_oracle_constant_exponent():
 
     def integrand(params, beta):
         return 0.0, (lc.ExpPiece(weight=1.0,
-                                 t=lambda h: np.full_like(h, kappa),
+                                 t=lambda h, params: np.full_like(h, kappa),
                                  breakpoints=()),)
 
     params = lc.LiftParams(c3=0.8, gamma=1.0)

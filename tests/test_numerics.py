@@ -602,13 +602,18 @@ def test_composite_gl_matches_the_segment_by_segment_sum(segments, panels):
     ]
     for f in integrands:
         want = _composite_gl_by_segment(f, segments, panels)
-        assert abs(nm._composite_gl(f, segments, panels) - want) <= 1e-14 * abs(want)
+        (got,) = nm._composite_gl(lambda h, item: f(h), *np.transpose(segments), panels,
+                                  [0] * len(segments), 1)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("segments, panels", UNEVEN_SEGMENTS)
 def test_panel_edges_land_on_the_segment_boundaries(segments, panels):
-    left, right = nm._panel_edges(segments, panels)
+    blocks = list(nm._panel_blocks(*np.transpose(segments), panels))
+    assert all(len(seg) <= nm._GL_BLOCK for seg, _, _ in blocks)
+    seg, left, right = (np.concatenate(parts) for parts in zip(*blocks))
     ends = np.cumsum(panels)
+    assert np.array_equal(seg, np.repeat(np.arange(len(panels)), panels))
     assert len(left) == len(right) == ends[-1]
     for (lo, hi), n, last in zip(segments, panels, ends - 1):
         first = last + 1 - n
@@ -637,6 +642,121 @@ def test_quadrature_calls_the_integrand_one_block_at_a_time(g_is_log):
     passes += [spec.max_panels] if g_is_log else []
     assert sizes == [16 * min(512, p - b) for p in passes for b in range(0, p, 512)]
     assert sum(sizes) == spec.max_panels * 16 * (3 if g_is_log else 2) - spec.panels * 16
+
+
+# a strong-nonneg lift point whose short quadrature segment needs 520
+# panels (tests/test_parity.py's "short-segment" tuple), and three whose
+# estimates agree at 128; all four have their own window and breakpoints
+SHORT_SEGMENT = lc.LiftParams(0.9752666691778795, 0.48783723028702103,
+                              0.47230044480385636, 187.87508946770023)
+SETTLED = [lc.LiftParams(0.7, 1.0, 0.3, 1.2), lc.LiftParams(2.0, 3.0, 1.5, 0.4),
+           lc.LiftParams(0.2, 0.9, 0.0, 0.5)]
+# a sectional lift point whose first piece reaches the doubling cap and is
+# accepted on the rounding of its exponents (the "rounding-floor" tuple)
+ROUNDING_FLOOR = lc.LiftParams(37.986835944156034, 18.993439681019428, 0.039177004595829415)
+
+
+def lifted_items(integrand, points, beta=0.3, piece=0):
+    """The batch integrand c3 * t(h, params) of one ExpPiece at several lift
+    points, with the points' quadrature specs and breakpoints as the oracle
+    builds them, and each point's one-item integrand."""
+    t = integrand(points[0], beta)[1][piece].t
+    cols = [np.array(col) for col in zip(*((p.c3, p.gamma, p.nu1, p.nu2) for p in points))]
+
+    def batch(h, item):
+        at = lc.LiftParams(*(col[item] for col in cols))
+        return at.c3 * t(h, at)
+
+    specs = [nm.QuadratureSpec(half_width=max(lc.window_half_width(p), 6.0)) for p in points]
+    breaks = [integrand(p, beta)[1][piece].breakpoints for p in points]
+    alone = [lambda h, p=p: p.c3 * t(h, p) for p in points]
+    return batch, specs, breaks, alone
+
+
+def test_a_batch_gives_each_item_its_one_item_value_and_doublings():
+    points = [SETTLED[0], SHORT_SEGMENT, *SETTLED[1:]]
+    batch, specs, breaks, alone = lifted_items(tn.nonneg_strong_integrand, points)
+    assert len({s.half_width for s in specs}) == len({tuple(b) for b in breaks}) == 4
+    rows = []
+
+    def counted(h, item):
+        assert h.shape == (len(item), 16) and item.shape == (len(item), 1)
+        rows.append(np.bincount(item[:, 0], minlength=len(points)))
+        return batch(h, item)
+
+    values = nm.gauss_expectation(counted, specs, breaks, g_is_log=True)
+    assert max(r.sum() for r in rows) <= nm._GL_BLOCK  # 512 * 16 nodes a call at most
+    calls = []
+    for i, (spec, bps, g) in enumerate(zip(specs, breaks, alone)):
+        seen = []
+
+        def one(h, g=g, seen=seen):
+            seen.append(len(h))
+            return g(h)
+
+        want = nm.gauss_expectation(one, spec, bps, g_is_log=True)
+        assert abs(values[i] - want) <= 1e-14 * abs(want), i
+        # the item sees in the batch the panels it sees alone: its own doublings
+        assert sum(r[i] for r in rows) == sum(seen), i
+        calls.append(len(seen))
+    # below 512 panels a doubling step is one call: the settled points stop
+    # at 128 panels, the short segment needs two more doublings
+    assert calls == [2, 5, 2, 2]
+    assert len(rows) < sum(calls)  # blocks span items
+
+
+def test_the_rounding_acceptance_is_judged_per_item():
+    points = [SETTLED[2], ROUNDING_FLOOR, lc.LiftParams(0.9, 1.2, 0.4)]
+    batch, specs, breaks, alone = lifted_items(tg.sectional_integrand, points, beta=0.111)
+    rows = []
+
+    def counted(h, item):
+        rows.append(np.bincount(item[:, 0], minlength=len(points)))
+        return batch(h, item)
+
+    values = nm.gauss_expectation(counted, specs, breaks, g_is_log=True)
+    # the rounding-floor item ran every doubling to 16384 panels and then its
+    # rounding pass on the last of them; the others stopped at 128
+    first = rows[0]
+    assert [sum(r[i] for r in rows) for i in range(3)] == [3 * first[0], first[1] * (511 + 256),
+                                                           3 * first[2]]
+    for i, g in enumerate(alone):
+        want = nm.gauss_expectation(g, specs[i], breaks[i], g_is_log=True)
+        assert abs(values[i] - want) <= 1e-14 * abs(want), i
+    # log-values of noise never settle and their rounding cannot excuse
+    # that; only the noise item fails, and the error names it
+    rng = np.random.default_rng(0)
+
+    def with_noise(h, item):
+        return np.where(item == 2, rng.standard_normal(h.shape), batch(h, item))
+
+    with pytest.raises(NonConvergentError, match="quadrature of item 2 did not stabilize"):
+        nm.gauss_expectation(with_noise, specs, breaks, g_is_log=True)
+
+
+def test_a_nonconvergent_item_raises_and_is_named():
+    # the oscillation of test_gauss_expectation_nonconvergent, as items 1
+    # and 3 of a batch whose other items converge
+    tight = nm.QuadratureSpec(half_width=10.0, panels=64, rel_tol=1e-12, max_panels=256)
+    specs = [nm.QuadratureSpec(), tight, nm.QuadratureSpec(half_width=12.0), tight]
+
+    def g(h, item):
+        return np.where(item % 2 == 1, np.cos(500.0 * h) * h * h, h * h)
+
+    with pytest.raises(NonConvergentError, match="quadrature of item 1 did not stabilize "
+                                                 "to rel_tol=1e-12 within 256 panels"):
+        nm.gauss_expectation(g, specs, [(), (), (0.5,), ()])
+    values = nm.gauss_expectation(lambda h, item: h * h, specs[::2], [(), (0.5,)])
+    assert all(abs(v - 1.0) <= 1e-10 for v in values)
+    with pytest.raises(NonConvergentError) as one:
+        nm.gauss_expectation(lambda h: np.cos(500.0 * h) * h * h, tight)
+    assert "item" not in str(one.value)
+
+
+def test_an_empty_batch_is_an_empty_list():
+    assert nm.gauss_expectation(lambda h, item: h, [], []) == []
+    with pytest.raises(ValueError):
+        nm.gauss_expectation(lambda h, item: h, [nm.QuadratureSpec()], [(), ()])
 
 
 # ---------------------------------------------------------------------------

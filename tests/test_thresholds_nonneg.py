@@ -251,7 +251,7 @@ def test_mirror_invariance_of_expectation():
         linear, pieces = tn.nonneg_strong_integrand(params_, beta)
         flipped = tuple(
             ExpPiece(weight=pc.weight,
-                     t=(lambda h, f=pc.t: f(-h)),
+                     t=(lambda h, params, f=pc.t: f(-h, params)),
                      breakpoints=tuple(-b for b in pc.breakpoints))
             for pc in pieces
         )
